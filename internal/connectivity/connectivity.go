@@ -30,38 +30,17 @@ var (
 	ErrComplete = errors.New("connectivity: graph is complete")
 )
 
-// inNode and outNode map original node ids to the split network's ids.
-func inNode(v int) int  { return 2 * v }
-func outNode(v int) int { return 2*v + 1 }
-
-// splitNetwork builds the vertex-split flow network of g. Nodes in the
-// uncap set get infinite internal capacity so they can anchor multiple
-// paths. Edge arcs get capacity edgeCap: pass flow.Inf when s and t are
-// guaranteed non-adjacent, which confines every minimum cut to internal
-// arcs and makes vertex-separator extraction exact; pass 1 for networks
-// whose flow will be decomposed into paths (a direct s–t edge must not
-// be reused).
-func splitNetwork(g *graph.Graph, edgeCap int, uncap ...int) *flow.Network {
-	n := g.N()
-	nw := flow.NewNetwork(2 * n)
-	unlimited := make(map[int]bool, len(uncap))
-	for _, u := range uncap {
-		if u >= 0 {
-			unlimited[u] = true
+// checkPair rejects an s–t query on equal or out-of-range nodes.
+func checkPair(g *graph.Graph, s, t int) error {
+	for _, v := range []int{s, t} {
+		if err := checkNode(g, v); err != nil {
+			return fmt.Errorf("connectivity: %w", err)
 		}
 	}
-	for v := 0; v < n; v++ {
-		c := 1
-		if unlimited[v] {
-			c = flow.Inf
-		}
-		nw.AddArc(inNode(v), outNode(v), c)
+	if s == t {
+		return fmt.Errorf("connectivity: s == t == %d", s)
 	}
-	for _, e := range g.Edges() {
-		nw.AddArc(outNode(e[0]), inNode(e[1]), edgeCap)
-		nw.AddArc(outNode(e[1]), inNode(e[0]), edgeCap)
-	}
-	return nw
+	return nil
 }
 
 // STConnectivity returns the maximum number of internally node-disjoint
@@ -69,39 +48,26 @@ func splitNetwork(g *graph.Graph, edgeCap int, uncap ...int) *flow.Network {
 // nodes whose removal separates s from t). s and t must be distinct and
 // non-adjacent; adjacent pairs return ErrAdjacent.
 func STConnectivity(g *graph.Graph, s, t int) (int, error) {
-	if s == t {
-		return 0, fmt.Errorf("connectivity: s == t == %d", s)
+	if err := checkPair(g, s, t); err != nil {
+		return 0, err
 	}
 	if g.HasEdge(s, t) {
 		return 0, fmt.Errorf("%w: %d-%d", ErrAdjacent, s, t)
 	}
-	nw := splitNetwork(g, flow.Inf, s, t)
-	return nw.MaxFlow(outNode(s), inNode(t), flow.Inf), nil
+	k, _ := newSplit(g, flow.Inf).stFlow(s, t, flow.Inf, false)
+	return k, nil
 }
 
 // STSeparator returns a minimum set of nodes (excluding s and t) whose
 // removal disconnects s from t. s and t must be non-adjacent.
 func STSeparator(g *graph.Graph, s, t int) ([]int, error) {
-	if s == t {
-		return nil, fmt.Errorf("connectivity: s == t == %d", s)
+	if err := checkPair(g, s, t); err != nil {
+		return nil, err
 	}
 	if g.HasEdge(s, t) {
 		return nil, fmt.Errorf("%w: %d-%d", ErrAdjacent, s, t)
 	}
-	nw := splitNetwork(g, flow.Inf, s, t)
-	nw.MaxFlow(outNode(s), inNode(t), flow.Inf)
-	seen := nw.MinCutReachable(outNode(s))
-	var cut []int
-	for v := 0; v < g.N(); v++ {
-		if v == s || v == t {
-			continue
-		}
-		// v is in the cut iff v_in is reachable but v_out is not: the
-		// saturated internal arc crosses the cut.
-		if seen[inNode(v)] && !seen[outNode(v)] {
-			cut = append(cut, v)
-		}
-	}
+	_, cut := newSplit(g, flow.Inf).stFlow(s, t, flow.Inf, true)
 	return cut, nil
 }
 
@@ -110,33 +76,7 @@ func STSeparator(g *graph.Graph, s, t int) ([]int, error) {
 // exist it returns ErrTooFewPaths. Unlike STConnectivity, s and t may be
 // adjacent; the direct edge counts as one path.
 func DisjointPaths(g *graph.Graph, s, t, k int) ([][]int, error) {
-	if s == t {
-		return nil, fmt.Errorf("connectivity: s == t == %d", s)
-	}
-	nw := splitNetwork(g, 1, s, t)
-	got := nw.MaxFlow(outNode(s), inNode(t), k)
-	if got < k {
-		return nil, fmt.Errorf("%w: want %d, have %d between %d and %d", ErrTooFewPaths, k, got, s, t)
-	}
-	raw := nw.DecomposePaths(outNode(s), inNode(t), k)
-	paths := make([][]int, len(raw))
-	for i, rp := range raw {
-		paths[i] = unsplit(rp)
-	}
-	return paths, nil
-}
-
-// unsplit converts a path over split ids (alternating v_out, w_in, w_out,
-// ...) back to original node ids, removing consecutive duplicates.
-func unsplit(rp []int) []int {
-	var out []int
-	for _, x := range rp {
-		v := x / 2
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
+	return NewSplit(g).DisjointPaths(s, t, k)
 }
 
 // VertexConnectivity returns κ(G) together with one minimum separating
@@ -152,6 +92,10 @@ func unsplit(rp []int) []int {
 // non-neighbor — or contains v — then, S being minimal, v has neighbors
 // in two different components of G−S, and some non-adjacent pair of
 // neighbors of v is separated by S.
+//
+// All flows run on one Split, and each is capped at the smallest value
+// found so far: a capped flow returns min(κ(s,t), best), which changes
+// neither the minimum nor the first pair that attains it.
 func VertexConnectivity(g *graph.Graph) (int, []int, error) {
 	n := g.N()
 	if n <= 1 {
@@ -167,47 +111,38 @@ func VertexConnectivity(g *graph.Graph) (int, []int, error) {
 			v = u
 		}
 	}
+	// Every non-adjacent pair has at most n-2 disjoint paths, so the first
+	// pair's capped flow is exact.
 	best := n - 1
 	var bestPair [2]int
 	havePair := false
-	consider := func(s, t int) error {
+	sp := newSplit(g, flow.Inf)
+	consider := func(s, t int) {
 		if g.HasEdge(s, t) || s == t {
-			return nil
+			return
 		}
-		k, err := STConnectivity(g, s, t)
-		if err != nil {
-			return err
-		}
-		if k < best || !havePair {
+		if k, _ := sp.stFlow(s, t, best, false); k < best || !havePair {
 			best = k
 			bestPair = [2]int{s, t}
 			havePair = true
 		}
-		return nil
 	}
 	for u := 0; u < n; u++ {
 		if u != v {
-			if err := consider(v, u); err != nil {
-				return 0, nil, err
-			}
+			consider(v, u)
 		}
 	}
 	nbrs := g.Neighbors(v)
 	for i := 0; i < len(nbrs); i++ {
 		for j := i + 1; j < len(nbrs); j++ {
-			if err := consider(nbrs[i], nbrs[j]); err != nil {
-				return 0, nil, err
-			}
+			consider(nbrs[i], nbrs[j])
 		}
 	}
 	if !havePair {
 		// No non-adjacent pair anywhere we probed; the graph is complete.
 		return n - 1, nil, ErrComplete
 	}
-	sep, err := STSeparator(g, bestPair[0], bestPair[1])
-	if err != nil {
-		return 0, nil, err
-	}
+	_, sep := sp.stFlow(bestPair[0], bestPair[1], flow.Inf, true)
 	return best, sep, nil
 }
 
@@ -235,28 +170,24 @@ func IsKConnected(g *graph.Graph, k int) (bool, error) {
 	if g.Degree(v) < k {
 		return false, nil
 	}
-	check := func(s, t int) (bool, error) {
+	sp := newSplit(g, flow.Inf)
+	check := func(s, t int) bool {
 		if s == t || g.HasEdge(s, t) {
-			return true, nil
+			return true
 		}
-		nw := splitNetwork(g, flow.Inf, s, t)
-		return nw.MaxFlow(outNode(s), inNode(t), k) >= k, nil
+		got, _ := sp.stFlow(s, t, k, false)
+		return got >= k
 	}
 	for u := 0; u < n; u++ {
-		if u == v {
-			continue
-		}
-		ok, err := check(v, u)
-		if err != nil || !ok {
-			return false, err
+		if u != v && !check(v, u) {
+			return false, nil
 		}
 	}
 	nbrs := g.Neighbors(v)
 	for i := 0; i < len(nbrs); i++ {
 		for j := i + 1; j < len(nbrs); j++ {
-			ok, err := check(nbrs[i], nbrs[j])
-			if err != nil || !ok {
-				return false, err
+			if !check(nbrs[i], nbrs[j]) {
+				return false, nil
 			}
 		}
 	}

@@ -1,11 +1,6 @@
 package connectivity
 
-import (
-	"fmt"
-
-	"ftroute/internal/flow"
-	"ftroute/internal/graph"
-)
+import "ftroute/internal/graph"
 
 // DisjointPathsToSet implements the primitive behind the paper's tree
 // routings (Lemma 2): it returns k paths from x to k distinct nodes of
@@ -18,63 +13,15 @@ import (
 //     single edge (the "direct edge shortcut" required by the definition
 //     of tree routings).
 //
-// x must not be in M. If fewer than k such paths exist (which cannot
-// happen when M separates x from some node and the graph is k-connected),
-// it returns ErrTooFewPaths.
+// x must not be in M, and x and the members must be nodes of g with no
+// member repeated; otherwise it returns an error. If fewer than k such
+// paths exist (which cannot happen when M separates x from some node and
+// the graph is k-connected), it returns ErrTooFewPaths.
+//
+// Each call builds the split network of g. To issue many queries on one
+// graph, build a Split once and call its DisjointPathsToSet.
 func DisjointPathsToSet(g *graph.Graph, x int, members []int, k int) ([][]int, error) {
-	n := g.N()
-	inM := graph.NewBitset(n)
-	for _, m := range members {
-		if m == x {
-			return nil, fmt.Errorf("connectivity: x=%d is a member of the target set", x)
-		}
-		inM.Add(m)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	// Build the split network with a super-sink (id 2n): every member's
-	// in-node feeds the sink with capacity 1 and its out-node is cut off
-	// so that flow terminates at the first member reached.
-	nw := flow.NewNetwork(2*n + 1)
-	sink := 2 * n
-	for v := 0; v < n; v++ {
-		c := 1
-		switch {
-		case v == x:
-			c = flow.Inf
-		case inM.Has(v):
-			c = 0 // flow must not pass through a member
-		}
-		nw.AddArc(inNode(v), outNode(v), c)
-	}
-	for _, m := range members {
-		nw.AddArc(inNode(m), sink, 1)
-	}
-	for _, e := range g.Edges() {
-		nw.AddArc(outNode(e[0]), inNode(e[1]), 1)
-		nw.AddArc(outNode(e[1]), inNode(e[0]), 1)
-	}
-	got := nw.MaxFlow(outNode(x), sink, k)
-	if got < k {
-		return nil, fmt.Errorf("%w: want %d node-disjoint paths from %d to set, have %d", ErrTooFewPaths, k, x, got)
-	}
-	raw := nw.DecomposePaths(outNode(x), sink, k)
-	paths := make([][]int, len(raw))
-	for i, rp := range raw {
-		// Drop the super-sink element before unsplitting.
-		p := unsplit(rp[:len(rp)-1])
-		// Direct edge shortcut: if x is adjacent to the endpoint, the
-		// route is the single edge. This preserves mutual disjointness
-		// because the replacement uses no nodes beyond x and the
-		// endpoint, both already on the original path.
-		end := p[len(p)-1]
-		if len(p) > 2 && g.HasEdge(x, end) {
-			p = []int{x, end}
-		}
-		paths[i] = p
-	}
-	return paths, nil
+	return NewSplit(g).DisjointPathsToSet(x, members, k)
 }
 
 // Endpoints returns the final node of each path, in path order.

@@ -56,6 +56,23 @@ func newBipolarSets(g *graph.Graph, tt *TwoTrees) *bipolarSets {
 	return s
 }
 
+// appendGammaJobs appends the tree routings shared by both bipolar
+// routings: from every m ∈ M1 to every Γ(m'), m' ∈ M1, then likewise for
+// M2.
+func (s *bipolarSets) appendGammaJobs(jobs []treeJob) []treeJob {
+	for _, m := range s.m1 {
+		for _, gset := range s.gamma1 {
+			jobs = append(jobs, treeJob{m, gset})
+		}
+	}
+	for _, m := range s.m2 {
+		for _, gset := range s.gamma2 {
+			jobs = append(jobs, treeJob{m, gset})
+		}
+	}
+	return jobs
+}
+
 // resolveBipolar computes t and the two-trees witness.
 func resolveBipolar(g *graph.Graph, opts Options) (int, *TwoTrees, error) {
 	t, err := resolveTolerance(g, opts)
@@ -92,35 +109,22 @@ func BipolarUnidirectional(g *graph.Graph, opts Options) (*routing.Routing, *Bip
 		return nil, nil, err
 	}
 	s := newBipolarSets(g, tt)
-	r := routing.New(g)
+	var jobs []treeJob
 	for x := 0; x < g.N(); x++ {
 		// Component B-POL 1.
 		if !s.inM1.Has(x) {
-			if err := addTreeRouting(r, g, x, s.m1, t+1); err != nil {
-				return nil, nil, err
-			}
+			jobs = append(jobs, treeJob{x, s.m1})
 		}
 		// Component B-POL 2.
 		if !s.inM2.Has(x) {
-			if err := addTreeRouting(r, g, x, s.m2, t+1); err != nil {
-				return nil, nil, err
-			}
+			jobs = append(jobs, treeJob{x, s.m2})
 		}
 	}
 	// Components B-POL 3 and B-POL 4.
-	for _, m := range s.m1 {
-		for _, gset := range s.gamma1 {
-			if err := addTreeRouting(r, g, m, gset, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for _, m := range s.m2 {
-		for _, gset := range s.gamma2 {
-			if err := addTreeRouting(r, g, m, gset, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
+	jobs = s.appendGammaJobs(jobs)
+	r := routing.New(g)
+	if err := compileTrees(g, jobs, t+1, setTrees(r)); err != nil {
+		return nil, nil, err
 	}
 	// Component B-POL 6 before B-POL 5 so that edge pairs are complete in
 	// both directions and are not double-filled.
@@ -153,35 +157,22 @@ func BipolarBidirectional(g *graph.Graph, opts Options) (*routing.Routing, *Bipo
 		return nil, nil, err
 	}
 	s := newBipolarSets(g, tt)
-	r := routing.NewBidirectional(g)
+	var jobs []treeJob
 	for x := 0; x < g.N(); x++ {
 		// Component 2B-POL 1: x ∉ M ∪ Γ1.
 		if !s.inM1.Has(x) && !s.inM2.Has(x) && !s.inG1.Has(x) {
-			if err := addTreeRouting(r, g, x, s.m1, t+1); err != nil {
-				return nil, nil, err
-			}
+			jobs = append(jobs, treeJob{x, s.m1})
 		}
 		// Component 2B-POL 2: x ∉ M2 ∪ Γ2.
 		if !s.inM2.Has(x) && !s.inG2.Has(x) {
-			if err := addTreeRouting(r, g, x, s.m2, t+1); err != nil {
-				return nil, nil, err
-			}
+			jobs = append(jobs, treeJob{x, s.m2})
 		}
 	}
 	// Components 2B-POL 3 and 2B-POL 4.
-	for _, m := range s.m1 {
-		for _, gset := range s.gamma1 {
-			if err := addTreeRouting(r, g, m, gset, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for _, m := range s.m2 {
-		for _, gset := range s.gamma2 {
-			if err := addTreeRouting(r, g, m, gset, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
+	jobs = s.appendGammaJobs(jobs)
+	r := routing.NewBidirectional(g)
+	if err := compileTrees(g, jobs, t+1, setTrees(r)); err != nil {
+		return nil, nil, err
 	}
 	// Component 2B-POL 5.
 	if err := r.AddEdgeRoutes(); err != nil {

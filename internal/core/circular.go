@@ -61,7 +61,7 @@ func Circular(g *graph.Graph, opts Options) (*routing.Routing, *CircularInfo, er
 		}
 	}
 	r := routing.NewBidirectional(g)
-	if err := buildCircularComponents(r, g, m, t, true); err != nil {
+	if err := compileTrees(g, circularJobs(g, m), t+1, setTrees(r)); err != nil {
 		return nil, nil, err
 	}
 	// Component CIRC 3.
@@ -71,12 +71,9 @@ func Circular(g *graph.Graph, opts Options) (*routing.Routing, *CircularInfo, er
 	return r, &CircularInfo{T: t, K: k, M: m}, nil
 }
 
-// buildCircularComponents installs Components CIRC 1 and CIRC 2 over the
-// ring m (whose neighbor sets are the Γ_i). When treesFromOutside is
-// true it includes CIRC 1 (tree routings from every node outside Γ to
-// every set); the tri-circular construction reuses only the in-ring
-// component with its own cross-ring logic.
-func buildCircularComponents(r *routing.Routing, g *graph.Graph, m []int, t int, treesFromOutside bool) error {
+// circularJobs lists the tree routings of Components CIRC 1 and CIRC 2
+// over the ring m, whose neighbor sets are the Γ_i.
+func circularJobs(g *graph.Graph, m []int) []treeJob {
 	k := len(m)
 	gamma := make([][]int, k)
 	memberRing := make([]int, g.N()) // ring index of each node in Γ, else -1
@@ -90,27 +87,20 @@ func buildCircularComponents(r *routing.Routing, g *graph.Graph, m []int, t int,
 		}
 	}
 	forward := (k+1)/2 - 1 // ⌈K/2⌉ - 1
+	var jobs []treeJob
 	for x := 0; x < g.N(); x++ {
 		ring := memberRing[x]
 		if ring == -1 {
-			if !treesFromOutside {
-				continue
-			}
 			// Component CIRC 1: x ∉ Γ routes to every Γ_i.
 			for i := 0; i < k; i++ {
-				if err := addTreeRouting(r, g, x, gamma[i], t+1); err != nil {
-					return err
-				}
+				jobs = append(jobs, treeJob{x, gamma[i]})
 			}
 			continue
 		}
 		// Component CIRC 2: x ∈ Γ_i routes forward around the ring.
 		for j := 1; j <= forward; j++ {
-			i := (ring + j) % k
-			if err := addTreeRouting(r, g, x, gamma[i], t+1); err != nil {
-				return err
-			}
+			jobs = append(jobs, treeJob{x, gamma[(ring+j)%k]})
 		}
 	}
-	return nil
+	return jobs
 }

@@ -78,33 +78,18 @@ func Kernel(g *graph.Graph, opts Options) (*routing.Routing, *KernelInfo, error)
 		inM.Add(v)
 	}
 	// Component KERNEL 1: tree routings into the separator.
+	var jobs []treeJob
 	for x := 0; x < g.N(); x++ {
-		if inM.Has(x) {
-			continue
+		if !inM.Has(x) {
+			jobs = append(jobs, treeJob{x, m})
 		}
-		if err := addTreeRouting(r, g, x, m, t+1); err != nil {
-			return nil, nil, err
-		}
+	}
+	if err := compileTrees(g, jobs, t+1, setTrees(r)); err != nil {
+		return nil, nil, err
 	}
 	// Component KERNEL 2: direct edge routes.
 	if err := r.AddEdgeRoutes(); err != nil {
 		return nil, nil, err
 	}
 	return r, &KernelInfo{T: t, Separator: m}, nil
-}
-
-// addTreeRouting installs a tree routing from x to k distinct members of
-// m: k node-disjoint paths (Lemma 2) inserted into r with conflict
-// checking.
-func addTreeRouting(r *routing.Routing, g *graph.Graph, x int, m []int, k int) error {
-	paths, err := connectivity.DisjointPathsToSet(g, x, m, k)
-	if err != nil {
-		return fmt.Errorf("%w: tree routing from %d: %v", ErrNotApplicable, x, err)
-	}
-	for _, p := range paths {
-		if err := r.Set(routing.Path(p)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -29,9 +29,10 @@ func FullMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, *Mul
 	}
 	m := routing.NewMulti(g, t+1, true)
 	n := g.N()
+	sp := connectivity.NewSplit(g)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			paths, err := connectivity.DisjointPaths(g, u, v, t+1)
+			paths, err := sp.DisjointPaths(u, v, t+1)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%w: %v", ErrNotApplicable, err)
 			}
@@ -68,10 +69,11 @@ func KernelMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, *M
 	if err != nil {
 		return nil, nil, err
 	}
+	sp := connectivity.NewSplit(g)
 	for i := 0; i < len(info.Separator); i++ {
 		for j := i + 1; j < len(info.Separator); j++ {
 			u, v := info.Separator[i], info.Separator[j]
-			paths, perr := connectivity.DisjointPaths(g, u, v, t+1)
+			paths, perr := sp.DisjointPaths(u, v, t+1)
 			if perr != nil {
 				return nil, nil, fmt.Errorf("%w: %v", ErrNotApplicable, perr)
 			}
@@ -118,47 +120,51 @@ func TwoRouteMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, 
 		inM.Add(v)
 	}
 	m := routing.NewMulti(g, 2, true)
-	addPaths := func(paths [][]int, err error) error {
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrNotApplicable, err)
-		}
-		for _, p := range paths {
-			if aerr := m.Add(routing.Path(p)); aerr != nil {
-				return aerr
+	// add installs a job's paths with Add (MULT 1) or AddCapped (MULT 2).
+	add := func(capped bool) func(treeJob, [][]int, error) error {
+		return func(_ treeJob, paths [][]int, err error) error {
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrNotApplicable, err)
 			}
+			for _, p := range paths {
+				if capped {
+					_, err = m.AddCapped(routing.Path(p))
+				} else {
+					err = m.Add(routing.Path(p))
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		return nil
 	}
 	// Component MULT 1.
+	var jobs []treeJob
 	for x := 0; x < g.N(); x++ {
-		if inM.Has(x) {
-			continue
+		if !inM.Has(x) {
+			jobs = append(jobs, treeJob{x, sep})
 		}
-		if err := addPaths(connectivity.DisjointPathsToSet(g, x, sep, t+1)); err != nil {
-			return nil, nil, err
-		}
+	}
+	if err := compileTrees(g, jobs, t+1, add(false)); err != nil {
+		return nil, nil, err
 	}
 	// Component MULT 2: m_i to the neighborhood of every other member.
 	// Unlike the bipolar construction, the Γ(m_j) sets of a separating
 	// set may overlap, so a pair can be offered more than two routes;
 	// the paper's two-route budget is honored by keeping the first two
 	// (AddCapped). Experiment E11 measures the resulting tolerance.
+	jobs = nil
 	for _, mi := range sep {
 		for _, mj := range sep {
-			if mi == mj || g.HasEdge(mi, mj) {
-				// Adjacent members reach each other via MULT 3 directly.
-				continue
-			}
-			paths, perr := connectivity.DisjointPathsToSet(g, mi, g.Neighbors(mj), t+1)
-			if perr != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrNotApplicable, perr)
-			}
-			for _, p := range paths {
-				if _, aerr := m.AddCapped(routing.Path(p)); aerr != nil {
-					return nil, nil, aerr
-				}
+			// Adjacent members reach each other via MULT 3 directly.
+			if mi != mj && !g.HasEdge(mi, mj) {
+				jobs = append(jobs, treeJob{mi, g.Neighbors(mj)})
 			}
 		}
+	}
+	if err := compileTrees(g, jobs, t+1, add(true)); err != nil {
+		return nil, nil, err
 	}
 	// Component MULT 3.
 	for _, e := range g.Edges() {

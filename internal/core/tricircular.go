@@ -77,33 +77,29 @@ func TriCircular(g *graph.Graph, opts Options) (*routing.Routing, *TriCircularIn
 		}
 	}
 	forward := (third+1)/2 - 1 // within-ring forward range
-	r := routing.NewBidirectional(g)
+	var jobs []treeJob
 	for x := 0; x < g.N(); x++ {
 		if ringOf[x] == -1 {
 			// Component T-CIRC 1.
 			for idx := 0; idx < k; idx++ {
-				if err := addTreeRouting(r, g, x, gamma[idx], t+1); err != nil {
-					return nil, nil, err
-				}
+				jobs = append(jobs, treeJob{x, gamma[idx]})
 			}
 			continue
 		}
 		j, i := ringOf[x], posOf[x]
 		// Component T-CIRC 2: forward within ring j.
 		for step := 1; step <= forward; step++ {
-			idx := j*third + (i+step)%third
-			if err := addTreeRouting(r, g, x, gamma[idx], t+1); err != nil {
-				return nil, nil, err
-			}
+			jobs = append(jobs, treeJob{x, gamma[j*third+(i+step)%third]})
 		}
 		// Component T-CIRC 3: every set of ring j+1.
 		next := (j + 1) % 3
 		for l := 0; l < third; l++ {
-			idx := next*third + l
-			if err := addTreeRouting(r, g, x, gamma[idx], t+1); err != nil {
-				return nil, nil, err
-			}
+			jobs = append(jobs, treeJob{x, gamma[next*third+l]})
 		}
+	}
+	r := routing.NewBidirectional(g)
+	if err := compileTrees(g, jobs, t+1, setTrees(r)); err != nil {
+		return nil, nil, err
 	}
 	// Component T-CIRC 4.
 	if err := r.AddEdgeRoutes(); err != nil {

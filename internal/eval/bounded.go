@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -62,10 +64,12 @@ func casMin(a *atomic.Int64, v int64) {
 	}
 }
 
-// countChoose is the binomial coefficient C(n, k) in exact integer
-// arithmetic (the running product after step i is C(n-k+i, i), always
-// integral). Enumerations large enough to overflow could never finish
-// being walked, so overflow is unreachable in practice.
+// countChoose is the binomial coefficient C(n, k), saturating at
+// math.MaxInt. The running product after step i is C(n-k+i, i), always
+// integral and never above C(n, k); each step multiplies into 128 bits
+// before it divides, so every C(n, k) that fits in an int is exact.
+// Freeze-skip counts subtrees it never walks, so a count beyond int64
+// (C(5000, 6) already is) is reachable.
 func countChoose(n, k int) int {
 	if k < 0 || k > n {
 		return 0
@@ -73,23 +77,37 @@ func countChoose(n, k int) int {
 	if k > n-k {
 		k = n - k
 	}
-	c := 1
+	c := uint64(1)
 	for i := 1; i <= k; i++ {
-		c = c * (n - k + i) / i
+		hi, lo := bits.Mul64(c, uint64(n-k+i))
+		if hi >= uint64(i) { // the quotient needs more than 64 bits
+			return math.MaxInt
+		}
+		if c, _ = bits.Div64(hi, lo, uint64(i)); c > math.MaxInt {
+			return math.MaxInt
+		}
 	}
-	return c
+	return int(c)
 }
 
 // countSets counts the nonempty subsets of size at most left drawn from
 // avail items — the number of fault sets in one enumeration subtree,
 // used to reconstruct Evaluated when a frozen (disconnected) result
-// skips the subtree without walking it.
+// skips the subtree without walking it. It saturates at math.MaxInt.
 func countSets(avail, left int) int {
 	total := 0
 	for s := 1; s <= left && s <= avail; s++ {
-		total += countChoose(avail, s)
+		total = satAdd(total, countChoose(avail, s))
 	}
 	return total
+}
+
+// satAdd is a + b for non-negative counts, saturating at math.MaxInt.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // foldBounded is fold through the branch-and-bound kernel: identical
@@ -173,7 +191,7 @@ func (e *Engine) descendBounded(start, left int, res *Result, best *diamBound) {
 	}
 	for v := start; v < e.n; v++ {
 		if res.Disconnected {
-			res.Evaluated += countSets(e.n-v, left)
+			res.Evaluated = satAdd(res.Evaluated, countSets(e.n-v, left))
 			return
 		}
 		e.AddFault(v)
@@ -196,7 +214,7 @@ func (e *Engine) exhaustiveBoundedParallel(f, workers int) Result {
 		return merged
 	}
 	if merged.Disconnected {
-		merged.Evaluated += countSets(n, f)
+		merged.Evaluated = satAdd(merged.Evaluated, countSets(n, f))
 		return merged
 	}
 	if workers > n {
@@ -217,7 +235,7 @@ func (e *Engine) exhaustiveBoundedParallel(f, workers int) Result {
 					return
 				}
 				if int64(v) > discUnit.Load() {
-					per[v] = Result{Evaluated: 1 + countSets(n-v-1, f-1)}
+					per[v] = Result{Evaluated: satAdd(1, countSets(n-v-1, f-1))}
 					continue
 				}
 				if c == nil {
@@ -258,7 +276,7 @@ func (e *Engine) exhaustiveExactBounded(k int) Result {
 		}
 		for v := start; v < e.n; v++ {
 			if res.Disconnected {
-				res.Evaluated += countChoose(e.n-v, left)
+				res.Evaluated = satAdd(res.Evaluated, countChoose(e.n-v, left))
 				return
 			}
 			e.AddFault(v)
@@ -292,7 +310,7 @@ func (e *Engine) descendMixedBounded(start, left int, edges [][2]int, res *Mixed
 	items := e.n + len(edges)
 	for v := start; v < items; v++ {
 		if res.Disconnected {
-			res.Evaluated += countSets(items-v, left)
+			res.Evaluated = satAdd(res.Evaluated, countSets(items-v, left))
 			return
 		}
 		e.toggleItem(v, edges, true)
@@ -314,7 +332,7 @@ func (e *Engine) exhaustiveMixedBoundedParallel(f, workers int, edges [][2]int) 
 		return merged
 	}
 	if merged.Disconnected {
-		merged.Evaluated += countSets(items, f)
+		merged.Evaluated = satAdd(merged.Evaluated, countSets(items, f))
 		return merged
 	}
 	if workers > items {
@@ -335,7 +353,7 @@ func (e *Engine) exhaustiveMixedBoundedParallel(f, workers int, edges [][2]int) 
 					return
 				}
 				if int64(v) > discUnit.Load() {
-					per[v] = MixedResult{Evaluated: 1 + countSets(items-v-1, f-1)}
+					per[v] = MixedResult{Evaluated: satAdd(1, countSets(items-v-1, f-1))}
 					continue
 				}
 				if c == nil {
@@ -377,7 +395,7 @@ func (e *Engine) exhaustiveExactMixedBounded(k int, edges [][2]int) MixedResult 
 		}
 		for v := start; v < items; v++ {
 			if res.Disconnected {
-				res.Evaluated += countChoose(items-v, left)
+				res.Evaluated = satAdd(res.Evaluated, countChoose(items-v, left))
 				return
 			}
 			e.toggleItem(v, edges, true)

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -233,6 +235,48 @@ func TestCountSetsMatchesEnumeration(t *testing.T) {
 				t.Fatalf("countSets(%d,%d) = %d, want %d", n, left, got, want)
 			}
 		}
+	}
+}
+
+// TestCountSetsSaturate checks the count arithmetic against math/big
+// past int64: counts that fit are exact, larger ones saturate at
+// math.MaxInt instead of wrapping. C(5000, 6) ≈ 2.2e22 is the ROADMAP
+// anchor; around C(66, 33) the old running product overflowed first.
+func TestCountSetsSaturate(t *testing.T) {
+	saturated := func(b *big.Int) int {
+		if !b.IsInt64() || b.Int64() > math.MaxInt {
+			return math.MaxInt
+		}
+		return int(b.Int64())
+	}
+	var cases [][2]int
+	for k := 0; k <= 8; k++ {
+		cases = append(cases, [2]int{5000, k}, [2]int{5000, 5000 - k})
+	}
+	for n := 60; n <= 70; n++ {
+		for k := 0; k <= n; k++ {
+			cases = append(cases, [2]int{n, k})
+		}
+	}
+	for _, c := range cases {
+		if got, want := countChoose(c[0], c[1]), saturated(new(big.Int).Binomial(int64(c[0]), int64(c[1]))); got != want {
+			t.Errorf("countChoose(%d, %d) = %d, want %d", c[0], c[1], got, want)
+		}
+	}
+	for f := 1; f <= 7; f++ {
+		sum := new(big.Int)
+		for s := 1; s <= f; s++ {
+			sum.Add(sum, new(big.Int).Binomial(5000, int64(s)))
+		}
+		if got, want := countSets(5000, f), saturated(sum); got != want {
+			t.Errorf("countSets(5000, %d) = %d, want %d", f, got, want)
+		}
+	}
+	if countSets(5000, 6) != math.MaxInt {
+		t.Error("countSets(5000, 6) does not saturate")
+	}
+	if got := satAdd(math.MaxInt-1, 2); got != math.MaxInt {
+		t.Errorf("satAdd overflowed to %d", got)
 	}
 }
 

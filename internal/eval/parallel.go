@@ -56,7 +56,7 @@ func MaxDiameterParallel(s Survivor, f int, cfg Config, workers int) Result {
 // first disconnection freezes the diameter and owns the witness, and
 // the first set achieving the maximum diameter is the witness otherwise.
 func mergeOrdered(merged *Result, r Result) {
-	merged.Evaluated += r.Evaluated
+	merged.Evaluated = satAdd(merged.Evaluated, r.Evaluated)
 	if merged.Disconnected {
 		return
 	}
@@ -332,7 +332,7 @@ func MaxDiameterMixedParallel(s MixedSurvivor, f int, cfg Config, workers int) M
 
 // mergeOrderedMixed is mergeOrdered over mixed sub-results.
 func mergeOrderedMixed(merged *MixedResult, r MixedResult) {
-	merged.Evaluated += r.Evaluated
+	merged.Evaluated = satAdd(merged.Evaluated, r.Evaluated)
 	if merged.Disconnected {
 		return
 	}

@@ -7,6 +7,11 @@
 // Networks here are unit-ish: capacities are 1 except for a handful of
 // infinite arcs, so Dinic runs in O(E·sqrt(V)) which is far more than
 // fast enough for the graph sizes the reproduction uses.
+//
+// A network can serve many queries: Save records its capacities,
+// SetCapacity adjusts a few arcs for one query, and Restore returns it
+// to the saved state. MaxFlow and DecomposePaths reuse their scratch
+// buffers across calls.
 package flow
 
 import (
@@ -30,8 +35,12 @@ type Network struct {
 	n     int
 	arcs  []arc
 	head  [][]int32 // arc indices leaving each node
-	level []int32
-	iter  []int32
+	saved []arc     // capacities Restore returns to
+	// Scratch reused across MaxFlow and DecomposePaths calls.
+	level    []int32
+	iter     []int32
+	queue    []int32
+	flowLeft []int32
 }
 
 // NewNetwork returns an empty network with n nodes.
@@ -69,16 +78,47 @@ func (nw *Network) Flow(arcID int) int {
 	return int(nw.arcs[arcID^1].cap)
 }
 
+// SetCapacity sets the capacity of the arc with the given index (as
+// returned by AddArc). The reverse arc is left alone, so call it on a
+// network without flow, such as one just restored.
+func (nw *Network) SetCapacity(arcID, capacity int) {
+	if capacity < 0 {
+		panic("flow: negative capacity")
+	}
+	nw.arcs[arcID].cap = int32(capacity)
+}
+
+// Save records the current capacities of every arc as the state that
+// Restore returns to.
+func (nw *Network) Save() {
+	nw.saved = append(nw.saved[:0], nw.arcs...)
+}
+
+// Restore resets every arc to the capacities recorded by the last Save,
+// undoing both the flow of earlier MaxFlow calls and SetCapacity changes.
+// It panics if arcs were added since that Save.
+func (nw *Network) Restore() {
+	if len(nw.saved) != len(nw.arcs) {
+		panic("flow: Restore without a Save of the current arcs")
+	}
+	copy(nw.arcs, nw.saved)
+}
+
 // bfsLevels builds the level graph; returns false if t is unreachable.
+// It stops expanding at t's level: a node at that level other than t
+// cannot reach t along strictly increasing levels, so the nodes beyond it
+// would only lead dfsAugment into dead ends.
 func (nw *Network) bfsLevels(s, t int) bool {
 	for i := range nw.level {
 		nw.level[i] = -1
 	}
-	queue := make([]int32, 0, nw.n)
+	queue := append(nw.queue[:0], int32(s))
 	nw.level[s] = 0
-	queue = append(queue, int32(s))
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
+		if lt := nw.level[t]; lt >= 0 && nw.level[u] >= lt {
+			break
+		}
 		for _, id := range nw.head[u] {
 			a := nw.arcs[id]
 			if a.cap > 0 && nw.level[a.to] < 0 {
@@ -87,6 +127,7 @@ func (nw *Network) bfsLevels(s, t int) bool {
 			}
 		}
 	}
+	nw.queue = queue
 	return nw.level[t] >= 0
 }
 
@@ -117,14 +158,18 @@ func (nw *Network) dfsAugment(u, t int, limit int32) int32 {
 }
 
 // MaxFlow computes the maximum s–t flow, stopping early once the flow
-// reaches limit (pass Inf for the true maximum). It mutates the network's
-// residual capacities; call it once per network.
+// reaches limit (pass Inf for the true maximum). It leaves the flow in
+// the network's residual capacities, for Flow, MinCutReachable and
+// DecomposePaths; a further call augments that flow. Restore the saved
+// capacities to start a fresh query on the same network.
 func (nw *Network) MaxFlow(s, t, limit int) int {
 	if s == t {
 		return 0
 	}
-	nw.level = make([]int32, nw.n)
-	nw.iter = make([]int32, nw.n)
+	if len(nw.level) != nw.n {
+		nw.level = make([]int32, nw.n)
+		nw.iter = make([]int32, nw.n)
+	}
 	total := 0
 	for total < limit && nw.bfsLevels(s, t) {
 		for i := range nw.iter {
@@ -168,10 +213,13 @@ func (nw *Network) MinCutReachable(s int) []bool {
 // library (each interior node carries at most one unit).
 func (nw *Network) DecomposePaths(s, t, max int) [][]int {
 	// flowLeft[arcID] = units of flow assigned to this forward arc.
-	flowLeft := make([]int32, len(nw.arcs))
+	if len(nw.flowLeft) != len(nw.arcs) {
+		nw.flowLeft = make([]int32, len(nw.arcs))
+	}
+	flowLeft := nw.flowLeft
 	for id := 0; id < len(nw.arcs); id += 2 {
-		f := nw.arcs[id^1].cap // reverse residual == pushed flow
-		if f > 0 {
+		flowLeft[id] = 0
+		if f := nw.arcs[id^1].cap; f > 0 { // reverse residual == pushed flow
 			flowLeft[id] = f
 		}
 	}

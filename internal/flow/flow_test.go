@@ -215,3 +215,36 @@ func fordFulkerson(capm [][]int, s, t int) int {
 		total += aug
 	}
 }
+
+// TestSaveRestore runs several queries on one network: Restore undoes
+// both the flow and SetCapacity changes, and the reused scratch gives
+// the same paths every time.
+func TestSaveRestore(t *testing.T) {
+	nw := NewNetwork(4)
+	a := nw.AddArc(0, 1, 1)
+	nw.AddArc(0, 2, 1)
+	nw.AddArc(1, 3, 1)
+	nw.AddArc(2, 3, 1)
+	nw.Save()
+	for round := 0; round < 3; round++ {
+		if got := nw.MaxFlow(0, 3, Inf); got != 2 {
+			t.Fatalf("round %d: flow = %d, want 2", round, got)
+		}
+		if paths := nw.DecomposePaths(0, 3, -1); len(paths) != 2 || paths[0][1] != 1 || paths[1][1] != 2 {
+			t.Fatalf("round %d: paths = %v", round, paths)
+		}
+		nw.Restore()
+		nw.SetCapacity(a, 0)
+		if got := nw.MaxFlow(0, 3, Inf); got != 1 {
+			t.Fatalf("round %d: flow with 0->1 closed = %d, want 1", round, got)
+		}
+		nw.Restore()
+	}
+	nw.AddArc(3, 0, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Restore after AddArc should panic")
+		}
+	}()
+	nw.Restore()
+}

@@ -108,6 +108,26 @@ func (m *MultiRouting) Get(u, v int) []Path {
 	return m.routes[pairKey{int32(u), int32(v)}]
 }
 
+// Equal reports whether m and o have the same route budget and direction
+// mode, and give every ordered pair the same routes in the same order.
+func (m *MultiRouting) Equal(o *MultiRouting) bool {
+	if m.limit != o.limit || m.bidirectional != o.bidirectional || len(m.routes) != len(o.routes) {
+		return false
+	}
+	for key, ps := range m.routes {
+		qs, ok := o.routes[key]
+		if !ok || len(ps) != len(qs) {
+			return false
+		}
+		for i := range ps {
+			if !ps[i].Equal(qs[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Pairs returns the number of ordered pairs with at least one route.
 func (m *MultiRouting) Pairs() int { return len(m.routes) }
 

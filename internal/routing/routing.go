@@ -167,6 +167,20 @@ func (r *Routing) Get(u, v int) (Path, bool) {
 	return p, ok
 }
 
+// Equal reports whether r and o are both bidirectional or both not, and
+// route the same ordered pairs along the same paths.
+func (r *Routing) Equal(o *Routing) bool {
+	if r.bidirectional != o.bidirectional || len(r.routes) != len(o.routes) {
+		return false
+	}
+	for key, p := range r.routes {
+		if q, ok := o.routes[key]; !ok || !p.Equal(q) {
+			return false
+		}
+	}
+	return true
+}
+
 // Has reports whether the ordered pair (u, v) has a route.
 func (r *Routing) Has(u, v int) bool {
 	_, ok := r.routes[pairKey{int32(u), int32(v)}]
