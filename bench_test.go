@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"ftroute/internal/eval"
+	"ftroute/internal/eval/oracle"
 	"ftroute/internal/experiments"
 	"ftroute/internal/graph"
 )
@@ -219,16 +220,8 @@ func BenchmarkTwoTreesDetectionRR200(b *testing.B) {
 // The CCC(4) circular routing (64 nodes, t=2) is the mid-size anchor
 // instance: exhaustive f=2 evaluates 1 + 64 + C(64,2) = 2081 fault
 // sets. Engine* benchmarks exercise the incremental path; the *Legacy*
-// twins force the rebuild-per-set SurvivingGraph path for comparison.
+// twins run the rebuild-per-set reference in internal/eval/oracle.
 // BENCH_eval.json records the checked-in baseline numbers.
-
-// legacySurvivor hides EachRoute so eval takes the legacy path.
-type legacySurvivor struct {
-	r *Routing
-}
-
-func (l legacySurvivor) SurvivingGraph(f *graph.Bitset) *graph.Digraph { return l.r.SurvivingGraph(f) }
-func (l legacySurvivor) Graph() *Graph                                 { return l.r.Graph() }
 
 // ccc4Circular builds the anchor instance.
 func ccc4Circular(b *testing.B) *Routing {
@@ -302,7 +295,7 @@ func BenchmarkExhaustiveLegacyCCC4F2(b *testing.B) {
 	r := ccc4Circular(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameter(legacySurvivor{r: r}, 2, eval.Config{Mode: eval.Exhaustive})
+		res := oracle.MaxDiameter(r, 2, oracle.Config{Mode: oracle.Exhaustive})
 		if res.Evaluated != 2081 {
 			b.Fatalf("evaluated %d", res.Evaluated)
 		}
@@ -321,20 +314,6 @@ func BenchmarkExhaustiveEngineParallelCCC4F2(b *testing.B) {
 		}
 	}
 }
-
-// legacyMixedSurvivor hides EachRoute so mixed eval takes the
-// rebuild-per-set SurvivingGraphMixed path.
-type legacyMixedSurvivor struct {
-	r *Routing
-}
-
-func (l legacyMixedSurvivor) SurvivingGraph(f *graph.Bitset) *graph.Digraph {
-	return l.r.SurvivingGraph(f)
-}
-func (l legacyMixedSurvivor) SurvivingGraphMixed(f *graph.Bitset, e []EdgeFault) *graph.Digraph {
-	return l.r.SurvivingGraphMixed(f, e)
-}
-func (l legacyMixedSurvivor) Graph() *Graph { return l.r.Graph() }
 
 // BenchmarkEngineEdgeToggleCCC4 measures one incremental edge-fault
 // add+remove pair — the per-step cost of the mixed enumeration tree,
@@ -371,7 +350,7 @@ func BenchmarkExhaustiveMixedLegacyCCC4F2(b *testing.B) {
 	r := ccc4Circular(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameterMixed(legacyMixedSurvivor{r: r}, 2, eval.Config{Mode: eval.Exhaustive})
+		res := oracle.MaxDiameterMixed(r, 2, oracle.Config{Mode: oracle.Exhaustive})
 		if res.Evaluated != 12881 {
 			b.Fatalf("evaluated %d", res.Evaluated)
 		}
@@ -500,7 +479,7 @@ func BenchmarkWorstLinkCutsLegacyCCC4(b *testing.B) {
 	g := ccc4Circular(b).Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := WorstLinkCutsLegacy(t, g, 1, eval.Config{Mode: eval.Exhaustive})
+		res := oracle.WorstLinkCuts(t, g, 1, oracle.Config{Mode: oracle.Exhaustive})
 		if res.Evaluated != 97 {
 			b.Fatalf("evaluated %d", res.Evaluated)
 		}
@@ -546,7 +525,7 @@ func BenchmarkWorstMixedFaultsLegacyCCC4(b *testing.B) {
 	g := ccc4Circular(b).Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := WorstMixedFaultsLegacy(t, g, 1, eval.Config{Mode: eval.Exhaustive})
+		res := oracle.WorstMixedFaults(t, g, 1, oracle.Config{Mode: oracle.Exhaustive})
 		if res.Evaluated != 161 {
 			b.Fatalf("evaluated %d", res.Evaluated)
 		}

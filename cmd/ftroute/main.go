@@ -516,10 +516,7 @@ func plan(g *ftroute.Graph) error {
 
 // build constructs the requested routing and prints a summary. It
 // returns the routing and its guaranteed (bound, t).
-func build(g *ftroute.Graph, construction string) (interface {
-	SurvivingGraph(*ftroute.Bitset) *ftroute.Digraph
-	Graph() *ftroute.Graph
-}, [2]int, error) {
+func build(g *ftroute.Graph, construction string) (ftroute.RouteSource, [2]int, error) {
 	switch construction {
 	case "auto":
 		p, err := ftroute.Auto(g, ftroute.Options{})
@@ -597,11 +594,7 @@ func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed i
 		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive, Pruned: pruned, Bounded: bounded}
 	}
 	if mixed {
-		ms, ok := r.(ftroute.MixedSurvivor)
-		if !ok {
-			return fmt.Errorf("ftroute: %s routing does not support mixed node+edge faults", construction)
-		}
-		res := ftroute.MaxDiameterUnderMixedFaultsParallel(ms, f, cfg, 0)
+		res := ftroute.MaxDiameterUnderMixedFaultsParallel(r, f, cfg, 0)
 		fmt.Printf("worst case over mixed node+link fault sets of total size <= %d (bound %d for node faults <= %d):\n", f, bt[0], bt[1])
 		if res.Disconnected {
 			fmt.Printf("  disconnected by nodes %v, links %v (%d sets evaluated)\n",
@@ -611,7 +604,7 @@ func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed i
 				res.MaxDiameter, res.WorstNodeFaults, res.WorstEdgeFaults, res.Evaluated)
 		}
 		fmt.Printf("worst-case surviving diameter by exact mixed fault-set size:\n")
-		for k, d := range ftroute.MixedDiameterProfile(ms, f, cfg) {
+		for k, d := range ftroute.MixedDiameterProfile(r, f, cfg) {
 			status := ""
 			if d < 0 {
 				status = "  DISCONNECTED"

@@ -164,13 +164,10 @@ type (
 	// All evaluation entry points use it automatically for Routing and
 	// MultiRouting values; it is exported for custom search loops.
 	EvalEngine = eval.Engine
-	// RouteSource is a Survivor that can enumerate its routes, which is
-	// what unlocks the incremental engine (Routing and MultiRouting both
-	// qualify).
+	// RouteSource is a routing whose fixed routes can be enumerated,
+	// the input of every evaluation entry point (Routing and
+	// MultiRouting both qualify).
 	RouteSource = eval.RouteSource
-	// MixedSurvivor is a Survivor that can materialize the literal mixed
-	// (node ∪ edge) surviving graph; Routing and MultiRouting qualify.
-	MixedSurvivor = eval.MixedSurvivor
 	// MixedResult reports the worst case found over mixed fault sets.
 	MixedResult = eval.MixedResult
 )
@@ -306,9 +303,6 @@ var (
 	// goroutines on per-worker WalkEngine clones; results are
 	// bit-for-bit identical to the sequential search.
 	WorstLinkCutsParallel = eval.WorstLinkCutsParallel
-	// WorstLinkCutsLegacy is the re-walk-everything reference
-	// implementation, kept as the equivalence oracle.
-	WorstLinkCutsLegacy = eval.WorstLinkCutsLegacy
 	// NewWalkEngine compiles failover tables into an incremental
 	// walk engine.
 	NewWalkEngine = eval.NewWalkEngine
@@ -322,9 +316,6 @@ var (
 	// goroutines on per-worker WalkEngine clones; results are
 	// bit-for-bit identical to the sequential search.
 	WorstMixedFaultsParallel = eval.WorstMixedFaultsParallel
-	// WorstMixedFaultsLegacy is the re-walk-everything reference
-	// implementation, kept as the equivalence oracle.
-	WorstMixedFaultsLegacy = eval.WorstMixedFaultsLegacy
 	// EvaluateMixedFaults walks every table pair under one mixed fault
 	// set (pairs with a failed endpoint count as skipped).
 	EvaluateMixedFaults = eval.EvaluateMixedFaults

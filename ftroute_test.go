@@ -153,7 +153,7 @@ func TestFacadeMixedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ MixedSurvivor = r // Routing satisfies the mixed interface
+	var _ RouteSource = r // Routing satisfies the evaluation interface
 
 	// Literal link failure: the direct route over a dead edge dies, the
 	// rest of the routing survives.

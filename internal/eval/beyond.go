@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"sort"
+
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
 )
@@ -42,45 +44,11 @@ type BeyondResult struct {
 	WorstEdgeFaults []routing.EdgeFault
 }
 
-// componentwiseDigraph walks comps over a materialized surviving graph;
-// returns (worst component diameter, shattered). Shared by the legacy
-// node-only and mixed paths.
-func componentwiseDigraph(d *graph.Digraph, comps [][]int) (int, bool) {
-	worst := 0
-	shattered := false
-	for _, comp := range comps {
-		if len(comp) < 2 {
-			continue
-		}
-		for _, u := range comp {
-			dist := d.BFSDistances(u)
-			for _, v := range comp {
-				if v == u {
-					continue
-				}
-				if dist[v] == graph.Unreachable {
-					shattered = true
-					continue
-				}
-				if dist[v] > worst {
-					worst = dist[v]
-				}
-			}
-		}
-	}
-	return worst, shattered
-}
-
-// componentwise measures one fault set via the legacy rebuild path.
-func componentwise(s Survivor, faults *graph.Bitset) (int, bool) {
-	return componentwiseDigraph(s.SurvivingGraph(faults), s.Graph().ConnectedComponents(faults))
-}
-
-// componentwiseComps is the engine-backed equivalent over
-// caller-provided components: surviving-route-graph distances come from
-// the incrementally maintained bitrows instead of a rebuilt Digraph.
-// dist is caller-provided scratch of length >= N.
-func (e *Engine) componentwiseComps(comps [][]int, dist []int) (int, bool) {
+// componentwise measures the engine's current surviving route graph
+// within each of comps: the worst in-component distance, and whether
+// some component holds a pair with no surviving path. dist is scratch
+// of length >= N.
+func (e *Engine) componentwise(comps [][]int, dist []int) (int, bool) {
 	worst := 0
 	shattered := false
 	for _, comp := range comps {
@@ -108,67 +76,56 @@ func (e *Engine) componentwiseComps(comps [][]int, dist []int) (int, bool) {
 
 // BeyondTolerance evaluates every fault set of size exactly f
 // (exhaustive; intended for small instances) and reports componentwise
-// behavior per Open Problem 3. RouteSources are walked incrementally
-// (one engine fault toggle per enumeration step).
-func BeyondTolerance(s Survivor, f int) BeyondResult {
-	g := s.Graph()
-	n := g.N()
-	res := BeyondResult{WorstFaults: graph.NewBitset(n)}
-	eng := engineFor(s)
-	var dist []int
-	if eng != nil {
-		dist = make([]int, n)
+// behavior per Open Problem 3. A negative f evaluates nothing.
+func BeyondTolerance(s RouteSource, f int) BeyondResult { return beyond(s, f, false) }
+
+// BeyondToleranceMixed evaluates every mixed fault set of total size
+// exactly f over the n+m item universe and reports componentwise
+// behavior under the literal mixed model: a faulty link disappears from
+// both the routing (routes over it die) and the network graph
+// (components are those of G minus faulty nodes and links).
+func BeyondToleranceMixed(s RouteSource, f int) BeyondResult { return beyond(s, f, true) }
+
+func beyond(src RouteSource, f int, links bool) BeyondResult {
+	g := src.Graph()
+	e := NewEngine(src)
+	res := BeyondResult{WorstFaults: graph.NewBitset(e.n)}
+	if f < 0 {
+		return res
 	}
-	faults := graph.NewBitset(n)
+	s := newSearch(e, universe(e.n, len(e.edgeU), true, links), 1)
+	s.lo, s.hi = f, f
+	dist := make([]int, e.n)
 	firstShatter := true
-	leaf := func() {
+	witness := func() {
+		res.WorstFaults = e.Faults()
+		if links {
+			res.WorstEdgeFaults = e.EdgeFaults()
+		}
+	}
+	s.visit = func(*worker[*Engine], *best[int]) bool {
 		res.Evaluated++
-		if g.IsConnected(faults) {
+		comps := mixedComponents(g, e.faults, e.EdgeFaults())
+		if len(comps) <= 1 {
 			res.GraphConnected++
 		}
-		var worst int
-		var shattered bool
-		if eng != nil {
-			worst, shattered = eng.componentwiseComps(g.ConnectedComponents(faults), dist)
-		} else {
-			worst, shattered = componentwise(s, faults)
-		}
+		worst, shattered := e.componentwise(comps, dist)
 		if shattered {
 			res.Shattered++
 			if firstShatter {
-				res.WorstFaults = faults.Clone()
+				witness()
 				firstShatter = false
 			}
 		}
 		if worst > res.WorstComponentDiameter {
 			res.WorstComponentDiameter = worst
 			if firstShatter {
-				res.WorstFaults = faults.Clone()
+				witness()
 			}
 		}
+		return true
 	}
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			leaf()
-			return
-		}
-		if n-start < left {
-			return
-		}
-		for v := start; v < n; v++ {
-			faults.Add(v)
-			if eng != nil {
-				eng.AddFault(v)
-			}
-			rec(v+1, left-1)
-			faults.Remove(v)
-			if eng != nil {
-				eng.RemoveFault(v)
-			}
-		}
-	}
-	rec(0, f)
+	s.walk(&best[int]{})
 	return res
 }
 
@@ -204,102 +161,8 @@ func mixedComponents(g *graph.Graph, nf *graph.Bitset, ef []routing.EdgeFault) [
 				return true
 			})
 		}
-		insertionSortInts(comp)
+		sort.Ints(comp)
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-// insertionSortInts sorts the small per-component node slices.
-func insertionSortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}
-
-// BeyondToleranceMixed evaluates every mixed fault set of total size
-// exactly f over the n+m item universe (nodes first, then the graph's
-// edges in lexicographic order) and reports componentwise behavior
-// under the literal mixed model: a faulty link disappears from both the
-// routing (routes over it die) and the network graph (components are
-// those of G minus faulty nodes and links). RouteSources are walked
-// incrementally, one engine toggle per enumeration step; others go
-// through the rebuild-per-set SurvivingGraphMixed path, bit for bit
-// equivalently.
-func BeyondToleranceMixed(s MixedSurvivor, f int) BeyondResult {
-	g := s.Graph()
-	n := g.N()
-	edges := g.Edges()
-	res := BeyondResult{WorstFaults: graph.NewBitset(n)}
-	eng := engineFor(s)
-	var dist []int
-	if eng != nil {
-		dist = make([]int, n)
-	}
-	nf := graph.NewBitset(n)
-	var ef []routing.EdgeFault
-	firstShatter := true
-	leaf := func() {
-		res.Evaluated++
-		comps := mixedComponents(g, nf, ef)
-		if len(comps) <= 1 {
-			res.GraphConnected++
-		}
-		var worst int
-		var shattered bool
-		if eng != nil {
-			worst, shattered = eng.componentwiseComps(comps, dist)
-		} else {
-			worst, shattered = componentwiseDigraph(s.SurvivingGraphMixed(nf, ef), comps)
-		}
-		if shattered {
-			res.Shattered++
-			if firstShatter {
-				res.WorstFaults = nf.Clone()
-				res.WorstEdgeFaults = sortedEdgeFaults(ef)
-				firstShatter = false
-			}
-		}
-		if worst > res.WorstComponentDiameter {
-			res.WorstComponentDiameter = worst
-			if firstShatter {
-				res.WorstFaults = nf.Clone()
-				res.WorstEdgeFaults = sortedEdgeFaults(ef)
-			}
-		}
-	}
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			leaf()
-			return
-		}
-		if n+len(edges)-start < left {
-			return
-		}
-		for v := start; v < n+len(edges); v++ {
-			if v < n {
-				nf.Add(v)
-			} else {
-				ed := edges[v-n]
-				ef = append(ef, routing.EdgeFault{U: ed[0], V: ed[1]})
-			}
-			if eng != nil {
-				eng.toggleItem(v, edges, true)
-			}
-			rec(v+1, left-1)
-			if v < n {
-				nf.Remove(v)
-			} else {
-				ef = ef[:len(ef)-1]
-			}
-			if eng != nil {
-				eng.toggleItem(v, edges, false)
-			}
-		}
-	}
-	rec(0, f)
-	return res
 }

@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"ftroute/internal/eval/oracle"
 	"testing"
 
 	"ftroute/internal/graph"
+	"ftroute/internal/routing"
 )
 
 func TestBeyondToleranceWithinBudgetMatchesMaxDiameter(t *testing.T) {
@@ -17,9 +19,9 @@ func TestBeyondToleranceWithinBudgetMatchesMaxDiameter(t *testing.T) {
 	if res.GraphConnected != res.Evaluated {
 		t.Fatalf("one fault cannot disconnect C8: %+v", res)
 	}
-	ref := exhaustiveExact(r, 1)
-	if res.WorstComponentDiameter != ref.MaxDiameter {
-		t.Fatalf("componentwise %d != plain %d", res.WorstComponentDiameter, ref.MaxDiameter)
+	ref := oracle.Profile(r, 1, oc(Config{Mode: Exhaustive}))[1]
+	if res.WorstComponentDiameter != ref {
+		t.Fatalf("componentwise %d != plain %d", res.WorstComponentDiameter, ref)
 	}
 }
 
@@ -63,7 +65,7 @@ func TestBeyondToleranceDetectsShattering(t *testing.T) {
 }
 
 // fragileRouting installs exactly one multi-hop route on g.
-func fragileRouting(t *testing.T, g *graph.Graph) Survivor {
+func fragileRouting(t *testing.T, g *graph.Graph) *routing.Routing {
 	t.Helper()
 	r := newSingleRouteRouting(t, g)
 	return r

@@ -1,0 +1,88 @@
+package eval
+
+import (
+	"fmt"
+	"testing"
+
+	"ftroute/internal/routing"
+)
+
+// TestNegativeBudgets runs every entry point at f = −1 and f = −2: the
+// at-most-f searches behave exactly as at f = 0, the profiles are
+// empty, and BeyondTolerance evaluates nothing.
+func TestNegativeBudgets(t *testing.T) {
+	r := cycleRouting(t, 8)
+	g := r.Graph()
+	ft := routing.FailoverFromRouting(r)
+	ex := Config{Mode: Exhaustive}
+	cfgs := map[string]Config{
+		"exhaustive": ex,
+		"bounded":    {Mode: Exhaustive, Bounded: true},
+		"pruned":     {Mode: Exhaustive, Pruned: true},
+		"sampled":    {Mode: Sampled, Samples: 3, Seed: 1, Greedy: true},
+	}
+	runs := map[string]func(f int) string{
+		"CheckTolerance":      func(f int) string { return fmt.Sprint(CheckTolerance(r, 100, f, ex)) },
+		"CheckToleranceMixed": func(f int) string { return fmt.Sprint(CheckToleranceMixed(r, 100, f, ex)) },
+		"ConcentratorAdversary": func(f int) string {
+			return ConcentratorAdversary(r, f, []int{0, 2, 4}).String()
+		},
+		"ConcentratorEdgeAdversary": func(f int) string {
+			return ConcentratorEdgeAdversary(r, f, []routing.EdgeFault{{U: 0, V: 1}, {U: 4, V: 5}}).String()
+		},
+		"GreedyEdgeAdversary": func(f int) string { return GreedyEdgeAdversary(r, f).String() },
+	}
+	for name, cfg := range cfgs {
+		runs["MaxDiameter "+name] = func(f int) string { return MaxDiameter(r, f, cfg).String() }
+		runs["MaxDiameterParallel "+name] = func(f int) string { return MaxDiameterParallel(r, f, cfg, 2).String() }
+		runs["MaxDiameterMixed "+name] = func(f int) string { return MaxDiameterMixed(r, f, cfg).String() }
+		runs["MaxDiameterMixedParallel "+name] = func(f int) string { return MaxDiameterMixedParallel(r, f, cfg, 2).String() }
+		runs["WorstLinkCuts "+name] = func(f int) string { return WorstLinkCuts(ft, g, f, cfg).String() }
+		runs["WorstLinkCutsParallel "+name] = func(f int) string { return WorstLinkCutsParallel(ft, g, f, cfg, 2).String() }
+		runs["WorstMixedFaults "+name] = func(f int) string { return WorstMixedFaults(ft, g, f, cfg).String() }
+		runs["WorstMixedFaultsParallel "+name] = func(f int) string {
+			return WorstMixedFaultsParallel(ft, g, f, cfg, 2).String()
+		}
+		runs["CheckTolerance "+name] = func(f int) string { return fmt.Sprint(CheckTolerance(r, 3, f, cfg)) }
+	}
+	for name, run := range runs {
+		want := run(0)
+		for _, f := range []int{-1, -2} {
+			if got := run(f); got != want {
+				t.Errorf("%s f=%d: %s, want the f=0 result %s", name, f, got, want)
+			}
+		}
+	}
+	for _, f := range []int{-1, -2} {
+		for name, cfg := range cfgs {
+			if p := Profile(r, f, cfg); p == nil || len(p) != 0 {
+				t.Errorf("Profile %s f=%d = %#v, want an empty slice", name, f, p)
+			}
+			if p := ProfileMixed(r, f, cfg); p == nil || len(p) != 0 {
+				t.Errorf("ProfileMixed %s f=%d = %#v, want an empty slice", name, f, p)
+			}
+		}
+		if res := BeyondTolerance(r, f); res.Evaluated != 0 {
+			t.Errorf("BeyondTolerance f=%d evaluated %d sets", f, res.Evaluated)
+		}
+		if res := BeyondToleranceMixed(r, f); res.Evaluated != 0 {
+			t.Errorf("BeyondToleranceMixed f=%d evaluated %d sets", f, res.Evaluated)
+		}
+	}
+}
+
+// TestConcentratorDuplicateTargets pins the target cleanup: duplicated
+// and out-of-range node targets give exactly the result of the deduped
+// list in first-occurrence order.
+func TestConcentratorDuplicateTargets(t *testing.T) {
+	r := cycleRouting(t, 8)
+	want := ConcentratorAdversary(r, 2, []int{0, 1, 2})
+	if want.Evaluated != 7 { // 1 + 3 + C(3,2)
+		t.Fatalf("deduped targets evaluated %d sets, want 7", want.Evaluated)
+	}
+	for _, targets := range [][]int{{0, 0, 1, 2}, {0, 1, 0, 2, 1, 2}, {-1, 0, 8, 1, 2, 99}} {
+		if got := ConcentratorAdversary(r, 2, targets); got.String() != want.String() {
+			t.Errorf("targets %v: %v, want %v", targets, got, want)
+		}
+	}
+}

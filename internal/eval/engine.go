@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -10,12 +11,11 @@ import (
 	"ftroute/internal/routing"
 )
 
-// RouteSource is a Survivor that can also enumerate its fixed routes.
-// Both *routing.Routing and *routing.MultiRouting satisfy it; any
-// Survivor that does is evaluated through the incremental Engine below
-// instead of the rebuild-from-scratch SurvivingGraph path.
+// RouteSource is a routing whose fixed routes can be enumerated: the
+// input of every search in this package. *routing.Routing and
+// *routing.MultiRouting both satisfy it.
 type RouteSource interface {
-	Survivor
+	Graph() *graph.Graph
 	EachRoute(fn func(u, v int, p routing.Path))
 }
 
@@ -80,7 +80,8 @@ type Engine struct {
 	faults          *graph.Bitset
 	efaults         *graph.Bitset // faulty edge ids
 	aliveCount      int
-	alivePairs      int // routed ordered pairs whose arc currently survives
+	alivePairs      int  // routed ordered pairs whose arc currently survives
+	bounded         bool // score with the branch-and-bound kernel (Config.Bounded)
 
 	// BFS scratch, reused across calls.
 	bfs  *bfsScratch
@@ -338,25 +339,35 @@ func (e *Engine) RemoveFault(v int) {
 // Edge faults never change the alive node count. Cost is proportional
 // to the number of routes over the edge.
 func (e *Engine) AddEdgeFault(u, v int) {
-	id, ok := e.edgeIDOf(u, v)
-	if !ok || e.efaults.Has(id) {
-		return
-	}
-	e.efaults.Add(id)
-	for _, r := range e.eIdxRoutes[e.eIdxOff[id]:e.eIdxOff[id+1]] {
-		e.hitRoute(r)
+	if id, ok := e.edgeIDOf(u, v); ok {
+		e.toggleEdge(id, true)
 	}
 }
 
 // RemoveEdgeFault unmarks the link {u, v}, reviving every arc that
 // regains a live route. Removing a non-faulty edge is a no-op.
 func (e *Engine) RemoveEdgeFault(u, v int) {
-	id, ok := e.edgeIDOf(u, v)
-	if !ok || !e.efaults.Has(id) {
+	if id, ok := e.edgeIDOf(u, v); ok {
+		e.toggleEdge(id, false)
+	}
+}
+
+// toggleEdge adds (on) or removes the fault on edge id; repeating the
+// current state is a no-op.
+func (e *Engine) toggleEdge(id int, on bool) {
+	if e.efaults.Has(id) == on {
+		return
+	}
+	routes := e.eIdxRoutes[e.eIdxOff[id]:e.eIdxOff[id+1]]
+	if on {
+		e.efaults.Add(id)
+		for _, r := range routes {
+			e.hitRoute(r)
+		}
 		return
 	}
 	e.efaults.Remove(id)
-	for _, r := range e.eIdxRoutes[e.eIdxOff[id]:e.eIdxOff[id+1]] {
+	for _, r := range routes {
 		e.unhitRoute(r)
 	}
 }
@@ -403,7 +414,7 @@ func (e *Engine) Reset() {
 		e.RemoveFault(v)
 	}
 	for _, id := range e.efaults.Elements() {
-		e.RemoveEdgeFault(int(e.edgeU[id]), int(e.edgeV[id]))
+		e.toggleEdge(id, false)
 	}
 }
 
@@ -437,13 +448,11 @@ func (e *Engine) SetMixedFaults(nodes *graph.Bitset, edges []routing.EdgeFault) 
 	}
 	for _, id := range e.efaults.Elements() {
 		if !want.Has(id) {
-			e.RemoveEdgeFault(int(e.edgeU[id]), int(e.edgeV[id]))
+			e.toggleEdge(id, false)
 		}
 	}
 	for _, id := range want.Elements() {
-		if !e.efaults.Has(id) {
-			e.AddEdgeFault(int(e.edgeU[id]), int(e.edgeV[id]))
-		}
+		e.toggleEdge(id, true)
 	}
 }
 
@@ -1015,39 +1024,53 @@ func (e *Engine) HasArc(u, v int) bool {
 	return e.adj[u*e.words+v>>6]&(1<<(uint(v)&63)) != 0
 }
 
-// engineFor returns an Engine for s when s can enumerate its routes,
-// or nil when only the legacy SurvivingGraph path is available.
-func engineFor(s Survivor) *Engine {
-	if rs, ok := s.(RouteSource); ok {
-		return NewEngine(rs)
+// disconnected is the Engine score of a fault set that leaves some
+// alive node unable to reach another: it beats every diameter and is
+// final.
+const disconnected = math.MaxInt
+
+// The evaluator contract of the search driver. Scores are 0 when fewer
+// than two nodes are alive (nothing to route between), the diameter
+// (at least 1) otherwise, and disconnected.
+
+func (e *Engine) toggle(item int, on bool) {
+	switch {
+	case item < e.n && on:
+		e.AddFault(item)
+	case item < e.n:
+		e.RemoveFault(item)
+	case item-e.n < len(e.edgeU):
+		e.toggleEdge(item-e.n, on)
 	}
-	return nil
 }
 
-// fold evaluates the engine's current fault set into res with exactly
-// the semantics of evalOne: fewer than two alive nodes contribute
-// nothing, disconnection dominates and freezes the diameter, and the
-// first worst case in evaluation order is kept as the witness.
-func (e *Engine) fold(res *Result) { e.foldW(res, 1) }
+func (e *Engine) clone() *Engine { return e.Clone() }
 
-// foldW is fold counting the current set for mult evaluations — the
-// orbit-pruned searches fold one canonical representative per orbit and
-// reconstruct the plain enumeration's Evaluated count from orbit sizes.
-func (e *Engine) foldW(res *Result, mult int) {
-	res.Evaluated += mult
+func (e *Engine) reset() { e.Reset() }
+
+// score computes the exact diameter, or with bounded set decides it
+// with diameterAbove against max(bound, tie−1): the threshold keeps
+// ties with tie exact, and a set at or below it scores 0.
+func (e *Engine) score(bound, tie int) int {
 	if e.aliveCount <= 1 {
-		return
+		return 0
 	}
-	diam, ok := e.Diameter()
-	if !ok {
-		if !res.Disconnected {
-			res.Disconnected = true
-			res.WorstFaults = e.faults.Clone()
+	if !e.bounded {
+		if d, ok := e.Diameter(); ok {
+			return d
 		}
-		return
+		return disconnected
 	}
-	if !res.Disconnected && diam > res.MaxDiameter {
-		res.MaxDiameter = diam
-		res.WorstFaults = e.faults.Clone()
+	d, above, connected := e.diameterAbove(max(bound, tie-1))
+	switch {
+	case !connected:
+		return disconnected
+	case above:
+		return d
 	}
+	return 0
 }
+
+func (e *Engine) better(a, b int) bool { return a > b }
+
+func (e *Engine) final(s int) bool { return s == disconnected }

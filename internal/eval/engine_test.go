@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"ftroute/internal/eval/oracle"
 	"math/rand"
 	"testing"
 
@@ -10,22 +11,12 @@ import (
 	"ftroute/internal/routing"
 )
 
-// legacyOnly hides EachRoute so that eval falls back to the
-// rebuild-per-set SurvivingGraph path; it is the reference
-// implementation the engine must match bit for bit.
-type legacyOnly struct {
-	s Survivor
-}
-
-func (l legacyOnly) SurvivingGraph(f *graph.Bitset) *graph.Digraph { return l.s.SurvivingGraph(f) }
-func (l legacyOnly) Graph() *graph.Graph                           { return l.s.Graph() }
-
 // testSources builds a spread of routings: edge routings, shortest-path
 // routings on random graphs, a paper construction, a deliberately
 // fragile routing, and a multirouting.
-func testSources(t *testing.T) map[string]Survivor {
+func testSources(t *testing.T) map[string]testSource {
 	t.Helper()
-	srcs := make(map[string]Survivor)
+	srcs := make(map[string]testSource)
 
 	srcs["cycle8-edge"] = cycleRouting(t, 8)
 
@@ -181,7 +172,7 @@ func TestEngineExhaustiveEquivalence(t *testing.T) {
 	for name, s := range testSources(t) {
 		for f := 0; f <= 2; f++ {
 			got := MaxDiameter(s, f, Config{Mode: Exhaustive})
-			want := MaxDiameter(legacyOnly{s}, f, Config{Mode: Exhaustive})
+			want := fromOracle(oracle.MaxDiameter(s, f, oc(Config{Mode: Exhaustive})))
 			sameResult(t, name, got, want)
 		}
 	}
@@ -195,7 +186,7 @@ func TestEngineSampledGreedyEquivalence(t *testing.T) {
 			{Mode: Sampled, Samples: 1, Seed: 9, Greedy: true},
 		} {
 			got := MaxDiameter(s, 2, cfg)
-			want := MaxDiameter(legacyOnly{s}, 2, cfg)
+			want := fromOracle(oracle.MaxDiameter(s, 2, oc(cfg)))
 			sameResult(t, name, got, want)
 		}
 	}
@@ -232,15 +223,16 @@ func TestNegativeFaultBudget(t *testing.T) {
 	// f < 0 must mean "empty set only" on every path (the serial legacy
 	// recursion used to enumerate all 2^n subsets on a negative budget).
 	r := cycleRouting(t, 6)
-	for _, s := range []Survivor{r, legacyOnly{s: r}} {
-		for _, res := range []Result{
-			MaxDiameter(s, -1, Config{Mode: Exhaustive}),
-			MaxDiameter(s, -1, Config{Mode: Sampled, Samples: 2, Seed: 1}),
-			MaxDiameterParallel(s, -1, Config{Mode: Exhaustive}, 4),
-		} {
-			if res.Disconnected || res.MaxDiameter != 3 {
-				t.Fatalf("f=-1 result = %+v", res)
-			}
+	for _, res := range []Result{
+		MaxDiameter(r, -1, Config{Mode: Exhaustive}),
+		MaxDiameter(r, -1, Config{Mode: Sampled, Samples: 2, Seed: 1}),
+		MaxDiameterParallel(r, -1, Config{Mode: Exhaustive}, 4),
+		fromOracle(oracle.MaxDiameter(r, -1, oc(Config{Mode: Exhaustive}))),
+		fromOracle(oracle.MaxDiameter(r, -1, oc(Config{Mode: Sampled, Samples: 2, Seed: 1}))),
+		fromOracle(oracle.MaxDiameterParallel(r, -1, oc(Config{Mode: Exhaustive}), 4)),
+	} {
+		if res.Disconnected || res.MaxDiameter != 3 {
+			t.Fatalf("f=-1 result = %+v", res)
 		}
 	}
 }
@@ -250,7 +242,7 @@ func TestEngineConcentratorEquivalence(t *testing.T) {
 		n := s.Graph().N()
 		targets := []int{0, n / 3, n / 2, n - 1}
 		got := ConcentratorAdversary(s, 2, targets)
-		want := ConcentratorAdversary(legacyOnly{s}, 2, targets)
+		want := fromOracle(oracle.ConcentratorAdversary(s, 2, targets))
 		sameResult(t, name, got, want)
 	}
 }
@@ -262,7 +254,7 @@ func TestEngineProfileEquivalence(t *testing.T) {
 			{Mode: Sampled, Samples: 25, Seed: 3},
 		} {
 			got := Profile(s, 2, cfg)
-			want := Profile(legacyOnly{s}, 2, cfg)
+			want := oracle.Profile(s, 2, oc(cfg))
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s: profile %v != legacy %v", name, got, want)
@@ -277,7 +269,7 @@ func TestEngineCheckToleranceAgreesWithLegacy(t *testing.T) {
 		for d := 1; d <= 6; d++ {
 			for f := 0; f <= 2; f++ {
 				got := CheckTolerance(s, d, f, Config{Mode: Exhaustive})
-				want := CheckTolerance(legacyOnly{s}, d, f, Config{Mode: Exhaustive})
+				want := oracle.CheckTolerance(s, d, f, oc(Config{Mode: Exhaustive}))
 				if (got == nil) != (want == nil) {
 					t.Fatalf("%s (d=%d,f=%d): engine err=%v legacy err=%v", name, d, f, got, want)
 				}
@@ -290,7 +282,7 @@ func TestEngineBeyondToleranceEquivalence(t *testing.T) {
 	for name, s := range testSources(t) {
 		for f := 1; f <= 2; f++ {
 			got := BeyondTolerance(s, f)
-			want := BeyondTolerance(legacyOnly{s}, f)
+			want := fromOracleBeyond(oracle.BeyondTolerance(s, f))
 			if got.Evaluated != want.Evaluated || got.GraphConnected != want.GraphConnected ||
 				got.Shattered != want.Shattered ||
 				got.WorstComponentDiameter != want.WorstComponentDiameter ||
@@ -307,7 +299,7 @@ func TestEngineDisconnectionWitnessSemantics(t *testing.T) {
 	// pre-disconnection diameter.
 	r := cycleRouting(t, 6)
 	got := MaxDiameter(r, 2, Config{Mode: Exhaustive})
-	want := MaxDiameter(legacyOnly{s: r}, 2, Config{Mode: Exhaustive})
+	want := fromOracle(oracle.MaxDiameter(r, 2, oc(Config{Mode: Exhaustive})))
 	if !got.Disconnected {
 		t.Fatal("two faults disconnect C6")
 	}
@@ -318,10 +310,13 @@ func TestSampledClampsOversizedFaultBudget(t *testing.T) {
 	// f > n used to loop forever in sampled(); it must now clamp to n
 	// and terminate on both the engine and the legacy path.
 	r := cycleRouting(t, 5)
-	for _, s := range []Survivor{r, legacyOnly{s: r}} {
-		res := MaxDiameter(s, 99, Config{Mode: Sampled, Samples: 3, Seed: 1})
-		if res.Evaluated != 4 { // empty + 3 samples
-			t.Fatalf("evaluated = %d, want 4", res.Evaluated)
+	cfg := Config{Mode: Sampled, Samples: 3, Seed: 1}
+	for _, evaluated := range []int{
+		MaxDiameter(r, 99, cfg).Evaluated,
+		oracle.MaxDiameter(r, 99, oc(cfg)).Evaluated,
+	} {
+		if evaluated != 4 { // empty + 3 samples
+			t.Fatalf("evaluated = %d, want 4", evaluated)
 		}
 	}
 }

@@ -2,65 +2,47 @@
 // over fault sets F (exhaustively, by random sampling, or by greedy
 // adversarial growth), computes the diameter of each surviving route
 // graph R(G,ρ)/F, and checks the (d, f)-tolerance claims of the paper's
-// theorems.
+// theorems. A second adversary walks static-failover tables packet by
+// packet (failover.go).
 //
-// # Evaluation engine
+// # Evaluators
 //
-// All searches share one access pattern: consecutive fault sets differ
-// by a single node (the exhaustive enumeration tree, the greedy
-// adversary and the concentrator adversary each add or remove one
-// fault at a time). The package exploits this with Engine, which
-// compiles a routing once into flat arrays — an inverted index from
-// each node to the routes traversing it, and per-route/per-pair fault
-// counters — so toggling one fault updates only the arcs whose routes
-// actually pass through that node, instead of rebuilding R(G,ρ)/F from
-// all n² routes. The live surviving graph is kept as packed uint64
-// adjacency bitrows and diameters are computed by word-parallel BFS
-// (64 nodes per machine word, allocation-free), with an early-exit
-// DiameterAtMost path for tolerance checking.
+// Consecutive fault sets of every search differ by one fault, so the
+// package evaluates them incrementally. Engine compiles a routing once
+// into flat arrays — inverted indexes from each node and each link to
+// the routes over it, and per-route fault counters — so toggling one
+// fault updates only the arcs whose routes pass through it; the live
+// surviving graph is kept as packed adjacency bitrows and diameters are
+// computed by word-parallel BFS. WalkEngine does the same for
+// failover-table walks, re-walking only the pairs a toggle can change.
 //
-// Every entry point (MaxDiameter, MaxDiameterParallel, Profile,
-// CheckTolerance, BeyondTolerance, ConcentratorAdversary) routes
-// through the engine automatically whenever the Survivor also
-// implements RouteSource — true for *routing.Routing and
-// *routing.MultiRouting — and produces bit-for-bit identical results
-// to the legacy SurvivingGraph+Diameter path, which is retained as a
-// compatibility fallback for custom Survivor implementations.
+// # Fault model
 //
-// # Mixed fault model
+// The paper reduces link faults to node faults by declaring one
+// endpoint of a failed link faulty (Section 1). The package also
+// searches the literal mixed model: a route dies iff it contains a
+// faulty node or traverses a faulty link. Every search enumerates items
+// of one id space — node v is item v, link i of g.Edges() is item n+i —
+// so node-only, link-only and mixed searches differ only in their item
+// lists.
 //
-// The paper reduces edge faults to node faults by declaring one
-// endpoint of a failed link faulty (Section 1). The engine also
-// implements the literal mixed model directly: AddEdgeFault and
-// RemoveEdgeFault toggle undirected link failures through an inverted
-// edge→routes index, sharing the per-route fault counters with node
-// faults, so a route dies iff it contains a faulty node or traverses a
-// faulty edge. On top of that sit mixed-fault searches over the
-// combined universe of n nodes and m edges: MaxDiameterMixed
-// (exhaustive and sampled), MaxDiameterMixedParallel (per-worker
-// clones, work stealing over enumeration prefixes), GreedyEdgeAdversary
-// (the pure link-cutting adversary), ConcentratorEdgeAdversary (subsets
-// of a target link set) and BeyondToleranceMixed (Open Problem 3 with
-// link cuts shaping the components of G−F). Each is bit-for-bit
-// equivalent to the rebuild-per-set SurvivingGraphMixed reference,
-// which MixedSurvivor values retain as a fallback.
+// # The search driver
+//
+// Every entry point (MaxDiameter, Profile, CheckTolerance,
+// ConcentratorAdversary, BeyondTolerance, their Mixed twins,
+// GreedyEdgeAdversary, WorstLinkCuts, WorstMixedFaults and the Parallel
+// variants) runs on one search driver (search.go) over one of the two
+// engines. Parallel variants return exactly the sequential result,
+// witness included. The rebuild-per-set reference implementations live
+// in internal/eval/oracle, which only tests and benchmarks import.
 package eval
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ftroute/internal/graph"
+	"ftroute/internal/routing"
 )
-
-// Survivor is the routing-side interface eval needs: anything that can
-// produce a surviving route graph for a fault set. Both *routing.Routing
-// and *routing.MultiRouting implement it (and also RouteSource, which
-// unlocks the fast incremental engine).
-type Survivor interface {
-	SurvivingGraph(faults *graph.Bitset) *graph.Digraph
-	Graph() *graph.Graph
-}
 
 // Mode selects how fault sets are searched.
 type Mode int
@@ -80,8 +62,8 @@ type Config struct {
 	Samples int   // number of random fault sets in Sampled mode (default 200)
 	Seed    int64 // randomness for Sampled mode
 	// Greedy enables, in Sampled mode, an additional greedy adversarial
-	// search that grows a fault set one node at a time, always picking
-	// the node that maximizes the surviving diameter.
+	// search that grows a fault set one item at a time, always picking
+	// the item that maximizes the surviving diameter.
 	Greedy bool
 	// Pruned enables, in Exhaustive mode, orbit pruning: when the
 	// routing (or failover tables) is strictly equivariant under a
@@ -94,16 +76,13 @@ type Config struct {
 	// fails (or the group is trivial or too large) the search silently
 	// falls back to the plain enumeration. See docs/symmetry.md.
 	Pruned bool
-	// Bounded enables, in Exhaustive mode (plain and Pruned, serial and
-	// parallel, node and mixed universes), branch-and-bound evaluation:
-	// a best-so-far diameter is threaded through the enumeration (shared
-	// atomically across workers) and each fault set runs the pivot-pruned
-	// diameterAbove kernel, abandoning sets that cannot beat the
-	// incumbent after ~2 BFS instead of computing the full diameter.
-	// Results — scores, taxonomy, Evaluated, and the first-max witness —
-	// are bit-identical to the plain search. Survivors that cannot
-	// enumerate their routes, and Sampled mode (no enumeration tree to
-	// prune), ignore the flag. See docs/perf.md.
+	// Bounded enables branch-and-bound scoring in the diameter searches:
+	// a best-so-far diameter is threaded through the search (shared
+	// atomically across workers) and each fault set runs the
+	// pivot-pruned diameterAbove kernel, abandoning sets that cannot
+	// beat the incumbent after ~2 BFS instead of computing the full
+	// diameter. Results — scores, taxonomy, Evaluated, and the first-max
+	// witness — are bit-identical to the plain search. See docs/perf.md.
 	Bounded bool
 	// SkippedWeight is the λ of the mixed packet-level adversary
 	// (WorstMixedFaults): fault sets are ranked by the score
@@ -111,6 +90,14 @@ type Config struct {
 	// the adversary trade stranded packets against dead endpoints. The
 	// default 0 preserves the pure-disruption objective bit for bit.
 	SkippedWeight float64
+}
+
+// samples is the number of random sets Sampled mode draws.
+func (c Config) samples() int {
+	if c.Samples <= 0 {
+		return 200
+	}
+	return c.Samples
 }
 
 // Result reports the worst case found.
@@ -129,384 +116,278 @@ func (r Result) String() string {
 	return fmt.Sprintf("max diameter %d (worst F=%v, %d sets)", r.MaxDiameter, r.WorstFaults, r.Evaluated)
 }
 
-// MaxDiameter searches fault sets of size at most f and returns the
-// worst surviving diameter found. Disconnection (some ordered pair with
-// no surviving path) dominates any finite diameter.
-func MaxDiameter(s Survivor, f int, cfg Config) Result {
-	switch cfg.Mode {
-	case Exhaustive:
-		if cfg.Pruned {
-			if res, ok := exhaustivePruned(s, f, 1, cfg.Bounded); ok {
-				return res
-			}
+// MixedResult reports the worst case found over mixed fault sets.
+type MixedResult struct {
+	MaxDiameter     int                 // largest surviving diameter observed
+	Disconnected    bool                // some mixed set disconnected the surviving graph
+	WorstNodeFaults *graph.Bitset       // node part of a worst-case witness
+	WorstEdgeFaults []routing.EdgeFault // edge part, normalized and sorted
+	Evaluated       int                 // number of mixed fault sets evaluated
+}
+
+// String renders a mixed result compactly.
+func (r MixedResult) String() string {
+	if r.Disconnected {
+		return fmt.Sprintf("disconnected (worst F=%v E=%v, %d sets)", r.WorstNodeFaults, r.WorstEdgeFaults, r.Evaluated)
+	}
+	return fmt.Sprintf("max diameter %d (worst F=%v E=%v, %d sets)", r.MaxDiameter, r.WorstNodeFaults, r.WorstEdgeFaults, r.Evaluated)
+}
+
+// node drops the edge part of a node-only search's result.
+func (r MixedResult) node() Result {
+	return Result{MaxDiameter: r.MaxDiameter, Disconnected: r.Disconnected, WorstFaults: r.WorstNodeFaults, Evaluated: r.Evaluated}
+}
+
+// result converts a finished diameter search into its result: a final
+// score is a disconnection, whose MaxDiameter is the incumbent it froze.
+func (e *Engine) result(b best[int]) MixedResult {
+	r := MixedResult{MaxDiameter: b.score, WorstNodeFaults: graph.NewBitset(e.n), Evaluated: b.evaluated}
+	if e.final(b.score) {
+		r.Disconnected, r.MaxDiameter = true, b.pre
+	}
+	for _, it := range b.items {
+		if it < e.n {
+			r.WorstNodeFaults.Add(it)
+		} else if it-e.n < len(e.edgeU) {
+			r.WorstEdgeFaults = append(r.WorstEdgeFaults, routing.EdgeFault{U: int(e.edgeU[it-e.n]), V: int(e.edgeV[it-e.n])})
 		}
-		if cfg.Bounded {
-			if eng := engineFor(s); eng != nil {
-				if f < 0 {
-					f = 0
-				}
-				return eng.exhaustiveBounded(f)
-			}
-		}
-		return exhaustive(s, f)
+	}
+	return r
+}
+
+// diameterSearch compiles src and builds a search over its nodes, plus
+// its links when links is set. It returns the budget clamped to
+// 0..len(items).
+func diameterSearch(src RouteSource, f int, cfg Config, workers int, links bool) (*search[*Engine, int], int) {
+	e := NewEngine(src)
+	e.bounded = cfg.Bounded
+	s := newSearch(e, universe(e.n, len(e.edgeU), true, links), workers)
+	return s, min(max(f, 0), len(s.items))
+}
+
+// maxDiameter runs the search behind MaxDiameter and MaxDiameterMixed.
+func maxDiameter(src RouteSource, f int, cfg Config, workers int, links bool) MixedResult {
+	s, f := diameterSearch(src, f, cfg, workers, links)
+	plan := nodeReps
+	if links {
+		plan = mixedReps
+	}
+	var b best[int]
+	switch {
+	case cfg.Mode != Exhaustive:
+		s.diameterSampled(&b, f, cfg)
+	case cfg.Pruned && s.plan(&b, plan(src, f)):
 	default:
-		return sampled(s, f, cfg)
+		s.hi = f
+		s.exhaustive(&b)
 	}
+	return s.root.result(b)
 }
 
-// evalOne evaluates one fault set through the legacy rebuild-per-set
-// path, folding it into the result. Engine.fold is the incremental
-// equivalent; the two must agree bit for bit.
-func evalOne(s Survivor, faults *graph.Bitset, res *Result) {
-	res.Evaluated++
-	d := s.SurvivingGraph(faults)
-	if d.EnabledCount() <= 1 {
-		return // nothing to route between
-	}
-	diam, ok := d.Diameter()
-	if !ok {
-		if !res.Disconnected {
-			res.Disconnected = true
-			res.WorstFaults = faults.Clone()
-		}
-		return
-	}
-	if !res.Disconnected && diam > res.MaxDiameter {
-		res.MaxDiameter = diam
-		res.WorstFaults = faults.Clone()
-	}
-}
-
-// exhaustive enumerates all fault sets of size 0..f. A negative budget
-// means the empty set only.
-func exhaustive(s Survivor, f int) Result {
-	if f < 0 {
-		f = 0
-	}
-	if eng := engineFor(s); eng != nil {
-		res := Result{WorstFaults: graph.NewBitset(eng.N())}
-		eng.fold(&res) // empty set
-		eng.descend(0, f, &res)
-		return res
-	}
-	n := s.Graph().N()
-	res := Result{WorstFaults: graph.NewBitset(n)}
-	faults := graph.NewBitset(n)
-	evalOne(s, faults, &res) // empty set
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			return
-		}
-		for v := start; v < n; v++ {
-			faults.Add(v)
-			evalOne(s, faults, &res)
-			rec(v+1, left-1)
-			faults.Remove(v)
-		}
-	}
-	rec(0, f)
-	return res
-}
-
-// descend walks the exhaustive enumeration subtree of fault sets that
-// extend the engine's current set with nodes from start..n-1, up to
-// left more faults, evaluating every set in the same preorder as the
-// legacy recursion. The engine is restored on return.
-func (e *Engine) descend(start, left int, res *Result) {
-	if left == 0 {
-		return
-	}
-	for v := start; v < e.n; v++ {
-		e.AddFault(v)
-		e.fold(res)
-		e.descend(v+1, left-1, res)
-		e.RemoveFault(v)
-	}
-}
-
-// sampled draws random fault sets of size exactly f and optionally runs
-// a greedy adversarial search. f is clamped to the node count: a fault
-// set cannot contain more than n distinct nodes, and without the clamp
-// the rejection-style draw below could never reach its target size.
-func sampled(s Survivor, f int, cfg Config) Result {
-	return sampledWith(s, engineFor(s), f, cfg)
-}
-
-// sampledWith is sampled over a caller-provided engine (nil forces the
-// legacy path), so that Profile can compile the engine once and reuse
-// it across fault counts. The engine must be fault-free on entry and is
-// left fault-free on return.
-func sampledWith(s Survivor, eng *Engine, f int, cfg Config) Result {
-	n := s.Graph().N()
-	if f > n {
-		f = n
-	}
-	if f < 0 {
-		f = 0
-	}
-	samples := cfg.Samples
-	if samples <= 0 {
-		samples = 200
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := Result{WorstFaults: graph.NewBitset(n)}
-	if eng != nil {
-		eng.fold(&res) // empty set
-	} else {
-		evalOne(s, graph.NewBitset(n), &res)
-	}
-	for i := 0; i < samples; i++ {
-		faults := drawFaults(rng, n, f)
-		if eng != nil {
-			eng.SetFaults(faults)
-			eng.fold(&res)
-		} else {
-			evalOne(s, faults, &res)
-		}
-	}
-	if eng != nil {
-		eng.Reset()
-	}
+// diameterSampled folds the empty set, cfg.Samples random sets of size
+// f, and with cfg.Greedy the greedy adversary's grown sets.
+func (s *search[E, S]) diameterSampled(b *best[S], f int, cfg Config) {
+	s.visitSet(&s.main, b)
+	s.sampled(b, f, cfg.samples(), cfg.Seed)
 	if cfg.Greedy {
-		if eng != nil {
-			eng.greedyAdversary(f, &res)
-			eng.Reset() // the adversary leaves the grown set behind
-		} else {
-			greedyAdversary(s, f, &res)
-		}
-	}
-	return res
-}
-
-// drawFaults draws one uniform fault set of size exactly f (f <= n).
-func drawFaults(rng *rand.Rand, n, f int) *graph.Bitset {
-	faults := graph.NewBitset(n)
-	for faults.Count() < f {
-		faults.Add(rng.Intn(n))
-	}
-	return faults
-}
-
-// greedyAdversary grows a fault set one node at a time, at each step
-// keeping the node whose addition maximizes the surviving diameter
-// (preferring disconnection outright). Legacy Survivor path; the
-// Engine method below is the incremental equivalent.
-func greedyAdversary(s Survivor, f int, res *Result) {
-	n := s.Graph().N()
-	faults := graph.NewBitset(n)
-	for round := 0; round < f; round++ {
-		bestV, bestDiam, bestDisc := -1, -1, false
-		for v := 0; v < n; v++ {
-			if faults.Has(v) {
-				continue
-			}
-			faults.Add(v)
-			res.Evaluated++
-			d := s.SurvivingGraph(faults)
-			if d.EnabledCount() > 1 {
-				diam, ok := d.Diameter()
-				disc := !ok
-				if disc && !bestDisc {
-					bestV, bestDiam, bestDisc = v, diam, true
-				} else if !disc && !bestDisc && diam > bestDiam {
-					bestV, bestDiam = v, diam
-				}
-			}
-			faults.Remove(v)
-		}
-		if bestV == -1 {
-			break
-		}
-		faults.Add(bestV)
-		if bestDisc {
-			if !res.Disconnected {
-				res.Disconnected = true
-				res.WorstFaults = faults.Clone()
-			}
-			return
-		}
-		if !res.Disconnected && bestDiam > res.MaxDiameter {
-			res.MaxDiameter = bestDiam
-			res.WorstFaults = faults.Clone()
-		}
+		s.greedy(b, f)
 	}
 }
 
-// greedyAdversary is the engine-backed greedy adversarial search: each
-// candidate probe is one AddFault/RemoveFault pair instead of a full
-// surviving-graph rebuild. The engine must start fault-free; it ends
-// holding the grown fault set.
-func (e *Engine) greedyAdversary(f int, res *Result) {
-	for round := 0; round < f; round++ {
-		bestV, bestDiam, bestDisc := -1, -1, false
-		for v := 0; v < e.n; v++ {
-			if e.HasFault(v) {
-				continue
-			}
-			e.AddFault(v)
-			res.Evaluated++
-			if e.AliveCount() > 1 {
-				diam, ok := e.Diameter()
-				disc := !ok
-				if disc && !bestDisc {
-					bestV, bestDiam, bestDisc = v, diam, true
-				} else if !disc && !bestDisc && diam > bestDiam {
-					bestV, bestDiam = v, diam
-				}
-			}
-			e.RemoveFault(v)
-		}
-		if bestV == -1 {
-			break
-		}
-		e.AddFault(bestV)
-		if bestDisc {
-			if !res.Disconnected {
-				res.Disconnected = true
-				res.WorstFaults = e.Faults()
-			}
-			return
-		}
-		if !res.Disconnected && bestDiam > res.MaxDiameter {
-			res.MaxDiameter = bestDiam
-			res.WorstFaults = e.Faults()
-		}
-	}
+// MaxDiameter searches fault sets of size at most f (a negative budget
+// means the empty set only) and returns the worst surviving diameter
+// found. Disconnection (some ordered pair with no surviving path)
+// dominates any finite diameter.
+func MaxDiameter(s RouteSource, f int, cfg Config) Result {
+	return maxDiameter(s, f, cfg, 1, false).node()
+}
+
+// MaxDiameterParallel is MaxDiameter with the search fanned out over
+// worker goroutines (workers <= 0 means GOMAXPROCS) on per-worker
+// Engine clones, with work stealing over enumeration prefixes,
+// orbit-representative chunks, pre-drawn samples and greedy candidates.
+// Sub-results merge in enumeration order, so the result — witness
+// included — is identical to MaxDiameter's.
+func MaxDiameterParallel(s RouteSource, f int, cfg Config, workers int) Result {
+	return maxDiameter(s, f, cfg, workers, false).node()
+}
+
+// MaxDiameterMixed searches mixed fault sets — any combination of node
+// and edge faults of total size at most f — for the worst surviving
+// diameter of the literal mixed model. Exhaustive mode enumerates every
+// subset of the n+m item universe of size 0..f; Sampled mode draws
+// uniform random mixed sets of size f (plus the empty set) and, with
+// cfg.Greedy, grows an adversarial mixed set one item at a time.
+func MaxDiameterMixed(s RouteSource, f int, cfg Config) MixedResult {
+	return maxDiameter(s, f, cfg, 1, true)
+}
+
+// MaxDiameterMixedParallel is MaxDiameterMixed fanned out over worker
+// goroutines exactly as MaxDiameterParallel is.
+func MaxDiameterMixedParallel(s RouteSource, f int, cfg Config, workers int) MixedResult {
+	return maxDiameter(s, f, cfg, workers, true)
 }
 
 // CheckTolerance verifies a (d, f)-tolerance claim: it returns nil when
-// every evaluated fault set of size at most f leaves the surviving graph
-// with diameter at most d. In Exhaustive mode this is a proof over the
-// instance; in Sampled mode it is a statistical check.
+// every evaluated fault set of size at most f (a negative f means the
+// empty set only) leaves the surviving graph with diameter at most d.
+// In Exhaustive mode this is a proof over the instance; in Sampled mode
+// it is a statistical check.
 //
-// The exhaustive engine path checks each fault set with the early-exit
-// DiameterAtMost scan and stops at the first violation, so the reported
-// counterexample is the first one in enumeration order (the legacy path
-// reports the globally worst set; both witness the same claim failure).
-func CheckTolerance(s Survivor, d, f int, cfg Config) error {
-	if cfg.Mode == Exhaustive && !cfg.Pruned {
-		if eng := engineFor(s); eng != nil {
-			return eng.checkTolerance(d, f)
-		}
-	}
-	res := MaxDiameter(s, f, cfg)
-	if res.Disconnected {
-		return fmt.Errorf("eval: fault set %v disconnects the surviving graph (claimed (%d,%d)-tolerant)", res.WorstFaults, d, f)
-	}
-	if res.MaxDiameter > d {
-		return fmt.Errorf("eval: fault set %v gives diameter %d (claimed (%d,%d)-tolerant)", res.WorstFaults, res.MaxDiameter, d, f)
-	}
-	return nil
+// The plain exhaustive check scans each fault set with the early-exit
+// DiameterAtMost and stops at the first violation, so the reported
+// counterexample is the first in enumeration order; Pruned and Sampled
+// report the worst set found.
+func CheckTolerance(s RouteSource, d, f int, cfg Config) error {
+	return checkTolerance(s, d, f, cfg, false)
 }
 
-// checkTolerance walks the exhaustive enumeration with the bounded
-// diameter scan, returning the first (d, f)-violation found.
-func (e *Engine) checkTolerance(d, f int) error {
-	check := func() error {
-		if e.AliveCount() <= 1 || e.DiameterAtMost(d) {
-			return nil
-		}
-		diam, ok := e.Diameter()
-		if !ok {
-			return fmt.Errorf("eval: fault set %v disconnects the surviving graph (claimed (%d,%d)-tolerant)", e.faults, d, f)
-		}
-		return fmt.Errorf("eval: fault set %v gives diameter %d (claimed (%d,%d)-tolerant)", e.faults, diam, d, f)
-	}
-	if err := check(); err != nil {
-		return err
-	}
-	var rec func(start, left int) error
-	rec = func(start, left int) error {
-		if left == 0 {
-			return nil
-		}
-		for v := start; v < e.n; v++ {
-			e.AddFault(v)
-			if err := check(); err != nil {
-				return err
-			}
-			if err := rec(v+1, left-1); err != nil {
-				return err
-			}
-			e.RemoveFault(v)
+// CheckToleranceMixed is CheckTolerance over mixed fault sets of total
+// size at most f — failed nodes plus cut links combined.
+func CheckToleranceMixed(s RouteSource, d, f int, cfg Config) error {
+	return checkTolerance(s, d, f, cfg, true)
+}
+
+func checkTolerance(src RouteSource, d, f int, cfg Config, links bool) error {
+	f = max(f, 0)
+	if cfg.Mode != Exhaustive || cfg.Pruned {
+		r := maxDiameter(src, f, cfg, 1, links)
+		if r.Disconnected || r.MaxDiameter > d {
+			return toleranceError(links, r.WorstNodeFaults, r.WorstEdgeFaults, r.Disconnected, r.MaxDiameter, d, f)
 		}
 		return nil
 	}
-	return rec(0, f)
+	s, hi := diameterSearch(src, f, cfg, 1, links)
+	e := s.root
+	var err error
+	s.visit = func(*worker[*Engine], *best[int]) bool {
+		if e.aliveCount <= 1 || e.DiameterAtMost(d) {
+			return true
+		}
+		diam, ok := e.Diameter()
+		err = toleranceError(links, e.faults, e.EdgeFaults(), !ok, diam, d, f)
+		return false
+	}
+	s.hi = hi
+	s.walk(&best[int]{})
+	return err
+}
+
+// toleranceError describes a violated (d, f) claim.
+func toleranceError(links bool, nf *graph.Bitset, ef []routing.EdgeFault, disc bool, diam, d, f int) error {
+	set := fmt.Sprintf("fault set %v", nf)
+	if links {
+		set = fmt.Sprintf("mixed fault set nodes %v links %v", nf, ef)
+	}
+	if disc {
+		return fmt.Errorf("eval: %s disconnects the surviving graph (claimed (%d,%d)-tolerant)", set, d, f)
+	}
+	return fmt.Errorf("eval: %s gives diameter %d (claimed (%d,%d)-tolerant)", set, diam, d, f)
 }
 
 // Profile reports, for each fault count 0..f, the worst surviving
-// diameter found (-1 encodes disconnection). It shares cfg semantics
-// with MaxDiameter but evaluates each size separately, which is the
-// shape of the per-fault-count tables in EXPERIMENTS.md.
-func Profile(s Survivor, f int, cfg Config) []int {
-	out := make([]int, f+1)
-	eng := engineFor(s) // compiled once, reused across fault counts
-	for k := 0; k <= f; k++ {
-		var res Result
-		switch {
-		case cfg.Mode == Exhaustive && eng != nil && cfg.Bounded:
-			res = eng.exhaustiveExactBounded(k)
-		case cfg.Mode == Exhaustive && eng != nil:
-			res = eng.exhaustiveExact(k)
-		case cfg.Mode == Exhaustive:
-			res = exhaustiveExact(s, k)
-		default:
-			res = sampledWith(s, eng, k, cfg)
-		}
-		if res.Disconnected {
-			out[k] = -1
+// diameter found (-1 encodes disconnection); a negative f gives an
+// empty profile. It shares cfg semantics with MaxDiameter but evaluates
+// each size separately, which is the shape of the per-fault-count
+// tables in EXPERIMENTS.md.
+func Profile(s RouteSource, f int, cfg Config) []int { return profile(s, f, cfg, false) }
+
+// ProfileMixed reports, for each total mixed fault-set size 0..f — the
+// combined count of failed nodes and cut links — the worst surviving
+// diameter found (-1 encodes disconnection). It is the mixed-universe
+// counterpart of Profile.
+func ProfileMixed(s RouteSource, f int, cfg Config) []int { return profile(s, f, cfg, true) }
+
+func profile(src RouteSource, f int, cfg Config, links bool) []int {
+	out := make([]int, max(f+1, 0))
+	if f < 0 {
+		return out
+	}
+	root, _ := diameterSearch(src, 0, cfg, 1, links) // compiled once, reused for every k
+	for k := range out {
+		s := newSearch(root.root, root.items, 1)
+		var b best[int]
+		if cfg.Mode == Exhaustive {
+			s.lo, s.hi = k, k
+			s.walk(&b)
 		} else {
-			out[k] = res.MaxDiameter
+			s.diameterSampled(&b, min(k, len(s.items)), cfg)
+		}
+		out[k] = s.root.result(b).MaxDiameter
+		if s.root.final(b.score) {
+			out[k] = -1
 		}
 	}
 	return out
 }
 
-// exhaustiveExact enumerates fault sets of size exactly k (legacy path).
-func exhaustiveExact(s Survivor, k int) Result {
+// ConcentratorAdversary evaluates fault sets drawn from a designated
+// node set (typically a routing's concentrator M or its neighborhoods):
+// the structurally critical nodes. It enumerates every subset of size
+// at most f of the targets — deduplicated in first-occurrence order,
+// ids outside 0..n−1 dropped — plus the empty set, in preorder over the
+// target order. This is the adversary the paper's proofs defend
+// against: faults concentrated on the concentrator.
+func ConcentratorAdversary(s RouteSource, f int, targets []int) Result {
 	n := s.Graph().N()
-	res := Result{WorstFaults: graph.NewBitset(n)}
-	faults := graph.NewBitset(n)
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			evalOne(s, faults, &res)
-			return
-		}
-		if n-start < left {
-			return
-		}
-		for v := start; v < n; v++ {
-			faults.Add(v)
-			rec(v+1, left-1)
-			faults.Remove(v)
+	seen := graph.NewBitset(n)
+	var items []int
+	for _, v := range targets {
+		if v >= 0 && v < n && !seen.Has(v) {
+			seen.Add(v)
+			items = append(items, v)
 		}
 	}
-	rec(0, k)
-	return res
+	return concentrator(s, f, items).node()
 }
 
-// exhaustiveExact enumerates fault sets of size exactly k incrementally.
-// The engine must start fault-free and is restored on return.
-func (e *Engine) exhaustiveExact(k int) Result {
-	res := Result{WorstFaults: graph.NewBitset(e.n)}
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			e.fold(&res)
-			return
-		}
-		if e.n-start < left {
-			return
-		}
-		for v := start; v < e.n; v++ {
-			e.AddFault(v)
-			rec(v+1, left-1)
-			e.RemoveFault(v)
+// ConcentratorEdgeAdversary enumerates every subset of size at most f
+// of the target links — typically the edges incident to a routing's
+// concentrator, the structurally critical wires — and folds in the
+// empty set. Targets are normalized and exact duplicates dropped;
+// self-loops and non-edges are harmless no-op items.
+func ConcentratorEdgeAdversary(s RouteSource, f int, targets []routing.EdgeFault) MixedResult {
+	g := s.Graph()
+	n, m := g.N(), g.M()
+	ids := make(map[routing.EdgeFault]int, m)
+	for i, e := range g.Edges() {
+		ids[routing.EdgeFault{U: e[0], V: e[1]}] = n + i
+	}
+	seen := make(map[routing.EdgeFault]bool, len(targets))
+	var items []int
+	noop := n + m // ids past the universe toggle nothing
+	for _, t := range targets {
+		if t = t.Normalize(); !seen[t] {
+			seen[t] = true
+			id, ok := ids[t]
+			if !ok {
+				id, noop = noop, noop+1
+			}
+			items = append(items, id)
 		}
 	}
-	rec(0, k)
-	return res
+	return concentrator(s, f, items)
+}
+
+func concentrator(src RouteSource, f int, items []int) MixedResult {
+	e := NewEngine(src)
+	s := newSearch(e, items, 1)
+	s.hi = max(f, 0)
+	var b best[int]
+	s.walk(&b)
+	return e.result(b)
+}
+
+// GreedyEdgeAdversary grows a pure edge-fault set of size at most f,
+// each round failing the link that maximizes the surviving diameter
+// (preferring disconnection). It is the link-failure counterpart of the
+// greedy node adversary: the static-failover worst case where an
+// adversary cuts wires but never kills switches.
+func GreedyEdgeAdversary(s RouteSource, f int) MixedResult {
+	e := NewEngine(s)
+	sr := newSearch(e, universe(e.n, len(e.edgeU), false, true), 1)
+	var b best[int]
+	sr.visitSet(&sr.main, &b)
+	sr.greedy(&b, f)
+	return e.result(b)
 }

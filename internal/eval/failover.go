@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
@@ -94,8 +93,8 @@ func walkAllPairs(t *routing.FailoverTables, faults *routing.FaultSet) CutStats 
 // walkAllPairsMixed walks every pair with table entries under a mixed
 // fault set. Pairs whose source or destination node is failed are not
 // walked and count as Skipped; the rest go through WalkUnderFaults
-// exactly as walkAllPairs does. This is the single-set oracle behind
-// WorstMixedFaultsLegacy, mirrored bit for bit by the WalkEngine.
+// exactly as walkAllPairs does. The WalkEngine maintains the same
+// counts incrementally (FuzzWalkEngineEquivalence pins the two).
 func walkAllPairsMixed(t *routing.FailoverTables, faults *routing.FaultSet) CutStats {
 	var s CutStats
 	for _, p := range t.Pairs() {
@@ -116,198 +115,189 @@ func walkAllPairsMixed(t *routing.FailoverTables, faults *routing.FaultSet) CutS
 	return s
 }
 
-// cutWorse reports whether a disrupts strictly more pairs than b, the
-// adversary's objective. Ties keep the incumbent, so with deterministic
-// enumeration order the reported worst set is deterministic too.
-func cutWorse(a, b CutStats) bool { return a.Disrupted() > b.Disrupted() }
-
-// isWorse applies a custom strict-improvement comparison, defaulting to
-// cutWorse when worse is nil — the hook the weighted mixed adversary
-// threads its λ objective through.
-func isWorse(worse func(a, b CutStats) bool, a, b CutStats) bool {
-	if worse == nil {
-		return cutWorse(a, b)
-	}
-	return worse(a, b)
+// MixedCutResult reports the worst mixed fault set found against a
+// table set.
+type MixedCutResult struct {
+	WorstNodes []int               // node part of the worst set, sorted
+	WorstCuts  []routing.EdgeFault // link part, normalized and sorted
+	Stats      CutStats            // outcomes under the worst set
+	Evaluated  int                 // number of mixed fault sets evaluated
 }
 
-// worseForWeight builds the comparator for Config.SkippedWeight: fault
-// sets are ranked by disrupted + λ·skipped, still a strict improvement
-// test so ties keep the incumbent. λ == 0 returns nil, leaving every
-// comparison on the plain cutWorse path — results stay bit for bit
-// (and reflect.DeepEqual-comparable) with the λ-free searches.
-func worseForWeight(lambda float64) func(a, b CutStats) bool {
-	if lambda == 0 {
+// String renders the result compactly.
+func (r MixedCutResult) String() string {
+	return fmt.Sprintf("worst mixed F=%v E=%v: %v (%d sets)", r.WorstNodes, r.WorstCuts, r.Stats, r.Evaluated)
+}
+
+// EvaluateMixedFaults walks every table pair under the given failed
+// nodes and cut links and returns the outcome counts — the single-set
+// evaluation the mixed adversary searches over, exported for
+// experiments and the CLI. Pairs with a failed endpoint are Skipped.
+func EvaluateMixedFaults(t *routing.FailoverTables, nodes []int, cuts []routing.EdgeFault) CutStats {
+	return walkAllPairsMixed(t, routing.FaultSetOf(t.N(), nodes, cuts))
+}
+
+// WorstLinkCuts searches for the cut set of size at most budget that
+// disrupts the most (src, dst) pairs of the failover tables t, walking
+// each pair packet-by-packet with local failover. g must be the graph
+// the tables were compiled for (it supplies the cuttable links).
+// Exhaustive mode is exact; the default Sampled mode combines random
+// sampling, the concentrator probe, and (with cfg.Greedy) a greedy
+// grow-one-link adversary. The empty cut set is always evaluated first,
+// so a returned empty Worst means no evaluated cut disrupts anything.
+// Ties keep the earlier set, so the reported worst set is deterministic.
+func WorstLinkCuts(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config) CutResult {
+	return WorstLinkCutsParallel(t, g, budget, cfg, 1)
+}
+
+// WorstLinkCutsParallel is WorstLinkCuts fanned out over worker
+// goroutines on per-worker engine clones (workers <= 0 means
+// GOMAXPROCS). Sub-results merge in enumeration order, so the result is
+// identical to the sequential search.
+func WorstLinkCutsParallel(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int) CutResult {
+	b, we := worstWalk(t, g, budget, cfg, workers, false)
+	_, cuts := we.witness(b.items)
+	return CutResult{Worst: cuts, Stats: b.score.stats, Evaluated: b.evaluated}
+}
+
+// WorstMixedFaults searches mixed fault sets — any combination of
+// failed nodes and cut links of total size at most budget — for the one
+// disrupting the most (src, dst) pairs of the failover tables t, or
+// with cfg.SkippedWeight λ the one maximizing disrupted + λ·skipped.
+// Search modes are those of WorstLinkCuts over the n+m item universe;
+// the concentrator probe covers the concentrator node itself plus its
+// wires. A failed node removes its own pairs from play rather than
+// disrupting them: those pairs count as Skipped, so the search rewards
+// fault sets that strand other pairs' packets — the concentrator
+// phenomenon of the paper.
+func WorstMixedFaults(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config) MixedCutResult {
+	return WorstMixedFaultsParallel(t, g, budget, cfg, 1)
+}
+
+// WorstMixedFaultsParallel is WorstMixedFaults fanned out over worker
+// goroutines as WorstLinkCutsParallel is; the result is identical to
+// the sequential search.
+func WorstMixedFaultsParallel(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int) MixedCutResult {
+	b, we := worstWalk(t, g, budget, cfg, workers, true)
+	nodes, cuts := we.witness(b.items)
+	return MixedCutResult{WorstNodes: nodes, WorstCuts: cuts, Stats: b.score.stats, Evaluated: b.evaluated}
+}
+
+// worstWalk runs the walk adversary over the links, plus the nodes when
+// nodes is set.
+func worstWalk(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int, nodes bool) (best[walkScore], *WalkEngine) {
+	we := NewWalkEngine(t, g)
+	if nodes {
+		we.lambda = cfg.SkippedWeight
+	}
+	s := newSearch(we, universe(we.n, we.m, nodes, true), workers)
+	budget = min(max(budget, 0), len(s.items))
+	var b best[walkScore]
+	plan := cutReps
+	if nodes {
+		plan = mixedCutReps
+	}
+	if cfg.Mode == Exhaustive {
+		if !cfg.Pruned || !s.plan(&b, plan(t, g, budget)) {
+			s.hi = budget
+			s.exhaustive(&b)
+		}
+		return b, we
+	}
+	s.visitSet(&s.main, &b)
+	if budget > 0 {
+		s.sampled(&b, budget, cfg.samples(), cfg.Seed)
+	}
+	c := *s // the concentrator probe runs on the root, over its own items
+	c.items = we.concentratorItems(nodes)
+	c.below(&c.main, 0, budget, &b)
+	if cfg.Greedy {
+		s.greedy(&b, budget)
+	}
+	return b, we
+}
+
+// concentratorItems lists the probe targets: the node holding the most
+// table entries (ties to the lowest id; omitted from link-only
+// searches) and its incident links in neighbor order. Killing the
+// concentrator is the paper's node attack, cutting its wires the link
+// attack — the probe covers every combination of the two within budget.
+func (we *WalkEngine) concentratorItems(nodes bool) []int {
+	conc, most := -1, -1
+	for v := 0; v < we.n; v++ {
+		if e := int(we.entriesAt[v]); e > most {
+			conc, most = v, e
+		}
+	}
+	if conc < 0 || most == 0 {
 		return nil
 	}
-	return func(a, b CutStats) bool {
-		return float64(a.Disrupted())+lambda*float64(a.Skipped) >
-			float64(b.Disrupted())+lambda*float64(b.Skipped)
+	var items []int
+	if nodes {
+		items = append(items, conc)
 	}
-}
-
-// consider folds one evaluated cut set into the running result.
-func (r *CutResult) consider(cuts []routing.EdgeFault, s CutStats) {
-	r.Evaluated++
-	if cutWorse(s, r.Stats) {
-		r.Stats = s
-		r.Worst = sortedEdgeFaults(cuts)
-	}
-}
-
-// WorstLinkCutsLegacy is the reference implementation of the link-cut
-// adversary: every probed cut set re-walks all pairs from scratch via
-// walkAllPairs. WorstLinkCuts now runs the same search through the
-// incremental WalkEngine and is bit-for-bit equivalent (enumeration
-// orders, tie-breaking and witness included); the legacy path is kept
-// as the oracle for the equivalence tests, the fuzz target and the CI
-// bench-ratio gate.
-func WorstLinkCutsLegacy(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config) CutResult {
-	if budget < 0 {
-		budget = 0
-	}
-	edges := g.Edges()
-	if budget > len(edges) {
-		budget = len(edges)
-	}
-	faults := routing.NewFaultSet(t.N())
-	// The empty cut set seeds the incumbent unconditionally; consider()
-	// only replaces it on strictly more disruption.
-	res := CutResult{Worst: []routing.EdgeFault{}, Stats: walkAllPairs(t, faults), Evaluated: 1}
-	if cfg.Mode == Exhaustive {
-		exhaustiveCuts(t, faults, edges, budget, &res)
-		return res
-	}
-	sampledCuts(t, g, faults, edges, budget, cfg, &res)
-	return res
-}
-
-// exhaustiveCuts enumerates every cut set of size 1..budget in
-// lexicographic preorder over the edge list, mutating one shared fault
-// set one link per step (the FaultSet analogue of the engine's
-// single-toggle enumeration).
-func exhaustiveCuts(t *routing.FailoverTables, faults *routing.FaultSet, edges [][2]int, budget int, res *CutResult) {
-	var cur []routing.EdgeFault
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			return
+	we.g.EachNeighbor(conc, func(w int) bool {
+		if id, ok := we.edgeID[edgeKeyNorm(conc, w)]; ok {
+			items = append(items, we.n+int(id))
 		}
-		for i := start; i < len(edges); i++ {
-			e := routing.EdgeFault{U: edges[i][0], V: edges[i][1]}
-			faults.FailLink(e.U, e.V)
-			cur = append(cur, e)
-			res.consider(cur, walkAllPairs(t, faults))
-			rec(i+1, left-1)
-			faults.RepairLink(e.U, e.V)
-			cur = cur[:len(cur)-1]
-		}
-	}
-	rec(0, budget)
-}
-
-// sampledCuts draws cfg.Samples random cut sets of size exactly budget,
-// runs the concentrator probe, and with cfg.Greedy grows a greedy cut.
-// All randomness comes from cfg.Seed, so results are deterministic.
-func sampledCuts(t *routing.FailoverTables, g *graph.Graph, faults *routing.FaultSet, edges [][2]int, budget int, cfg Config, res *CutResult) {
-	samples := cfg.Samples
-	if samples <= 0 {
-		samples = 200
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for i := 0; i < samples && budget > 0; i++ {
-		ids := graph.NewBitset(len(edges))
-		for ids.Count() < budget {
-			ids.Add(rng.Intn(len(edges)))
-		}
-		cur := make([]routing.EdgeFault, 0, budget)
-		for _, id := range ids.Elements() {
-			e := routing.EdgeFault{U: edges[id][0], V: edges[id][1]}
-			cur = append(cur, e)
-			faults.FailLink(e.U, e.V)
-		}
-		res.consider(cur, walkAllPairs(t, faults))
-		for _, e := range cur {
-			faults.RepairLink(e.U, e.V)
-		}
-	}
-	concentratorCuts(t, g, faults, budget, res)
-	if cfg.Greedy {
-		greedyCuts(t, faults, edges, budget, res)
-	}
-}
-
-// concentratorCuts enumerates every cut subset of size 1..budget of the
-// links incident to the node holding the most table entries — the node
-// whose wires carry the most forwarding decisions, hence the natural
-// first target (ties break to the lowest node id).
-func concentratorCuts(t *routing.FailoverTables, g *graph.Graph, faults *routing.FaultSet, budget int, res *CutResult) {
-	conc, best := -1, -1
-	for v := 0; v < t.N(); v++ {
-		if e := t.EntriesAt(v); e > best {
-			conc, best = v, e
-		}
-	}
-	if conc < 0 || best == 0 {
-		return
-	}
-	targets := make([]routing.EdgeFault, 0, g.Degree(conc))
-	g.EachNeighbor(conc, func(w int) bool {
-		targets = append(targets, routing.EdgeFault{U: conc, V: w}.Normalize())
 		return true
 	})
-	var cur []routing.EdgeFault
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			return
-		}
-		for i := start; i < len(targets); i++ {
-			faults.FailLink(targets[i].U, targets[i].V)
-			cur = append(cur, targets[i])
-			res.consider(cur, walkAllPairs(t, faults))
-			rec(i+1, left-1)
-			faults.RepairLink(targets[i].U, targets[i].V)
-			cur = cur[:len(cur)-1]
-		}
-	}
-	rec(0, budget)
+	return items
 }
 
-// greedyCuts grows a cut set one link at a time, each round keeping the
-// link whose addition disrupts the most pairs (ties to the lowest edge
-// index). The shared fault set ends restored to empty.
-func greedyCuts(t *routing.FailoverTables, faults *routing.FaultSet, edges [][2]int, budget int, res *CutResult) {
-	chosen := graph.NewBitset(len(edges))
-	var cur []routing.EdgeFault
-	for round := 0; round < budget; round++ {
-		bestI, bestStats := -1, CutStats{}
-		for i := 0; i < len(edges); i++ {
-			if chosen.Has(i) {
-				continue
-			}
-			e := routing.EdgeFault{U: edges[i][0], V: edges[i][1]}
-			faults.FailLink(e.U, e.V)
-			res.Evaluated++
-			s := walkAllPairs(t, faults)
-			if bestI == -1 || cutWorse(s, bestStats) {
-				bestI, bestStats = i, s
-			}
-			faults.RepairLink(e.U, e.V)
-		}
-		if bestI == -1 {
-			break
-		}
-		chosen.Add(bestI)
-		e := routing.EdgeFault{U: edges[bestI][0], V: edges[bestI][1]}
-		faults.FailLink(e.U, e.V)
-		cur = append(cur, e)
-		if cutWorse(bestStats, res.Stats) {
-			res.Stats = bestStats
-			res.Worst = sortedEdgeFaults(cur)
+// walkScore is the WalkEngine score: the outcome counts of a measured
+// set; the zero value is the bottom score.
+type walkScore struct {
+	stats CutStats
+	ok    bool
+}
+
+// The evaluator contract of the search driver. Walks have no bounded
+// kernel and no final score.
+
+func (we *WalkEngine) toggle(item int, on bool) {
+	switch {
+	case item < we.n && on:
+		we.addNodeFault(item)
+	case item < we.n:
+		we.removeNodeFault(item)
+	case item-we.n < we.m && on:
+		we.addCut(item - we.n)
+	case item-we.n < we.m:
+		we.removeCut(item - we.n)
+	}
+}
+
+func (we *WalkEngine) clone() *WalkEngine { return we.Clone() }
+
+func (we *WalkEngine) reset() { we.Reset() }
+
+func (we *WalkEngine) score(_, _ walkScore) walkScore { return walkScore{we.stats, true} }
+
+// better ranks by disrupted pairs, or with λ by disrupted + λ·skipped.
+func (we *WalkEngine) better(a, b walkScore) bool {
+	switch {
+	case !a.ok || !b.ok:
+		return a.ok
+	case we.lambda == 0:
+		return a.stats.Disrupted() > b.stats.Disrupted()
+	}
+	return float64(a.stats.Disrupted())+we.lambda*float64(a.stats.Skipped) >
+		float64(b.stats.Disrupted())+we.lambda*float64(b.stats.Skipped)
+}
+
+func (we *WalkEngine) final(walkScore) bool { return false }
+
+// witness splits item ids into the sorted node and link parts of a
+// result (never nil).
+func (we *WalkEngine) witness(items []int) ([]int, []routing.EdgeFault) {
+	nodes, cuts := []int{}, []routing.EdgeFault{}
+	for _, it := range items {
+		if it < we.n {
+			nodes = append(nodes, it)
+		} else {
+			cuts = append(cuts, routing.EdgeFault{U: int(we.edgeU[it-we.n]), V: int(we.edgeV[it-we.n])})
 		}
 	}
-	for _, e := range cur {
-		faults.RepairLink(e.U, e.V)
-	}
+	return nodes, cuts
 }

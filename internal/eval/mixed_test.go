@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"ftroute/internal/eval/oracle"
 	"math/rand"
 	"testing"
 
@@ -10,32 +11,11 @@ import (
 	"ftroute/internal/routing"
 )
 
-// legacyMixedOnly hides EachRoute so the mixed searches fall back to
-// the rebuild-per-set SurvivingGraphMixed path; it is the reference
-// implementation the engine must match bit for bit.
-type legacyMixedOnly struct {
-	s MixedSurvivor
-}
-
-func (l legacyMixedOnly) SurvivingGraph(f *graph.Bitset) *graph.Digraph { return l.s.SurvivingGraph(f) }
-func (l legacyMixedOnly) SurvivingGraphMixed(nf *graph.Bitset, ef []routing.EdgeFault) *graph.Digraph {
-	return l.s.SurvivingGraphMixed(nf, ef)
-}
-func (l legacyMixedOnly) Graph() *graph.Graph { return l.s.Graph() }
-
-// mixedSources narrows testSources to MixedSurvivors (all of them are:
-// routings and multiroutings both implement SurvivingGraphMixed).
-func mixedSources(t *testing.T) map[string]MixedSurvivor {
+// mixedSources are the testSources: routings and multiroutings both
+// implement SurvivingGraphMixed, the oracle's rebuild path.
+func mixedSources(t *testing.T) map[string]testSource {
 	t.Helper()
-	out := make(map[string]MixedSurvivor)
-	for name, s := range testSources(t) {
-		ms, ok := s.(MixedSurvivor)
-		if !ok {
-			t.Fatalf("%s: not a MixedSurvivor", name)
-		}
-		out[name] = ms
-	}
-	return out
+	return testSources(t)
 }
 
 // sameMixedResult asserts bit-for-bit equality including both witness
@@ -67,7 +47,7 @@ func drawEdgeFaults(rng *rand.Rand, g *graph.Graph, k int) []routing.EdgeFault {
 func TestMixedEngineMatchesSurvivingGraphMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for name, s := range mixedSources(t) {
-		eng := NewEngine(s.(RouteSource))
+		eng := NewEngine(s)
 		g := s.Graph()
 		n := g.N()
 		for trial := 0; trial < 40; trial++ {
@@ -119,7 +99,7 @@ func TestMixedIncrementalMatchesRebuild(t *testing.T) {
 	// toggle the engine must agree with a from-scratch rebuild.
 	rng := rand.New(rand.NewSource(23))
 	for name, s := range mixedSources(t) {
-		eng := NewEngine(s.(RouteSource))
+		eng := NewEngine(s)
 		g := s.Graph()
 		n := g.N()
 		edges := g.Edges()
@@ -172,7 +152,7 @@ func TestMixedExhaustiveEquivalence(t *testing.T) {
 	for name, s := range mixedSources(t) {
 		for f := 0; f <= 2; f++ {
 			got := MaxDiameterMixed(s, f, Config{Mode: Exhaustive})
-			want := MaxDiameterMixed(legacyMixedOnly{s}, f, Config{Mode: Exhaustive})
+			want := fromOracleMixed(oracle.MaxDiameterMixed(s, f, oc(Config{Mode: Exhaustive})))
 			sameMixedResult(t, fmt.Sprintf("%s f=%d", name, f), got, want)
 		}
 	}
@@ -187,8 +167,10 @@ func TestMixedExhaustiveSetCount(t *testing.T) {
 		t.Fatalf("evaluated = %d, want 56", res.Evaluated)
 	}
 	// f=0 evaluates the empty set only on both paths.
-	for _, s := range []MixedSurvivor{r, legacyMixedOnly{r}} {
-		res := MaxDiameterMixed(s, 0, Config{Mode: Exhaustive})
+	for _, res := range []MixedResult{
+		MaxDiameterMixed(r, 0, Config{Mode: Exhaustive}),
+		fromOracleMixed(oracle.MaxDiameterMixed(r, 0, oc(Config{Mode: Exhaustive}))),
+	} {
 		if res.Evaluated != 1 || res.MaxDiameter != 2 {
 			t.Fatalf("f=0 result = %v", res)
 		}
@@ -203,7 +185,7 @@ func TestMixedSampledGreedyEquivalence(t *testing.T) {
 			{Mode: Sampled, Samples: 1, Seed: 9, Greedy: true},
 		} {
 			got := MaxDiameterMixed(s, 2, cfg)
-			want := MaxDiameterMixed(legacyMixedOnly{s}, 2, cfg)
+			want := fromOracleMixed(oracle.MaxDiameterMixed(s, 2, oc(cfg)))
 			sameMixedResult(t, name, got, want)
 		}
 	}
@@ -212,10 +194,13 @@ func TestMixedSampledGreedyEquivalence(t *testing.T) {
 func TestMixedSampledClampsOversizedBudget(t *testing.T) {
 	// f far beyond n+m must clamp to the universe size and terminate.
 	r := cycleRouting(t, 5)
-	for _, s := range []MixedSurvivor{r, legacyMixedOnly{r}} {
-		res := MaxDiameterMixed(s, 999, Config{Mode: Sampled, Samples: 3, Seed: 1})
-		if res.Evaluated != 4 { // empty + 3 samples
-			t.Fatalf("evaluated = %d, want 4", res.Evaluated)
+	cfg := Config{Mode: Sampled, Samples: 3, Seed: 1}
+	for _, evaluated := range []int{
+		MaxDiameterMixed(r, 999, cfg).Evaluated,
+		oracle.MaxDiameterMixed(r, 999, oc(cfg)).Evaluated,
+	} {
+		if evaluated != 4 { // empty + 3 samples
+			t.Fatalf("evaluated = %d, want 4", evaluated)
 		}
 	}
 }
@@ -254,7 +239,7 @@ func TestGreedyMixedParallelEquivalence(t *testing.T) {
 func TestGreedyEdgeAdversaryEquivalence(t *testing.T) {
 	for name, s := range mixedSources(t) {
 		got := GreedyEdgeAdversary(s, 2)
-		want := GreedyEdgeAdversary(legacyMixedOnly{s}, 2)
+		want := fromOracleMixed(oracle.GreedyEdgeAdversary(s, 2))
 		sameMixedResult(t, name, got, want)
 		if got.WorstNodeFaults.Count() != 0 {
 			t.Fatalf("%s: edge adversary produced node faults %v", name, got.WorstNodeFaults)
@@ -272,7 +257,7 @@ func TestConcentratorEdgeAdversaryEquivalence(t *testing.T) {
 			{U: edges[0][1], V: edges[0][0]}, // duplicate of the first, reversed
 		}
 		got := ConcentratorEdgeAdversary(s, 2, targets)
-		want := ConcentratorEdgeAdversary(legacyMixedOnly{s}, 2, targets)
+		want := fromOracleMixed(oracle.ConcentratorEdgeAdversary(s, 2, targets))
 		sameMixedResult(t, name, got, want)
 		// Three distinct targets: 1 + 3 + C(3,2) = 7 sets.
 		if got.Evaluated != 7 {
@@ -390,7 +375,7 @@ func TestEngineCloneCopiesEdgeFaults(t *testing.T) {
 // weaken" the results.
 func TestEdgeFaultKillsFewerRoutesThanEndpoints(t *testing.T) {
 	for name, s := range mixedSources(t) {
-		eng := NewEngine(s.(RouteSource))
+		eng := NewEngine(s)
 		strict := false
 		for _, ed := range s.Graph().Edges() {
 			eng.AddEdgeFault(ed[0], ed[1])
@@ -419,7 +404,7 @@ func TestBeyondToleranceMixedEquivalence(t *testing.T) {
 	for name, s := range mixedSources(t) {
 		for f := 1; f <= 2; f++ {
 			got := BeyondToleranceMixed(s, f)
-			want := BeyondToleranceMixed(legacyMixedOnly{s}, f)
+			want := fromOracleBeyond(oracle.BeyondToleranceMixed(s, f))
 			if got.Evaluated != want.Evaluated || got.GraphConnected != want.GraphConnected ||
 				got.Shattered != want.Shattered ||
 				got.WorstComponentDiameter != want.WorstComponentDiameter ||
@@ -492,6 +477,6 @@ func TestMixedFacadeRouting(t *testing.T) {
 	if !res.Disconnected {
 		t.Fatal("two mixed faults disconnect the C6 edge routing")
 	}
-	want := MaxDiameterMixed(legacyMixedOnly{r}, 2, Config{Mode: Exhaustive})
+	want := fromOracleMixed(oracle.MaxDiameterMixed(r, 2, oc(Config{Mode: Exhaustive})))
 	sameMixedResult(t, "c6", res, want)
 }

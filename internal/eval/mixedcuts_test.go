@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"ftroute/internal/eval/oracle"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -142,7 +143,7 @@ func TestWorstMixedFaultsMatchesLegacy(t *testing.T) {
 				{Mode: Sampled, Samples: 10, Greedy: true, Seed: 5},
 			}
 			for _, cfg := range cfgs {
-				want := WorstMixedFaultsLegacy(it.ft, it.g, budget, cfg)
+				want := fromOracleMixedCuts(oracle.WorstMixedFaults(it.ft, it.g, budget, oc(cfg)))
 				got := WorstMixedFaults(it.ft, it.g, budget, cfg)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s budget %d cfg %+v: engine %v, legacy %v", it.name, budget, cfg, got, want)
@@ -194,7 +195,7 @@ func TestWorstLinkCutsBudgetOverLinks(t *testing.T) {
 			if got := WorstLinkCutsParallel(it.ft, it.g, m+5, cfg, 4); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s cfg %+v: parallel budget m+5 gave %v, budget m gave %v", it.name, cfg, got, want)
 			}
-			legacy := WorstLinkCutsLegacy(it.ft, it.g, m+5, cfg)
+			legacy := fromOracleCuts(oracle.WorstLinkCuts(it.ft, it.g, m+5, oc(cfg)))
 			if !reflect.DeepEqual(legacy, want) {
 				t.Fatalf("%s cfg %+v: legacy budget m+5 gave %v, budget m gave %v", it.name, cfg, legacy, want)
 			}
@@ -218,7 +219,7 @@ func TestWorstMixedFaultsBudgetOverUniverse(t *testing.T) {
 		if got := WorstMixedFaultsParallel(it.ft, it.g, items+3, cfg, 4); !reflect.DeepEqual(got, want) {
 			t.Fatalf("cfg %+v: parallel budget items+3 gave %v, budget items gave %v", cfg, got, want)
 		}
-		if got := WorstMixedFaultsLegacy(it.ft, it.g, items+3, cfg); !reflect.DeepEqual(got, want) {
+		if got := fromOracleMixedCuts(oracle.WorstMixedFaults(it.ft, it.g, items+3, oc(cfg))); !reflect.DeepEqual(got, want) {
 			t.Fatalf("cfg %+v: legacy budget items+3 gave %v, budget items gave %v", cfg, got, want)
 		}
 	}

@@ -58,22 +58,18 @@ var prunedGraphs = []string{"CCC(3)", "Q3", "C9", "CCC(4)"}
 
 // scoreOf re-evaluates a node-fault witness from scratch.
 func scoreOf(r *routing.Routing, faults *graph.Bitset) Result {
-	eng := engineFor(r)
+	eng := NewEngine(r)
 	eng.SetFaults(faults)
-	res := Result{WorstFaults: graph.NewBitset(eng.N())}
-	eng.fold(&res)
-	res.Evaluated = 0
-	return res
+	d, ok := eng.Diameter()
+	return Result{MaxDiameter: d, Disconnected: !ok, WorstFaults: faults}
 }
 
 // scoreOfMixed re-evaluates a mixed witness from scratch.
 func scoreOfMixed(r *routing.Routing, nodes *graph.Bitset, edges []routing.EdgeFault) MixedResult {
-	eng := engineFor(r)
+	eng := NewEngine(r)
 	eng.SetMixedFaults(nodes, edges)
-	res := MixedResult{WorstNodeFaults: graph.NewBitset(eng.N())}
-	eng.foldMixed(&res)
-	res.Evaluated = 0
-	return res
+	d, ok := eng.Diameter()
+	return MixedResult{MaxDiameter: d, Disconnected: !ok, WorstNodeFaults: nodes, WorstEdgeFaults: edges}
 }
 
 func TestPrunedMatchesPlainMaxDiameter(t *testing.T) {
@@ -232,9 +228,9 @@ func TestPrunedCCC4MixedFactor(t *testing.T) {
 	}
 }
 
-// TestPrunedFallsBack checks both fallback triggers: a graph with a
-// trivial automorphism group, and an arbitrary Survivor that is no
-// RouteSource. Results must match the plain search bit for bit.
+// TestPrunedFallsBack checks the fallback triggers: a graph with a
+// trivial automorphism group, and a routing that may not respect its
+// graph's symmetry. Results must match the plain search bit for bit.
 func TestPrunedFallsBack(t *testing.T) {
 	// Smallest asymmetric tree: path 0-1-2-3-4-5 plus leaf 6 on node 2.
 	g := graph.New(7)

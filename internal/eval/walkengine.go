@@ -34,7 +34,7 @@ import (
 //     was failed, plus the endpoint pairs of v.
 //
 // Each toggle therefore re-walks only the affected pairs, maintaining
-// CutStats incrementally, while the legacy path re-walks all P pairs
+// CutStats incrementally, while the oracle re-walks all P pairs
 // per probed fault set. Clone() shares the compiled arrays and copies
 // only the mutable walk cache, which is what the parallel adversary's
 // per-worker clones use.
@@ -71,6 +71,7 @@ type WalkEngine struct {
 	visitRows     []uint64  // node -> bitset over pairs with the node in visited
 	blockNodeRows []uint64  // node -> bitset over pairs with the node in blockedN
 	stats         CutStats
+	lambda        float64 // Config.SkippedWeight of the search running on the engine
 
 	// Walk scratch, per clone.
 	stamp   []int64 // node -> epoch of last visit (loop detection)
@@ -260,7 +261,7 @@ func (we *WalkEngine) Pair(i int) (src, dst int) {
 func (we *WalkEngine) Outcome(i int) routing.Outcome { return we.outcome[i] }
 
 // Stats returns the outcome counts over all pairs under the current
-// cut set — the value the legacy path recomputes with walkAllPairs.
+// cut set — the value EvaluateCuts recomputes by walking every pair.
 func (we *WalkEngine) Stats() CutStats { return we.stats }
 
 // DisruptedPairs returns the pairs currently blackholed or looping, in
@@ -364,8 +365,7 @@ func (we *WalkEngine) HasNodeFault(v int) bool {
 }
 
 // NodeFaultList returns the currently failed nodes, sorted. The empty
-// set is a non-nil empty slice, the canonical witness form shared with
-// the legacy oracle.
+// set is a non-nil empty slice, like MixedCutResult.WorstNodes.
 func (we *WalkEngine) NodeFaultList() []int {
 	return append(make([]int, 0, we.nodeFault.Count()), we.nodeFault.Elements()...)
 }
@@ -473,39 +473,6 @@ func (we *WalkEngine) SetMixedFaults(nodes []int, cuts []routing.EdgeFault) {
 		we.addNodeFault(v)
 	}
 	we.SetCuts(cuts)
-}
-
-// setMixedItemIDs is SetMixedFaults over a bitset of the n+m item
-// universe: item v < n is node v, item v >= n is edge v-n.
-func (we *WalkEngine) setMixedItemIDs(want *graph.Bitset) {
-	for _, v := range we.nodeFault.Elements() {
-		if !want.Has(v) {
-			we.removeNodeFault(v)
-		}
-	}
-	for _, id := range we.cut.Elements() {
-		if !want.Has(we.n + id) {
-			we.removeCut(id)
-		}
-	}
-	for _, v := range want.Elements() {
-		we.toggleMixedItem(v, true)
-	}
-}
-
-// toggleMixedItem adds or removes universe item v (node for v < n, edge
-// v-n otherwise) — the packet-level analogue of Engine.toggleItem.
-func (we *WalkEngine) toggleMixedItem(v int, add bool) {
-	switch {
-	case v < we.n && add:
-		we.addNodeFault(v)
-	case v < we.n:
-		we.removeNodeFault(v)
-	case add:
-		we.addCut(v - we.n)
-	default:
-		we.removeCut(v - we.n)
-	}
 }
 
 // Reset repairs every cut link and every failed node.

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"ftroute/internal/eval/oracle"
 	"reflect"
 	"testing"
 
@@ -131,7 +132,7 @@ func FuzzWalkEngineEquivalence(f *testing.F) {
 		// searches, witness and Evaluated included.
 		cfg := Config{Mode: Exhaustive}
 		got := WorstLinkCuts(ft, g, 1, cfg)
-		want := WorstLinkCutsLegacy(ft, g, 1, cfg)
+		want := fromOracleCuts(oracle.WorstLinkCuts(ft, g, 1, oc(cfg)))
 		if got.Evaluated != want.Evaluated || got.Stats != want.Stats ||
 			len(got.Worst) != len(want.Worst) {
 			t.Fatalf("adversary diverged: engine %v, legacy %v", got, want)
@@ -142,7 +143,7 @@ func FuzzWalkEngineEquivalence(f *testing.F) {
 			}
 		}
 		gotM := WorstMixedFaults(ft, g, 1, cfg)
-		wantM := WorstMixedFaultsLegacy(ft, g, 1, cfg)
+		wantM := fromOracleMixedCuts(oracle.WorstMixedFaults(ft, g, 1, oc(cfg)))
 		if !reflect.DeepEqual(gotM, wantM) {
 			t.Fatalf("mixed adversary diverged: engine %v, legacy %v", gotM, wantM)
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"ftroute/internal/eval/oracle"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -183,7 +184,7 @@ func TestWorstLinkCutsEngineMatchesLegacy(t *testing.T) {
 				{Mode: Sampled, Samples: 10, Greedy: true, Seed: 5},
 			}
 			for _, cfg := range cfgs {
-				want := WorstLinkCutsLegacy(it.ft, it.g, budget, cfg)
+				want := fromOracleCuts(oracle.WorstLinkCuts(it.ft, it.g, budget, oc(cfg)))
 				got := WorstLinkCuts(it.ft, it.g, budget, cfg)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s budget %d cfg %+v: engine %v, legacy %v", it.name, budget, cfg, got, want)

@@ -1,11 +1,11 @@
 package eval
 
 import (
+	"ftroute/internal/eval/oracle"
 	"reflect"
 	"testing"
 
 	"ftroute/internal/gen"
-	"ftroute/internal/graph"
 	"ftroute/internal/routing"
 )
 
@@ -32,7 +32,7 @@ func TestSkippedWeightMatchesLegacy(t *testing.T) {
 		{Samples: 50, Seed: 7, Greedy: true, SkippedWeight: 0.7},
 	} {
 		eng := WorstMixedFaults(ft, g, 2, cfg)
-		leg := WorstMixedFaultsLegacy(ft, g, 2, cfg)
+		leg := fromOracleMixedCuts(oracle.WorstMixedFaults(ft, g, 2, oc(cfg)))
 		if !reflect.DeepEqual(eng, leg) {
 			t.Fatalf("cfg %+v: engine %v, legacy %v", cfg, eng, leg)
 		}
@@ -49,7 +49,7 @@ func TestSkippedWeightZeroIsPlain(t *testing.T) {
 	plain := WorstMixedFaults(ft, g, 2, cfg)
 	cfg.SkippedWeight = 0
 	again := WorstMixedFaults(ft, g, 2, cfg)
-	leg := WorstMixedFaultsLegacy(ft, g, 2, cfg)
+	leg := fromOracleMixedCuts(oracle.WorstMixedFaults(ft, g, 2, oc(cfg)))
 	if !reflect.DeepEqual(plain, again) || !reflect.DeepEqual(plain, leg) {
 		t.Fatalf("λ=0 not bit-for-bit: engine %v, again %v, legacy %v", plain, again, leg)
 	}
@@ -131,24 +131,12 @@ func TestProfileMixedConsistency(t *testing.T) {
 			t.Fatalf("k=%d: profile prefix max %d, MaxDiameterMixed %d", k, worst, cum.MaxDiameter)
 		}
 	}
-	// The engine path and the legacy SurvivingGraph path must agree: a
-	// MixedSurvivor that hides its routes exercises the latter.
-	legacy := ProfileMixed(noRoutes{r}, f, Config{Mode: Exhaustive})
+	// The engine path and the oracle's rebuild-per-set SurvivingGraphMixed
+	// path must agree.
+	legacy := oracle.ProfileMixed(r, f, oc(Config{Mode: Exhaustive}))
 	if !reflect.DeepEqual(prof, legacy) {
 		t.Fatalf("engine profile %v, legacy profile %v", prof, legacy)
 	}
-}
-
-// noRoutes wraps a MixedSurvivor, hiding EachRoute so eval falls back
-// to the rebuild-from-scratch path.
-type noRoutes struct{ s MixedSurvivor }
-
-func (n noRoutes) Graph() *graph.Graph { return n.s.Graph() }
-func (n noRoutes) SurvivingGraph(f *graph.Bitset) *graph.Digraph {
-	return n.s.SurvivingGraph(f)
-}
-func (n noRoutes) SurvivingGraphMixed(f *graph.Bitset, e []routing.EdgeFault) *graph.Digraph {
-	return n.s.SurvivingGraphMixed(f, e)
 }
 
 func TestCheckToleranceMixedAgrees(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"ftroute/internal/core"
+	"ftroute/internal/eval"
 	"ftroute/internal/gen"
 	"ftroute/internal/graph"
 )
@@ -62,10 +63,7 @@ func runBipolar(id, title string, bound int, build func(*graph.Graph, core.Optio
 
 // evalRouting is the common shape of the two bipolar constructors'
 // routing result for runBipolar.
-type evalRouting interface {
-	SurvivingGraph(*graph.Bitset) *graph.Digraph
-	Graph() *graph.Graph
-}
+type evalRouting = eval.RouteSource
 
 // runE8 measures Theorem 20 / Figure 3: the unidirectional bipolar
 // routing is (4, t)-tolerant on two-trees graphs.

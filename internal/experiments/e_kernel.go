@@ -33,7 +33,7 @@ type workload struct {
 // maxEval is the shared evaluation policy: exhaustive when the number of
 // fault sets is manageable, sampled + greedy adversarial otherwise. It
 // reports the worst diameter (-1 for disconnection) and the method used.
-func maxEval(s eval.Survivor, f int, exhaustiveBudget int) (int, string) {
+func maxEval(s eval.RouteSource, f int, exhaustiveBudget int) (int, string) {
 	n := s.Graph().N()
 	sets := 1
 	binom := 1
