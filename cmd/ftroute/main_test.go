@@ -77,6 +77,13 @@ func TestParseGraphFromFile(t *testing.T) {
 	if _, err := parseGraph("file:" + filepath.Join(dir, "missing.txt")); err == nil {
 		t.Fatal("missing file should fail")
 	}
+	huge := filepath.Join(dir, "huge.txt")
+	if err := os.WriteFile(huge, []byte("n 100000000000\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseGraph("file:" + huge); err == nil {
+		t.Fatal("a node count above graph.MaxNodes should fail, not allocate")
+	}
 }
 
 func TestRunUsageErrors(t *testing.T) {

@@ -15,9 +15,13 @@ import (
 )
 
 // boundedSources builds the equivalence anchors the branch-and-bound
-// search is pinned against: a cycle edge routing, two symmetric paper
+// search is pinned against: a cycle edge routing, symmetric paper
 // constructions (orbit pruning kicks in when Pruned is set), and a
-// seeded asymmetric random graph (pruning falls back to plain).
+// seeded asymmetric random graph (pruning falls back to plain). The
+// circular routing at t = κ−1 has the hub-and-spoke, diameter-2 shape of
+// the benchmark routings (hubs of in-degree 22 of 24), where the
+// kernel's radius-0 and radius-1 skip balls fire; CCC(3)'s neighborhood
+// set is too small for the default K = 2t+1, so it uses MinimalK.
 func boundedSources(t *testing.T) map[string]*routing.Routing {
 	t.Helper()
 	srcs := make(map[string]*routing.Routing)
@@ -39,6 +43,11 @@ func boundedSources(t *testing.T) map[string]*routing.Routing {
 		t.Fatal(err)
 	}
 	srcs["ccc3-circular"] = cccr
+	hub, _, err := core.Circular(ccc, core.Options{MinimalK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs["ccc3-circular-t2"] = hub
 
 	rg, _, err := gen.GnpConnected(13, 0.3, 7, 50)
 	if err != nil {
@@ -191,17 +200,20 @@ func TestBoundedProfileMatchesOracle(t *testing.T) {
 // diameter and checks the three-way verdict of the pivot-pruned kernel
 // on random fault sets: above=true must report the exact diameter,
 // above=false certifies diameter ≤ bound, and disconnection matches.
+// The reference is the materialized surviving graph's Digraph
+// diameter, which shares no code with the Engine's BFS.
 func TestDiameterAboveAgreesWithDiameter(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for name, s := range boundedSources(t) {
 		eng := NewEngine(s)
 		n := s.Graph().N()
 		for trial := 0; trial < 30; trial++ {
-			eng.SetFaults(drawFaults(rng, n, rng.Intn(n/2+1)))
+			faults := drawFaults(rng, n, rng.Intn(n/2+1))
+			eng.SetFaults(faults)
 			if eng.AliveCount() <= 1 {
 				continue
 			}
-			d, conn := eng.Diameter()
+			d, conn := s.SurvivingGraph(faults).Diameter()
 			for bound := -1; bound <= d+2; bound++ {
 				for _, workers := range []int{1, 2} {
 					got, above, gConn := eng.diameterAbove(bound, workers)
@@ -225,15 +237,17 @@ func TestDiameterAboveAgreesWithDiameter(t *testing.T) {
 }
 
 // TestDiameterParallelMatchesDiameter checks the intra-diameter
-// source-parallel path against the serial kernel on random fault sets.
+// source-parallel path against the materialized surviving graph on
+// random fault sets.
 func TestDiameterParallelMatchesDiameter(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for name, s := range boundedSources(t) {
 		eng := NewEngine(s)
 		n := s.Graph().N()
 		for trial := 0; trial < 30; trial++ {
-			eng.SetFaults(drawFaults(rng, n, rng.Intn(n/2+1)))
-			d, conn := eng.Diameter()
+			faults := drawFaults(rng, n, rng.Intn(n/2+1))
+			eng.SetFaults(faults)
+			d, conn := s.SurvivingGraph(faults).Diameter()
 			for _, workers := range []int{1, 2, 8} {
 				dp, cp := eng.DiameterParallel(workers)
 				if cp != conn || (conn && dp != d) {
@@ -241,6 +255,50 @@ func TestDiameterParallelMatchesDiameter(t *testing.T) {
 						name, trial, workers, dp, cp, d, conn)
 				}
 			}
+		}
+	}
+}
+
+// recorder is a stub evaluator that records the thresholds it was last
+// asked to score against.
+type recorder struct{ bound, tie int }
+
+func (r *recorder) toggle(int, bool)         {}
+func (r *recorder) clone() *recorder         { return &recorder{} }
+func (r *recorder) reset()                   {}
+func (r *recorder) score(bound, tie int) int { r.bound, r.tie = bound, tie; return 0 }
+func (r *recorder) better(a, b int) bool     { return a > b }
+func (r *recorder) final(int) bool           { return false }
+
+// TestScoreAgainstIsPositionAware pins the tie rule of parallel
+// searches: a unit after the one that reached the shared incumbent
+// scores against the incumbent itself, while that unit, earlier units
+// and the root keep ties with it exact. A tie from an earlier unit
+// takes the mark over; one from a later unit does not.
+func TestScoreAgainstIsPositionAware(t *testing.T) {
+	s := newSearch[*recorder, int](&recorder{}, nil, 2)
+	s.raise(s.shared, 5, 3)
+	for _, c := range []struct{ unit, bound, tie int }{
+		{-1, 1, 5}, {2, 1, 5}, {3, 1, 5}, {4, 5, 0},
+	} {
+		w := &worker[*recorder]{ev: &recorder{}, unit: c.unit}
+		s.scoreAgainst(w, s.shared, 1)
+		if w.ev.bound != c.bound || w.ev.tie != c.tie {
+			t.Errorf("unit %d scored against (%d, %d), want (%d, %d)", c.unit, w.ev.bound, w.ev.tie, c.bound, c.tie)
+		}
+	}
+	for _, c := range []struct {
+		score, unit int
+		want        mark[int]
+	}{
+		{5, 7, mark[int]{5, 3}}, // a later tie keeps the mark
+		{5, 1, mark[int]{5, 1}}, // an earlier tie takes it over
+		{6, 9, mark[int]{6, 9}}, // a better score moves it
+		{4, 0, mark[int]{6, 9}}, // a worse one never does
+	} {
+		s.raise(s.shared, c.score, c.unit)
+		if got := s.shared.load(); got != c.want {
+			t.Errorf("after raise(%d, unit %d): mark %v, want %v", c.score, c.unit, got, c.want)
 		}
 	}
 }

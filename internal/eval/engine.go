@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,6 +53,8 @@ type RouteSource interface {
 // Diameter and reachability run as word-parallel BFS over the bitrows:
 // each level ORs the rows of the current frontier and masks out visited
 // nodes, 64 nodes per machine word, allocation-free after construction.
+// A level stops as soon as the rows ORed so far cover every remaining
+// target (see expand).
 //
 // An Engine is not safe for concurrent use; use Clone to give each
 // worker goroutine its own mutable state over the shared compiled form.
@@ -69,6 +72,7 @@ type Engine struct {
 	edgeID       map[int64]int32 // normalized u<<32|v -> edge id
 	eIdxOff      []int32         // edge -> offset into eIdxRoutes (len m+1)
 	eIdxRoutes   []int32         // concatenated route ids per edge
+	hubs         []int32         // nodes by decreasing fault-free in-degree, ties to the lower id
 
 	// Mutable fault state.
 	hits            []int32 // route id -> faults (node+edge) currently on the route
@@ -85,7 +89,7 @@ type Engine struct {
 	// BFS scratch, reused across calls.
 	bfs  *bfsScratch
 	mask []uint64
-	din  []int         // pivot distances for diameterAbove, lazily sized
+	skip []uint64      // sources diameterAbove's pivots certify (see skipBalls)
 	pool []*bfsScratch // per-worker scratch for DiameterParallel, lazily grown
 }
 
@@ -108,8 +112,9 @@ func newBFSScratch(words int) *bfsScratch {
 
 // diamExtraPivots is the number of extra high-in-degree pivots the
 // branch-and-bound diameter kernel adds to the first-alive pivot. Each
-// costs 2 BFS per call; in exchange a hub pivot with small
-// out-eccentricity certifies a skip for every one of its in-neighbors.
+// costs one BFS per call; in exchange a hub pivot whose out-eccentricity
+// sits one below the limit certifies a skip for every one of its
+// in-neighbors.
 const diamExtraPivots = 4
 
 // NewEngine compiles src into an incremental evaluation engine with an
@@ -128,6 +133,7 @@ func NewEngine(src RouteSource) *Engine {
 		aliveCount: n,
 		bfs:        newBFSScratch(words),
 		mask:       make([]uint64, words),
+		skip:       make([]uint64, words),
 	}
 	edges := g.Edges()
 	e.edgeID = make(map[int64]int32, len(edges))
@@ -201,9 +207,16 @@ func NewEngine(src RouteSource) *Engine {
 	e.deadRoutes = make([]int32, len(e.pairU))
 	e.alivePairs = len(e.pairU)
 	e.alive = make([]uint64, words)
+	indeg := make([]int, n)
+	e.hubs = make([]int32, n)
 	for v := 0; v < n; v++ {
 		e.alive[v>>6] |= 1 << (uint(v) & 63)
+		for _, tw := range e.adjT[v*words : (v+1)*words] {
+			indeg[v] += bits.OnesCount64(tw)
+		}
+		e.hubs[v] = int32(v)
 	}
+	slices.SortStableFunc(e.hubs, func(a, b int32) int { return indeg[b] - indeg[a] })
 	return e
 }
 
@@ -232,7 +245,7 @@ func (e *Engine) Clone() *Engine {
 	c.efaults = e.efaults.Clone()
 	c.bfs = newBFSScratch(e.words)
 	c.mask = make([]uint64, e.words)
-	c.din = nil
+	c.skip = make([]uint64, e.words)
 	c.pool = nil
 	return &c
 }
@@ -443,12 +456,22 @@ func (e *Engine) SetMixedFaults(nodes *graph.Bitset, edges []routing.EdgeFault) 
 // from src, e.adjT for distances to it) of the frontier nodes and masks
 // out visited nodes, 64 nodes per machine word, on the caller's
 // scratch s, so source-parallel workers can share the read-only rows.
-// Nodes outside mask (nil means all) are neither reached nor expanded.
-// The loop stops once target nodes, src included, are covered, or when
-// a level reaches nothing new. It returns the number of levels and
-// whether target was covered, (0, false) if not. A non-nil dist
-// receives every node's level, graph.Unreachable for nodes not reached.
-func (e *Engine) bfsFrom(rows []uint64, src int, mask []uint64, target int, s *bfsScratch, dist []int) (int, bool) {
+// The targets are the nodes of mask, or every alive node when mask is
+// nil; nodes outside mask are neither reached nor expanded. The loop
+// stops once every target, src included, is covered, after levels
+// levels, or when a level reaches nothing new. It returns the number of
+// levels and whether every target was covered, (0, false) if not. A
+// non-nil dist receives every node's level, graph.Unreachable for nodes
+// not reached. s.visited holds the nodes reached, except when a level
+// stopped early on coverage (see expand): the result is then true.
+func (e *Engine) bfsFrom(rows []uint64, src int, mask []uint64, levels int, s *bfsScratch, dist []int) (int, bool) {
+	want, target := e.alive, e.aliveCount
+	if mask != nil {
+		want, target = mask, 0
+		for _, mw := range mask {
+			target += bits.OnesCount64(mw)
+		}
+	}
 	visited, cur, next := s.visited, s.cur, s.next
 	clear(visited)
 	clear(cur)
@@ -462,8 +485,20 @@ func (e *Engine) bfsFrom(rows []uint64, src int, mask []uint64, target int, s *b
 	}
 	covered, level := 1, 0
 	for covered < target {
-		expand(rows, cur, next)
+		if level == levels {
+			return 0, false
+		}
 		level++
+		if expand(rows, cur, next, visited, want) {
+			if dist != nil {
+				for i, tw := range want {
+					for nw := tw &^ visited[i]; nw != 0; nw &= nw - 1 {
+						dist[i<<6|bits.TrailingZeros64(nw)] = level
+					}
+				}
+			}
+			return level, true
+		}
 		fresh := 0
 		for i := range next {
 			nw := next[i] &^ visited[i]
@@ -490,25 +525,49 @@ func (e *Engine) bfsFrom(rows []uint64, src int, mask []uint64, target int, s *b
 	return level, true
 }
 
-// expand sets next to the union of the rows of the nodes in cur.
-func expand(rows, cur, next []uint64) {
+// expand sets next to the union of the rows of the nodes in cur, or
+// stops early and reports true once visited and next together cover
+// want. Coverage is tested after the 1st, 2nd, 4th, 8th, … row: on a
+// hub-and-spoke route graph the first hub row of the last level covers
+// nearly every node, so the level skips most of its rows, while a level
+// that cannot finish pays only a logarithmic number of tests, each of
+// which stops at the first uncovered word.
+func expand(rows, cur, next, visited, want []uint64) bool {
 	clear(next)
 	words := len(next)
+	row, test := 0, 1
 	for wi, w := range cur {
 		for ; w != 0; w &= w - 1 {
 			u := wi<<6 | bits.TrailingZeros64(w)
 			for i, rw := range rows[u*words : (u+1)*words] {
 				next[i] |= rw
 			}
+			if row++; row == test {
+				test <<= 1
+				if covers(want, visited, next) {
+					return true
+				}
+			}
 		}
 	}
+	return false
+}
+
+// covers reports whether every node of want is in visited or next.
+func covers(want, visited, next []uint64) bool {
+	for i, w := range want {
+		if w&^visited[i]&^next[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // eccentricity returns the number of levels a BFS from src needs to
 // reach every alive node, or (0, false) if some alive node is
 // unreachable from src.
 func (e *Engine) eccentricity(src int) (int, bool) {
-	return e.bfsFrom(e.adj, src, nil, e.aliveCount, e.bfs, nil)
+	return e.bfsFrom(e.adj, src, nil, e.n, e.bfs, nil)
 }
 
 // Diameter returns the directed diameter of the current surviving route
@@ -533,90 +592,69 @@ func (e *Engine) Diameter() (int, bool) {
 
 // firstAlive returns the smallest nonfaulty node, or -1 if none.
 func (e *Engine) firstAlive() int {
-	for v := 0; v < e.n; v++ {
-		if !e.faults.Has(v) {
-			return v
+	for i, aw := range e.alive {
+		if aw != 0 {
+			return i<<6 | bits.TrailingZeros64(aw)
 		}
 	}
 	return -1
 }
 
 // pivots is the result of the branch-and-bound kernel's pivot phase:
-// for each of k pivots, its exact out-eccentricity and every node's
-// distance to it.
+// k pivot nodes and their exact out-eccentricities.
 type pivots struct {
-	k   int
-	ecc [1 + diamExtraPivots]int
-	din [1 + diamExtraPivots][]int
-}
-
-// upper is the triangle bound min_p d(v,p) + ecc(p) on ecc(v), refined
-// only while it stays above limit. A pivot's own bound is its exact
-// eccentricity, since its distance to itself is 0.
-func (p *pivots) upper(v, limit int) int {
-	ub := p.din[0][v] + p.ecc[0]
-	for h := 1; h < p.k && ub > limit; h++ {
-		ub = min(ub, p.din[h][v]+p.ecc[h])
-	}
-	return ub
+	k    int
+	node [1 + diamExtraPivots]int
+	ecc  [1 + diamExtraPivots]int
 }
 
 // pivot runs the pivot phase: pivot 0 is the first alive node, the
-// others are up to diamExtraPivots further alive nodes of maximal
-// in-degree. It returns the pivots and the largest of their
-// eccentricities, or false when the surviving graph is disconnected,
-// which pivot 0's forward and reverse BFS decide exactly.
+// others are the first diamExtraPivots further alive nodes of the
+// compiled in-degree order, each measured by one forward BFS. It
+// returns the pivots and the largest of their eccentricities, or false
+// when some pivot cannot reach every alive node.
 func (e *Engine) pivot() (pivots, int, bool) {
 	var p pivots
-	if len(e.din) < e.n*len(p.din) {
-		e.din = make([]int, e.n*len(p.din))
-	}
 	worst := 0
-	measure := func(h, v int) bool {
+	measure := func(v int) bool {
 		ecc, ok := e.eccentricity(v)
-		p.ecc[h], worst = ecc, max(worst, ecc)
-		p.din[h] = e.din[h*e.n : (h+1)*e.n]
-		if ok {
-			_, ok = e.bfsFrom(e.adjT, v, nil, e.aliveCount, e.bfs, p.din[h])
-		}
+		p.node[p.k], p.ecc[p.k] = v, ecc
+		p.k++
+		worst = max(worst, ecc)
 		return ok
 	}
-	var nodes, degs [1 + diamExtraPivots]int
-	nodes[0] = e.firstAlive()
-	if !measure(0, nodes[0]) {
+	first := e.firstAlive()
+	if !measure(first) {
 		return p, 0, false
 	}
-	// The graph is connected from here on. The hubs are the other alive
-	// nodes by decreasing in-degree, ties to the lower id.
-	p.k = 1
-	for i, aw := range e.alive {
-		for w := aw; w != 0; w &= w - 1 {
-			v := i<<6 | bits.TrailingZeros64(w)
-			if v == nodes[0] {
-				continue
-			}
-			deg := 0
-			for _, tw := range e.adjT[v*e.words : (v+1)*e.words] {
-				deg += bits.OnesCount64(tw)
-			}
-			j := p.k
-			if j < len(nodes) {
-				p.k++
-			} else if deg <= degs[j-1] {
-				continue
-			} else {
-				j--
-			}
-			for ; j > 1 && deg > degs[j-1]; j-- {
-				nodes[j], degs[j] = nodes[j-1], degs[j-1]
-			}
-			nodes[j], degs[j] = v, deg
+	for _, h := range e.hubs {
+		if p.k == len(p.node) {
+			break
+		}
+		if v := int(h); v != first && !e.faults.Has(v) && !measure(v) {
+			return p, 0, false
 		}
 	}
-	for h := 1; h < p.k; h++ {
-		measure(h, nodes[h])
-	}
 	return p, worst, true
+}
+
+// skipBalls sets e.skip to the union, over the pivots p, of the reverse
+// balls B⁻(p, limit − ecc(p)): the nodes within that many hops of p.
+// A ball member v has ecc(v) ≤ d(v,p) + ecc(p) ≤ limit by the triangle
+// inequality, and it reaches every alive node through p. Each ball is a
+// reverse BFS capped at its radius, which on the paper's route graphs is
+// usually 0 (just p) or 1 (p's in-row).
+func (e *Engine) skipBalls(p *pivots, limit int) {
+	clear(e.skip)
+	for h := 0; h < p.k; h++ {
+		if _, all := e.bfsFrom(e.adjT, p.node[h], nil, limit-p.ecc[h], e.bfs, nil); all {
+			copy(e.skip, e.alive)
+			return
+		}
+		for i, vw := range e.bfs.visited {
+			e.skip[i] |= vw
+		}
+	}
 }
 
 // diameterAbove is the branch-and-bound diameter kernel and the only
@@ -627,23 +665,23 @@ func (e *Engine) pivot() (pivots, int, bool) {
 // connected false matches Diameter()'s (0, false) exactly.
 //
 // Instead of one BFS per source, it works through a handful of pivots
-// (see pivot). Each pivot p gets a forward BFS (exact eccOut(p)) and a
-// reverse BFS over the transposed bitrows (every node's distance to
-// p). Disconnection detection is exact — every alive pair connects
-// through pivot 0 iff its two BFS cover all alive nodes. Any other
-// source v has ecc(v) ≤ min_p(d(v,p) + eccOut(p)) by the triangle
-// inequality, so sources whose upper bound cannot beat max(bound,
-// runningMax) are skipped without a BFS; the rest get exact
-// eccentricities, on workers goroutines when workers > 1. A skipped
-// source can never hold a value above the returned maximum, which
-// keeps the exact-when-above contract.
+// (see pivot), each with an exact forward BFS. Any other source v has
+// ecc(v) ≤ d(v,p) + ecc(p) by the triangle inequality, so the sources
+// in the reverse balls around the pivots (see skipBalls) cannot beat
+// limit = max(bound, runningMax) and are skipped without a BFS; the
+// rest get exact eccentricities, on workers goroutines when workers > 1.
+// A skipped source can never hold a value above the returned maximum,
+// which keeps the exact-when-above contract. Disconnection detection is
+// exact too: a ball member reaches every node through its pivot, and
+// every other alive source gets its own BFS.
 //
 // High-in-degree pivots are what make this effective on the paper
 // constructions: their route graphs are hub-and-spoke (a hub with
 // in-degree k and out-eccentricity 2 certifies ecc ≤ 3 for all k of
 // its in-neighbors at once), so once the enumeration's incumbent
-// reaches hubEcc+1, nearly every source is skipped and a fault set
-// costs ~2·(1+diamExtraPivots) BFS instead of n.
+// reaches hubEcc+1, nearly every source is skipped. When the incumbent
+// ties the hubs' eccentricity the balls shrink to the pivots
+// themselves, and the coverage-stopped levels of bfsFrom carry the cost.
 //
 // The caller must ensure at least one alive node exists.
 //
@@ -659,10 +697,13 @@ func (e *Engine) diameterAbove(bound, workers int) (int, bool, bool) {
 		}
 	}
 	p, worst, ok := e.pivot()
-	if ok && workers > 1 {
-		worst, ok = e.sourcesParallel(p, worst, bound, workers)
-	} else if ok {
-		worst, ok = e.sources(&p, worst, bound)
+	if ok {
+		e.skipBalls(&p, max(worst, bound))
+		if workers > 1 {
+			worst, ok = e.sourcesParallel(worst, workers)
+		} else {
+			worst, ok = e.sources(&p, worst, bound)
+		}
 	}
 	if !ok {
 		return 0, false, false
@@ -673,63 +714,60 @@ func (e *Engine) diameterAbove(bound, workers int) (int, bool, bool) {
 	return 0, false, true
 }
 
-// sources raises worst to the eccentricity of every alive source the
-// pivots cannot certify at most max(worst, bound), in node order. It
-// reports false on a disconnection.
+// sources runs a BFS from every alive source outside e.skip, in node
+// order. A source above the limit max(worst, bound) becomes the new
+// worst and limit, and the balls regrow for it, so the result is exact
+// whenever it ends above bound. It reports false on a disconnection.
 func (e *Engine) sources(p *pivots, worst, bound int) (int, bool) {
+	limit := max(worst, bound)
 	for i, aw := range e.alive {
-		for w := aw; w != 0; w &= w - 1 {
-			v := i<<6 | bits.TrailingZeros64(w)
-			if limit := max(worst, bound); p.upper(v, limit) <= limit {
-				continue
-			}
-			ecc, ok := e.eccentricity(v)
+		// e.skip only grows, so re-masking after each source is exact.
+		for w := aw &^ e.skip[i]; w != 0; w = w & (w - 1) &^ e.skip[i] {
+			ecc, ok := e.eccentricity(i<<6 | bits.TrailingZeros64(w))
 			if !ok {
 				return 0, false
 			}
-			worst = max(worst, ecc)
+			if ecc > limit {
+				worst, limit = ecc, ecc
+				e.skipBalls(p, limit)
+			}
 		}
 	}
 	return worst, true
 }
 
-// sourcesParallel is sources with the sources stolen from a shared
-// counter by workers that share the read-only bitrows and pivot
-// distances, each on pooled BFS scratch, feeding an atomic running
-// maximum into the skip test. The maximum is order-independent and
-// skipped sources are provably at most it, so the result equals the
-// serial loop's.
-func (e *Engine) sourcesParallel(p pivots, worst, bound, workers int) (int, bool) {
+// sourcesParallel is sources with the alive words outside e.skip stolen
+// from a shared counter by workers that share the read-only bitrows and
+// skip set, each on pooled BFS scratch, folding into an atomic running
+// maximum. The balls stay those of the starting limit, so a skipped
+// source is at most that limit, and the result is exact whenever it ends
+// above bound, as the serial loop's is.
+func (e *Engine) sourcesParallel(worst, workers int) (int, bool) {
 	for len(e.pool) < workers {
 		e.pool = append(e.pool, newBFSScratch(e.words))
 	}
-	var maxEcc, nextSrc atomic.Int64
+	var maxEcc, nextWord atomic.Int64
 	maxEcc.Store(int64(worst))
 	var disc atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func(s *bfsScratch) {
 			defer wg.Done()
-			for {
-				v := int(nextSrc.Add(1)) - 1
-				if v >= e.n || disc.Load() {
-					return
+			for i := int(nextWord.Add(1)) - 1; i < e.words; i = int(nextWord.Add(1)) - 1 {
+				for w := e.alive[i] &^ e.skip[i]; w != 0; w &= w - 1 {
+					if disc.Load() {
+						return
+					}
+					ecc, ok := e.bfsFrom(e.adj, i<<6|bits.TrailingZeros64(w), nil, e.n, s, nil)
+					if !ok {
+						disc.Store(true)
+						return
+					}
+					casMax(&maxEcc, int64(ecc))
 				}
-				if e.faults.Has(v) {
-					continue
-				}
-				if limit := max(int(maxEcc.Load()), bound); p.upper(v, limit) <= limit {
-					continue
-				}
-				ecc, ok := e.bfsFrom(e.adj, v, nil, e.aliveCount, s, nil)
-				if !ok {
-					disc.Store(true)
-					return
-				}
-				casMax(&maxEcc, int64(ecc))
 			}
-		}(e.pool[w])
+		}(e.pool[k])
 	}
 	wg.Wait()
 	return int(maxEcc.Load()), !disc.Load()
@@ -827,17 +865,15 @@ func (e *Engine) DiameterExcluding(excluded *graph.Bitset) (int, bool) {
 		return e.Diameter()
 	}
 	copy(e.mask, e.alive)
-	target := e.aliveCount
 	for _, v := range excluded.Elements() {
-		if v < e.n && !e.faults.Has(v) {
+		if v < e.n {
 			e.mask[v>>6] &^= 1 << (uint(v) & 63)
-			target--
 		}
 	}
 	diam := 0
 	for i, mw := range e.mask {
 		for w := mw; w != 0; w &= w - 1 {
-			ecc, ok := e.bfsFrom(e.adj, i<<6|bits.TrailingZeros64(w), e.mask, target, e.bfs, nil)
+			ecc, ok := e.bfsFrom(e.adj, i<<6|bits.TrailingZeros64(w), e.mask, e.n, e.bfs, nil)
 			if !ok {
 				return 0, false
 			}
@@ -859,7 +895,7 @@ func (e *Engine) DistancesFrom(src int, dist []int) {
 		}
 		return
 	}
-	e.bfsFrom(e.adj, src, nil, e.aliveCount, e.bfs, dist)
+	e.bfsFrom(e.adj, src, nil, e.n, e.bfs, dist)
 }
 
 // HasArc reports whether the arc u→v currently survives.

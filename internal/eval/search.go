@@ -63,21 +63,33 @@ type best[S any] struct {
 }
 
 // incumbent is a score shared between the workers of one search (or of
-// one greedy round), raised as exact scores are found.
-type incumbent[S any] struct{ p atomic.Pointer[S] }
+// one greedy round), raised as exact scores are found, together with
+// the earliest work unit known to reach it.
+type incumbent[S any] struct{ p atomic.Pointer[mark[S]] }
 
-func (in *incumbent[S]) load() S {
+// mark is an incumbent score and the work unit (the greedy candidate
+// index, in a greedy round) that reached it. The empty set, folded on
+// the root before any unit, is unit -1; greedy's grown sets, folded
+// after every unit, are unit math.MaxInt, as is the bottom score.
+type mark[S any] struct {
+	score S
+	unit  int
+}
+
+func (in *incumbent[S]) load() mark[S] {
 	if p := in.p.Load(); p != nil {
 		return *p
 	}
 	var bottom S
-	return bottom
+	return mark[S]{bottom, math.MaxInt}
 }
 
-// worker is one goroutine's evaluator and the sorted set it holds.
+// worker is one goroutine's evaluator, the sorted set it holds, and the
+// work unit it runs: -1 on the root and in serial searches.
 type worker[E interface{ toggle(int, bool) }] struct {
-	ev  E
-	cur []int
+	ev   E
+	cur  []int
+	unit int
 }
 
 // moveTo morphs the worker's set into the sorted set next with single
@@ -119,7 +131,7 @@ func newSearch[E evaluator[E, S], S any](root E, items []int, workers int) *sear
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &search[E, S]{root: root, items: items, workers: workers, shared: new(incumbent[S]), main: worker[E]{ev: root}}
+	return &search[E, S]{root: root, items: items, workers: workers, shared: new(incumbent[S]), main: worker[E]{ev: root, unit: -1}}
 }
 
 // universe lists the item ids of a search over n nodes and m links.
@@ -139,33 +151,50 @@ func universe(n, m int, nodes, links bool) []int {
 }
 
 // improve makes sc the incumbent of b, with set as witness, if it is
-// strictly better, publishing exact scores to the search's incumbent.
-func (s *search[E, S]) improve(b *best[S], sc S, set []int) {
+// strictly better, publishing exact scores, reached by unit, to the
+// search's incumbent.
+func (s *search[E, S]) improve(b *best[S], sc S, set []int, unit int) {
 	if !s.root.better(sc, b.score) {
 		return
 	}
 	if s.root.final(sc) {
 		b.pre = b.score
 	} else {
-		s.raise(s.shared, sc)
+		s.raise(s.shared, sc, unit)
 	}
 	b.score = sc
 	b.items = append(make([]int, 0, len(set)), set...)
 	sort.Ints(b.items)
 }
 
-// raise lifts in to sc when sc is better.
-func (s *search[E, S]) raise(in *incumbent[S], sc S) {
+// raise lifts in to sc, reached by unit, when sc is better, or when sc
+// ties it and unit comes first.
+func (s *search[E, S]) raise(in *incumbent[S], sc S, unit int) {
 	for {
 		cur := in.p.Load()
-		if cur != nil && !s.root.better(sc, *cur) || in.p.CompareAndSwap(cur, ptr(sc)) {
+		if cur != nil && (s.root.better(cur.score, sc) || !s.root.better(sc, cur.score) && cur.unit <= unit) {
+			return
+		}
+		if in.p.CompareAndSwap(cur, &mark[S]{sc, unit}) {
 			return
 		}
 	}
 }
 
-// ptr returns a pointer to a copy of v.
-func ptr[T any](v T) *T { return &v }
+// scoreAgainst scores the worker's set against bound and the incumbent
+// in. A set of a unit after the one that reached in can only tie it
+// behind that unit's witness, so it scores against in itself, which is
+// never below bound since every exact improvement raises in; the other
+// units keep ties with in exact, which is what leaves the first
+// achiever of the final score its witness after the ordered merge.
+func (s *search[E, S]) scoreAgainst(w *worker[E], in *incumbent[S], bound S) S {
+	m := in.load()
+	if w.unit > m.unit {
+		var bottom S
+		return w.ev.score(m.score, bottom)
+	}
+	return w.ev.score(bound, m.score)
+}
 
 // fold counts the worker's current set mult times and scores it against
 // b's incumbent, unless b is frozen.
@@ -174,7 +203,7 @@ func (s *search[E, S]) fold(w *worker[E], b *best[S], mult int) {
 	if s.root.final(b.score) {
 		return
 	}
-	s.improve(b, w.ev.score(b.score, s.shared.load()), w.cur)
+	s.improve(b, s.scoreAgainst(w, s.shared, b.score), w.cur, w.unit)
 }
 
 // visitSet folds (or visits) the worker's current set.
@@ -316,8 +345,9 @@ func (s *search[E, S]) greedy(b *best[S], f int) {
 	var grown []int
 	var bottom S
 	for round := 0; round < f; round++ {
-		// Probes score against the round's incumbent (ties exact), and a
-		// final verdict makes every later candidate unwinnable.
+		// Probes score against the round's incumbent (ties exact up to
+		// the candidate that reached it), and a final verdict makes every
+		// later candidate unwinnable.
 		var inc incumbent[S]
 		var minFinal atomic.Int64
 		minFinal.Store(int64(n))
@@ -327,13 +357,13 @@ func (s *search[E, S]) greedy(b *best[S], f int) {
 				return
 			}
 			w.ev.toggle(s.items[i], true)
-			sc := w.ev.score(bottom, inc.load())
+			sc := s.scoreAgainst(w, &inc, bottom)
 			w.ev.toggle(s.items[i], false)
 			verdicts[i] = sc
 			if s.root.final(sc) {
 				casMin(&minFinal, int64(i))
 			} else {
-				s.raise(&inc, sc)
+				s.raise(&inc, sc, w.unit)
 			}
 		})
 		win, ws := -1, bottom
@@ -357,7 +387,7 @@ func (s *search[E, S]) greedy(b *best[S], f int) {
 				w.ev.toggle(s.items[win], true)
 			}
 		}
-		s.improve(b, ws, grown)
+		s.improve(b, ws, grown, math.MaxInt)
 		if s.root.final(ws) {
 			break
 		}
@@ -377,7 +407,9 @@ func (s *search[E, S]) greedy(b *best[S], f int) {
 //
 // Workers score against the incumbent every unit raises, which is
 // exact as long as no unit is final: a set skipped against a later
-// unit's score is below the final best. When a unit d is final, though,
+// unit's score is below the final best, and a set skipped for tying an
+// earlier unit's score cannot be the first to reach it (see
+// scoreAgainst). When a unit d is final, though,
 // the result only keeps units up to d, and a score a later unit raised
 // while they ran may have hidden their pre-freeze best. Units up to d
 // then run again with the units after d count-only from the start.
@@ -420,7 +452,7 @@ func (s *search[E, S]) units(b *best[S], k int, unit func(w *worker[E], u int, b
 		}
 		*b, last = start, d
 		s.shared = new(incumbent[S])
-		s.raise(s.shared, start.score)
+		s.raise(s.shared, start.score, -1)
 	}
 }
 
@@ -447,8 +479,9 @@ func (s *search[E, S]) merge(b *best[S], r best[S]) {
 
 // each is the work-stealing executor: workers claim units 0..k-1 from a
 // shared counter, each on its own clone of the root, created on its
-// first claim and kept for the rest of the search. With one worker the
-// units run in order on the root.
+// first claim and kept for the rest of the search, and labelled with
+// the unit it runs. With one worker the units run in order on the root,
+// which stays unit -1, so serial searches keep ties exact.
 func (s *search[E, S]) each(k int, fn func(w *worker[E], u int)) {
 	if s.workers == 1 {
 		for u := 0; u < k; u++ {
@@ -470,6 +503,7 @@ func (s *search[E, S]) each(k int, fn func(w *worker[E], u int)) {
 				if s.pool[i] == nil {
 					s.pool[i] = &worker[E]{ev: s.root.clone()}
 				}
+				s.pool[i].unit = u
 				fn(s.pool[i], u)
 			}
 		}(i)

@@ -9,6 +9,23 @@ import (
 	"strings"
 )
 
+// MaxNodes is the largest node count ReadEdgeList and UnmarshalJSON
+// accept. It is far above every generator and anchor in this module
+// (the largest has 5,000 nodes), and small enough that the graph New
+// allocates for it (24 bytes a node, 24 MiB) cannot exhaust memory, so
+// a one-line header cannot crash the process that decodes it. Whatever
+// is built on the graph later needs its own budget: an eval.Engine keeps
+// n²/4 bytes of bitrows, 256 GiB at MaxNodes.
+const MaxNodes = 1 << 20
+
+// checkNodes rejects a decoded node count outside 0..MaxNodes.
+func checkNodes(n int) error {
+	if n < 0 || n > MaxNodes {
+		return fmt.Errorf("node count %d outside 0..MaxNodes (%d)", n, MaxNodes)
+	}
+	return nil
+}
+
 // WriteEdgeList writes the graph in a plain text format:
 //
 //	n <nodes>
@@ -30,8 +47,9 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the WriteEdgeList format. Duplicate edges and
-// self-loops are rejected.
+// ReadEdgeList parses the WriteEdgeList format. Duplicate edges,
+// self-loops, and node counts that are negative or above MaxNodes are
+// rejected.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	var g *Graph
@@ -48,8 +66,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: want header \"n <count>\", got %q", line, text)
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
+			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[1])
+			}
+			if err := checkNodes(n); err != nil {
+				return nil, fmt.Errorf("graph: line %d: %w", line, err)
 			}
 			g = New(n)
 			continue
@@ -89,11 +110,15 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(graphJSON{Nodes: g.N(), Edges: g.Edges()})
 }
 
-// UnmarshalJSON decodes the MarshalJSON format.
+// UnmarshalJSON decodes the MarshalJSON format, with the same checks as
+// ReadEdgeList.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var wire graphJSON
 	if err := json.Unmarshal(data, &wire); err != nil {
 		return err
+	}
+	if err := checkNodes(wire.Nodes); err != nil {
+		return fmt.Errorf("graph: %w", err)
 	}
 	fresh := New(wire.Nodes)
 	for _, e := range wire.Edges {

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -78,6 +79,39 @@ func TestGraphJSONRejectsBadEdges(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{broken`), &g); err == nil {
 		t.Fatal("syntax error should fail")
+	}
+}
+
+// TestDecodersRejectBadNodeCounts checks both decoders return an error,
+// rather than panicking in New or running out of memory, on node counts
+// outside 0..MaxNodes, and accept the bounds themselves.
+func TestDecodersRejectBadNodeCounts(t *testing.T) {
+	cases := []struct {
+		name  string
+		nodes string
+		ok    bool
+	}{
+		{"negative", "-1", false},
+		{"huge", "100000000000", false},
+		{"above MaxNodes", fmt.Sprint(MaxNodes + 1), false},
+		{"zero", "0", true},
+		{"MaxNodes", fmt.Sprint(MaxNodes), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var g Graph
+			err := json.Unmarshal([]byte(`{"nodes": `+tc.nodes+`, "edges": []}`), &g)
+			if (err == nil) != tc.ok {
+				t.Fatalf("UnmarshalJSON nodes=%s: err = %v", tc.nodes, err)
+			}
+			h, err := ReadEdgeList(strings.NewReader("n " + tc.nodes + "\n"))
+			if (err == nil) != tc.ok {
+				t.Fatalf("ReadEdgeList n=%s: err = %v", tc.nodes, err)
+			}
+			if tc.ok && (g.N() != h.N() || fmt.Sprint(h.N()) != tc.nodes) {
+				t.Fatalf("decoded %d and %d nodes, want %s", g.N(), h.N(), tc.nodes)
+			}
+		})
 	}
 }
 
