@@ -370,6 +370,20 @@ func BenchmarkExhaustiveMixedEngineParallelCCC4F2(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileMixedCCC4F2 is ProfileMixed exhaustive at f=2 on the
+// anchor instance: the same 12881 mixed sets as
+// BenchmarkExhaustiveMixedEngineCCC4F2, walked one exact size at a time,
+// each size on GOMAXPROCS workers (CI-gated against that serial search).
+func BenchmarkProfileMixedCCC4F2(b *testing.B) {
+	r := ccc4Circular(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p := eval.ProfileMixed(r, 2, eval.Config{Mode: eval.Exhaustive}); len(p) != 3 || p[2] < 0 {
+			b.Fatalf("profile %v", p)
+		}
+	}
+}
+
 // --- Static-failover benchmarks (see internal/routing failover) ---
 //
 // The anchor instance again: CCC(4) circular reinforced with 2 backup

@@ -38,6 +38,15 @@ func TestParseGraphSpecs(t *testing.T) {
 		{"grid", 0, true, true},
 		{"ccc:x", 0, true, true},
 		{"grid:3xq", 0, true, true},
+		// Sizes that overflow an int or exceed graph.MaxNodes are errors,
+		// not panics or out-of-memory crashes.
+		{"grid:4294967296x4294967296", 0, true, false},
+		{"torus:3037000500x3037000500", 0, true, false},
+		{"harary:3x4611686018427387904", 0, true, false},
+		{"regular:4611686018427387904:3:1", 0, true, false},
+		{"gnp:4611686018427387904:0.5:1", 0, true, false},
+		{"path:4611686018427387904", 0, true, false},
+		{"cycle:2000000000", 0, true, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.spec, func(t *testing.T) {

@@ -195,13 +195,17 @@ var (
 	ConcentratorAdversary = eval.ConcentratorAdversary
 	// CheckTolerance verifies a (d, f)-tolerance claim.
 	CheckTolerance = eval.CheckTolerance
-	// DiameterProfile reports worst diameters per fault count 0..f.
+	// DiameterProfile reports worst diameters per fault count 0..f, f
+	// clamped to the node count. Each count runs on GOMAXPROCS workers
+	// and returns the sequential search's result.
 	DiameterProfile = eval.Profile
 	// CheckToleranceMixed verifies a (d, f)-tolerance claim over mixed
 	// node∪edge fault sets of total size ≤ f.
 	CheckToleranceMixed = eval.CheckToleranceMixed
 	// MixedDiameterProfile reports worst surviving diameters per exact
-	// mixed fault-set size 0..f (−1 marks disconnection).
+	// mixed fault-set size 0..f (−1 marks disconnection), f clamped to
+	// the node and link count, on GOMAXPROCS workers with the sequential
+	// result.
 	MixedDiameterProfile = eval.ProfileMixed
 	// NewEvalEngine compiles a routing into an incremental engine.
 	NewEvalEngine = eval.NewEngine

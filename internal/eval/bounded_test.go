@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ftroute/internal/core"
@@ -183,15 +184,63 @@ func TestBoundedMatchesOracleMixed(t *testing.T) {
 }
 
 // TestBoundedProfileMatchesOracle pins the exact-k profiles to the
-// oracle's on both universes.
+// oracle's on both universes, exhaustive and sampled+greedy, at 1, 2
+// and 8 workers. Every source disconnects at three node faults, so f = 3
+// exercises the per-size freeze and the units' rerun; the mixed
+// universe stops at f = 2 to keep the oracle's sweep short.
 func TestBoundedProfileMatchesOracle(t *testing.T) {
 	for name, s := range boundedSources(t) {
-		cfg := Config{Mode: Exhaustive}
-		if got, want := Profile(s, 2, cfg), oracle.Profile(s, 2, oc(cfg)); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: profile %v != oracle %v", name, got, want)
+		for _, cfg := range []Config{{Mode: Exhaustive}, {Mode: Sampled, Samples: 15, Seed: 3, Greedy: true}} {
+			node, mixed := oracle.Profile(s, 3, oc(cfg)), oracle.ProfileMixed(s, 2, oc(cfg))
+			if cfg.Mode == Exhaustive && node[3] != -1 {
+				t.Fatalf("%s: oracle profile %v does not disconnect at f = 3", name, node)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				if got := profile(s, 3, cfg, workers, false); !slices.Equal(got, node) {
+					t.Fatalf("%s mode=%d w=%d: profile %v != oracle %v", name, cfg.Mode, workers, got, node)
+				}
+				if got := profile(s, 2, cfg, workers, true); !slices.Equal(got, mixed) {
+					t.Fatalf("%s mode=%d w=%d: mixed profile %v != oracle %v", name, cfg.Mode, workers, got, mixed)
+				}
+			}
+			if got := Profile(s, 3, cfg); !slices.Equal(got, node) {
+				t.Fatalf("%s mode=%d: Profile %v != oracle %v", name, cfg.Mode, got, node)
+			}
+			if got := ProfileMixed(s, 2, cfg); !slices.Equal(got, mixed) {
+				t.Fatalf("%s mode=%d: ProfileMixed %v != oracle %v", name, cfg.Mode, got, mixed)
+			}
 		}
-		if got, want := ProfileMixed(s, 2, cfg), oracle.ProfileMixed(s, 2, oc(cfg)); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: mixed profile %v != oracle %v", name, got, want)
+	}
+}
+
+// sizeRange runs the exhaustive walk over the sets of size lo..hi of
+// src's node universe, or node+link universe with links, on workers
+// workers. It also returns the universe's size.
+func sizeRange(src RouteSource, lo, hi, workers int, links bool) (MixedResult, int) {
+	s, _ := diameterSearch(src, hi, workers, links)
+	s.lo, s.hi = lo, hi
+	var b best[int]
+	s.exhaustive(&b)
+	return s.root.result(b), len(s.items)
+}
+
+// TestExhaustiveSizeRanges pins the fanned-out walk over set sizes
+// lo..hi, which Profile runs with lo = hi = k, to the serial walk: the
+// score, the pre-freeze diameter, the witness and Evaluated, which
+// counts every set of size lo..hi, those of frozen units included.
+func TestExhaustiveSizeRanges(t *testing.T) {
+	for name, s := range boundedSources(t) {
+		for _, links := range []bool{false, true} {
+			for _, r := range [][2]int{{1, 1}, {2, 2}, {3, 3}, {1, 3}, {2, 3}} {
+				want, items := sizeRange(s, r[0], r[1], 1, links)
+				if n := countRange(items, r[0], r[1]); want.Evaluated != n {
+					t.Fatalf("%s links=%v sizes %d..%d: serial walk evaluated %d sets, want %d", name, links, r[0], r[1], want.Evaluated, n)
+				}
+				for _, workers := range []int{2, 8} {
+					got, _ := sizeRange(s, r[0], r[1], workers, links)
+					sameMixedResult(t, fmt.Sprintf("%s links=%v sizes %d..%d w=%d", name, links, r[0], r[1], workers), got, want)
+				}
+			}
 		}
 	}
 }

@@ -2,10 +2,18 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ftroute/internal/routing"
 )
+
+// budgetConfigs are the three search modes the budget tests run.
+var budgetConfigs = map[string]Config{
+	"exhaustive": {Mode: Exhaustive},
+	"pruned":     {Mode: Exhaustive, Pruned: true},
+	"sampled":    {Mode: Sampled, Samples: 3, Seed: 1, Greedy: true},
+}
 
 // TestNegativeBudgets runs every entry point at f = −1 and f = −2: the
 // at-most-f searches behave exactly as at f = 0, the profiles are
@@ -15,11 +23,6 @@ func TestNegativeBudgets(t *testing.T) {
 	g := r.Graph()
 	ft := routing.FailoverFromRouting(r)
 	ex := Config{Mode: Exhaustive}
-	cfgs := map[string]Config{
-		"exhaustive": ex,
-		"pruned":     {Mode: Exhaustive, Pruned: true},
-		"sampled":    {Mode: Sampled, Samples: 3, Seed: 1, Greedy: true},
-	}
 	runs := map[string]func(f int) string{
 		"CheckTolerance":      func(f int) string { return fmt.Sprint(CheckTolerance(r, 100, f, ex)) },
 		"CheckToleranceMixed": func(f int) string { return fmt.Sprint(CheckToleranceMixed(r, 100, f, ex)) },
@@ -31,7 +34,7 @@ func TestNegativeBudgets(t *testing.T) {
 		},
 		"GreedyEdgeAdversary": func(f int) string { return GreedyEdgeAdversary(r, f).String() },
 	}
-	for name, cfg := range cfgs {
+	for name, cfg := range budgetConfigs {
 		runs["MaxDiameter "+name] = func(f int) string { return MaxDiameter(r, f, cfg).String() }
 		runs["MaxDiameterParallel "+name] = func(f int) string { return MaxDiameterParallel(r, f, cfg, 2).String() }
 		runs["MaxDiameterMixed "+name] = func(f int) string { return MaxDiameterMixed(r, f, cfg).String() }
@@ -53,7 +56,7 @@ func TestNegativeBudgets(t *testing.T) {
 		}
 	}
 	for _, f := range []int{-1, -2} {
-		for name, cfg := range cfgs {
+		for name, cfg := range budgetConfigs {
 			if p := Profile(r, f, cfg); p == nil || len(p) != 0 {
 				t.Errorf("Profile %s f=%d = %#v, want an empty slice", name, f, p)
 			}
@@ -66,6 +69,28 @@ func TestNegativeBudgets(t *testing.T) {
 		}
 		if res := BeyondToleranceMixed(r, f); res.Evaluated != 0 {
 			t.Errorf("BeyondToleranceMixed f=%d evaluated %d sets", f, res.Evaluated)
+		}
+	}
+}
+
+// TestHugeBudgetClampsProfile runs both profiles at f = 2^60, which
+// once asked for an exabyte of rows: the budget clamps to the universe,
+// so each profile equals the one at f = |universe|, with a row for every
+// size 0..|universe|.
+func TestHugeBudgetClampsProfile(t *testing.T) {
+	r := cycleRouting(t, 6)
+	for name, cfg := range budgetConfigs {
+		for _, c := range []struct {
+			run   func(RouteSource, int, Config) []int
+			items int
+		}{{Profile, r.Graph().N()}, {ProfileMixed, r.Graph().N() + r.Graph().M()}} {
+			want := c.run(r, c.items, cfg)
+			if len(want) != c.items+1 {
+				t.Fatalf("%s: profile at f = %d has %d rows, want %d", name, c.items, len(want), c.items+1)
+			}
+			if got := c.run(r, 1<<60, cfg); !slices.Equal(got, want) {
+				t.Errorf("%s: profile at f = 2^60 is %v, want %v", name, got, want)
+			}
 		}
 	}
 }

@@ -157,7 +157,7 @@ func (e *Engine) result(b best[int]) MixedResult {
 // diameterSearch compiles src and builds a search over its nodes, plus
 // its links when links is set. It returns the budget clamped to
 // 0..len(items).
-func diameterSearch(src RouteSource, f int, cfg Config, workers int, links bool) (*search[*Engine, int], int) {
+func diameterSearch(src RouteSource, f, workers int, links bool) (*search[*Engine, int], int) {
 	e := NewEngine(src)
 	s := newSearch(e, universe(e.n, len(e.edgeU), true, links), workers)
 	return s, min(max(f, 0), len(s.items))
@@ -165,7 +165,7 @@ func diameterSearch(src RouteSource, f int, cfg Config, workers int, links bool)
 
 // maxDiameter runs the search behind MaxDiameter and MaxDiameterMixed.
 func maxDiameter(src RouteSource, f int, cfg Config, workers int, links bool) MixedResult {
-	s, f := diameterSearch(src, f, cfg, workers, links)
+	s, f := diameterSearch(src, f, workers, links)
 	plan := nodeReps
 	if links {
 		plan = mixedReps
@@ -255,7 +255,7 @@ func checkTolerance(src RouteSource, d, f int, cfg Config, links bool) error {
 		}
 		return nil
 	}
-	s, hi := diameterSearch(src, f, cfg, 1, links)
+	s, hi := diameterSearch(src, f, 1, links)
 	e := s.root
 	var err error
 	s.visit = func(*worker[*Engine], *best[int]) bool {
@@ -283,34 +283,43 @@ func toleranceError(links bool, nf *graph.Bitset, ef []routing.EdgeFault, disc b
 }
 
 // Profile reports, for each fault count 0..f, the worst surviving
-// diameter found (-1 encodes disconnection); a negative f gives an
-// empty profile. It shares cfg semantics with MaxDiameter but evaluates
+// diameter found (-1 encodes disconnection). A negative f gives an
+// empty profile, and f is clamped to the n nodes, so the profile has at
+// most n+1 rows. It shares cfg semantics with MaxDiameter but evaluates
 // each size separately, which is the shape of the per-fault-count
-// tables in EXPERIMENTS.md.
-func Profile(s RouteSource, f int, cfg Config) []int { return profile(s, f, cfg, false) }
+// tables in EXPERIMENTS.md. Each size runs on GOMAXPROCS workers, with
+// the result of the sequential search.
+func Profile(s RouteSource, f int, cfg Config) []int { return profile(s, f, cfg, 0, false) }
 
 // ProfileMixed reports, for each total mixed fault-set size 0..f — the
 // combined count of failed nodes and cut links — the worst surviving
 // diameter found (-1 encodes disconnection). It is the mixed-universe
-// counterpart of Profile.
-func ProfileMixed(s RouteSource, f int, cfg Config) []int { return profile(s, f, cfg, true) }
+// counterpart of Profile: f is clamped to the n+m items, and each size
+// runs on GOMAXPROCS workers with the sequential result.
+func ProfileMixed(s RouteSource, f int, cfg Config) []int { return profile(s, f, cfg, 0, true) }
 
-func profile(src RouteSource, f int, cfg Config, links bool) []int {
-	out := make([]int, max(f+1, 0))
+// profile runs each size k of 0..f as one search on workers workers
+// (<= 0 means GOMAXPROCS). The routing is compiled once, and the
+// search, with its worker clones, is reused for every size. Each size
+// starts from a fresh incumbent: a score of one size does not bound the
+// sets of the next, so a stale one would let units prune sets the size
+// needs.
+func profile(src RouteSource, f int, cfg Config, workers int, links bool) []int {
 	if f < 0 {
-		return out
+		return []int{}
 	}
-	root, _ := diameterSearch(src, 0, cfg, 1, links) // compiled once, reused for every k
+	s, f := diameterSearch(src, f, workers, links)
+	out := make([]int, f+1)
 	for k := range out {
-		s := newSearch(root.root, root.items, 1)
 		var b best[int]
+		s.shared = new(incumbent[int])
 		if cfg.Mode == Exhaustive {
 			s.lo, s.hi = k, k
-			s.walk(&b)
+			s.exhaustive(&b)
 		} else {
-			s.diameterSampled(&b, min(k, len(s.items)), cfg)
+			s.diameterSampled(&b, k, cfg)
 		}
-		out[k] = s.root.result(b).MaxDiameter
+		out[k] = b.score
 		if s.root.final(b.score) {
 			out[k] = -1
 		}

@@ -256,17 +256,19 @@ func (s *search[E, S]) from(w *worker[E], i, left int, b *best[S]) bool {
 	return ok
 }
 
-// exhaustive is walk over sizes 0..hi, fanned out over work units: unit
-// u is the subtree of sets whose first item is items[u].
+// exhaustive is walk over sizes lo..hi, fanned out over work units:
+// unit u is the subtree of sets whose first item is items[u].
 func (s *search[E, S]) exhaustive(b *best[S]) {
 	if s.workers == 1 || s.hi == 0 {
 		s.walk(b)
 		return
 	}
-	s.visitSet(&s.main, b)
+	if s.lo == 0 {
+		s.visitSet(&s.main, b)
+	}
 	n := len(s.items)
 	s.units(b, n, func(w *worker[E], u int, ub *best[S]) { s.from(w, u, s.hi, ub) },
-		func(u int) int { return satAdd(1, countSets(n-u-1, s.hi-1)) })
+		func(u int) int { return countRange(n-u-1, max(s.lo-1, 0), s.hi-1) })
 }
 
 // sampled folds samples uniform random sets of size f (f <= len(items))

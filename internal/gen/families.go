@@ -15,7 +15,7 @@ import (
 // them a deterministic family satisfying the paper's two-trees property
 // — unlike hypercubes (4-cycles) or tori (4-cycles).
 func GeneralizedPetersen(n, k int) (*graph.Graph, error) {
-	if n < 3 || k < 1 || 2*k >= n {
+	if n < 3 || k < 1 || k > (n-1)/2 || n > graph.MaxNodes/2 {
 		return nil, fmt.Errorf("%w: GeneralizedPetersen(%d,%d) requires n >= 3, 1 <= k < n/2", ErrBadParam, n, k)
 	}
 	g := graph.New(2 * n)
@@ -41,7 +41,7 @@ func Prism(n int) (*graph.Graph, error) {
 // CompleteBipartite returns K_{a,b} with parts 0..a-1 and a..a+b-1
 // (connectivity min(a, b)).
 func CompleteBipartite(a, b int) (*graph.Graph, error) {
-	if a < 1 || b < 1 {
+	if a < 1 || b < 1 || a > graph.MaxNodes-b {
 		return nil, fmt.Errorf("%w: CompleteBipartite(%d,%d)", ErrBadParam, a, b)
 	}
 	g := graph.New(a + b)
@@ -60,15 +60,14 @@ func BalancedTree(b, depth int) (*graph.Graph, error) {
 	if b < 1 || depth < 0 || depth > 20 {
 		return nil, fmt.Errorf("%w: BalancedTree(%d,%d)", ErrBadParam, b, depth)
 	}
-	// Total nodes: (b^(depth+1) - 1) / (b - 1), or depth+1 for b = 1.
-	n := depth + 1
-	if b > 1 {
-		pow := 1
-		n = 0
-		for d := 0; d <= depth; d++ {
-			n += pow
-			pow *= b
+	// Total nodes: 1 + b + ... + b^depth, summed level by level.
+	n, level := 1, 1
+	for d := 1; d <= depth; d++ {
+		if level > graph.MaxNodes/b || level*b > graph.MaxNodes-n {
+			return nil, fmt.Errorf("%w: BalancedTree(%d,%d) has more than graph.MaxNodes nodes", ErrBadParam, b, depth)
 		}
+		level *= b
+		n += level
 	}
 	g := graph.New(n)
 	for i := 1; i < n; i++ {
@@ -81,7 +80,7 @@ func BalancedTree(b, depth int) (*graph.Graph, error) {
 // intermediate nodes (connectivity 1) — a classical stress topology for
 // routings: all cross traffic funnels through the path.
 func Barbell(m, pathLen int) (*graph.Graph, error) {
-	if m < 2 || pathLen < 0 {
+	if m < 2 || pathLen < 0 || m > (graph.MaxNodes-pathLen)/2 {
 		return nil, fmt.Errorf("%w: Barbell(%d,%d)", ErrBadParam, m, pathLen)
 	}
 	n := 2*m + pathLen

@@ -7,6 +7,9 @@
 // Every generator documents the node-connectivity of its output, since
 // the paper's constructions are parameterized by t = connectivity - 1.
 // Random generators take an explicit seed and are fully deterministic.
+// Parameters whose graph would have more than graph.MaxNodes nodes are
+// rejected with ErrBadParam; every size is checked before it is
+// computed, so none overflows.
 package gen
 
 import (
@@ -21,7 +24,7 @@ var ErrBadParam = errors.New("gen: bad parameter")
 
 // Complete returns the complete graph K_n (connectivity n-1).
 func Complete(n int) (*graph.Graph, error) {
-	if n < 1 {
+	if n < 1 || n > graph.MaxNodes {
 		return nil, fmt.Errorf("%w: Complete(%d)", ErrBadParam, n)
 	}
 	g := graph.New(n)
@@ -35,7 +38,7 @@ func Complete(n int) (*graph.Graph, error) {
 
 // Path returns the path graph P_n (connectivity 1 for n >= 2).
 func Path(n int) (*graph.Graph, error) {
-	if n < 1 {
+	if n < 1 || n > graph.MaxNodes {
 		return nil, fmt.Errorf("%w: Path(%d)", ErrBadParam, n)
 	}
 	g := graph.New(n)
@@ -47,7 +50,7 @@ func Path(n int) (*graph.Graph, error) {
 
 // Cycle returns the cycle C_n (connectivity 2), requiring n >= 3.
 func Cycle(n int) (*graph.Graph, error) {
-	if n < 3 {
+	if n < 3 || n > graph.MaxNodes {
 		return nil, fmt.Errorf("%w: Cycle(%d)", ErrBadParam, n)
 	}
 	g, err := Path(n)
@@ -60,7 +63,7 @@ func Cycle(n int) (*graph.Graph, error) {
 
 // Star returns the star K_{1,n-1} with center 0 (connectivity 1).
 func Star(n int) (*graph.Graph, error) {
-	if n < 2 {
+	if n < 2 || n > graph.MaxNodes {
 		return nil, fmt.Errorf("%w: Star(%d)", ErrBadParam, n)
 	}
 	g := graph.New(n)
@@ -74,7 +77,7 @@ func Star(n int) (*graph.Graph, error) {
 // planar, one of the low-connectivity families the paper's Theorem 3
 // discussion highlights. Node (i,j) has index i*c+j.
 func Grid(r, c int) (*graph.Graph, error) {
-	if r < 1 || c < 1 {
+	if r < 1 || c < 1 || r > graph.MaxNodes/c {
 		return nil, fmt.Errorf("%w: Grid(%d,%d)", ErrBadParam, r, c)
 	}
 	g := graph.New(r * c)
@@ -96,8 +99,8 @@ func Grid(r, c int) (*graph.Graph, error) {
 // r,c >= 3 (it is 4-regular). r,c >= 3 is required to keep the graph
 // simple.
 func Torus(r, c int) (*graph.Graph, error) {
-	if r < 3 || c < 3 {
-		return nil, fmt.Errorf("%w: Torus(%d,%d) requires r,c >= 3", ErrBadParam, r, c)
+	if r < 3 || c < 3 || r > graph.MaxNodes/c {
+		return nil, fmt.Errorf("%w: Torus(%d,%d) requires r,c >= 3 and r*c <= graph.MaxNodes", ErrBadParam, r, c)
 	}
 	g := graph.New(r * c)
 	id := func(i, j int) int { return i*c + j }
@@ -211,7 +214,7 @@ func DeBruijn(d int) (*graph.Graph, error) {
 // graphs. Connectivity equals the number of distinct "arc ends" for
 // well-formed offset sets; for offsets {1..k} with n > 2k it is 2k.
 func Circulant(n int, offsets []int) (*graph.Graph, error) {
-	if n < 3 {
+	if n < 3 || n > graph.MaxNodes {
 		return nil, fmt.Errorf("%w: Circulant(%d)", ErrBadParam, n)
 	}
 	g := graph.New(n)
@@ -232,8 +235,8 @@ func Circulant(n int, offsets []int) (*graph.Graph, error) {
 // nodes with the minimum possible number of edges (⌈kn/2⌉). It is the
 // canonical known-connectivity test family. Requires 2 <= k < n.
 func Harary(k, n int) (*graph.Graph, error) {
-	if k < 2 || k >= n {
-		return nil, fmt.Errorf("%w: Harary(%d,%d) requires 2 <= k < n", ErrBadParam, k, n)
+	if k < 2 || k >= n || n > graph.MaxNodes {
+		return nil, fmt.Errorf("%w: Harary(%d,%d) requires 2 <= k < n <= graph.MaxNodes", ErrBadParam, k, n)
 	}
 	half := k / 2
 	offsets := make([]int, 0, half+1)
@@ -315,7 +318,7 @@ func Icosahedron() *graph.Graph {
 // Wheel returns the wheel W_n: a cycle on n-1 nodes plus a hub adjacent
 // to all of them (connectivity 3 for n >= 5). The hub is node n-1.
 func Wheel(n int) (*graph.Graph, error) {
-	if n < 4 {
+	if n < 4 || n > graph.MaxNodes {
 		return nil, fmt.Errorf("%w: Wheel(%d)", ErrBadParam, n)
 	}
 	g, err := Cycle(n - 1)

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ftroute/internal/graph"
@@ -359,4 +360,48 @@ func TestRandomRegularConnected(t *testing.T) {
 		t.Fatal("disconnected result")
 	}
 	checkRegular(t, g, 3)
+}
+
+// TestGeneratorsRejectOversizedGraphs feeds every sized generator
+// parameters whose graph has more than graph.MaxNodes nodes, or whose
+// node count overflows an int: each must return ErrBadParam before it
+// allocates, never panic or run out of memory.
+func TestGeneratorsRejectOversizedGraphs(t *testing.T) {
+	const huge = 1 << 62
+	over := graph.MaxNodes + 1
+	cases := []struct {
+		name  string
+		build func() (*graph.Graph, error)
+	}{
+		{"Complete", func() (*graph.Graph, error) { return Complete(over) }},
+		{"Path", func() (*graph.Graph, error) { return Path(huge) }},
+		{"Cycle", func() (*graph.Graph, error) { return Cycle(2000000000) }},
+		{"Star", func() (*graph.Graph, error) { return Star(over) }},
+		{"Grid", func() (*graph.Graph, error) { return Grid(1025, 1024) }},
+		{"Grid overflow", func() (*graph.Graph, error) { return Grid(1<<32, 1<<32) }},
+		{"Torus", func() (*graph.Graph, error) { return Torus(1024, 1025) }},
+		{"Torus overflow", func() (*graph.Graph, error) { return Torus(3037000500, 3037000500) }},
+		{"Circulant", func() (*graph.Graph, error) { return Circulant(over, []int{1}) }},
+		{"Harary", func() (*graph.Graph, error) { return Harary(3, huge) }},
+		{"Harary wide", func() (*graph.Graph, error) { return Harary(huge, huge+1) }},
+		{"Wheel", func() (*graph.Graph, error) { return Wheel(over) }},
+		{"GeneralizedPetersen", func() (*graph.Graph, error) { return GeneralizedPetersen(graph.MaxNodes/2+1, 1) }},
+		{"GeneralizedPetersen wide k", func() (*graph.Graph, error) { return GeneralizedPetersen(10, huge) }},
+		{"Prism", func() (*graph.Graph, error) { return Prism(huge) }},
+		{"CompleteBipartite", func() (*graph.Graph, error) { return CompleteBipartite(graph.MaxNodes, 1) }},
+		{"CompleteBipartite overflow", func() (*graph.Graph, error) { return CompleteBipartite(math.MaxInt, math.MaxInt) }},
+		{"BalancedTree", func() (*graph.Graph, error) { return BalancedTree(2, 20) }},
+		{"BalancedTree overflow", func() (*graph.Graph, error) { return BalancedTree(huge, 3) }},
+		{"Barbell", func() (*graph.Graph, error) { return Barbell(graph.MaxNodes/2, 1) }},
+		{"Barbell overflow", func() (*graph.Graph, error) { return Barbell(huge, math.MaxInt) }},
+		{"Gnp", func() (*graph.Graph, error) { return Gnp(huge, 0.5, 1) }},
+		{"GnpConnected", func() (*graph.Graph, error) { g, _, err := GnpConnected(over, 0.5, 1, 3); return g, err }},
+		{"RandomRegular", func() (*graph.Graph, error) { return RandomRegular(huge, 3, 1) }},
+		{"RandomRegularConnected", func() (*graph.Graph, error) { g, _, err := RandomRegularConnected(over, 3, 1, 3); return g, err }},
+	}
+	for _, c := range cases {
+		if g, err := c.build(); g != nil || !errors.Is(err, ErrBadParam) {
+			t.Errorf("%s: got a graph (%v) and error %v, want ErrBadParam", c.name, g != nil, err)
+		}
+	}
 }

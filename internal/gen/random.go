@@ -12,7 +12,7 @@ import (
 // deterministic in (n, p, seed). This is the model of the paper's
 // Lemma 24 / Theorem 25 (two-trees property for p <= c·n^ε/n).
 func Gnp(n int, p float64, seed int64) (*graph.Graph, error) {
-	if n < 1 || p < 0 || p > 1 {
+	if n < 1 || n > graph.MaxNodes || p < 0 || p > 1 {
 		return nil, fmt.Errorf("%w: Gnp(%d, %v)", ErrBadParam, n, p)
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -57,7 +57,7 @@ func GnpConnected(n int, p float64, seed int64, maxTries int) (*graph.Graph, int
 // paper's two-trees (bipolar) and neighborhood-set (circular)
 // constructions on "general" networks.
 func RandomRegular(n, d int, seed int64) (*graph.Graph, error) {
-	if d < 1 || d >= n || (n*d)%2 != 0 {
+	if d < 1 || d >= n || n > graph.MaxNodes || (n*d)%2 != 0 {
 		return nil, fmt.Errorf("%w: RandomRegular(%d,%d)", ErrBadParam, n, d)
 	}
 	rng := rand.New(rand.NewSource(seed))
