@@ -470,6 +470,22 @@ func BenchmarkWalkEngineCutToggleCCC4(b *testing.B) {
 	}
 }
 
+// BenchmarkWalkEngineNodeToggleCCC4 is the node twin of
+// BenchmarkWalkEngineCutToggleCCC4: one AddNodeFault+RemoveNodeFault
+// pair, cycling over the 64 nodes, re-walking the pairs whose cached
+// walk enters the node plus its endpoint pairs.
+func BenchmarkWalkEngineNodeToggleCCC4(b *testing.B) {
+	t := ccc4Failover(b)
+	g := ccc4Circular(b).Graph()
+	we := NewWalkEngine(t, g)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := i % g.N()
+		we.AddNodeFault(v)
+		we.RemoveNodeFault(v)
+	}
+}
+
 // BenchmarkWorstLinkCutsEngineCCC4 is the walk-engine headline: the
 // exhaustive budget-1 link-cut adversary (1 + 96 cut sets) through the
 // incremental WalkEngine. CI gates its ns/op ratio against the legacy

@@ -47,6 +47,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -187,6 +188,9 @@ func simulate(g *ftroute.Graph, construction string, faults, samples int, seed i
 // third of the way through the workload and are repaired at two
 // thirds, with each stuck message retrying from its stuck node.
 func failover(g *ftroute.Graph, construction string, cuts, backups, retries, messages, samples int, seed int64, exhaustive, pruned, mixed bool, lambda float64) error {
+	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		return fmt.Errorf("ftroute: -lambda must be finite, got %v", lambda)
+	}
 	r, _, err := build(g, construction)
 	if err != nil {
 		return err

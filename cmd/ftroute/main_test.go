@@ -132,11 +132,26 @@ func TestRunSubcommands(t *testing.T) {
 		{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-samples", "20"},
 		{"failover", "-graph", "cycle:9", "-construction", "circular", "-cuts", "1", "-messages", "60", "-exhaustive", "-mixed"},
 		{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-samples", "20", "-mixed"},
+		// A budget past the universe counts every set of the universe.
+		{"orbits", "-graph", "cycle:6", "-faults", "9223372036854775807"},
 	}
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			if err := run(args); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRunRejectsNonFiniteLambda: under NaN or ±Inf no fault set ranks
+// above another, so the adversary would report the empty set.
+func TestRunRejectsNonFiniteLambda(t *testing.T) {
+	for _, lambda := range []string{"NaN", "Inf", "+Inf", "-Inf"} {
+		t.Run(lambda, func(t *testing.T) {
+			err := run([]string{"failover", "-graph", "cycle:6", "-construction", "shortest", "-mixed", "-lambda", lambda})
+			if err == nil || !strings.Contains(err.Error(), "-lambda must be finite") {
+				t.Fatalf("-lambda %s: err = %v, want a finiteness error", lambda, err)
 			}
 		})
 	}

@@ -93,7 +93,7 @@ func beyond(src RouteSource, f int, links bool) BeyondResult {
 	if f < 0 {
 		return res
 	}
-	s := newSearch(e, universe(e.n, len(e.edgeU), true, links), 1)
+	s := newSearch(e, universe(e.n, e.links.m(), true, links), 1)
 	s.lo, s.hi = f, f
 	dist := make([]int, e.n)
 	firstShatter := true
@@ -105,6 +105,7 @@ func beyond(src RouteSource, f int, links bool) BeyondResult {
 	}
 	s.visit = func(*worker[*Engine], *best[int]) bool {
 		res.Evaluated++
+		// Node v is item v, so the item set blocks G−F's faulty nodes.
 		comps := mixedComponents(g, e.faults, e.EdgeFaults())
 		if len(comps) <= 1 {
 			res.GraphConnected++

@@ -2,9 +2,13 @@ package eval
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
+	"ftroute/internal/eval/oracle"
+	"ftroute/internal/graph"
 	"ftroute/internal/routing"
 )
 
@@ -108,5 +112,64 @@ func TestConcentratorDuplicateTargets(t *testing.T) {
 		if got := ConcentratorAdversary(r, 2, targets); got.String() != want.String() {
 			t.Errorf("targets %v: %v, want %v", targets, got, want)
 		}
+	}
+}
+
+// TestSampledAcrossBlocks draws more sets than fit in one block of the
+// sampled search (two blocks of sampleBlock and seven more) and pins the
+// sampling entry points to the oracle, which draws every set up front,
+// at 1, 2 and 8 workers: at f = 1 nothing freezes, at f = 2 the first
+// block disconnects and the later ones only count.
+func TestSampledAcrossBlocks(t *testing.T) {
+	cfg := Config{Mode: Sampled, Samples: 2*sampleBlock + 7, Seed: 5, Greedy: true}
+	r := cycleRouting(t, 9)
+	it := walkEngineInstances(t)[1] // Q3 reinforced
+	wantProfile := oracle.Profile(r, 2, oc(cfg))
+	wantWalk := fromOracleMixedCuts(oracle.WorstMixedFaults(it.ft, it.g, 2, oc(cfg)))
+	for _, workers := range []int{1, 2, 8} {
+		for f := 1; f <= 2; f++ {
+			want := fromOracleMixed(oracle.MaxDiameterMixed(r, f, oc(cfg)))
+			sameMixedResult(t, fmt.Sprintf("MaxDiameterMixed f=%d w=%d", f, workers), MaxDiameterMixedParallel(r, f, cfg, workers), want)
+		}
+		if got := profile(r, 2, cfg, workers, false); !slices.Equal(got, wantProfile) {
+			t.Fatalf("w=%d: profile %v, oracle %v", workers, got, wantProfile)
+		}
+		if got := WorstMixedFaultsParallel(it.ft, it.g, 2, cfg, workers); !reflect.DeepEqual(got, wantWalk) {
+			t.Fatalf("w=%d: WorstMixedFaults %v, oracle %v", workers, got, wantWalk)
+		}
+	}
+}
+
+// lastDraw is a test evaluator that scores every set above all sets
+// scored before it, so a serial search's witness is the last set it
+// scored.
+type lastDraw struct{ scored int }
+
+func (l *lastDraw) toggle(int, bool)     {}
+func (l *lastDraw) clone() *lastDraw     { return &lastDraw{} }
+func (l *lastDraw) reset()               {}
+func (l *lastDraw) score(_, _ int) int   { l.scored++; return l.scored }
+func (l *lastDraw) better(a, b int) bool { return a > b }
+func (l *lastDraw) final(int) bool       { return false }
+
+// TestSampledDrawsContinueAcrossBlocks pins the draw order the blocks
+// keep: the last of 2·sampleBlock+7 sets is the last set one rng draws
+// when every set is drawn up front, as the oracle does.
+func TestSampledDrawsContinueAcrossBlocks(t *testing.T) {
+	const n, f, samples, seed = 40, 3, 2*sampleBlock + 7, 9
+	s := newSearch(&lastDraw{}, universe(n, 0, true, false), 1)
+	var b best[int]
+	s.sampled(&b, f, samples, seed)
+	rng := rand.New(rand.NewSource(seed))
+	var want []int
+	for i := 0; i < samples; i++ {
+		ids := graph.NewBitset(n)
+		for ids.Count() < f {
+			ids.Add(rng.Intn(n))
+		}
+		want = ids.Elements()
+	}
+	if b.evaluated != samples || b.score != samples || !slices.Equal(b.items, want) {
+		t.Fatalf("sampled scored %d sets, last %v (score %d); want %d, last %v", b.evaluated, b.items, b.score, samples, want)
 	}
 }

@@ -22,28 +22,29 @@ type RouteSource interface {
 
 // Engine evaluates surviving route graphs incrementally. It compiles a
 // routing once into flat arrays and then maintains R(G,ρ)/F under
-// single node- and edge-fault additions and removals, which is the
-// access pattern of every fault-set search in this package (the
-// exhaustive enumeration trees, the greedy adversaries and the
-// concentrator adversaries all differ from their previous fault set by
-// one node or one link).
+// single fault additions and removals, which is the access pattern of
+// every fault-set search in this package (the exhaustive enumeration
+// trees, the greedy adversaries and the concentrator adversaries all
+// differ from their previous fault set by one item).
+//
+// A fault is an item of the nodes-then-links id space: node v is item
+// v, link i of the graph's Edges() is item n+i. One rule covers both
+// kinds: a route dies while it holds a faulty item, as a node it
+// contains or a link it traverses, and an arc (u,v) of the surviving
+// graph is alive while at least one of the pair's routes is.
 //
 // Compiled (immutable, shared between clones):
 //
-//   - an inverted index node → routes traversing it (CSR int32 arrays),
-//     so a fault toggle touches only the routes it actually lies on
-//     rather than re-scanning all n² routes;
-//   - an inverted index edge → routes traversing it, over normalized
-//     undirected edge ids (the graph's Edges() order), so an edge-fault
-//     toggle is likewise proportional to the routes using the link;
-//   - per-route → pair and per-pair route-count tables: an arc (u,v) of
-//     the surviving graph is alive while at least one of the pair's
-//     routes has zero faults (node or edge) on it.
+//   - an inverted index item → routes holding it (CSR int32 arrays), so
+//     a toggle touches only the routes it actually lies on rather than
+//     re-scanning all n² routes;
+//   - per-route → pair and per-pair route-count tables;
+//   - the link table (see links).
 //
 // Mutable per-instance state:
 //
-//   - hits[r]: number of current faults on route r — faulty nodes the
-//     route contains plus faulty edges it traverses;
+//   - faults: the faulty items;
+//   - hits[r]: number of faulty items on route r;
 //   - deadRoutes[p]: number of the pair's routes with hits > 0;
 //   - adj: the live surviving graph as n rows of ⌈n/64⌉ uint64 words
 //     (bit v of row u set iff arc u→v survives). Because every route
@@ -63,26 +64,22 @@ type Engine struct {
 	words int
 
 	// Compiled form, shared (read-only) between clones.
-	pairU, pairV []int32         // pair id -> arc endpoints
-	pairRoutes   []int32         // pair id -> number of parallel routes
-	routePair    []int32         // route id -> pair id
-	idxOff       []int32         // node -> offset into idxRoutes (len n+1)
-	idxRoutes    []int32         // concatenated route ids per node
-	edgeU, edgeV []int32         // edge id -> endpoints (u < v), Edges() order
-	edgeID       map[int64]int32 // normalized u<<32|v -> edge id
-	eIdxOff      []int32         // edge -> offset into eIdxRoutes (len m+1)
-	eIdxRoutes   []int32         // concatenated route ids per edge
-	hubs         []int32         // nodes by decreasing fault-free in-degree, ties to the lower id
+	pairU, pairV []int32 // pair id -> arc endpoints
+	pairRoutes   []int32 // pair id -> number of parallel routes
+	routePair    []int32 // route id -> pair id
+	itemOff      []int32 // item -> offset into itemRoutes (len n+m+1)
+	itemRoutes   []int32 // concatenated route ids per item
+	links        *links
+	hubs         []int32 // nodes by decreasing fault-free in-degree, ties to the lower id
 
 	// Mutable fault state.
-	hits            []int32 // route id -> faults (node+edge) currently on the route
-	deadRoutes      []int32 // pair id -> routes with hits > 0
-	deadRoutesTotal int     // routes with hits > 0, across all pairs
+	faults          *graph.Bitset // faulty items
+	hits            []int32       // route id -> faulty items on the route
+	deadRoutes      []int32       // pair id -> routes with hits > 0
+	deadRoutesTotal int           // routes with hits > 0, across all pairs
 	adj             []uint64
 	adjT            []uint64 // transposed bitrows: bit u of row v set iff arc u→v survives
 	alive           []uint64 // bitrow of nonfaulty nodes
-	faults          *graph.Bitset
-	efaults         *graph.Bitset // faulty edge ids
 	aliveCount      int
 	alivePairs      int // routed ordered pairs whose arc currently survives
 
@@ -123,38 +120,26 @@ func NewEngine(src RouteSource) *Engine {
 	g := src.Graph()
 	n := g.N()
 	words := (n + 63) / 64
+	l := newLinks(g)
+	items := n + l.m()
 	e := &Engine{
 		n:          n,
 		words:      words,
-		idxOff:     make([]int32, n+1),
+		itemOff:    make([]int32, items+1),
+		links:      l,
+		faults:     graph.NewBitset(items),
 		adj:        make([]uint64, n*words),
 		adjT:       make([]uint64, n*words),
-		faults:     graph.NewBitset(n),
 		aliveCount: n,
 		bfs:        newBFSScratch(words),
 		mask:       make([]uint64, words),
 		skip:       make([]uint64, words),
 	}
-	edges := g.Edges()
-	e.edgeID = make(map[int64]int32, len(edges))
-	e.edgeU = make([]int32, len(edges))
-	e.edgeV = make([]int32, len(edges))
-	for id, ed := range edges {
-		e.edgeU[id], e.edgeV[id] = int32(ed[0]), int32(ed[1])
-		e.edgeID[edgeKey(ed[0], ed[1])] = int32(id)
-	}
-	e.efaults = graph.NewBitset(len(edges))
-	e.eIdxOff = make([]int32, len(edges)+1)
 	pairID := make(map[pairKey]int32)
-	nodeCounts := make([]int32, n)
-	edgeCounts := make([]int32, len(edges))
-	// Pass 1: assign pair and route ids, count index entries per node
-	// and per traversed edge.
-	type flatRoute struct {
-		pair  int32
-		nodes []int
-	}
-	var routes []flatRoute
+	// Pass 1: assign pair and route ids and count the routes of each
+	// item (its nodes, then the links between consecutive nodes) one
+	// slot to the right, so the prefix sums below are the offsets.
+	var paths []routing.Path
 	src.EachRoute(func(u, v int, p routing.Path) {
 		key := pairKey{u: int32(u), v: int32(v)}
 		id, ok := pairID[key]
@@ -169,37 +154,31 @@ func NewEngine(src RouteSource) *Engine {
 		}
 		e.pairRoutes[id]++
 		e.routePair = append(e.routePair, id)
-		routes = append(routes, flatRoute{pair: id, nodes: []int(p)})
+		paths = append(paths, p)
 		for _, w := range p {
-			nodeCounts[w]++
+			e.itemOff[w+1]++
 		}
 		for i := 0; i+1 < len(p); i++ {
-			if eid, ok := e.edgeID[edgeKey(p[i], p[i+1])]; ok {
-				edgeCounts[eid]++
+			if it, ok := l.item(p[i], p[i+1]); ok {
+				e.itemOff[it+1]++
 			}
 		}
 	})
-	for v := 0; v < n; v++ {
-		e.idxOff[v+1] = e.idxOff[v] + nodeCounts[v]
+	for it := 0; it < items; it++ {
+		e.itemOff[it+1] += e.itemOff[it]
 	}
-	e.idxRoutes = make([]int32, e.idxOff[n])
-	fill := make([]int32, n)
-	copy(fill, e.idxOff[:n])
-	for ed := range edges {
-		e.eIdxOff[ed+1] = e.eIdxOff[ed] + edgeCounts[ed]
-	}
-	e.eIdxRoutes = make([]int32, e.eIdxOff[len(edges)])
-	eFill := make([]int32, len(edges))
-	copy(eFill, e.eIdxOff[:len(edges)])
-	for r, fr := range routes {
-		for _, w := range fr.nodes {
-			e.idxRoutes[fill[w]] = int32(r)
+	e.itemRoutes = make([]int32, e.itemOff[items])
+	fill := append([]int32(nil), e.itemOff[:items]...)
+	// Pass 2: list every route under its items, in route order.
+	for r, p := range paths {
+		for _, w := range p {
+			e.itemRoutes[fill[w]] = int32(r)
 			fill[w]++
 		}
-		for i := 0; i+1 < len(fr.nodes); i++ {
-			if eid, ok := e.edgeID[edgeKey(fr.nodes[i], fr.nodes[i+1])]; ok {
-				e.eIdxRoutes[eFill[eid]] = int32(r)
-				eFill[eid]++
+		for i := 0; i+1 < len(p); i++ {
+			if it, ok := l.item(p[i], p[i+1]); ok {
+				e.itemRoutes[fill[it]] = int32(r)
+				fill[it]++
 			}
 		}
 	}
@@ -220,14 +199,6 @@ func NewEngine(src RouteSource) *Engine {
 	return e
 }
 
-// edgeKey packs a normalized undirected edge into a map key.
-func edgeKey(u, v int) int64 {
-	if u > v {
-		u, v = v, u
-	}
-	return int64(u)<<32 | int64(v)
-}
-
 // pairKey is shared with package routing's map key shape.
 type pairKey = struct{ u, v int32 }
 
@@ -236,13 +207,12 @@ type pairKey = struct{ u, v int32 }
 // goroutine. The clone starts with a copy of e's current fault set.
 func (e *Engine) Clone() *Engine {
 	c := *e
+	c.faults = e.faults.Clone()
 	c.hits = append([]int32(nil), e.hits...)
 	c.deadRoutes = append([]int32(nil), e.deadRoutes...)
 	c.adj = append([]uint64(nil), e.adj...)
 	c.adjT = append([]uint64(nil), e.adjT...)
 	c.alive = append([]uint64(nil), e.alive...)
-	c.faults = e.faults.Clone()
-	c.efaults = e.efaults.Clone()
 	c.bfs = newBFSScratch(e.words)
 	c.mask = make([]uint64, e.words)
 	c.skip = make([]uint64, e.words)
@@ -256,11 +226,14 @@ func (e *Engine) N() int { return e.n }
 // AliveCount returns the number of nonfaulty nodes.
 func (e *Engine) AliveCount() int { return e.aliveCount }
 
-// Faults returns a copy of the current fault set.
-func (e *Engine) Faults() *graph.Bitset { return e.faults.Clone() }
+// Faults returns a copy of the current node-fault set.
+func (e *Engine) Faults() *graph.Bitset {
+	nodes, _ := e.links.split(e.faults.Elements())
+	return graph.BitsetOf(e.n, nodes...)
+}
 
 // HasFault reports whether v is currently faulty.
-func (e *Engine) HasFault(v int) bool { return e.faults.Has(v) }
+func (e *Engine) HasFault(v int) bool { return v < e.n && e.faults.Has(v) }
 
 // hitRoute records one more fault on route r, killing the pair's arc
 // when its last live route dies.
@@ -296,33 +269,51 @@ func (e *Engine) unhitRoute(r int32) {
 	}
 }
 
-// AddFault marks v faulty, incrementally killing every surviving arc
-// whose last live route traverses v. Adding an already-faulty or
+// toggle adds (on) or removes the fault on one item, hitting or
+// unhitting every route that holds it; a node item also flips its alive
+// bit. Repeating the current state, and ids past the universe, are
+// no-ops. Every fault mutator of the Engine is a call to it.
+func (e *Engine) toggle(item int, on bool) {
+	if item >= e.faults.Cap() || e.faults.Has(item) == on {
+		return
+	}
+	routes := e.itemRoutes[e.itemOff[item]:e.itemOff[item+1]]
+	if on {
+		e.faults.Add(item)
+		for _, r := range routes {
+			e.hitRoute(r)
+		}
+	} else {
+		e.faults.Remove(item)
+		for _, r := range routes {
+			e.unhitRoute(r)
+		}
+	}
+	if item < e.n {
+		e.alive[item>>6] ^= 1 << (uint(item) & 63)
+		if on {
+			e.aliveCount--
+		} else {
+			e.aliveCount++
+		}
+	}
+}
+
+// AddFault marks node v faulty, incrementally killing every surviving
+// arc whose last live route contains v. Adding an already-faulty or
 // out-of-range node is a no-op. Cost is proportional to the number of
 // routes through v, not to the routing size.
 func (e *Engine) AddFault(v int) {
-	if v < 0 || v >= e.n || e.faults.Has(v) {
-		return
-	}
-	e.faults.Add(v)
-	e.aliveCount--
-	e.alive[v>>6] &^= 1 << (uint(v) & 63)
-	for _, r := range e.idxRoutes[e.idxOff[v]:e.idxOff[v+1]] {
-		e.hitRoute(r)
+	if v >= 0 && v < e.n {
+		e.toggle(v, true)
 	}
 }
 
 // RemoveFault unmarks v, reviving every arc that regains a live route.
 // Removing a non-faulty node is a no-op.
 func (e *Engine) RemoveFault(v int) {
-	if v < 0 || v >= e.n || !e.faults.Has(v) {
-		return
-	}
-	e.faults.Remove(v)
-	e.aliveCount++
-	e.alive[v>>6] |= 1 << (uint(v) & 63)
-	for _, r := range e.idxRoutes[e.idxOff[v]:e.idxOff[v+1]] {
-		e.unhitRoute(r)
+	if v >= 0 && v < e.n {
+		e.toggle(v, false)
 	}
 }
 
@@ -334,68 +325,34 @@ func (e *Engine) RemoveFault(v int) {
 // Edge faults never change the alive node count. Cost is proportional
 // to the number of routes over the edge.
 func (e *Engine) AddEdgeFault(u, v int) {
-	if id, ok := e.edgeIDOf(u, v); ok {
-		e.toggleEdge(id, true)
+	if it, ok := e.links.item(u, v); ok {
+		e.toggle(it, true)
 	}
 }
 
 // RemoveEdgeFault unmarks the link {u, v}, reviving every arc that
 // regains a live route. Removing a non-faulty edge is a no-op.
 func (e *Engine) RemoveEdgeFault(u, v int) {
-	if id, ok := e.edgeIDOf(u, v); ok {
-		e.toggleEdge(id, false)
+	if it, ok := e.links.item(u, v); ok {
+		e.toggle(it, false)
 	}
-}
-
-// toggleEdge adds (on) or removes the fault on edge id; repeating the
-// current state is a no-op.
-func (e *Engine) toggleEdge(id int, on bool) {
-	if e.efaults.Has(id) == on {
-		return
-	}
-	routes := e.eIdxRoutes[e.eIdxOff[id]:e.eIdxOff[id+1]]
-	if on {
-		e.efaults.Add(id)
-		for _, r := range routes {
-			e.hitRoute(r)
-		}
-		return
-	}
-	e.efaults.Remove(id)
-	for _, r := range routes {
-		e.unhitRoute(r)
-	}
-}
-
-// edgeIDOf resolves the normalized edge id of {u, v}, reporting false
-// for self-loops and non-edges.
-func (e *Engine) edgeIDOf(u, v int) (int, bool) {
-	if u == v || u < 0 || v < 0 || u >= e.n || v >= e.n {
-		return 0, false
-	}
-	id, ok := e.edgeID[edgeKey(u, v)]
-	return int(id), ok
 }
 
 // HasEdgeFault reports whether the link {u, v} is currently faulty.
 func (e *Engine) HasEdgeFault(u, v int) bool {
-	id, ok := e.edgeIDOf(u, v)
-	return ok && e.efaults.Has(id)
+	it, ok := e.links.item(u, v)
+	return ok && e.faults.Has(it)
 }
 
 // EdgeFaults returns the current edge-fault set as normalized
 // (U < V) faults in the graph's lexicographic edge order.
 func (e *Engine) EdgeFaults() []routing.EdgeFault {
-	ids := e.efaults.Elements()
-	out := make([]routing.EdgeFault, len(ids))
-	for i, id := range ids {
-		out[i] = routing.EdgeFault{U: int(e.edgeU[id]), V: int(e.edgeV[id])}
-	}
-	return out
+	_, cuts := e.links.split(e.faults.Elements())
+	return cuts
 }
 
 // EdgeFaultCount returns the number of faulty edges.
-func (e *Engine) EdgeFaultCount() int { return e.efaults.Count() }
+func (e *Engine) EdgeFaultCount() int { return e.faults.Count() - (e.n - e.aliveCount) }
 
 // DeadRouteCount returns the number of routes with at least one fault
 // (node or edge) on them. It is the engine's measure of how much damage
@@ -404,51 +361,27 @@ func (e *Engine) EdgeFaultCount() int { return e.efaults.Count() }
 func (e *Engine) DeadRouteCount() int { return e.deadRoutesTotal }
 
 // Reset removes all node and edge faults.
-func (e *Engine) Reset() {
-	for _, v := range e.faults.Elements() {
-		e.RemoveFault(v)
-	}
-	for _, id := range e.efaults.Elements() {
-		e.toggleEdge(id, false)
-	}
-}
+func (e *Engine) Reset() { move(e.faults, nil, 0, e.faults.Cap(), e.toggle) }
 
 // SetFaults replaces the current node-fault set with b (nil means
 // empty), applying only the symmetric difference incrementally. Edge
 // faults are left untouched.
-func (e *Engine) SetFaults(b *graph.Bitset) {
-	for _, v := range e.faults.Elements() {
-		if !b.Has(v) {
-			e.RemoveFault(v)
-		}
-	}
-	if b == nil {
-		return
-	}
-	for _, v := range b.Elements() {
-		e.AddFault(v) // no-op for already-faulty nodes
-	}
-}
+func (e *Engine) SetFaults(b *graph.Bitset) { e.setItems(b, nil, e.n) }
 
 // SetMixedFaults replaces both fault sets (nil/empty mean empty),
 // applying only the differences incrementally. Unknown or self-loop
 // edges in the list are ignored.
 func (e *Engine) SetMixedFaults(nodes *graph.Bitset, edges []routing.EdgeFault) {
-	e.SetFaults(nodes)
-	want := graph.NewBitset(len(e.edgeU))
-	for _, ef := range edges {
-		if id, ok := e.edgeIDOf(ef.U, ef.V); ok {
-			want.Add(id)
-		}
+	e.setItems(nodes, edges, e.faults.Cap())
+}
+
+// setItems moves the faulty items below hi to the given nodes and links.
+func (e *Engine) setItems(nodes *graph.Bitset, edges []routing.EdgeFault, hi int) {
+	var vs []int
+	if nodes != nil {
+		vs = nodes.Elements()
 	}
-	for _, id := range e.efaults.Elements() {
-		if !want.Has(id) {
-			e.toggleEdge(id, false)
-		}
-	}
-	for _, id := range want.Elements() {
-		e.toggleEdge(id, true)
-	}
+	move(e.faults, e.links.set(vs, edges), 0, hi, e.toggle)
 }
 
 // bfsFrom is the one word-parallel BFS level loop under every distance
@@ -911,20 +844,9 @@ func (e *Engine) HasArc(u, v int) bool {
 // final.
 const disconnected = math.MaxInt
 
-// The evaluator contract of the search driver. Scores are 0 when fewer
-// than two nodes are alive (nothing to route between), the diameter
-// (at least 1) otherwise, and disconnected.
-
-func (e *Engine) toggle(item int, on bool) {
-	switch {
-	case item < e.n && on:
-		e.AddFault(item)
-	case item < e.n:
-		e.RemoveFault(item)
-	case item-e.n < len(e.edgeU):
-		e.toggleEdge(item-e.n, on)
-	}
-}
+// The evaluator contract of the search driver (toggle is above). Scores
+// are 0 when fewer than two nodes are alive (nothing to route between),
+// the diameter (at least 1) otherwise, and disconnected.
 
 func (e *Engine) clone() *Engine { return e.Clone() }
 

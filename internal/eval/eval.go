@@ -9,15 +9,18 @@
 //
 // Consecutive fault sets of every search differ by one fault, so the
 // package evaluates them incrementally. Engine compiles a routing once
-// into flat arrays — inverted indexes from each node and each link to
-// the routes over it, and per-route fault counters — so toggling one
-// fault updates only the arcs whose routes pass through it; the live
-// surviving graph is kept as packed adjacency bitrows and distances are
-// computed by one word-parallel BFS loop. Every search scores a fault
-// set with one diameter kernel, branch and bound: it decides whether
-// the set's diameter beats the search's incumbent, from a few pivot
-// BFS, and is exact whenever it does. WalkEngine does the same for
-// failover-table walks, re-walking only the pairs a toggle can change.
+// into flat arrays — one inverted index from each item (node or link,
+// see the fault model below) to the routes holding it, and per-route
+// fault counters — so toggling one fault updates only the arcs whose
+// routes hold it; the live surviving graph is kept as packed adjacency
+// bitrows and distances are computed by one word-parallel BFS loop.
+// Every search scores a fault set with one diameter kernel, branch and
+// bound: it decides whether the set's diameter beats the search's
+// incumbent, from a few pivot BFS, and is exact whenever it does.
+// WalkEngine does the same for failover-table walks, re-walking only
+// the pairs whose cached walk used or was blocked by the toggled item.
+// Both engines keep one fault set over items and change it in one
+// toggle; their node and link methods are range checks around it.
 //
 // # Fault model
 //
@@ -87,7 +90,9 @@ type Config struct {
 	// (WorstMixedFaults): fault sets are ranked by the score
 	// disrupted + λ·skipped instead of disrupted pairs alone, letting
 	// the adversary trade stranded packets against dead endpoints. The
-	// default 0 preserves the pure-disruption objective bit for bit.
+	// default 0 preserves the pure-disruption objective bit for bit. It
+	// must be finite: under NaN or ±Inf no fault set ranks above another,
+	// so the search would report the empty set.
 	SkippedWeight float64
 }
 
@@ -140,16 +145,13 @@ func (r MixedResult) node() Result {
 // result converts a finished diameter search into its result: a final
 // score is a disconnection, whose MaxDiameter is the incumbent it froze.
 func (e *Engine) result(b best[int]) MixedResult {
-	r := MixedResult{MaxDiameter: b.score, WorstNodeFaults: graph.NewBitset(e.n), Evaluated: b.evaluated}
+	nodes, cuts := e.links.split(b.items)
+	r := MixedResult{MaxDiameter: b.score, WorstNodeFaults: graph.BitsetOf(e.n, nodes...), Evaluated: b.evaluated}
 	if e.final(b.score) {
 		r.Disconnected, r.MaxDiameter = true, b.pre
 	}
-	for _, it := range b.items {
-		if it < e.n {
-			r.WorstNodeFaults.Add(it)
-		} else if it-e.n < len(e.edgeU) {
-			r.WorstEdgeFaults = append(r.WorstEdgeFaults, routing.EdgeFault{U: int(e.edgeU[it-e.n]), V: int(e.edgeV[it-e.n])})
-		}
+	if len(cuts) > 0 { // a witness without links keeps a nil link part
+		r.WorstEdgeFaults = cuts
 	}
 	return r
 }
@@ -159,7 +161,7 @@ func (e *Engine) result(b best[int]) MixedResult {
 // 0..len(items).
 func diameterSearch(src RouteSource, f, workers int, links bool) (*search[*Engine, int], int) {
 	e := NewEngine(src)
-	s := newSearch(e, universe(e.n, len(e.edgeU), true, links), workers)
+	s := newSearch(e, universe(e.n, e.links.m(), true, links), workers)
 	return s, min(max(f, 0), len(s.items))
 }
 
@@ -260,7 +262,7 @@ func checkTolerance(src RouteSource, d, f int, cfg Config, links bool) error {
 	var err error
 	s.visit = func(*worker[*Engine], *best[int]) bool {
 		if sc := e.score(max(d, 0), 0); sc > max(d, 0) {
-			err = toleranceError(links, e.faults, e.EdgeFaults(), e.final(sc), sc, d, f)
+			err = toleranceError(links, e.Faults(), e.EdgeFaults(), e.final(sc), sc, d, f)
 			return false
 		}
 		return true
@@ -344,7 +346,7 @@ func ConcentratorAdversary(s RouteSource, f int, targets []int) Result {
 			items = append(items, v)
 		}
 	}
-	return concentrator(s, f, items).node()
+	return concentrator(NewEngine(s), f, items).node()
 }
 
 // ConcentratorEdgeAdversary enumerates every subset of size at most f
@@ -353,30 +355,24 @@ func ConcentratorAdversary(s RouteSource, f int, targets []int) Result {
 // empty set. Targets are normalized and exact duplicates dropped;
 // self-loops and non-edges are harmless no-op items.
 func ConcentratorEdgeAdversary(s RouteSource, f int, targets []routing.EdgeFault) MixedResult {
-	g := s.Graph()
-	n, m := g.N(), g.M()
-	ids := make(map[routing.EdgeFault]int, m)
-	for i, e := range g.Edges() {
-		ids[routing.EdgeFault{U: e[0], V: e[1]}] = n + i
-	}
+	e := NewEngine(s)
 	seen := make(map[routing.EdgeFault]bool, len(targets))
 	var items []int
-	noop := n + m // ids past the universe toggle nothing
+	noop := e.faults.Cap() // ids past the universe toggle nothing
 	for _, t := range targets {
 		if t = t.Normalize(); !seen[t] {
 			seen[t] = true
-			id, ok := ids[t]
+			it, ok := e.links.item(t.U, t.V)
 			if !ok {
-				id, noop = noop, noop+1
+				it, noop = noop, noop+1
 			}
-			items = append(items, id)
+			items = append(items, it)
 		}
 	}
-	return concentrator(s, f, items)
+	return concentrator(e, f, items)
 }
 
-func concentrator(src RouteSource, f int, items []int) MixedResult {
-	e := NewEngine(src)
+func concentrator(e *Engine, f int, items []int) MixedResult {
 	s := newSearch(e, items, 1)
 	s.hi = max(f, 0)
 	var b best[int]
@@ -391,7 +387,7 @@ func concentrator(src RouteSource, f int, items []int) MixedResult {
 // adversary cuts wires but never kills switches.
 func GreedyEdgeAdversary(s RouteSource, f int) MixedResult {
 	e := NewEngine(s)
-	sr := newSearch(e, universe(e.n, len(e.edgeU), false, true), 1)
+	sr := newSearch(e, universe(e.n, e.links.m(), false, true), 1)
 	var b best[int]
 	sr.visitSet(&sr.main, &b)
 	sr.greedy(&b, f)

@@ -139,7 +139,7 @@ func WorstLinkCuts(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Co
 // identical to the sequential search.
 func WorstLinkCutsParallel(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int) CutResult {
 	b, we := worstWalk(t, g, budget, cfg, workers, false)
-	_, cuts := we.witness(b.items)
+	_, cuts := we.links.split(b.items)
 	return CutResult{Worst: cuts, Stats: b.score.stats, Evaluated: b.evaluated}
 }
 
@@ -162,7 +162,7 @@ func WorstMixedFaults(t *routing.FailoverTables, g *graph.Graph, budget int, cfg
 // the sequential search.
 func WorstMixedFaultsParallel(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int) MixedCutResult {
 	b, we := worstWalk(t, g, budget, cfg, workers, true)
-	nodes, cuts := we.witness(b.items)
+	nodes, cuts := we.links.split(b.items)
 	return MixedCutResult{WorstNodes: nodes, WorstCuts: cuts, Stats: b.score.stats, Evaluated: b.evaluated}
 }
 
@@ -173,7 +173,7 @@ func worstWalk(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config
 	if nodes {
 		we.lambda = cfg.SkippedWeight
 	}
-	s := newSearch(we, universe(we.n, we.m, nodes, true), workers)
+	s := newSearch(we, universe(we.n, we.links.m(), nodes, true), workers)
 	budget = min(max(budget, 0), len(s.items))
 	var b best[walkScore]
 	plan := cutReps
@@ -220,8 +220,8 @@ func (we *WalkEngine) concentratorItems(nodes bool) []int {
 		items = append(items, conc)
 	}
 	we.g.EachNeighbor(conc, func(w int) bool {
-		if id, ok := we.edgeID[edgeKey(conc, w)]; ok {
-			items = append(items, we.n+int(id))
+		if it, ok := we.links.item(conc, w); ok {
+			items = append(items, it)
 		}
 		return true
 	})
@@ -235,21 +235,8 @@ type walkScore struct {
 	ok    bool
 }
 
-// The evaluator contract of the search driver. Walks have no bounded
-// kernel and no final score.
-
-func (we *WalkEngine) toggle(item int, on bool) {
-	switch {
-	case item < we.n && on:
-		we.addNodeFault(item)
-	case item < we.n:
-		we.removeNodeFault(item)
-	case item-we.n < we.m && on:
-		we.addCut(item - we.n)
-	case item-we.n < we.m:
-		we.removeCut(item - we.n)
-	}
-}
+// The evaluator contract of the search driver (toggle is in
+// walkengine.go). Walks have no bounded kernel and no final score.
 
 func (we *WalkEngine) clone() *WalkEngine { return we.Clone() }
 
@@ -270,17 +257,3 @@ func (we *WalkEngine) better(a, b walkScore) bool {
 }
 
 func (we *WalkEngine) final(walkScore) bool { return false }
-
-// witness splits item ids into the sorted node and link parts of a
-// result (never nil).
-func (we *WalkEngine) witness(items []int) ([]int, []routing.EdgeFault) {
-	nodes, cuts := []int{}, []routing.EdgeFault{}
-	for _, it := range items {
-		if it < we.n {
-			nodes = append(nodes, it)
-		} else {
-			cuts = append(cuts, routing.EdgeFault{U: int(we.edgeU[it-we.n]), V: int(we.edgeV[it-we.n])})
-		}
-	}
-	return nodes, cuts
-}

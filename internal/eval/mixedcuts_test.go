@@ -50,6 +50,7 @@ func checkEngineMixedState(t *testing.T, name string, we *WalkEngine, ft *routin
 			t.Fatalf("%s under F=%v E=%v: pair (%d,%d) engine %v, legacy %v", name, nodes, cuts, src, dst, got, wantOuts[i])
 		}
 	}
+	checkWalks(t, name, we, ft, routing.FaultSetOf(ft.N(), nodes, cuts))
 }
 
 // TestWalkEngineMixedTogglesMatchLegacy drives every instance through a

@@ -271,26 +271,36 @@ func (s *search[E, S]) exhaustive(b *best[S]) {
 		func(u int) int { return countRange(n-u-1, max(s.lo-1, 0), s.hi-1) })
 }
 
+// sampleBlock is the number of random sets sampled draws and scores at
+// a time, which bounds its memory for any sample count.
+const sampleBlock = 4096
+
 // sampled folds samples uniform random sets of size f (f <= len(items))
-// drawn from seed, in draw order.
+// drawn from seed, in draw order. Blocks of sampleBlock sets run one
+// after another, each on the work-stealing executor and merged in
+// order, so the sets and the result are those of one pass over all
+// draws.
 func (s *search[E, S]) sampled(b *best[S], f, samples int, seed int64) {
 	n := len(s.items)
 	rng := rand.New(rand.NewSource(seed))
-	sets := make([][]int, samples)
-	for i := range sets {
-		ids := graph.NewBitset(n)
-		for ids.Count() < f {
-			ids.Add(rng.Intn(n))
+	sets := make([][]int, min(samples, sampleBlock))
+	for done := 0; done < samples; done += len(sets) {
+		sets = sets[:min(samples-done, len(sets))]
+		for i := range sets {
+			ids := graph.NewBitset(n)
+			for ids.Count() < f {
+				ids.Add(rng.Intn(n))
+			}
+			sets[i] = ids.Elements()
+			for j, x := range sets[i] {
+				sets[i][j] = s.items[x]
+			}
 		}
-		sets[i] = ids.Elements()
-		for j, x := range sets[i] {
-			sets[i][j] = s.items[x]
-		}
+		s.units(b, len(sets), func(w *worker[E], u int, ub *best[S]) {
+			w.moveTo(sets[u])
+			s.fold(w, ub, 1)
+		}, func(int) int { return 1 })
 	}
-	s.units(b, samples, func(w *worker[E], u int, ub *best[S]) {
-		w.moveTo(sets[u])
-		s.fold(w, ub, 1)
-	}, func(int) int { return 1 })
 	s.main.moveTo(nil)
 	for _, w := range s.pool {
 		if w != nil {

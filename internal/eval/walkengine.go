@@ -10,28 +10,26 @@ import (
 // WalkEngine is the incremental evaluation engine for static-failover
 // walks under mixed faults — the packet-level analogue of Engine. It
 // compiles FailoverTables once into flat arrays and caches, per ordered
-// pair, the current walk: its outcome, the links it traverses (the hop
-// sequence in edge-id form), the nodes it enters, and the links and
-// nodes it consulted entries toward but skipped because they were
-// faulty. Inverted item→pairs bitset indexes keep every cache queryable
-// per link and per node, which makes invalidation exact:
+// pair, the current walk: its outcome, the items it uses (for each hop,
+// the link when the hop is a graph edge, then the node it enters), and
+// the items it blocked on (for each entry it consulted and skipped, the
+// faulty link and the faulty target node). Faults are items of the
+// nodes-then-links id space (node v is item v, link i of g.Edges() is
+// item n+i), and inverted item→pairs bitset rows over both lists make
+// invalidation exact:
 //
-//   - AddLinkCut(e) changes the walk of exactly the pairs whose cached
-//     walk traverses e. Every entry ranked before the one a walk took
-//     was already dead, and a taken entry other than e stays live, so a
-//     walk that never crossed e replays identically.
-//   - RemoveLinkCut(e) changes the walk of exactly the pairs whose
-//     cached walk consulted-and-skipped e (the blocked set): repairing
-//     a link no walk was deflected by cannot improve any decision it
-//     made. Blocked sets include every cut entry at a blackhole node,
-//     so blackholed pairs recover as soon as one of their entries does.
-//   - AddNodeFault(v) changes the walk of exactly the pairs whose
-//     cached walk enters v (the decision at v's predecessor flips, and
-//     any decisions made at v disappear) plus the pairs with v as an
-//     endpoint (they become Skipped — no packet to forward).
-//   - RemoveNodeFault(v) changes the walk of exactly the pairs whose
-//     cached walk consulted an entry toward v and skipped it because v
-//     was failed, plus the endpoint pairs of v.
+//   - Failing an item changes the walk of exactly the pairs whose cached
+//     walk uses it. Every entry ranked before the one a walk took was
+//     already dead, and a taken entry that avoids the item stays live,
+//     so a walk that never used the item replays identically.
+//   - Repairing an item changes the walk of exactly the pairs whose
+//     cached walk blocked on it: repairing an item no walk was deflected
+//     by cannot improve any decision it made. Blocked lists include
+//     every dead entry at a blackhole node, so blackholed pairs recover
+//     as soon as one of their entries does.
+//   - A node item also changes the pairs with the node as an endpoint:
+//     they become Skipped when it fails (no packet to forward) and are
+//     walked again when it is repaired.
 //
 // Each toggle therefore re-walks only the affected pairs, maintaining
 // CutStats incrementally, while the oracle re-walks all P pairs
@@ -39,44 +37,37 @@ import (
 // only the mutable walk cache, which is what the parallel adversary's
 // per-worker clones use.
 type WalkEngine struct {
-	g         *graph.Graph // cuttable links + neighbor order (read-only)
+	g         *graph.Graph // neighbor order for the concentrator probe (read-only)
 	n         int          // nodes
-	m         int          // cuttable links (g.Edges())
-	pairWords int          // uint64 words per link→pairs bitset row
+	pairWords int          // uint64 words per item→pairs bitset row
 
 	// Compiled form, shared read-only between clones.
 	pairU, pairV []int32         // pair id -> (src, dst), FailoverTables.Pairs() order
 	entOff       []int32         // pair id -> range in entAt/hopOff, len P+1
 	entAt        []int32         // entry -> at-node, sorted within each pair
-	hopOff       []int32         // entry -> range in hops/hopEdge, len E+1
+	hopOff       []int32         // entry -> range in hops/hopLink, len E+1
 	hops         []int32         // ranked next hops, primary first
-	hopEdge      []int32         // hop -> edge id of the (at, hop) link; -1 = not a graph edge, never cuttable
-	edgeU, edgeV []int32         // edge id -> endpoints (u < v), g.Edges() order
-	edgeID       map[int64]int32 // normalized endpoint key -> edge id
+	hopLink      []int32         // hop -> item of the (at, hop) link; -1 = not a graph edge, never cuttable
+	links        *links          // link table
 	pairID       map[int64]int32 // src<<32|dst -> pair id
 	entriesAt    []int32         // node -> decisions held (concentrator probe)
 	endpointRows []uint64        // node -> bitset over pairs with the node as src or dst
 
 	// Mutable walk cache, deep-copied by Clone.
-	cut           *graph.Bitset // currently cut edge ids
-	nodeFault     *graph.Bitset // currently failed nodes
-	outcome       []routing.Outcome
-	trav          [][]int32 // pair -> edge ids its walk traverses, hop order
-	blocked       [][]int32 // pair -> cut edge ids its walk consulted and skipped
-	visited       [][]int32 // pair -> nodes its walk enters (src excluded, dst included)
-	blockedN      [][]int32 // pair -> failed nodes its walk consulted entries toward and skipped
-	fails         []int32   // pair -> hops its walk took on a backup (rank > 0) entry
-	travRows      []uint64  // edge -> bitset over pairs with the edge in trav
-	blockRows     []uint64  // edge -> bitset over pairs with the edge in blocked
-	visitRows     []uint64  // node -> bitset over pairs with the node in visited
-	blockNodeRows []uint64  // node -> bitset over pairs with the node in blockedN
-	stats         CutStats
-	lambda        float64 // Config.SkippedWeight of the search running on the engine
+	faults    *graph.Bitset // failed nodes and cut links, as items
+	outcome   []routing.Outcome
+	uses      [][]int32 // pair -> items its walk uses, hop order; each hop ends with the node it enters
+	blocked   [][]int32 // pair -> faulty items its walk consulted and skipped
+	fails     []int32   // pair -> hops its walk took on a backup (rank > 0) entry
+	useRows   []uint64  // item -> bitset over pairs with the item in uses
+	blockRows []uint64  // item -> bitset over pairs with the item in blocked
+	stats     CutStats
+	lambda    float64 // Config.SkippedWeight of the search running on the engine
 
 	// Walk scratch, per clone.
 	stamp   []int64 // node -> epoch of last visit (loop detection)
 	epoch   int64
-	scratch []uint64 // snapshot of one link row during a toggle
+	scratch []uint64 // snapshot of one item row during a toggle
 }
 
 // NewWalkEngine compiles tables t (built for graph g) and walks every
@@ -84,24 +75,16 @@ type WalkEngine struct {
 // read, never retained mutably; the engine itself is not safe for
 // concurrent use — use Clone for parallel searches.
 func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
-	edges := g.Edges()
 	tpairs := t.Pairs()
 	P := len(tpairs)
 	we := &WalkEngine{
 		g:         g,
 		n:         g.N(),
-		m:         len(edges),
 		pairWords: (P + 63) / 64,
 		pairU:     make([]int32, P),
 		pairV:     make([]int32, P),
-		edgeU:     make([]int32, len(edges)),
-		edgeV:     make([]int32, len(edges)),
-		edgeID:    make(map[int64]int32, len(edges)),
+		links:     newLinks(g),
 		entriesAt: make([]int32, g.N()),
-	}
-	for i, e := range edges {
-		we.edgeU[i], we.edgeV[i] = int32(e[0]), int32(e[1])
-		we.edgeID[edgeKey(e[0], e[1])] = int32(i)
 	}
 	we.pairID = make(map[int64]int32, P)
 	for i, p := range tpairs {
@@ -150,17 +133,17 @@ func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 	we.entAt = make([]int32, E)
 	we.hopOff = make([]int32, E+1)
 	we.hops = make([]int32, 0, hopTotal)
-	we.hopEdge = make([]int32, 0, hopTotal)
+	we.hopLink = make([]int32, 0, hopTotal)
 	for i, d := range decs {
 		we.entAt[i] = d.at
 		we.hopOff[i+1] = we.hopOff[i] + int32(len(d.ranked))
 		for _, nx := range d.ranked {
 			we.hops = append(we.hops, nx)
-			eid := int32(-1)
-			if id, ok := we.edgeID[edgeKey(int(d.at), int(nx))]; ok {
-				eid = id
+			link := int32(-1)
+			if it, ok := we.links.item(int(d.at), int(nx)); ok {
+				link = int32(it)
 			}
-			we.hopEdge = append(we.hopEdge, eid)
+			we.hopLink = append(we.hopLink, link)
 		}
 	}
 	we.endpointRows = make([]uint64, we.n*we.pairWords)
@@ -169,18 +152,14 @@ func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 		we.endpointRows[int(we.pairU[p])*we.pairWords+w] |= bit
 		we.endpointRows[int(we.pairV[p])*we.pairWords+w] |= bit
 	}
-	we.cut = graph.NewBitset(we.m)
-	we.nodeFault = graph.NewBitset(we.n)
+	items := we.n + we.links.m()
+	we.faults = graph.NewBitset(items)
 	we.outcome = make([]routing.Outcome, P)
-	we.trav = make([][]int32, P)
+	we.uses = make([][]int32, P)
 	we.blocked = make([][]int32, P)
-	we.visited = make([][]int32, P)
-	we.blockedN = make([][]int32, P)
 	we.fails = make([]int32, P)
-	we.travRows = make([]uint64, we.m*we.pairWords)
-	we.blockRows = make([]uint64, we.m*we.pairWords)
-	we.visitRows = make([]uint64, we.n*we.pairWords)
-	we.blockNodeRows = make([]uint64, we.n*we.pairWords)
+	we.useRows = make([]uint64, items*we.pairWords)
+	we.blockRows = make([]uint64, items*we.pairWords)
 	we.stamp = make([]int64, we.n)
 	we.scratch = make([]uint64, we.pairWords)
 	we.stats.Pairs = P
@@ -197,28 +176,23 @@ func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 // the flat arrays are shared read-only, the walk cache is deep-copied.
 func (we *WalkEngine) Clone() *WalkEngine {
 	c := *we
-	c.cut = we.cut.Clone()
-	c.nodeFault = we.nodeFault.Clone()
+	c.faults = we.faults.Clone()
 	c.outcome = append([]routing.Outcome(nil), we.outcome...)
-	c.trav = cloneLinkLists(we.trav)
-	c.blocked = cloneLinkLists(we.blocked)
-	c.visited = cloneLinkLists(we.visited)
-	c.blockedN = cloneLinkLists(we.blockedN)
+	c.uses = cloneItemLists(we.uses)
+	c.blocked = cloneItemLists(we.blocked)
 	c.fails = append([]int32(nil), we.fails...)
-	c.travRows = append([]uint64(nil), we.travRows...)
+	c.useRows = append([]uint64(nil), we.useRows...)
 	c.blockRows = append([]uint64(nil), we.blockRows...)
-	c.visitRows = append([]uint64(nil), we.visitRows...)
-	c.blockNodeRows = append([]uint64(nil), we.blockNodeRows...)
 	c.stamp = make([]int64, we.n)
 	c.epoch = 0
 	c.scratch = make([]uint64, we.pairWords)
 	return &c
 }
 
-// cloneLinkLists deep-copies per-pair item lists (link or node) into
-// one backing array. Capacities are pinned to lengths so a later append
-// relocates the pair's slice instead of overwriting a neighbor's.
-func cloneLinkLists(lists [][]int32) [][]int32 {
+// cloneItemLists deep-copies per-pair item lists into one backing
+// array. Capacities are pinned to lengths so a later append relocates
+// the pair's slice instead of overwriting a neighbor's.
+func cloneItemLists(lists [][]int32) [][]int32 {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
@@ -237,7 +211,7 @@ func cloneLinkLists(lists [][]int32) [][]int32 {
 func (we *WalkEngine) N() int { return we.n }
 
 // Links returns the number of cuttable links.
-func (we *WalkEngine) Links() int { return we.m }
+func (we *WalkEngine) Links() int { return we.links.m() }
 
 // PairCount returns the number of ordered pairs with table entries.
 func (we *WalkEngine) PairCount() int { return len(we.pairU) }
@@ -281,7 +255,15 @@ func (we *WalkEngine) PairID(src, dst int) int {
 // WalkHops returns the link traversals of pair p's cached walk under
 // the current fault set — len(Path)-1 of the equivalent WalkUnderFaults
 // result. Skipped pairs report 0.
-func (we *WalkEngine) WalkHops(p int) int { return len(we.visited[p]) }
+func (we *WalkEngine) WalkHops(p int) int {
+	hops := 0
+	for _, it := range we.uses[p] {
+		if int(it) < we.n {
+			hops++
+		}
+	}
+	return hops
+}
 
 // WalkFailovers returns how many hops of pair p's cached walk used a
 // backup (rank > 0) entry, matching WalkResult.Failovers.
@@ -291,74 +273,51 @@ func (we *WalkEngine) WalkFailovers(p int) int { return int(we.fails[p]) }
 // delivered, the dead-end node on a blackhole, the first revisited node
 // on a loop, and the source when the walk never left it.
 func (we *WalkEngine) WalkStuck(p int) int {
-	if l := we.visited[p]; len(l) > 0 {
+	if l := we.uses[p]; len(l) > 0 {
 		return int(l[len(l)-1])
 	}
 	return int(we.pairU[p])
 }
 
-// CutList returns the current cut set, normalized and sorted (edge-id
-// order coincides with endpoint order because edges are compiled from
+// CutList returns the current cut set, normalized and sorted (link-id
+// order coincides with endpoint order because links are compiled from
 // the sorted g.Edges()).
 func (we *WalkEngine) CutList() []routing.EdgeFault {
-	ids := we.cut.Elements()
-	out := make([]routing.EdgeFault, len(ids))
-	for i, id := range ids {
-		out[i] = routing.EdgeFault{U: int(we.edgeU[id]), V: int(we.edgeV[id])}
-	}
-	return out
+	_, cuts := we.links.split(we.faults.Elements())
+	return cuts
 }
 
 // HasLinkCut reports whether the link {u, v} is currently cut.
 func (we *WalkEngine) HasLinkCut(u, v int) bool {
-	id, ok := we.edgeID[edgeKey(u, v)]
-	return ok && we.cut.Has(int(id))
+	it, ok := we.links.item(u, v)
+	return ok && we.faults.Has(it)
 }
 
 // AddLinkCut cuts the link {u, v} and re-walks exactly the pairs whose
 // cached walk traversed it. Unknown links and already-cut links are
 // no-ops.
 func (we *WalkEngine) AddLinkCut(u, v int) {
-	if id, ok := we.edgeID[edgeKey(u, v)]; ok {
-		we.addCut(int(id))
+	if it, ok := we.links.item(u, v); ok {
+		we.toggle(it, true)
 	}
 }
 
 // RemoveLinkCut repairs the link {u, v} and re-walks exactly the pairs
 // whose cached walk was deflected by it.
 func (we *WalkEngine) RemoveLinkCut(u, v int) {
-	if id, ok := we.edgeID[edgeKey(u, v)]; ok {
-		we.removeCut(int(id))
+	if it, ok := we.links.item(u, v); ok {
+		we.toggle(it, false)
 	}
-}
-
-// addCut is AddLinkCut by edge id.
-func (we *WalkEngine) addCut(id int) {
-	if we.cut.Has(id) {
-		return
-	}
-	we.cut.Add(id)
-	we.rewalkRow(we.travRows[id*we.pairWords : (id+1)*we.pairWords])
-}
-
-// removeCut is RemoveLinkCut by edge id.
-func (we *WalkEngine) removeCut(id int) {
-	if !we.cut.Has(id) {
-		return
-	}
-	we.cut.Remove(id)
-	we.rewalkRow(we.blockRows[id*we.pairWords : (id+1)*we.pairWords])
 }
 
 // HasNodeFault reports whether node v is currently failed.
-func (we *WalkEngine) HasNodeFault(v int) bool {
-	return v >= 0 && v < we.n && we.nodeFault.Has(v)
-}
+func (we *WalkEngine) HasNodeFault(v int) bool { return v < we.n && we.faults.Has(v) }
 
 // NodeFaultList returns the currently failed nodes, sorted. The empty
 // set is a non-nil empty slice, like MixedCutResult.WorstNodes.
 func (we *WalkEngine) NodeFaultList() []int {
-	return append(make([]int, 0, we.nodeFault.Count()), we.nodeFault.Elements()...)
+	nodes, _ := we.links.split(we.faults.Elements())
+	return nodes
 }
 
 // AddNodeFault fails node v and re-walks exactly the pairs whose cached
@@ -366,7 +325,7 @@ func (we *WalkEngine) NodeFaultList() []int {
 // Skipped). Out-of-range and already-failed nodes are no-ops.
 func (we *WalkEngine) AddNodeFault(v int) {
 	if v >= 0 && v < we.n {
-		we.addNodeFault(v)
+		we.toggle(v, true)
 	}
 }
 
@@ -374,48 +333,37 @@ func (we *WalkEngine) AddNodeFault(v int) {
 // cached walk was deflected by v's fault plus v's endpoint pairs.
 func (we *WalkEngine) RemoveNodeFault(v int) {
 	if v >= 0 && v < we.n {
-		we.removeNodeFault(v)
+		we.toggle(v, false)
 	}
 }
 
-// addNodeFault is AddNodeFault with v known in range.
-func (we *WalkEngine) addNodeFault(v int) {
-	if we.nodeFault.Has(v) {
+// toggle fails (on) or repairs one item and re-walks the pairs it can
+// change: the pairs that use a failed item, the pairs that blocked on a
+// repaired one, and for a node item its endpoint pairs. Repeating the
+// current state, and ids past the universe, are no-ops. Every fault
+// mutator of the WalkEngine is a call to it.
+func (we *WalkEngine) toggle(item int, on bool) {
+	if item >= we.faults.Cap() || we.faults.Has(item) == on {
 		return
 	}
-	we.nodeFault.Add(v)
-	we.rewalkRows(we.visitRows[v*we.pairWords:(v+1)*we.pairWords],
-		we.endpointRows[v*we.pairWords:(v+1)*we.pairWords])
-}
-
-// removeNodeFault is RemoveNodeFault with v known in range.
-func (we *WalkEngine) removeNodeFault(v int) {
-	if !we.nodeFault.Has(v) {
-		return
+	rows := we.blockRows
+	if on {
+		we.faults.Add(item)
+		rows = we.useRows
+	} else {
+		we.faults.Remove(item)
 	}
-	we.nodeFault.Remove(v)
-	we.rewalkRows(we.blockNodeRows[v*we.pairWords:(v+1)*we.pairWords],
-		we.endpointRows[v*we.pairWords:(v+1)*we.pairWords])
-}
-
-// rewalkRow re-walks every pair set in the given item row. The row is
-// snapshotted first because each re-walk mutates the live rows.
-func (we *WalkEngine) rewalkRow(row []uint64) { we.rewalkRows(row, nil) }
-
-// rewalkRows re-walks every pair set in the union of the two item rows
-// (the second may be nil), snapshotting first because each re-walk
-// mutates the live rows.
-func (we *WalkEngine) rewalkRows(row, extra []uint64) {
-	copy(we.scratch, row)
-	for i, word := range extra {
-		we.scratch[i] |= word
+	// Snapshot the rows first: each re-walk edits the live ones.
+	pw := we.pairWords
+	copy(we.scratch, rows[item*pw:(item+1)*pw])
+	if item < we.n {
+		for i, word := range we.endpointRows[item*pw : (item+1)*pw] {
+			we.scratch[i] |= word
+		}
 	}
 	for wi, word := range we.scratch {
-		base := wi << 6
-		for word != 0 {
-			p := base | bits.TrailingZeros64(word)
-			word &= word - 1
-			we.rewalk(int32(p))
+		for ; word != 0; word &= word - 1 {
+			we.rewalk(int32(wi<<6 | bits.TrailingZeros64(word)))
 		}
 	}
 }
@@ -423,20 +371,7 @@ func (we *WalkEngine) rewalkRows(row, extra []uint64) {
 // SetCuts replaces the current cut set with exactly the given links via
 // symmetric-difference toggles, so consecutive similar sets stay cheap.
 func (we *WalkEngine) SetCuts(cuts []routing.EdgeFault) {
-	want := graph.NewBitset(we.m)
-	for _, e := range cuts {
-		if id, ok := we.edgeID[edgeKey(e.U, e.V)]; ok {
-			want.Add(int(id))
-		}
-	}
-	for _, id := range we.cut.Elements() {
-		if !want.Has(id) {
-			we.removeCut(id)
-		}
-	}
-	for _, id := range want.Elements() {
-		we.addCut(id)
-	}
+	move(we.faults, we.links.set(nil, cuts), we.n, we.faults.Cap(), we.toggle)
 }
 
 // SetMixedFaults replaces the current mixed fault set with exactly the
@@ -444,32 +379,11 @@ func (we *WalkEngine) SetCuts(cuts []routing.EdgeFault) {
 // consecutive similar sets stay cheap. Out-of-range nodes and unknown
 // links are ignored.
 func (we *WalkEngine) SetMixedFaults(nodes []int, cuts []routing.EdgeFault) {
-	wantN := graph.NewBitset(we.n)
-	for _, v := range nodes {
-		if v >= 0 && v < we.n {
-			wantN.Add(v)
-		}
-	}
-	for _, v := range we.nodeFault.Elements() {
-		if !wantN.Has(v) {
-			we.removeNodeFault(v)
-		}
-	}
-	for _, v := range wantN.Elements() {
-		we.addNodeFault(v)
-	}
-	we.SetCuts(cuts)
+	move(we.faults, we.links.set(nodes, cuts), 0, we.faults.Cap(), we.toggle)
 }
 
 // Reset repairs every cut link and every failed node.
-func (we *WalkEngine) Reset() {
-	for _, id := range we.cut.Elements() {
-		we.removeCut(id)
-	}
-	for _, v := range we.nodeFault.Elements() {
-		we.removeNodeFault(v)
-	}
-}
+func (we *WalkEngine) Reset() { move(we.faults, nil, 0, we.faults.Cap(), we.toggle) }
 
 // rewalk re-walks pair p, refreshing its cache rows and the running
 // stats.
@@ -500,37 +414,25 @@ func (we *WalkEngine) bumpStats(o routing.Outcome, d int) {
 }
 
 // indexPair sets (on=true) or clears pair p's bits in the item rows of
-// its cached traversed, visited and blocked lists. Duplicate items (a
-// loop walk's revisited node, an entry dead for two reasons) are
-// harmless: set and clear are idempotent.
+// its cached uses and blocked lists. Duplicate items (a loop walk's
+// revisited node, a link blocked at two nodes) are harmless: set and
+// clear are idempotent.
 func (we *WalkEngine) indexPair(p int32, on bool) {
 	w, bit := int(p)>>6, uint64(1)<<(uint(p)&63)
 	if on {
-		for _, eid := range we.trav[p] {
-			we.travRows[int(eid)*we.pairWords+w] |= bit
+		for _, it := range we.uses[p] {
+			we.useRows[int(it)*we.pairWords+w] |= bit
 		}
-		for _, eid := range we.blocked[p] {
-			we.blockRows[int(eid)*we.pairWords+w] |= bit
-		}
-		for _, v := range we.visited[p] {
-			we.visitRows[int(v)*we.pairWords+w] |= bit
-		}
-		for _, v := range we.blockedN[p] {
-			we.blockNodeRows[int(v)*we.pairWords+w] |= bit
+		for _, it := range we.blocked[p] {
+			we.blockRows[int(it)*we.pairWords+w] |= bit
 		}
 		return
 	}
-	for _, eid := range we.trav[p] {
-		we.travRows[int(eid)*we.pairWords+w] &^= bit
+	for _, it := range we.uses[p] {
+		we.useRows[int(it)*we.pairWords+w] &^= bit
 	}
-	for _, eid := range we.blocked[p] {
-		we.blockRows[int(eid)*we.pairWords+w] &^= bit
-	}
-	for _, v := range we.visited[p] {
-		we.visitRows[int(v)*we.pairWords+w] &^= bit
-	}
-	for _, v := range we.blockedN[p] {
-		we.blockNodeRows[int(v)*we.pairWords+w] &^= bit
+	for _, it := range we.blocked[p] {
+		we.blockRows[int(it)*we.pairWords+w] &^= bit
 	}
 }
 
@@ -553,23 +455,21 @@ func (we *WalkEngine) entryOf(p, at int32) int32 {
 }
 
 // walk replays pair p's forwarding walk under the current mixed fault
-// set, rebuilding its traversed, visited and blocked item lists, and
-// returns the outcome. Semantics mirror FailoverTables.WalkUnderFaults
-// — an entry is dead iff its link is cut or its target node is failed,
-// the first live ranked entry is taken, Delivered on reaching dst,
-// Blackhole when no live entry exists, Loop on a node revisit
-// (epoch-stamped, allocation-free) — except that a failed src or dst
-// yields Skipped: there is no packet to walk. An entry dead for both
-// reasons records both, so repairing either one alone re-walks the
-// pair (a no-op walk, but never a missed invalidation).
+// set, rebuilding its uses and blocked lists, and returns the outcome.
+// Semantics mirror FailoverTables.WalkUnderFaults — an entry is dead
+// iff its link or its target node is faulty, the first live ranked
+// entry is taken, Delivered on reaching dst, Blackhole when no live
+// entry exists, Loop on a node revisit (epoch-stamped, allocation-free)
+// — except that a failed src or dst yields Skipped: there is no packet
+// to walk. An entry dead for both reasons blocks on both items, so
+// repairing either one alone re-walks the pair (a no-op walk, but never
+// a missed invalidation).
 func (we *WalkEngine) walk(p int32) routing.Outcome {
-	we.trav[p] = we.trav[p][:0]
+	we.uses[p] = we.uses[p][:0]
 	we.blocked[p] = we.blocked[p][:0]
-	we.visited[p] = we.visited[p][:0]
-	we.blockedN[p] = we.blockedN[p][:0]
 	we.fails[p] = 0
 	src, dst := we.pairU[p], we.pairV[p]
-	if we.nodeFault.Has(int(src)) || we.nodeFault.Has(int(dst)) {
+	if we.faults.Has(int(src)) || we.faults.Has(int(dst)) {
 		return routing.Skipped
 	}
 	if src == dst {
@@ -582,14 +482,14 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 		took, backup := int32(-1), false
 		if e := we.entryOf(p, at); e >= 0 {
 			for h := we.hopOff[e]; h < we.hopOff[e+1]; h++ {
-				eid, nx := we.hopEdge[h], we.hops[h]
+				link, nx := we.hopLink[h], we.hops[h]
 				dead := false
-				if eid >= 0 && we.cut.Has(int(eid)) {
-					we.blocked[p] = append(we.blocked[p], eid)
+				if link >= 0 && we.faults.Has(int(link)) {
+					we.blocked[p] = append(we.blocked[p], link)
 					dead = true
 				}
-				if we.nodeFault.Has(int(nx)) {
-					we.blockedN[p] = append(we.blockedN[p], nx)
+				if we.faults.Has(int(nx)) {
+					we.blocked[p] = append(we.blocked[p], nx)
 					dead = true
 				}
 				if dead {
@@ -605,11 +505,11 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 		if backup {
 			we.fails[p]++
 		}
-		if eid := we.hopEdge[took]; eid >= 0 {
-			we.trav[p] = append(we.trav[p], eid)
+		if link := we.hopLink[took]; link >= 0 {
+			we.uses[p] = append(we.uses[p], link)
 		}
 		nx := we.hops[took]
-		we.visited[p] = append(we.visited[p], nx)
+		we.uses[p] = append(we.uses[p], nx)
 		if nx == dst {
 			return routing.Delivered
 		}

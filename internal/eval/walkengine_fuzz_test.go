@@ -36,8 +36,9 @@ func fuzzCutGraph(n int, extra uint64) *graph.Graph {
 // legacy re-walk path on random tables and random fault-toggle
 // sequences over both universes: after every single-item toggle (link
 // cut, link repair, node fail, node repair) the cached per-pair
-// outcomes and stats must equal a from-scratch mixed-oracle evaluation
-// (Skipped for failed endpoints, WalkUnderFaults otherwise), and the
+// outcomes, stats and walk accessors (WalkHops, WalkFailovers,
+// WalkStuck) must equal a from-scratch mixed-oracle evaluation (Skipped
+// for failed endpoints, WalkUnderFaults otherwise), and the
 // engine-backed budget-1 exhaustive adversaries — link-only and mixed —
 // must reproduce their legacy searches exactly. This is the
 // invalidation-correctness property the engine's speed rests on (only
@@ -89,6 +90,7 @@ func FuzzWalkEngineEquivalence(f *testing.F) {
 					t.Fatalf("%s: pair (%d,%d) engine %v, legacy %v (F %v E %v)", stage, p[0], p[1], got, want, nodes, cuts)
 				}
 			}
+			checkWalks(t, stage, we, ft, faults)
 		}
 
 		check("initial")

@@ -92,6 +92,25 @@ func checkEngineState(t *testing.T, name string, we *WalkEngine, ft *routing.Fai
 			t.Fatalf("%s under %v: pair (%d,%d) engine %v, legacy %v", name, cuts, src, dst, got, wantOuts[i])
 		}
 	}
+	checkWalks(t, name, we, ft, routing.FaultSetOf(ft.N(), nil, cuts))
+}
+
+// checkWalks asserts the engine's per-pair walk accessors match
+// WalkUnderFaults's Hops, Failovers and last Path node for every pair
+// whose endpoints are not faulty.
+func checkWalks(t *testing.T, name string, we *WalkEngine, ft *routing.FailoverTables, faults *routing.FaultSet) {
+	t.Helper()
+	for i, p := range ft.Pairs() {
+		src, dst := int(p[0]), int(p[1])
+		if faults.NodeFaulty(src) || faults.NodeFaulty(dst) {
+			continue
+		}
+		w := ft.WalkUnderFaults(src, dst, faults)
+		if we.WalkHops(i) != w.Hops || we.WalkFailovers(i) != w.Failovers || we.WalkStuck(i) != w.Path[len(w.Path)-1] {
+			t.Fatalf("%s: pair (%d,%d) engine hops %d, failovers %d, stuck at %d; walk %+v",
+				name, src, dst, we.WalkHops(i), we.WalkFailovers(i), we.WalkStuck(i), w)
+		}
+	}
 }
 
 // TestWalkEngineTogglesMatchLegacy drives every instance through a

@@ -43,13 +43,19 @@ func NewEnumerator(items int, elems [][]int) *Enumerator {
 
 // Each calls fn for every canonical set of size 1..maxSize in
 // lexicographic preorder, with the set's orbit size as mult. The set
-// slice is reused across calls; copy it to retain.
+// slice is reused across calls; copy it to retain. No set is larger
+// than the universe, so maxSize is clamped to 0..items.
 func (e *Enumerator) Each(maxSize int, fn func(set []int, mult int)) {
+	maxSize = min(max(maxSize, 0), e.items)
 	e.walk(0, maxSize, make([]int, 0, maxSize), false, fn)
 }
 
-// EachExact is Each restricted to sets of size exactly k.
+// EachExact is Each restricted to sets of size exactly k; a k outside
+// 0..items yields nothing.
 func (e *Enumerator) EachExact(k int, fn func(set []int, mult int)) {
+	if k < 0 || k > e.items {
+		return
+	}
 	e.walk(0, k, make([]int, 0, k), true, fn)
 }
 

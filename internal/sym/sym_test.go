@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -226,6 +227,38 @@ func TestEachExactMatchesFiltering(t *testing.T) {
 	})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("EachExact %v != filtered Each %v", got, want)
+	}
+}
+
+// TestEnumeratorSizeBounds runs Count and EachExact at sizes outside
+// 0..items on the C6 dihedral group: a negative size yields nothing, a
+// size past the universe is the whole universe for Count (2^6 − 1
+// non-empty sets) and nothing for EachExact, and neither panics.
+func TestEnumeratorSizeBounds(t *testing.T) {
+	g := must(gen.Cycle(6))
+	gr := Automorphisms(g)
+	en := NewEnumerator(g.N(), Elements(gr.N, gr.Gens, 1<<20))
+	allReps, _ := en.Count(6)
+	for _, tc := range []struct {
+		size        int
+		reps, total int
+		exact       int
+	}{
+		{size: -1},
+		{size: math.MinInt},
+		{size: 0},
+		{size: 6, reps: allReps, total: 63, exact: 1},
+		{size: 7, reps: allReps, total: 63},
+		{size: math.MaxInt, reps: allReps, total: 63},
+	} {
+		if reps, total := en.Count(tc.size); reps != tc.reps || total != tc.total {
+			t.Fatalf("Count(%d) = (%d, %d), want (%d, %d)", tc.size, reps, total, tc.reps, tc.total)
+		}
+		exact := 0
+		en.EachExact(tc.size, func([]int, int) { exact++ })
+		if exact != tc.exact {
+			t.Fatalf("EachExact(%d) yielded %d sets, want %d", tc.size, exact, tc.exact)
+		}
 	}
 }
 
