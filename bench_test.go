@@ -417,6 +417,22 @@ func BenchmarkCompileFailoverCCC4(b *testing.B) {
 	}
 }
 
+// BenchmarkFailoverTablesCCC4 measures the table layer alone:
+// CompileFailover of the reinforced anchor, with Reinforce's BFS (which
+// dominates BenchmarkCompileFailoverCCC4) outside the timed loop.
+func BenchmarkFailoverTablesCCC4(b *testing.B) {
+	m, err := Reinforce(ccc4Circular(b), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t := CompileFailover(m); t.Entries() == 0 {
+			b.Fatal("empty tables")
+		}
+	}
+}
+
 // BenchmarkWalkUnderFaultsCCC4 measures one hop-by-hop failover walk
 // under a mixed fault set, rotating over every routed pair.
 func BenchmarkWalkUnderFaultsCCC4(b *testing.B) {

@@ -260,8 +260,8 @@ type (
 	LinkCutStats = eval.CutStats
 	// LinkCutResult reports the worst link-cut set found.
 	LinkCutResult = eval.CutResult
-	// WalkEngine is the incremental failover-walk engine: it compiles
-	// FailoverTables once, caches every pair's walk, and re-walks only
+	// WalkEngine is the incremental failover-walk engine: it walks the
+	// tables' flat layout, caches every pair's walk, and re-walks only
 	// the pairs whose cached walk touched a toggled item on
 	// AddLinkCut/RemoveLinkCut and AddNodeFault/RemoveNodeFault. All
 	// packet-level adversary entry points use it automatically; it is

@@ -18,7 +18,9 @@
 // bound: it decides whether the set's diameter beats the search's
 // incumbent, from a few pivot BFS, and is exact whenever it does.
 // WalkEngine does the same for failover-table walks, re-walking only
-// the pairs whose cached walk used or was blocked by the toggled item.
+// the pairs whose cached walk used or was blocked by the toggled item;
+// it walks the tables' own flat layout and compiles only what depends
+// on the graph, each hop's link item and each node's endpoint pairs.
 // Both engines keep one fault set over items and change it in one
 // toggle; their node and link methods are range checks around it.
 //

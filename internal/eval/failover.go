@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
@@ -116,7 +117,10 @@ func (r MixedCutResult) String() string {
 // nodes and cut links and returns the outcome counts — the single-set
 // evaluation the mixed adversary searches over, exported for
 // experiments and the CLI. Pairs with a failed endpoint are Skipped.
+// Nodes outside 0..n-1 are dropped, as WalkEngine.SetMixedFaults
+// ignores them.
 func EvaluateMixedFaults(t *routing.FailoverTables, nodes []int, cuts []routing.EdgeFault) CutStats {
+	nodes = slices.DeleteFunc(slices.Clone(nodes), func(v int) bool { return v < 0 || v >= t.N() })
 	return walkAllPairsMixed(t, routing.FaultSetOf(t.N(), nodes, cuts))
 }
 
@@ -208,7 +212,7 @@ func worstWalk(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config
 func (we *WalkEngine) concentratorItems(nodes bool) []int {
 	conc, most := -1, -1
 	for v := 0; v < we.n; v++ {
-		if e := int(we.entriesAt[v]); e > most {
+		if e := we.t.EntriesAt(v); e > most {
 			conc, most = v, e
 		}
 	}

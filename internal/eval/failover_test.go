@@ -158,3 +158,40 @@ func TestReinforcementReducesDisruption(t *testing.T) {
 		t.Fatalf("reinforced tables deliver %d < plain %d under cut %v", under.Delivered, worst.Stats.Delivered, worst.Worst)
 	}
 }
+
+// TestEvaluateMixedFaultsDropsOutOfRangeNodes pins EvaluateMixedFaults
+// to the WalkEngine on node lists that put -1 and n around an in-range
+// node: both ignore the out-of-range nodes, so each list scores exactly
+// like its in-range part.
+func TestEvaluateMixedFaultsDropsOutOfRangeNodes(t *testing.T) {
+	g, err := gen.CCC(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := routing.ShortestPath(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := routing.FailoverFromRouting(r)
+	n := g.N()
+	cuts := []routing.EdgeFault{{U: g.Edges()[0][0], V: g.Edges()[0][1]}}
+	for _, c := range []struct{ nodes, in []int }{
+		{[]int{n}, nil},
+		{[]int{-1}, nil},
+		{[]int{-1, 5, n}, []int{5}},
+		{[]int{n, 5, -1}, []int{5}},
+		{[]int{5, n + 1000}, []int{5}},
+	} {
+		for _, cs := range [][]routing.EdgeFault{nil, cuts} {
+			got := EvaluateMixedFaults(ft, c.nodes, cs)
+			if want := EvaluateMixedFaults(ft, c.in, cs); got != want {
+				t.Fatalf("F=%v E=%v: %v, in-range F=%v: %v", c.nodes, cs, got, c.in, want)
+			}
+			we := NewWalkEngine(ft, g)
+			we.SetMixedFaults(c.nodes, cs)
+			if we.Stats() != got {
+				t.Fatalf("F=%v E=%v: EvaluateMixedFaults %v, engine %v", c.nodes, cs, got, we.Stats())
+			}
+		}
+	}
+}

@@ -111,10 +111,10 @@ func mixedReps(s RouteSource, f int) *prunedReps {
 
 // cutReps is the link-cut plan of tables t on g.
 func cutReps(t *routing.FailoverTables, g *graph.Graph, budget int) *prunedReps {
-	return reps(g, sym.NewTablesCheck(t).Respects, budget, false, true)
+	return reps(g, func(p []int) bool { return sym.TablesRespect(t, p) }, budget, false, true)
 }
 
 // mixedCutReps is the mixed node+link plan of tables t on g.
 func mixedCutReps(t *routing.FailoverTables, g *graph.Graph, budget int) *prunedReps {
-	return reps(g, sym.NewTablesCheck(t).Respects, budget, true, true)
+	return reps(g, func(p []int) bool { return sym.TablesRespect(t, p) }, budget, true, true)
 }

@@ -9,14 +9,16 @@ import (
 
 // WalkEngine is the incremental evaluation engine for static-failover
 // walks under mixed faults — the packet-level analogue of Engine. It
-// compiles FailoverTables once into flat arrays and caches, per ordered
-// pair, the current walk: its outcome, the items it uses (for each hop,
-// the link when the hop is a graph edge, then the node it enters), and
-// the items it blocked on (for each entry it consulted and skipped, the
-// faulty link and the faulty target node). Faults are items of the
-// nodes-then-links id space (node v is item v, link i of g.Edges() is
-// item n+i), and inverted item→pairs bitset rows over both lists make
-// invalidation exact:
+// walks the tables' own flat layout (routing.Layout), compiling only
+// what depends on the graph: each hop's link item and each node's
+// endpoint pairs. Per ordered pair it caches the current walk: its
+// outcome, the items it uses (for each hop, the link when the hop is a
+// graph edge, then the node it enters), and the items it blocked on
+// (for each entry it consulted and skipped, the faulty link and the
+// faulty target node). Faults are items of the nodes-then-links id
+// space (node v is item v, link i of g.Edges() is item n+i), and
+// inverted item→pairs bitset rows over both lists make invalidation
+// exact:
 //
 //   - Failing an item changes the walk of exactly the pairs whose cached
 //     walk uses it. Every entry ranked before the one a walk took was
@@ -42,16 +44,12 @@ type WalkEngine struct {
 	pairWords int          // uint64 words per item→pairs bitset row
 
 	// Compiled form, shared read-only between clones.
-	pairU, pairV []int32         // pair id -> (src, dst), FailoverTables.Pairs() order
-	entOff       []int32         // pair id -> range in entAt/hopOff, len P+1
-	entAt        []int32         // entry -> at-node, sorted within each pair
-	hopOff       []int32         // entry -> range in hops/hopLink, len E+1
-	hops         []int32         // ranked next hops, primary first
-	hopLink      []int32         // hop -> item of the (at, hop) link; -1 = not a graph edge, never cuttable
-	links        *links          // link table
-	pairID       map[int64]int32 // src<<32|dst -> pair id
-	entriesAt    []int32         // node -> decisions held (concentrator probe)
-	endpointRows []uint64        // node -> bitset over pairs with the node as src or dst
+	t            *routing.FailoverTables // pair lookup and per-node entry counts
+	pairs        [][2]int32              // pair id -> (src, dst): t.Pairs()
+	lay          routing.Layout          // t's entries and ranked hops, indexed by pair id
+	hopLink      []int32                 // hop -> item of the (at, hop) link; -1 = not a graph edge, never cuttable
+	links        *links                  // link table
+	endpointRows []uint64                // node -> bitset over pairs with the node as src or dst
 
 	// Mutable walk cache, deep-copied by Clone.
 	faults    *graph.Bitset // failed nodes and cut links, as items
@@ -75,82 +73,30 @@ type WalkEngine struct {
 // read, never retained mutably; the engine itself is not safe for
 // concurrent use — use Clone for parallel searches.
 func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
-	tpairs := t.Pairs()
-	P := len(tpairs)
+	P := len(t.Pairs())
 	we := &WalkEngine{
 		g:         g,
 		n:         g.N(),
 		pairWords: (P + 63) / 64,
-		pairU:     make([]int32, P),
-		pairV:     make([]int32, P),
+		t:         t,
+		pairs:     t.Pairs(),
+		lay:       t.Layout(),
 		links:     newLinks(g),
-		entriesAt: make([]int32, g.N()),
 	}
-	we.pairID = make(map[int64]int32, P)
-	for i, p := range tpairs {
-		we.pairU[i], we.pairV[i] = p[0], p[1]
-		we.pairID[int64(p[0])<<32|int64(p[1])] = int32(i)
-	}
-	pairID := we.pairID // alias for the compile closures below
-	for v := 0; v < we.n && v < t.N(); v++ {
-		we.entriesAt[v] = int32(t.EntriesAt(v))
-	}
-	// Group the table's decisions by pair with a two-pass counting
-	// placement (cheaper than a global sort), then at-sort each pair's
-	// short run in place so entryOf can binary-search it.
-	type decision struct {
-		at     int32
-		ranked []int32
-	}
-	we.entOff = make([]int32, P+1)
-	hopTotal := 0
-	t.EachEntry(func(at, src, dst int, ranked []int32) {
-		if id, ok := pairID[int64(src)<<32|int64(dst)]; ok {
-			we.entOff[id+1]++
-			hopTotal += len(ranked)
-		}
-	})
-	for p := 0; p < P; p++ {
-		we.entOff[p+1] += we.entOff[p]
-	}
-	E := int(we.entOff[P])
-	decs := make([]decision, E)
-	fill := append([]int32(nil), we.entOff[:P]...)
-	t.EachEntry(func(at, src, dst int, ranked []int32) {
-		if id, ok := pairID[int64(src)<<32|int64(dst)]; ok {
-			decs[fill[id]] = decision{at: int32(at), ranked: ranked}
-			fill[id]++
-		}
-	})
-	for p := 0; p < P; p++ {
-		run := decs[we.entOff[p]:we.entOff[p+1]]
-		for i := 1; i < len(run); i++ { // runs are walk-length short
-			for j := i; j > 0 && run[j].at < run[j-1].at; j-- {
-				run[j], run[j-1] = run[j-1], run[j]
+	we.hopLink = make([]int32, len(we.lay.Hops))
+	for e, at := range we.lay.EntAt {
+		for h := we.lay.HopOff[e]; h < we.lay.HopOff[e+1]; h++ {
+			we.hopLink[h] = -1
+			if it, ok := we.links.item(int(at), int(we.lay.Hops[h])); ok {
+				we.hopLink[h] = int32(it)
 			}
-		}
-	}
-	we.entAt = make([]int32, E)
-	we.hopOff = make([]int32, E+1)
-	we.hops = make([]int32, 0, hopTotal)
-	we.hopLink = make([]int32, 0, hopTotal)
-	for i, d := range decs {
-		we.entAt[i] = d.at
-		we.hopOff[i+1] = we.hopOff[i] + int32(len(d.ranked))
-		for _, nx := range d.ranked {
-			we.hops = append(we.hops, nx)
-			link := int32(-1)
-			if it, ok := we.links.item(int(d.at), int(nx)); ok {
-				link = int32(it)
-			}
-			we.hopLink = append(we.hopLink, link)
 		}
 	}
 	we.endpointRows = make([]uint64, we.n*we.pairWords)
-	for p := 0; p < P; p++ {
+	for p, pr := range we.pairs {
 		w, bit := p>>6, uint64(1)<<(uint(p)&63)
-		we.endpointRows[int(we.pairU[p])*we.pairWords+w] |= bit
-		we.endpointRows[int(we.pairV[p])*we.pairWords+w] |= bit
+		we.endpointRows[int(pr[0])*we.pairWords+w] |= bit
+		we.endpointRows[int(pr[1])*we.pairWords+w] |= bit
 	}
 	items := we.n + we.links.m()
 	we.faults = graph.NewBitset(items)
@@ -214,11 +160,11 @@ func (we *WalkEngine) N() int { return we.n }
 func (we *WalkEngine) Links() int { return we.links.m() }
 
 // PairCount returns the number of ordered pairs with table entries.
-func (we *WalkEngine) PairCount() int { return len(we.pairU) }
+func (we *WalkEngine) PairCount() int { return len(we.pairs) }
 
 // Pair returns pair i as (src, dst), in FailoverTables.Pairs() order.
 func (we *WalkEngine) Pair(i int) (src, dst int) {
-	return int(we.pairU[i]), int(we.pairV[i])
+	return int(we.pairs[i][0]), int(we.pairs[i][1])
 }
 
 // Outcome returns the cached walk outcome of pair i under the current
@@ -236,7 +182,7 @@ func (we *WalkEngine) DisruptedPairs() [][2]int32 {
 	var out [][2]int32
 	for i, o := range we.outcome {
 		if o == routing.Blackhole || o == routing.Loop {
-			out = append(out, [2]int32{we.pairU[i], we.pairV[i]})
+			out = append(out, we.pairs[i])
 		}
 	}
 	return out
@@ -245,12 +191,7 @@ func (we *WalkEngine) DisruptedPairs() [][2]int32 {
 // PairID returns the pair id of the ordered pair (src, dst), or -1 when
 // the tables hold no entry for it. Pair ids index the per-pair walk
 // accessors below and stay valid for the engine's lifetime.
-func (we *WalkEngine) PairID(src, dst int) int {
-	if id, ok := we.pairID[int64(src)<<32|int64(dst)]; ok {
-		return int(id)
-	}
-	return -1
-}
+func (we *WalkEngine) PairID(src, dst int) int { return we.t.PairIndex(src, dst) }
 
 // WalkHops returns the link traversals of pair p's cached walk under
 // the current fault set — len(Path)-1 of the equivalent WalkUnderFaults
@@ -276,7 +217,7 @@ func (we *WalkEngine) WalkStuck(p int) int {
 	if l := we.uses[p]; len(l) > 0 {
 		return int(l[len(l)-1])
 	}
-	return int(we.pairU[p])
+	return int(we.pairs[p][0])
 }
 
 // CutList returns the current cut set, normalized and sorted (link-id
@@ -436,24 +377,6 @@ func (we *WalkEngine) indexPair(p int32, on bool) {
 	}
 }
 
-// entryOf returns pair p's entry index at node `at`, or -1. Entries of
-// a pair are at-sorted, so this is a binary search of its run.
-func (we *WalkEngine) entryOf(p, at int32) int32 {
-	lo, hi := we.entOff[p], we.entOff[p+1]
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if we.entAt[mid] < at {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < we.entOff[p+1] && we.entAt[lo] == at {
-		return lo
-	}
-	return -1
-}
-
 // walk replays pair p's forwarding walk under the current mixed fault
 // set, rebuilding its uses and blocked lists, and returns the outcome.
 // Semantics mirror FailoverTables.WalkUnderFaults — an entry is dead
@@ -468,7 +391,7 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 	we.uses[p] = we.uses[p][:0]
 	we.blocked[p] = we.blocked[p][:0]
 	we.fails[p] = 0
-	src, dst := we.pairU[p], we.pairV[p]
+	src, dst := we.pairs[p][0], we.pairs[p][1]
 	if we.faults.Has(int(src)) || we.faults.Has(int(dst)) {
 		return routing.Skipped
 	}
@@ -480,9 +403,9 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 	at := src
 	for {
 		took, backup := int32(-1), false
-		if e := we.entryOf(p, at); e >= 0 {
-			for h := we.hopOff[e]; h < we.hopOff[e+1]; h++ {
-				link, nx := we.hopLink[h], we.hops[h]
+		if e := we.lay.Entry(p, at); e >= 0 {
+			for h := we.lay.HopOff[e]; h < we.lay.HopOff[e+1]; h++ {
+				link, nx := we.hopLink[h], we.lay.Hops[h]
 				dead := false
 				if link >= 0 && we.faults.Has(int(link)) {
 					we.blocked[p] = append(we.blocked[p], link)
@@ -495,7 +418,7 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 				if dead {
 					continue
 				}
-				took, backup = h, h > we.hopOff[e]
+				took, backup = h, h > we.lay.HopOff[e]
 				break
 			}
 		}
@@ -508,7 +431,7 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 		if link := we.hopLink[took]; link >= 0 {
 			we.uses[p] = append(we.uses[p], link)
 		}
-		nx := we.hops[took]
+		nx := we.lay.Hops[took]
 		we.uses[p] = append(we.uses[p], nx)
 		if nx == dst {
 			return routing.Delivered

@@ -71,12 +71,9 @@ func (nw *Network) RunFailoverWorkload(wl Workload, schedule []FaultEvent, fp Fa
 	if fp.Tables == nil {
 		return FailoverStats{}, fmt.Errorf("netsim: RunFailoverWorkload requires tables")
 	}
-	if wl.Messages < 0 {
-		return FailoverStats{}, fmt.Errorf("netsim: negative message count")
-	}
 	n := nw.r.Graph().N()
-	if n < 2 {
-		return FailoverStats{}, fmt.Errorf("netsim: need at least two nodes")
+	if err := checkRun(wl, schedule, n); err != nil {
+		return FailoverStats{}, err
 	}
 	if fp.Tables.N() != n {
 		return FailoverStats{}, fmt.Errorf("netsim: tables over %d nodes, graph has %d", fp.Tables.N(), n)

@@ -49,6 +49,27 @@ type FaultEvent struct {
 	Repair       bool // false = fail, true = repair
 }
 
+// checkRun rejects a run over n nodes before its first send: a
+// negative message count, fewer than two nodes, a hotspot outside
+// 0..n-1 when hotspot sends are drawn, or a node event outside 0..n-1.
+// RunWorkload and RunFailoverWorkload share it.
+func checkRun(wl Workload, schedule []FaultEvent, n int) error {
+	switch {
+	case wl.Messages < 0:
+		return fmt.Errorf("netsim: negative message count")
+	case n < 2:
+		return fmt.Errorf("netsim: need at least two nodes")
+	case wl.HotspotFraction > 0 && (wl.Hotspot < 0 || wl.Hotspot >= n):
+		return fmt.Errorf("netsim: hotspot %d outside 0..%d", wl.Hotspot, n-1)
+	}
+	for _, ev := range schedule {
+		if !ev.Link && (ev.Node < 0 || ev.Node >= n) {
+			return fmt.Errorf("netsim: fault event node %d outside 0..%d", ev.Node, n-1)
+		}
+	}
+	return nil
+}
+
 // apply replays the event onto the network.
 func (ev FaultEvent) apply(nw *Network) {
 	switch {
@@ -92,12 +113,9 @@ func (s Stats) String() string {
 // statistics. Unreachable destinations and faulty endpoints are counted,
 // not fatal: a real network keeps operating.
 func (nw *Network) RunWorkload(wl Workload, schedule []FaultEvent) (Stats, error) {
-	if wl.Messages < 0 {
-		return Stats{}, fmt.Errorf("netsim: negative message count")
-	}
 	n := nw.r.Graph().N()
-	if n < 2 {
-		return Stats{}, fmt.Errorf("netsim: need at least two nodes")
+	if err := checkRun(wl, schedule, n); err != nil {
+		return Stats{}, err
 	}
 	events := append([]FaultEvent(nil), schedule...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].AfterMessage < events[j].AfterMessage })

@@ -3,6 +3,8 @@ package netsim
 import (
 	"strings"
 	"testing"
+
+	"ftroute/internal/routing"
 )
 
 func TestRunWorkloadNoFaults(t *testing.T) {
@@ -87,6 +89,44 @@ func TestRunWorkloadErrors(t *testing.T) {
 	nw := New(r, Params{})
 	if _, err := nw.RunWorkload(Workload{Messages: -1}, nil); err == nil {
 		t.Fatal("negative messages should fail")
+	}
+}
+
+// TestRunnersCheckNodeRanges runs both runners on CCC(3) (n = 24): a
+// hotspot that is drawn and every node event must lie in 0..n-1, or
+// the run returns an error before its first send instead of panicking
+// or counting the bad sends as blackholes.
+func TestRunnersCheckNodeRanges(t *testing.T) {
+	r := buildAllPairs(t)
+	ft := routing.FailoverFromRouting(r)
+	hot := func(v int) Workload { return Workload{Messages: 50, Seed: 1, HotspotFraction: 0.5, Hotspot: v} }
+	plain := Workload{Messages: 50, Seed: 1}
+	cases := []struct {
+		name     string
+		wl       Workload
+		schedule []FaultEvent
+		ok       bool
+	}{
+		{"hotspot past n", hot(27), nil, false},
+		{"hotspot n", hot(24), nil, false},
+		{"negative hotspot", hot(-2), nil, false},
+		{"last node hotspot", hot(23), nil, true},
+		{"undrawn hotspot", Workload{Messages: 50, Seed: 1, Hotspot: 27}, nil, true},
+		{"node event n", plain, []FaultEvent{{AfterMessage: 2, Node: 24}}, false},
+		{"negative node event", plain, []FaultEvent{{AfterMessage: 2, Node: -1}}, false},
+		{"negative node repair", plain, []FaultEvent{{AfterMessage: 2, Node: -1, Repair: true}}, false},
+		{"link event ignores node", plain, []FaultEvent{{AfterMessage: 2, Node: 99, Link: true, U: 0, V: 1}}, true},
+		{"in-range node event", plain, []FaultEvent{{AfterMessage: 2, Node: 5}, {AfterMessage: 9, Node: 5, Repair: true}}, true},
+	}
+	for _, c := range cases {
+		_, err := New(r, Params{}).RunWorkload(c.wl, c.schedule)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: RunWorkload error %v, want ok=%v", c.name, err, c.ok)
+		}
+		_, err = New(r, Params{}).RunFailoverWorkload(c.wl, c.schedule, FailoverParams{Tables: ft})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: RunFailoverWorkload error %v, want ok=%v", c.name, err, c.ok)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ftroute/internal/graph"
@@ -30,6 +31,12 @@ import (
 //     path avoiding the links used by the routes already chosen for the
 //     pair, so successive backups survive the cuts that kill their
 //     predecessors.
+//
+// Both compile into one flat Layout: the routed pairs in sorted order,
+// each owning a run of entries sorted by the node that holds them, each
+// entry its ranked next hops. WalkUnderFaults, package eval's
+// WalkEngine and package sym's TablesRespect all read these arrays;
+// none keeps a copy.
 //
 // Because the tables are static and forwarding is memoryless, a walk
 // under a fixed fault set is deterministic, and exactly three outcomes
@@ -156,13 +163,55 @@ type WalkResult struct {
 
 // FailoverTables hold, per (at-node, src, dst), a ranked list of next
 // hops: the primary route's hop first, backups after it in route order.
-// They are immutable after compilation and safe for concurrent walks.
+// They compile once into one flat Layout, indexed by the sorted pairs,
+// and are immutable after compilation and safe for concurrent walks.
 type FailoverTables struct {
 	n       int
-	next    map[hopKey][]int32
-	perNode []int32    // entries held by each node
 	pairs   [][2]int32 // ordered pairs with at least one entry, sorted
+	lay     Layout
+	perNode []int32 // entries held by each node
 	maxRank int
+}
+
+// Layout is the flat form of FailoverTables that every reader walks:
+// WalkUnderFaults, package eval's WalkEngine and package sym's
+// TablesRespect. Pair p, an index into Pairs(), owns the entries
+// EntOff[p]..EntOff[p+1]-1, sorted by the node that holds them, and
+// entry e ranks the next hops Hops[HopOff[e]:HopOff[e+1]], primary
+// first. The arrays are shared with the tables; readers must not
+// mutate them.
+type Layout struct {
+	EntOff []int32 // pair -> range in EntAt and HopOff, len P+1
+	EntAt  []int32 // entry -> node holding it, strictly increasing within a pair
+	HopOff []int32 // entry -> range in Hops, len E+1
+	Hops   []int32 // ranked next hops, primary first
+}
+
+// Entry returns pair p's entry at node at, or -1 when the node holds
+// none: a binary search of the pair's run. The pointer receiver keeps a
+// per-hop lookup from copying the four slice headers.
+func (l *Layout) Entry(p, at int32) int32 {
+	lo, hi := l.EntOff[p], l.EntOff[p+1]
+	for lo < hi {
+		mid := (lo + hi) >> 1
+		if l.EntAt[mid] < at {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < l.EntOff[p+1] && l.EntAt[lo] == at {
+		return lo
+	}
+	return -1
+}
+
+// Ranked returns entry e's next hops, primary first, or nil for e < 0.
+func (l *Layout) Ranked(e int32) []int32 {
+	if e < 0 {
+		return nil
+	}
+	return l.Hops[l.HopOff[e]:l.HopOff[e+1]:l.HopOff[e+1]]
 }
 
 // CompileFailover builds failover tables from a multirouting: route i of
@@ -170,12 +219,7 @@ type FailoverTables struct {
 // i (duplicate next hops at a node collapse into the earlier rank).
 // Section 6 multiroutings and Reinforce outputs compile directly.
 func CompileFailover(m *MultiRouting) *FailoverTables {
-	ft := newFailoverTables(m.Graph().N())
-	for _, k := range m.sortedPairKeys() {
-		ft.addRoutes(int(k.u), int(k.v), m.routes[k])
-	}
-	ft.finish()
-	return ft
+	return compileFailover(m.Graph().N(), m.sortedPairKeys(), func(k pairKey) []Path { return m.routes[k] })
 }
 
 // FailoverFromRouting builds rank-1 failover tables from a single
@@ -184,63 +228,57 @@ func CompileFailover(m *MultiRouting) *FailoverTables {
 // survives, which is the bridge between table-level and
 // surviving-route-graph semantics (see TestWalkMatchesSurvivingGraph).
 func FailoverFromRouting(r *Routing) *FailoverTables {
-	ft := newFailoverTables(r.g.N())
-	for _, k := range r.sortedPairKeys() {
-		ft.addRoutes(int(k.u), int(k.v), []Path{r.routes[k]})
-	}
-	ft.finish()
-	return ft
-}
-
-// newFailoverTables returns an empty table set over n nodes.
-func newFailoverTables(n int) *FailoverTables {
-	return &FailoverTables{n: n, next: make(map[hopKey][]int32), perNode: make([]int32, n)}
-}
-
-// addRoutes installs the ranked entries of one ordered pair.
-func (ft *FailoverTables) addRoutes(u, v int, routes []Path) {
-	if len(routes) == 0 {
-		return
-	}
-	ft.pairs = append(ft.pairs, [2]int32{int32(u), int32(v)})
-	for _, p := range routes {
-		for i := 0; i+1 < len(p); i++ {
-			key := hopKey{at: int32(p[i]), u: int32(u), v: int32(v)}
-			nx := int32(p[i+1])
-			ranked := ft.next[key]
-			if containsHop(ranked, nx) {
-				continue
-			}
-			if len(ranked) == 0 {
-				ft.perNode[p[i]]++
-			}
-			ft.next[key] = append(ranked, nx)
-		}
-	}
-}
-
-// finish sorts the pair list and records the deepest rank.
-func (ft *FailoverTables) finish() {
-	sort.Slice(ft.pairs, func(i, j int) bool {
-		if ft.pairs[i][0] != ft.pairs[j][0] {
-			return ft.pairs[i][0] < ft.pairs[j][0]
-		}
-		return ft.pairs[i][1] < ft.pairs[j][1]
+	one := make([]Path, 1)
+	return compileFailover(r.g.N(), r.sortedPairKeys(), func(k pairKey) []Path {
+		one[0] = r.routes[k]
+		return one
 	})
-	for _, ranked := range ft.next {
-		if len(ranked) > ft.maxRank {
-			ft.maxRank = len(ranked)
-		}
-	}
 }
 
-func containsHop(ranked []int32, nx int32) bool {
-	for _, h := range ranked {
-		if h == nx {
-			return true
+// compileFailover lays out the tables of the sorted pairs keys, where
+// routes(k) lists pair k's routes in rank order. Each pair collects its
+// (node, next hop) steps in route order and stable-sorts them by node;
+// a node's first step starts its entry, and a step whose hop the entry
+// already ranks is dropped.
+func compileFailover(n int, keys []pairKey, routes func(pairKey) []Path) *FailoverTables {
+	ft := &FailoverTables{n: n, perNode: make([]int32, n)}
+	l := &ft.lay
+	l.EntOff = make([]int32, 1, len(keys)+1)
+	type step struct{ at, nx int32 }
+	var run []step
+	for _, k := range keys {
+		run = run[:0]
+		for _, p := range routes(k) {
+			for i := 0; i+1 < len(p); i++ {
+				run = append(run, step{int32(p[i]), int32(p[i+1])})
+			}
 		}
+		if len(run) == 0 {
+			continue
+		}
+		for i := 1; i < len(run); i++ { // insertion sort: runs are a few routes long
+			for j := i; j > 0 && run[j].at < run[j-1].at; j-- {
+				run[j], run[j-1] = run[j-1], run[j]
+			}
+		}
+		first := len(l.EntAt)
+		for _, s := range run {
+			if len(l.EntAt) == first || l.EntAt[len(l.EntAt)-1] != s.at {
+				l.EntAt = append(l.EntAt, s.at)
+				l.HopOff = append(l.HopOff, int32(len(l.Hops)))
+				ft.perNode[s.at]++
+			}
+			ranked := l.Hops[l.HopOff[len(l.HopOff)-1]:]
+			if !slices.Contains(ranked, s.nx) {
+				l.Hops = append(l.Hops, s.nx)
+				ft.maxRank = max(ft.maxRank, len(ranked)+1)
+			}
+		}
+		ft.pairs = append(ft.pairs, [2]int32{k.u, k.v})
+		l.EntOff = append(l.EntOff, int32(len(l.EntAt)))
 	}
-	return false
+	l.HopOff = append(l.HopOff, int32(len(l.Hops)))
+	return ft
 }
 
 // N returns the node count the tables were compiled for.
@@ -251,7 +289,7 @@ func (ft *FailoverTables) MaxRank() int { return ft.maxRank }
 
 // Entries returns the number of (at, src, dst) decisions with at least
 // one next hop — comparable to ForwardingTables.Entries.
-func (ft *FailoverTables) Entries() int { return len(ft.next) }
+func (ft *FailoverTables) Entries() int { return len(ft.lay.EntAt) }
 
 // EntriesAt returns the number of decisions held by one node.
 func (ft *FailoverTables) EntriesAt(node int) int {
@@ -265,22 +303,40 @@ func (ft *FailoverTables) EntriesAt(node int) int {
 // lexicographically. The slice is shared; callers must not mutate it.
 func (ft *FailoverTables) Pairs() [][2]int32 { return ft.pairs }
 
+// Layout returns the tables' flat arrays, indexed by Pairs() order.
+func (ft *FailoverTables) Layout() Layout { return ft.lay }
+
+// PairIndex returns the index of the ordered pair (src, dst) in Pairs(),
+// or -1 when the tables hold no entry for it.
+func (ft *FailoverTables) PairIndex(src, dst int) int {
+	if src < 0 || src >= ft.n || dst < 0 || dst >= ft.n {
+		return -1
+	}
+	key := [2]int32{int32(src), int32(dst)}
+	lo, hi := 0, len(ft.pairs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p := ft.pairs[mid]; p[0] < key[0] || p[0] == key[0] && p[1] < key[1] {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(ft.pairs) && ft.pairs[lo] == key {
+		return lo
+	}
+	return -1
+}
+
 // NextRanked returns the ranked next hops at node `at` for the pair
 // (src, dst), primary first. The slice is shared; callers must not
 // mutate it.
 func (ft *FailoverTables) NextRanked(at, src, dst int) []int32 {
-	return ft.next[hopKey{at: int32(at), u: int32(src), v: int32(dst)}]
-}
-
-// EachEntry calls fn once per (at, src, dst) decision with its ranked
-// next hops (primary first), in unspecified order. The ranked slice is
-// shared with the tables; callers must not mutate or retain it. This is
-// the enumeration hook package eval's WalkEngine compiles its flat walk
-// arrays from.
-func (ft *FailoverTables) EachEntry(fn func(at, src, dst int, ranked []int32)) {
-	for k, ranked := range ft.next {
-		fn(int(k.at), int(k.u), int(k.v), ranked)
+	p := ft.PairIndex(src, dst)
+	if p < 0 || at < 0 || at >= ft.n {
+		return nil
 	}
+	return ft.lay.Ranked(ft.lay.Entry(int32(p), int32(at)))
 }
 
 // WalkUnderFaults forwards a packet from src to dst hop by hop with
@@ -289,25 +345,29 @@ func (ft *FailoverTables) EachEntry(fn func(at, src, dst int, ranked []int32)) {
 // faulty. The walk is deterministic, always terminates within
 // min(alive, n) hops, and always returns one of the three classified
 // outcomes. A faulty src or dst blackholes immediately (the packet can
-// be neither sent nor received).
+// be neither sent nor received), and so does one outside 0..n-1.
 func (ft *FailoverTables) WalkUnderFaults(src, dst int, faults *FaultSet) WalkResult {
 	if faults == nil {
 		faults = NewFaultSet(ft.n)
 	}
-	if faults.NodeFaulty(src) || faults.NodeFaulty(dst) {
-		return WalkResult{Outcome: Blackhole, Path: Path{src}}
+	res := WalkResult{Outcome: Blackhole, Path: Path{src}}
+	if src < 0 || src >= ft.n || dst < 0 || dst >= ft.n || faults.NodeFaulty(src) || faults.NodeFaulty(dst) {
+		return res
 	}
 	if src == dst {
-		return WalkResult{Outcome: Delivered, Path: Path{src}}
+		res.Outcome = Delivered
+		return res
 	}
-	res := WalkResult{Path: Path{src}}
+	p := int32(ft.PairIndex(src, dst))
+	if p < 0 {
+		return res
+	}
 	visited := make([]uint64, (ft.n+63)/64)
 	visited[src>>6] |= 1 << (uint(src) & 63)
 	at := src
 	for {
-		nx, rank := ft.liveNext(at, src, dst, faults)
+		nx, rank := liveNext(ft.lay.Ranked(ft.lay.Entry(p, int32(at))), at, faults)
 		if nx < 0 {
-			res.Outcome = Blackhole
 			return res
 		}
 		if rank > 0 {
@@ -329,10 +389,10 @@ func (ft *FailoverTables) WalkUnderFaults(src, dst int, faults *FaultSet) WalkRe
 	}
 }
 
-// liveNext returns the first live ranked entry at `at` for (src, dst)
-// and its rank, or (-1, -1) if no entry is live.
-func (ft *FailoverTables) liveNext(at, src, dst int, faults *FaultSet) (int, int) {
-	for rank, nx := range ft.next[hopKey{at: int32(at), u: int32(src), v: int32(dst)}] {
+// liveNext returns the first live hop of the ranked entry held at `at`
+// and its rank, or (-1, -1) if no hop is live.
+func liveNext(ranked []int32, at int, faults *FaultSet) (int, int) {
+	for rank, nx := range ranked {
 		n := int(nx)
 		if faults.NodeFaulty(n) || faults.LinkFaulty(at, n) {
 			continue

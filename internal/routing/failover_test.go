@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ftroute/internal/gen"
@@ -119,6 +121,34 @@ func TestWalkEndpointAndTrivialCases(t *testing.T) {
 	// nil fault set means no faults.
 	if res := ft.WalkUnderFaults(0, 2, nil); res.Outcome != Delivered {
 		t.Fatalf("nil faults: %v", res.Outcome)
+	}
+}
+
+// TestWalkRejectsOutOfRangeEndpoints: on CCC(3) (n = 24) a src or dst
+// outside 0..n-1 blackholes at once with Path{src}, before the src ==
+// dst shortcut, instead of indexing past the tables.
+func TestWalkRejectsOutOfRangeEndpoints(t *testing.T) {
+	g, err := gen.CCC(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ShortestPath(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := FailoverFromRouting(r)
+	for _, c := range []struct{ src, dst int }{
+		{-1, 0}, {1024, 0}, {0, 24}, {0, -1}, {24, 3}, {-1, -1}, {24, 24}, {-5, 1 << 40},
+	} {
+		for _, faults := range []*FaultSet{nil, FaultSetOf(g.N(), []int{1}, []EdgeFault{{U: 0, V: 1}})} {
+			res := ft.WalkUnderFaults(c.src, c.dst, faults)
+			if res.Outcome != Blackhole || !res.Path.Equal(Path{c.src}) || res.Hops != 0 || res.Failovers != 0 {
+				t.Errorf("WalkUnderFaults(%d, %d) = %+v, want a Blackhole at Path{%d}", c.src, c.dst, res, c.src)
+			}
+		}
+		if ft.PairIndex(c.src, c.dst) != -1 || ft.NextRanked(0, c.src, c.dst) != nil {
+			t.Errorf("(%d, %d): PairIndex %d, NextRanked %v", c.src, c.dst, ft.PairIndex(c.src, c.dst), ft.NextRanked(0, c.src, c.dst))
+		}
 	}
 }
 
@@ -259,4 +289,157 @@ func TestFaultSetNormalizesLinks(t *testing.T) {
 	if f2.NodeFaults().Count() != 1 {
 		t.Fatal("NodeFaults wrong")
 	}
+}
+
+// mapRuleEntries rebuilds the ranked entries of every (at, src, dst)
+// decision of a route set with the map rule the compiled layout must
+// reproduce: the pair's routes in rank order each contribute their next
+// hop at every node they traverse, unless the node already ranks it.
+func mapRuleEntries(n int, routes func(u, v int) []Path) map[[3]int][]int32 {
+	next := make(map[[3]int][]int32)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			for _, p := range routes(u, v) {
+				for i := 0; i+1 < len(p); i++ {
+					key := [3]int{p[i], u, v}
+					if !slices.Contains(next[key], int32(p[i+1])) {
+						next[key] = append(next[key], int32(p[i+1]))
+					}
+				}
+			}
+		}
+	}
+	return next
+}
+
+// checkAgainstMapRule compares compiled tables with mapRuleEntries of
+// their routes, decision by decision, and checks the layout's own
+// invariants.
+func checkAgainstMapRule(t *testing.T, name string, ft *FailoverTables, n int, routes func(u, v int) []Path) {
+	t.Helper()
+	want := mapRuleEntries(n, routes)
+	perNode, maxRank := make([]int, n), 0
+	for key, ranked := range want {
+		perNode[key[0]]++
+		maxRank = max(maxRank, len(ranked))
+	}
+	for at := 0; at < n; at++ {
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if got, w := ft.NextRanked(at, u, v), want[[3]int{at, u, v}]; !slices.Equal(got, w) {
+					t.Fatalf("%s: NextRanked(%d, %d, %d) = %v, map rule %v", name, at, u, v, got, w)
+				}
+			}
+		}
+		if ft.EntriesAt(at) != perNode[at] {
+			t.Fatalf("%s: EntriesAt(%d) = %d, map rule %d", name, at, ft.EntriesAt(at), perNode[at])
+		}
+	}
+	if ft.Entries() != len(want) || ft.MaxRank() != maxRank {
+		t.Fatalf("%s: Entries %d MaxRank %d, map rule %d and %d", name, ft.Entries(), ft.MaxRank(), len(want), maxRank)
+	}
+	var pairs [][2]int32
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if len(routes(u, v)) > 0 {
+				pairs = append(pairs, [2]int32{int32(u), int32(v)})
+			}
+		}
+	}
+	if !slices.Equal(ft.Pairs(), pairs) {
+		t.Fatalf("%s: Pairs %v, want %v", name, ft.Pairs(), pairs)
+	}
+	lay := ft.Layout()
+	if len(lay.EntOff) != len(pairs)+1 || lay.EntOff[0] != 0 || int(lay.EntOff[len(pairs)]) != len(lay.EntAt) ||
+		len(lay.HopOff) != len(lay.EntAt)+1 || lay.HopOff[0] != 0 || int(lay.HopOff[len(lay.EntAt)]) != len(lay.Hops) {
+		t.Fatalf("%s: layout bounds: %d pairs, EntOff %d, EntAt %d, HopOff %d, Hops %d",
+			name, len(pairs), len(lay.EntOff), len(lay.EntAt), len(lay.HopOff), len(lay.Hops))
+	}
+	for p := range pairs {
+		for e := lay.EntOff[p] + 1; e < lay.EntOff[p+1]; e++ {
+			if lay.EntAt[e] <= lay.EntAt[e-1] {
+				t.Fatalf("%s: pair %v: entry nodes %v not strictly increasing", name, pairs[p], lay.EntAt[lay.EntOff[p]:lay.EntOff[p+1]])
+			}
+		}
+	}
+	for e := range lay.EntAt {
+		ranked := lay.Ranked(int32(e))
+		if lay.HopOff[e+1] < lay.HopOff[e] || len(ranked) == 0 {
+			t.Fatalf("%s: entry %d: HopOff %d..%d", name, e, lay.HopOff[e], lay.HopOff[e+1])
+		}
+		for i, h := range ranked {
+			if slices.Contains(ranked[:i], h) {
+				t.Fatalf("%s: entry %d ranks hop %d twice: %v", name, e, h, ranked)
+			}
+		}
+	}
+}
+
+// TestCompiledLayoutMatchesMapRule checks the compile against an
+// independent rule, not against another reader of the same arrays: rank
+// 1 tables and Reinforce(r, 1..3) tables on a few fuzzGraph shapes,
+// plus a hand-built multirouting whose routes share a (node, next hop)
+// pair — which Reinforce, whose backups avoid the links of the earlier
+// routes, never produces — and visit nodes out of id order.
+func TestCompiledLayoutMatchesMapRule(t *testing.T) {
+	for _, shape := range []struct {
+		n     int
+		extra uint64
+	}{{5, 0}, {7, 0x5a}, {9, 0x5a5a}, {12, 0xffff_ffff}} {
+		g := fuzzGraph(shape.n, shape.extra)
+		r, err := ShortestPath(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("fuzzGraph(%d, %#x)", shape.n, shape.extra)
+		checkAgainstMapRule(t, name+" rank 1", FailoverFromRouting(r), g.N(), func(u, v int) []Path {
+			if p, ok := r.Get(u, v); ok {
+				return []Path{p}
+			}
+			return nil
+		})
+		for backups := 1; backups <= 3; backups++ {
+			m, err := Reinforce(r, backups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstMapRule(t, fmt.Sprintf("%s reinforced %d", name, backups), CompileFailover(m), g.N(), m.Get)
+		}
+	}
+	g := diamondGraph(t)
+	m := NewMulti(g, 3, false)
+	for _, p := range []Path{
+		{0, 1, 3}, {0, 1, 2, 3}, {0, 2, 3}, // 0 ranks 1 twice; 1 ranks 3 before 2
+		{3, 2, 0}, {3, 1, 0}, {3, 2, 1, 0}, // 3 ranks 2 twice; 2 ranks 0 before 1
+		{2, 1, 0}, {2, 3, 1, 0}, // 1 ranks 0 twice
+	} {
+		if err := m.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ft := CompileFailover(m)
+	checkAgainstMapRule(t, "shared hops", ft, g.N(), m.Get)
+	if got := ft.NextRanked(0, 0, 3); !slices.Equal(got, []int32{1, 2}) {
+		t.Fatalf("NextRanked(0, 0, 3) = %v, want [1 2]", got)
+	}
+	// One pair with 25 routes on K7: a 70-step run, long enough that a
+	// general-purpose unstable sort reorders the steps at a node.
+	k7, err := gen.Complete(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = NewMulti(k7, 0, false)
+	for x := 5; x >= 1; x-- {
+		if err := m.Add(Path{0, x, 6}); err != nil {
+			t.Fatal(err)
+		}
+		for y := 1; y <= 5; y++ {
+			if y != x {
+				if err := m.Add(Path{0, x, y, 6}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	checkAgainstMapRule(t, "long run", CompileFailover(m), k7.N(), m.Get)
 }

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"slices"
 	"sort"
 
 	"ftroute/internal/routing"
@@ -11,7 +12,8 @@ import (
 // The checks here test strict equivariance — route sets must map onto
 // route sets pair by pair, failover tables entry by entry with backup
 // ranks preserved — against a snapshot built once so that testing many
-// group elements stays cheap.
+// group elements stays cheap; failover tables need no snapshot, their
+// compiled layout already is one.
 
 // RouteEnumerator is the slice of eval's RouteSource that symmetry
 // checks need: enumerate every fixed route. *routing.Routing and
@@ -104,64 +106,29 @@ func RoutingRespects(src RouteEnumerator, p []int) bool {
 	return NewRoutingCheck(src).Respects(p)
 }
 
-// TablesCheck pre-indexes failover-table entries for repeated Respects
-// queries.
-type TablesCheck struct {
-	entries []tableEntry
-	id      map[uint64]int32 // packed (at,src,dst) → entry index
-}
-
-type tableEntry struct {
-	at, src, dst int32
-	ranked       []int32
-}
-
-// NewTablesCheck snapshots the ranked entries of t.
-func NewTablesCheck(t *routing.FailoverTables) *TablesCheck {
-	c := &TablesCheck{id: make(map[uint64]int32)}
-	t.EachEntry(func(at, src, dst int, ranked []int32) {
-		c.id[triplePack(at, src, dst)] = int32(len(c.entries))
-		c.entries = append(c.entries, tableEntry{
-			at: int32(at), src: int32(src), dst: int32(dst),
-			ranked: append([]int32(nil), ranked...),
-		})
-	})
-	return c
-}
-
-func triplePack(at, src, dst int) uint64 {
-	return uint64(at)<<42 | uint64(src)<<21 | uint64(dst)
-}
-
-// Respects reports whether node permutation p maps the tables onto
-// themselves rank for rank: entry (at,src,dst) with ranked hops
+// TablesRespect reports whether node permutation p maps the tables t
+// onto themselves rank for rank: entry (at,src,dst) with ranked hops
 // h_0..h_k maps to an entry (p(at),p(src),p(dst)) with ranked hops
 // p(h_0)..p(h_k). Rank order matters — a failover walk takes the first
 // live entry — so this is exactly the condition making walk outcomes
-// constant on fault-set orbits under p.
-func (c *TablesCheck) Respects(p []int) bool {
-	for i := range c.entries {
-		e := &c.entries[i]
-		j, ok := c.id[triplePack(p[e.at], p[e.src], p[e.dst])]
-		if !ok {
+// constant on fault-set orbits under p. It reads the tables' own
+// layout: each image pair by PairIndex, each image entry by a lookup
+// in that pair's run.
+func TablesRespect(t *routing.FailoverTables, p []int) bool {
+	lay := t.Layout()
+	for i, pr := range t.Pairs() {
+		q := int32(t.PairIndex(p[pr[0]], p[pr[1]]))
+		if q < 0 {
 			return false
 		}
-		target := c.entries[j].ranked
-		if len(target) != len(e.ranked) {
-			return false
-		}
-		for k, h := range e.ranked {
-			if target[k] != int32(p[h]) {
+		for e := lay.EntOff[i]; e < lay.EntOff[i+1]; e++ {
+			target := lay.Ranked(lay.Entry(q, int32(p[lay.EntAt[e]])))
+			if !slices.EqualFunc(lay.Ranked(e), target, func(h, img int32) bool { return int32(p[h]) == img }) {
 				return false
 			}
 		}
 	}
-	// p permutes triples, every source entry found a distinct image
-	// entry, and the entry count is fixed — so the image is onto.
+	// p permutes triples, every entry found a distinct image entry, and
+	// the entry count is fixed — so the image is onto.
 	return true
-}
-
-// TablesRespect is a one-shot NewTablesCheck + Respects.
-func TablesRespect(t *routing.FailoverTables, p []int) bool {
-	return NewTablesCheck(t).Respects(p)
 }

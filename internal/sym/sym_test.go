@@ -346,9 +346,8 @@ func TestTablesRespect(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := routing.FailoverFromRouting(tr)
-	check := NewTablesCheck(tab)
 	for _, p := range sub {
-		if !check.Respects(p) {
+		if !TablesRespect(tab, p) {
 			t.Fatalf("subgroup element %v does not respect the transported tables", p)
 		}
 	}
