@@ -202,3 +202,24 @@ func TestCheckRequiresFlags(t *testing.T) {
 		t.Fatal("missing -bound should fail")
 	}
 }
+
+// TestExportIsDeterministic: two export runs of the same routing write
+// the same bytes, whatever order the routing's map holds its routes in.
+func TestExportIsDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	var tables [2][]byte
+	for i := range tables {
+		table := filepath.Join(dir, "routing"+strconv.Itoa(i)+".json")
+		if err := run([]string{"export", "-graph", "ccc:3", "-table", table}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = data
+	}
+	if string(tables[0]) != string(tables[1]) {
+		t.Fatalf("two exports of ccc:3 differ:\n%.200s\n%.200s", tables[0], tables[1])
+	}
+}

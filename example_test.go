@@ -71,14 +71,13 @@ func ExampleDiameterProfile() {
 	// Output: [2 3]
 }
 
-// ExampleCompileForwarding compiles per-node forwarding tables and
-// walks a route hop by hop.
-func ExampleCompileForwarding() {
+// ExampleFailoverFromRouting compiles a routing into per-node rank-1
+// forwarding tables and walks a route hop by hop.
+func ExampleFailoverFromRouting() {
 	g, _ := ftroute.Cycle(6)
 	r, _ := ftroute.ShortestPathRouting(g)
-	ft := ftroute.CompileForwarding(r)
-	path, _ := ft.Walk(0, 3)
-	fmt.Println(path)
+	ft := ftroute.FailoverFromRouting(r)
+	fmt.Println(ft.WalkUnderFaults(0, 3, nil).Path)
 	// Output: [0 1 2 3]
 }
 

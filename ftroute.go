@@ -223,18 +223,15 @@ var (
 	ConcentratorEdgeAdversary = eval.ConcentratorEdgeAdversary
 )
 
-// Forwarding-table compilation and edge-fault handling.
+// Edge-fault handling. A routing's per-node next-hop tables, the form
+// real switches hold, are the rank-1 FailoverTables of
+// FailoverFromRouting (below).
 type (
-	// ForwardingTables hold per-node next-hop entries compiled from a
-	// routing (the form real switches hold).
-	ForwardingTables = routing.ForwardingTables
 	// EdgeFault identifies a failed undirected link.
 	EdgeFault = routing.EdgeFault
 )
 
 var (
-	// CompileForwarding builds per-node next-hop tables from a routing.
-	CompileForwarding = routing.Compile
 	// MapEdgeFaultsToNodes applies the paper's edge-fault reduction.
 	MapEdgeFaultsToNodes = routing.MapEdgeFaultsToNodes
 )

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"slices"
 
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
@@ -117,10 +116,9 @@ func (r MixedCutResult) String() string {
 // nodes and cut links and returns the outcome counts — the single-set
 // evaluation the mixed adversary searches over, exported for
 // experiments and the CLI. Pairs with a failed endpoint are Skipped.
-// Nodes outside 0..n-1 are dropped, as WalkEngine.SetMixedFaults
-// ignores them.
+// Nodes outside 0..n-1 are ignored, by routing.FaultSet as by
+// WalkEngine.SetMixedFaults.
 func EvaluateMixedFaults(t *routing.FailoverTables, nodes []int, cuts []routing.EdgeFault) CutStats {
-	nodes = slices.DeleteFunc(slices.Clone(nodes), func(v int) bool { return v < 0 || v >= t.N() })
 	return walkAllPairsMixed(t, routing.FaultSetOf(t.N(), nodes, cuts))
 }
 

@@ -99,7 +99,7 @@ func runE16(scale Scale) (*Table, error) {
 			}
 			elapsed := time.Since(start).Round(10 * time.Microsecond)
 			st := r.Stats()
-			ft := routing.Compile(r)
+			ft := routing.FailoverFromRouting(r)
 			boundStr := "none"
 			if bnd := b.bound(w.tol); bnd > 0 {
 				boundStr = fmt.Sprint(bnd)

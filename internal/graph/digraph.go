@@ -152,28 +152,6 @@ func (d *Digraph) Diameter() (int, bool) {
 	return diam, true
 }
 
-// DiameterAtMost reports whether the directed diameter over enabled nodes
-// is at most bound, stopping early on the first violation. Disconnection
-// counts as exceeding any bound.
-func (d *Digraph) DiameterAtMost(bound int) bool {
-	n := len(d.out)
-	for u := 0; u < n; u++ {
-		if d.disabled.Has(u) {
-			continue
-		}
-		dist := d.BFSDistances(u)
-		for v := 0; v < n; v++ {
-			if v == u || d.disabled.Has(v) {
-				continue
-			}
-			if dist[v] == Unreachable || dist[v] > bound {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // String returns a short human-readable summary.
 func (d *Digraph) String() string {
 	return fmt.Sprintf("Digraph(n=%d, arcs=%d, disabled=%d)", d.N(), d.arcs, len(d.out)-d.EnabledCount())

@@ -113,7 +113,7 @@ func (nw *Network) RunFailoverWorkload(wl Workload, schedule []FaultEvent, fp Fa
 				return eng.Outcome(p), eng.WalkHops(p), eng.WalkFailovers(p), eng.WalkStuck(p)
 			}
 		}
-		res := fp.Tables.WalkUnderFaults(at, dst, nw.faultSet())
+		res := fp.Tables.WalkUnderFaults(at, dst, nw.faults)
 		return res.Outcome, res.Hops, res.Failovers, res.Path[len(res.Path)-1]
 	}
 	var stats FailoverStats
@@ -127,8 +127,7 @@ func (nw *Network) RunFailoverWorkload(wl Workload, schedule []FaultEvent, fp Fa
 		}
 		src, dst := drawPair(rng, n, wl)
 		stats.Messages++
-		faults := nw.faultSet()
-		if faults.NodeFaulty(src) || faults.NodeFaulty(dst) {
+		if nw.faults.NodeFaulty(src) || nw.faults.NodeFaulty(dst) {
 			stats.SkippedFault++
 			continue
 		}

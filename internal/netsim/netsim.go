@@ -17,7 +17,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
 
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
@@ -59,22 +58,18 @@ func (p Params) endpoint() int {
 type Network struct {
 	r      *routing.Routing
 	params Params
-	faults *graph.Bitset
-	// lfaults holds the currently failed links, normalized.
-	lfaults map[routing.EdgeFault]bool
+	faults *routing.FaultSet
 	// surviving is recomputed lazily after fault changes; nodeOnly is
 	// its node-faults-only counterpart, used to attribute unreachables
 	// to link cuts versus node failures.
 	surviving *graph.Digraph
 	nodeOnly  *graph.Digraph
-	// faultView is the lazily rebuilt FaultSet handed to failover walks.
-	faultView *routing.FaultSet
 	now       int
 }
 
 // New creates a simulator over a routing with no faults.
 func New(r *routing.Routing, params Params) *Network {
-	return &Network{r: r, params: params, faults: graph.NewBitset(r.Graph().N()), lfaults: make(map[routing.EdgeFault]bool)}
+	return &Network{r: r, params: params, faults: routing.NewFaultSet(r.Graph().N())}
 }
 
 // Now returns the simulation clock.
@@ -84,61 +79,45 @@ func (nw *Network) Now() int { return nw.now }
 func (nw *Network) invalidate() {
 	nw.surviving = nil
 	nw.nodeOnly = nil
-	nw.faultView = nil
 }
 
 // Fail marks a node faulty. Subsequent sends observe the new fault set.
+// A node outside 0..n-1 is ignored.
 func (nw *Network) Fail(v int) {
-	nw.faults.Add(v)
+	nw.faults.FailNode(v)
 	nw.invalidate()
 }
 
 // Repair clears a node's fault.
 func (nw *Network) Repair(v int) {
-	nw.faults.Remove(v)
+	nw.faults.RepairNode(v)
 	nw.invalidate()
 }
 
 // FailLink marks the undirected link {u, v} faulty: every route
 // traversing it is dead until repaired.
 func (nw *Network) FailLink(u, v int) {
-	nw.lfaults[routing.EdgeFault{U: u, V: v}.Normalize()] = true
+	nw.faults.FailLink(u, v)
 	nw.invalidate()
 }
 
 // RepairLink clears the link fault on {u, v}.
 func (nw *Network) RepairLink(u, v int) {
-	delete(nw.lfaults, routing.EdgeFault{U: u, V: v}.Normalize())
+	nw.faults.RepairLink(u, v)
 	nw.invalidate()
 }
 
 // Faults returns a copy of the current node fault set.
-func (nw *Network) Faults() *graph.Bitset { return nw.faults.Clone() }
+func (nw *Network) Faults() *graph.Bitset { return nw.faults.NodeFaults() }
 
 // LinkFaults returns the currently failed links, normalized and sorted.
-func (nw *Network) LinkFaults() []routing.EdgeFault {
-	out := make([]routing.EdgeFault, 0, len(nw.lfaults))
-	for e := range nw.lfaults {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
+func (nw *Network) LinkFaults() []routing.EdgeFault { return nw.faults.LinkFaults() }
 
 // SurvivingGraph returns the current surviving route graph under both
 // node and link faults, recomputing it after fault changes.
 func (nw *Network) SurvivingGraph() *graph.Digraph {
 	if nw.surviving == nil {
-		if len(nw.lfaults) == 0 {
-			nw.surviving = nw.r.SurvivingGraph(nw.faults)
-		} else {
-			nw.surviving = nw.r.SurvivingGraphMixed(nw.faults, nw.LinkFaults())
-		}
+		nw.surviving = nw.r.SurvivingGraphMixed(nw.Faults(), nw.LinkFaults())
 	}
 	return nw.surviving
 }
@@ -148,18 +127,9 @@ func (nw *Network) SurvivingGraph() *graph.Digraph {
 // the counterfactual that attributes an unreachable to the link cuts.
 func (nw *Network) reachableNodesOnly(src, dst int) bool {
 	if nw.nodeOnly == nil {
-		nw.nodeOnly = nw.r.SurvivingGraph(nw.faults)
+		nw.nodeOnly = nw.r.SurvivingGraph(nw.Faults())
 	}
 	return routeParents(nw.nodeOnly, src, dst)[dst] != -2
-}
-
-// faultSet returns the current faults as the FaultSet view failover
-// walks consume, rebuilt lazily after fault changes.
-func (nw *Network) faultSet() *routing.FaultSet {
-	if nw.faultView == nil {
-		nw.faultView = routing.FaultSetOf(nw.r.Graph().N(), nw.faults.Elements(), nw.LinkFaults())
-	}
-	return nw.faultView
 }
 
 // routeParents runs a BFS over the surviving route graph from src,
@@ -200,7 +170,7 @@ type Delivery struct {
 // simulates traversing them, charging HopCost per link and EndpointCost
 // per route endpoint. The clock advances to the arrival time.
 func (nw *Network) Send(src, dst int) (*Delivery, error) {
-	if nw.faults.Has(src) || nw.faults.Has(dst) {
+	if nw.faults.NodeFaulty(src) || nw.faults.NodeFaulty(dst) {
 		return nil, fmt.Errorf("%w: %d -> %d", ErrFaulty, src, dst)
 	}
 	if src == dst {
@@ -210,7 +180,7 @@ func (nw *Network) Send(src, dst int) (*Delivery, error) {
 	// BFS in the surviving route graph for the route sequence.
 	parent := routeParents(d, src, dst)
 	if parent[dst] == -2 {
-		return nil, fmt.Errorf("%w: %d -> %d (faults %v)", ErrUnreachable, src, dst, nw.faults)
+		return nil, fmt.Errorf("%w: %d -> %d (faults %v)", ErrUnreachable, src, dst, nw.Faults())
 	}
 	var rev []int
 	for v := dst; v != -1; v = parent[v] {
@@ -269,7 +239,7 @@ type BroadcastResult struct {
 // discarded. With bound >= diam(R(G,ρ)/F), every surviving node is
 // reached (Section 1); the result records whether that held.
 func (nw *Network) Broadcast(origin, bound int) (*BroadcastResult, error) {
-	if nw.faults.Has(origin) {
+	if nw.faults.NodeFaulty(origin) {
 		return nil, fmt.Errorf("%w: origin %d", ErrFaulty, origin)
 	}
 	d := nw.SurvivingGraph()
@@ -308,7 +278,7 @@ func (nw *Network) Broadcast(origin, bound int) (*BroadcastResult, error) {
 	}
 	res.AllReached = true
 	for v := 0; v < n; v++ {
-		if nw.faults.Has(v) {
+		if nw.faults.NodeFaulty(v) {
 			continue
 		}
 		if seen[v] {

@@ -301,3 +301,23 @@ func cycleEdgeRouting(t *testing.T, n int) *routing.Routing {
 	}
 	return r
 }
+
+// TestFaultMutatorsIgnoreOutOfRangeNodes: failing or repairing a node
+// outside 0..n-1 changes nothing, as in routing.FaultSet, instead of
+// panicking.
+func TestFaultMutatorsIgnoreOutOfRangeNodes(t *testing.T) {
+	r, _ := buildKernel(t)
+	n := r.Graph().N()
+	nw := New(r, Params{})
+	for _, v := range []int{n, -1, n + 40} {
+		nw.Fail(v)
+		nw.Repair(v)
+		nw.Fail(v)
+	}
+	if nw.Faults().Count() != 0 {
+		t.Fatalf("faults = %v", nw.Faults())
+	}
+	if got, want := nw.SurvivingGraph().Arcs(), r.SurvivingGraph(nil).Arcs(); got != want {
+		t.Fatalf("surviving arcs %d, fault-free %d", got, want)
+	}
+}

@@ -51,19 +51,25 @@ type FaultEvent struct {
 
 // checkRun rejects a run over n nodes before its first send: a
 // negative message count, fewer than two nodes, a hotspot outside
-// 0..n-1 when hotspot sends are drawn, or a node event outside 0..n-1.
-// RunWorkload and RunFailoverWorkload share it.
+// 0..n-1 when hotspot sends are drawn, or a node event or link event
+// endpoint outside 0..n-1. A link event between two in-range nodes
+// that share no edge is accepted; it kills no route. RunWorkload and
+// RunFailoverWorkload share it.
 func checkRun(wl Workload, schedule []FaultEvent, n int) error {
+	outside := func(v int) bool { return v < 0 || v >= n }
 	switch {
 	case wl.Messages < 0:
 		return fmt.Errorf("netsim: negative message count")
 	case n < 2:
 		return fmt.Errorf("netsim: need at least two nodes")
-	case wl.HotspotFraction > 0 && (wl.Hotspot < 0 || wl.Hotspot >= n):
+	case wl.HotspotFraction > 0 && outside(wl.Hotspot):
 		return fmt.Errorf("netsim: hotspot %d outside 0..%d", wl.Hotspot, n-1)
 	}
 	for _, ev := range schedule {
-		if !ev.Link && (ev.Node < 0 || ev.Node >= n) {
+		if ev.Link && (outside(ev.U) || outside(ev.V)) {
+			return fmt.Errorf("netsim: fault event link {%d,%d} outside 0..%d", ev.U, ev.V, n-1)
+		}
+		if !ev.Link && outside(ev.Node) {
 			return fmt.Errorf("netsim: fault event node %d outside 0..%d", ev.Node, n-1)
 		}
 	}
@@ -141,7 +147,7 @@ func (nw *Network) RunWorkload(wl Workload, schedule []FaultEvent) (Stats, error
 			}
 			latencies = append(latencies, del.Time-start)
 		case errors.Is(err, ErrUnreachable):
-			if len(nw.lfaults) > 0 && nw.reachableNodesOnly(src, dst) {
+			if len(nw.LinkFaults()) > 0 && nw.reachableNodesOnly(src, dst) {
 				stats.UnreachableLink++
 			} else {
 				stats.Unreachable++

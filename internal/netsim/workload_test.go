@@ -93,11 +93,16 @@ func TestRunWorkloadErrors(t *testing.T) {
 }
 
 // TestRunnersCheckNodeRanges runs both runners on CCC(3) (n = 24): a
-// hotspot that is drawn and every node event must lie in 0..n-1, or
-// the run returns an error before its first send instead of panicking
-// or counting the bad sends as blackholes.
+// hotspot that is drawn, every node event and both endpoints of every
+// link event must lie in 0..n-1, or the run returns an error before its
+// first send instead of panicking, counting the bad sends as
+// blackholes or recording a bogus cut. An in-range non-edge is a valid
+// link event that cuts nothing.
 func TestRunnersCheckNodeRanges(t *testing.T) {
 	r := buildAllPairs(t)
+	if r.Graph().HasEdge(0, 23) {
+		t.Fatal("the non-edge row needs 0-23 to be a non-edge")
+	}
 	ft := routing.FailoverFromRouting(r)
 	hot := func(v int) Workload { return Workload{Messages: 50, Seed: 1, HotspotFraction: 0.5, Hotspot: v} }
 	plain := Workload{Messages: 50, Seed: 1}
@@ -117,6 +122,10 @@ func TestRunnersCheckNodeRanges(t *testing.T) {
 		{"negative node repair", plain, []FaultEvent{{AfterMessage: 2, Node: -1, Repair: true}}, false},
 		{"link event ignores node", plain, []FaultEvent{{AfterMessage: 2, Node: 99, Link: true, U: 0, V: 1}}, true},
 		{"in-range node event", plain, []FaultEvent{{AfterMessage: 2, Node: 5}, {AfterMessage: 9, Node: 5, Repair: true}}, true},
+		{"link event outside", plain, []FaultEvent{{AfterMessage: 1, Link: true, U: -1, V: 99}}, false},
+		{"link event endpoint n", plain, []FaultEvent{{AfterMessage: 2, Link: true, U: 0, V: 24}}, false},
+		{"negative link repair", plain, []FaultEvent{{AfterMessage: 2, Link: true, U: -1, V: 0, Repair: true}}, false},
+		{"in-range non-edge link event", plain, []FaultEvent{{AfterMessage: 2, Link: true, U: 0, V: 23}}, true},
 	}
 	for _, c := range cases {
 		_, err := New(r, Params{}).RunWorkload(c.wl, c.schedule)

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"ftroute/internal/gen"
@@ -213,6 +215,18 @@ func TestMapEdgeFaultsOutOfRange(t *testing.T) {
 	}
 }
 
+// walksStoredRoutes asserts that every route of r walks hop by hop
+// through ft, without faults, along exactly the stored path.
+func walksStoredRoutes(t *testing.T, ft *FailoverTables, r *Routing) {
+	t.Helper()
+	r.Each(func(u, v int, p Path) {
+		res := ft.WalkUnderFaults(u, v, nil)
+		if res.Outcome != Delivered || !res.Path.Equal(p) || res.Failovers != 0 {
+			t.Fatalf("walk (%d,%d) = %+v, route %v", u, v, res, p)
+		}
+	})
+}
+
 func TestCompileAndWalk(t *testing.T) {
 	g, err := gen.Hypercube(3)
 	if err != nil {
@@ -222,10 +236,8 @@ func TestCompileAndWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := Compile(r)
-	if err := ft.VerifyAgainst(r); err != nil {
-		t.Fatal(err)
-	}
+	ft := FailoverFromRouting(r)
+	walksStoredRoutes(t, ft, r)
 	if ft.Entries() == 0 {
 		t.Fatal("no entries")
 	}
@@ -237,10 +249,7 @@ func TestCompileAndWalk(t *testing.T) {
 	if total != ft.Entries() {
 		t.Fatalf("per-node sum %d != total %d", total, ft.Entries())
 	}
-	p, err := ft.Walk(0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := ft.WalkUnderFaults(0, 7, nil).Path
 	if p.Src() != 0 || p.Dst() != 7 || len(p) != 4 {
 		t.Fatalf("walk = %v", p)
 	}
@@ -255,12 +264,13 @@ func TestWalkSelfAndMissing(t *testing.T) {
 	if err := r.Set(Path{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	ft := Compile(r)
-	if p, err := ft.Walk(3, 3); err != nil || len(p) != 1 {
-		t.Fatalf("self walk = %v, %v", p, err)
+	ft := FailoverFromRouting(r)
+	if res := ft.WalkUnderFaults(3, 3, nil); res.Outcome != Delivered || !res.Path.Equal(Path{3}) {
+		t.Fatalf("self walk = %+v", res)
 	}
-	if _, err := ft.Walk(2, 0); err == nil {
-		t.Fatal("missing route should fail the walk")
+	// A pair without a route has no entry: the walk blackholes at src.
+	if res := ft.WalkUnderFaults(2, 0, nil); res.Outcome != Blackhole || !res.Path.Equal(Path{2}) {
+		t.Fatalf("missing route walk = %+v", res)
 	}
 }
 
@@ -273,29 +283,29 @@ func TestSurvivingWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := Compile(r)
-	faults := graph.BitsetOf(6, 1)
+	ft := FailoverFromRouting(r)
+	faults := FaultSetOf(6, []int{1}, nil)
 	// Route 0->2 goes through 1: the walk must stop before entering 1.
-	prefix, delivered := ft.SurvivingWalk(0, 2, faults)
-	if delivered {
+	res := ft.WalkUnderFaults(0, 2, faults)
+	if res.Outcome != Blackhole {
 		t.Fatal("walk through a faulty node must fail")
 	}
-	if len(prefix) != 1 || prefix[0] != 0 {
-		t.Fatalf("prefix = %v", prefix)
+	if !res.Path.Equal(Path{0}) {
+		t.Fatalf("prefix = %v", res.Path)
 	}
 	// Route 0->4 goes 0-5-4: unaffected.
-	p, delivered := ft.SurvivingWalk(0, 4, faults)
-	if !delivered || len(p) != 3 {
-		t.Fatalf("unaffected walk = %v, %v", p, delivered)
+	if res := ft.WalkUnderFaults(0, 4, faults); res.Outcome != Delivered || len(res.Path) != 3 {
+		t.Fatalf("unaffected walk = %+v", res)
 	}
 	// Faulty endpoints.
-	if _, ok := ft.SurvivingWalk(1, 4, faults); ok {
+	if res := ft.WalkUnderFaults(1, 4, faults); res.Outcome == Delivered {
 		t.Fatal("faulty source must fail")
 	}
 }
 
 // TestForwardingMatchesSurvivingGraph: a pair's surviving-graph arc
-// exists iff the hop-by-hop walk delivers under the same faults.
+// exists iff the rank-1 hop-by-hop walk delivers under the same node
+// faults.
 func TestForwardingMatchesSurvivingGraph(t *testing.T) {
 	g, err := gen.CCC(3)
 	if err != nil {
@@ -305,18 +315,219 @@ func TestForwardingMatchesSurvivingGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft := Compile(r)
+	ft := FailoverFromRouting(r)
 	faults := graph.BitsetOf(g.N(), 3, 17)
+	walkFaults := FaultSetOf(g.N(), faults.Elements(), nil)
 	d := r.SurvivingGraph(faults)
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
 			if u == v || faults.Has(u) || faults.Has(v) {
 				continue
 			}
-			_, delivered := ft.SurvivingWalk(u, v, faults)
+			delivered := ft.WalkUnderFaults(u, v, walkFaults).Outcome == Delivered
 			if delivered != d.HasArc(u, v) {
 				t.Fatalf("(%d,%d): walk=%v arc=%v", u, v, delivered, d.HasArc(u, v))
 			}
 		}
+	}
+}
+
+// sameDigraph reports the first node or arc on which a and b differ.
+func sameDigraph(a, b *graph.Digraph) error {
+	if a.N() != b.N() || a.Arcs() != b.Arcs() {
+		return fmt.Errorf("%v vs %v", a, b)
+	}
+	for u := 0; u < a.N(); u++ {
+		if a.Disabled(u) != b.Disabled(u) {
+			return fmt.Errorf("node %d disabled %v vs %v", u, a.Disabled(u), b.Disabled(u))
+		}
+		for v := 0; v < a.N(); v++ {
+			if a.HasArc(u, v) != b.HasArc(u, v) {
+				return fmt.Errorf("arc (%d,%d) %v vs %v", u, v, a.HasArc(u, v), b.HasArc(u, v))
+			}
+		}
+	}
+	return nil
+}
+
+// TestSurvivingGraphMixedMatchesRouteCheck pins the surviving-graph
+// rebuild of both containers to a route check written here: under
+// seeded random mixed fault sets whose link lists carry reversed,
+// duplicate, self-loop and non-edge entries, an arc u→v exists iff some
+// route of (u, v) has no faulty node and crosses no faulty link, links
+// compared as unordered pairs; a node is disabled iff it is faulty; and
+// SurvivingGraph(F) is SurvivingGraphMixed(F, nil).
+func TestSurvivingGraphMixedMatchesRouteCheck(t *testing.T) {
+	g, err := gen.CCC(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ShortestPath(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Reinforce(r, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, edges := g.N(), g.Edges()
+	survives := func(p Path, nodes *graph.Bitset, links []EdgeFault) bool {
+		for i, v := range p {
+			if nodes.Has(v) {
+				return false
+			}
+			for _, e := range links {
+				if i > 0 && (e.U == p[i-1] && e.V == v || e.U == v && e.V == p[i-1]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	containers := []struct {
+		name   string
+		mixed  func(*graph.Bitset, []EdgeFault) *graph.Digraph
+		node   func(*graph.Bitset) *graph.Digraph
+		routes func(u, v int) []Path
+	}{
+		{"routing", r.SurvivingGraphMixed, r.SurvivingGraph, func(u, v int) []Path {
+			if p, ok := r.Get(u, v); ok {
+				return []Path{p}
+			}
+			return nil
+		}},
+		{"multirouting", m.SurvivingGraphMixed, m.SurvivingGraph, m.Get},
+	}
+	rng := rand.New(rand.NewSource(19))
+	var kinds [5]int
+	for trial := 0; trial < 80; trial++ {
+		var nodes *graph.Bitset
+		if trial%5 != 0 {
+			nodes = graph.NewBitset(n)
+			for k := rng.Intn(3); k > 0; k-- {
+				nodes.Add(rng.Intn(n))
+			}
+		}
+		var links []EdgeFault
+		for k := rng.Intn(4); k > 0; k-- {
+			e, x, y := edges[rng.Intn(len(edges))], rng.Intn(n), rng.Intn(n)
+			kind := rng.Intn(len(kinds))
+			switch kind {
+			case 0:
+				links = append(links, EdgeFault{U: e[0], V: e[1]})
+			case 1: // reversed
+				links = append(links, EdgeFault{U: e[1], V: e[0]})
+			case 2: // duplicate, once each way
+				links = append(links, EdgeFault{U: e[0], V: e[1]}, EdgeFault{U: e[1], V: e[0]})
+			case 3: // self-loop
+				links = append(links, EdgeFault{U: x, V: x})
+			default: // non-edge
+				if x == y || g.HasEdge(x, y) {
+					continue
+				}
+				links = append(links, EdgeFault{U: x, V: y})
+			}
+			kinds[kind]++
+		}
+		for _, c := range containers {
+			d := c.mixed(nodes, links)
+			for u := 0; u < n; u++ {
+				if d.Disabled(u) != nodes.Has(u) {
+					t.Fatalf("%s trial %d: node %d disabled=%v, faulty=%v", c.name, trial, u, d.Disabled(u), nodes.Has(u))
+				}
+				for v := 0; v < n; v++ {
+					want := false
+					for _, p := range c.routes(u, v) {
+						want = want || survives(p, nodes, links)
+					}
+					if d.HasArc(u, v) != want {
+						t.Fatalf("%s trial %d: arc (%d,%d) = %v, want %v (nodes %v, links %v)", c.name, trial, u, v, d.HasArc(u, v), want, nodes, links)
+					}
+				}
+			}
+			if err := sameDigraph(c.node(nodes), c.mixed(nodes, nil)); err != nil {
+				t.Fatalf("%s trial %d: SurvivingGraph vs SurvivingGraphMixed(F, nil): %v", c.name, trial, err)
+			}
+		}
+	}
+	for kind, count := range kinds {
+		if count == 0 {
+			t.Fatalf("link kind %d never drawn: %v", kind, kinds)
+		}
+	}
+}
+
+// TestOutOfRangeFaultsDoNotPanic: on CCC(3) (n = 24) each row once
+// panicked. A node fault set over the wrong number of nodes is an
+// error; a node fault outside 0..n-1 lies on no route, so it kills
+// nothing and disables nothing.
+func TestOutOfRangeFaultsDoNotPanic(t *testing.T) {
+	g, err := gen.CCC(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ShortestPath(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Reinforce(r, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	rows := []struct {
+		name string
+		run  func() error
+	}{
+		{"MapEdgeFaultsToNodes over n+1", func() error {
+			if _, err := MapEdgeFaultsToNodes(n, graph.BitsetOf(n+1, 1), nil); err == nil {
+				return fmt.Errorf("no error")
+			}
+			return nil
+		}},
+		{"MapEdgeFaultsToNodes over n-1", func() error {
+			if _, err := MapEdgeFaultsToNodes(n, graph.BitsetOf(n-1, 1), []EdgeFault{{U: 0, V: 1}}); err == nil {
+				return fmt.Errorf("no error")
+			}
+			return nil
+		}},
+		{"Routing.SurvivingGraph node 26", func() error {
+			return sameDigraph(r.SurvivingGraph(graph.BitsetOf(29, 26)), r.SurvivingGraph(nil))
+		}},
+		{"MultiRouting.SurvivingGraph node 26", func() error {
+			return sameDigraph(m.SurvivingGraph(graph.BitsetOf(29, 26)), m.SurvivingGraph(nil))
+		}},
+		{"SurvivingGraphMixed node 24", func() error {
+			links := []EdgeFault{{U: 0, V: 1}}
+			return sameDigraph(r.SurvivingGraphMixed(graph.BitsetOf(n+1, n), links), r.SurvivingGraphMixed(nil, links))
+		}},
+		{"FaultSetOf node n", func() error {
+			if f := FaultSetOf(n, []int{n, -1}, nil); f.NodeFaulty(n) || f.NodeFaults().Count() != 0 {
+				return fmt.Errorf("nodes %v", f.NodeFaults())
+			}
+			return nil
+		}},
+		{"FailNode outside", func() error {
+			f := NewFaultSet(n)
+			for _, v := range []int{n, -1, 1 << 40, 3} {
+				f.FailNode(v)
+			}
+			if got := f.NodeFaults().Elements(); len(got) != 1 || got[0] != 3 {
+				return fmt.Errorf("nodes %v, want [3]", got)
+			}
+			return nil
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panic: %v", p)
+				}
+			}()
+			if err := row.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

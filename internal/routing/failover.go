@@ -1,19 +1,20 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ftroute/internal/graph"
 )
 
 // This file implements static-failover forwarding: the table-level
 // resilience model of Chiesa et al. ("Exploring the Limits of Static
-// Failover Routing") layered over the paper's fixed routings. Where
-// ForwardingTables hold exactly one next hop per (at, src, dst) decision,
-// FailoverTables hold a *ranked* list: the primary route's hop first,
-// then backups contributed by the pair's parallel routes. A switch that
+// Failover Routing") layered over the paper's fixed routings.
+// FailoverTables hold, per (at, src, dst) decision, a *ranked* list of
+// next hops: the primary route's hop first, then backups contributed by
+// the pair's parallel routes. A routing's plain per-node next-hop
+// tables are the rank-1 case (FailoverFromRouting). A switch that
 // sees its preferred outgoing link (or neighbor) dead falls through to
 // the next live entry — a purely local decision with no packet header
 // rewriting and no global recomputation, which is exactly what deployed
@@ -112,8 +113,13 @@ func FaultSetOf(n int, nodes []int, links []EdgeFault) *FaultSet {
 	return f
 }
 
-// FailNode marks v faulty.
-func (f *FaultSet) FailNode(v int) { f.nodes.Add(v) }
+// FailNode marks v faulty. A node outside 0..n-1 is ignored: it lies on
+// no route.
+func (f *FaultSet) FailNode(v int) {
+	if v >= 0 && v < f.nodes.Cap() {
+		f.nodes.Add(v)
+	}
+}
 
 // RepairNode clears v's fault.
 func (f *FaultSet) RepairNode(v int) { f.nodes.Remove(v) }
@@ -139,12 +145,7 @@ func (f *FaultSet) LinkFaults() []EdgeFault {
 	for e := range f.links {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, func(a, b EdgeFault) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
 	return out
 }
 
@@ -219,17 +220,19 @@ func (l *Layout) Ranked(e int32) []int32 {
 // i (duplicate next hops at a node collapse into the earlier rank).
 // Section 6 multiroutings and Reinforce outputs compile directly.
 func CompileFailover(m *MultiRouting) *FailoverTables {
-	return compileFailover(m.Graph().N(), m.sortedPairKeys(), func(k pairKey) []Path { return m.routes[k] })
+	return compileFailover(m.Graph().N(), sortedKeys(m.routes), func(k pairKey) []Path { return m.routes[k] })
 }
 
 // FailoverFromRouting builds rank-1 failover tables from a single
-// routing: the same entries as Compile, in the ranked representation.
-// Walks over these tables succeed exactly when the pair's one route
-// survives, which is the bridge between table-level and
-// surviving-route-graph semantics (see TestWalkMatchesSurvivingGraph).
+// routing: the per-node next-hop tables a switch holds, one entry at
+// every node a route leaves, naming the route's next hop. A fault-free
+// walk follows the stored route, and a walk under faults succeeds
+// exactly when the pair's one route survives, which is the bridge
+// between table-level and surviving-route-graph semantics (the golden
+// TestFailoverWalkMatchesSurvivingRouteGraphCCC4 of package ftroute).
 func FailoverFromRouting(r *Routing) *FailoverTables {
 	one := make([]Path, 1)
-	return compileFailover(r.g.N(), r.sortedPairKeys(), func(k pairKey) []Path {
+	return compileFailover(r.g.N(), sortedKeys(r.routes), func(k pairKey) []Path {
 		one[0] = r.routes[k]
 		return one
 	})
@@ -288,7 +291,8 @@ func (ft *FailoverTables) N() int { return ft.n }
 func (ft *FailoverTables) MaxRank() int { return ft.maxRank }
 
 // Entries returns the number of (at, src, dst) decisions with at least
-// one next hop — comparable to ForwardingTables.Entries.
+// one next hop, the table-space cost of the routing; for rank-1 tables
+// it is the routes' total hop count.
 func (ft *FailoverTables) Entries() int { return len(ft.lay.EntAt) }
 
 // EntriesAt returns the number of decisions held by one node.
@@ -419,7 +423,7 @@ func Reinforce(r *Routing, backups int) (*MultiRouting, error) {
 	g := r.g
 	m := NewMulti(g, backups+1, false)
 	var firstErr error
-	for _, k := range r.sortedPairKeys() {
+	for _, k := range sortedKeys(r.routes) {
 		primary := r.routes[k]
 		if err := m.Add(primary); err != nil {
 			return nil, err
@@ -443,36 +447,6 @@ func Reinforce(r *Routing, backups int) (*MultiRouting, error) {
 		}
 	}
 	return m, firstErr
-}
-
-// sortedPairKeys returns the routing's pair keys in lexicographic order,
-// giving deterministic compilation and reinforcement.
-func (r *Routing) sortedPairKeys() []pairKey {
-	keys := make([]pairKey, 0, len(r.routes))
-	for k := range r.routes {
-		keys = append(keys, k)
-	}
-	sortPairKeys(keys)
-	return keys
-}
-
-// sortedPairKeys is the multirouting analogue.
-func (m *MultiRouting) sortedPairKeys() []pairKey {
-	keys := make([]pairKey, 0, len(m.routes))
-	for k := range m.routes {
-		keys = append(keys, k)
-	}
-	sortPairKeys(keys)
-	return keys
-}
-
-func sortPairKeys(keys []pairKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].u != keys[j].u {
-			return keys[i].u < keys[j].u
-		}
-		return keys[i].v < keys[j].v
-	})
 }
 
 // markPathLinks adds p's links to used, normalized.

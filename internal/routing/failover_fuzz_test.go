@@ -33,8 +33,8 @@ func fuzzGraph(n int, extra uint64) *graph.Graph {
 // failover: for tables compiled from any valid routing, a walk under any
 // node+link fault set always terminates within n hops with one of the
 // three classified outcomes, and a Delivered walk really reaches the
-// destination over live nodes and links. Walk (the single-next-hop
-// variant) is exercised alongside on the fault-free case.
+// destination over live nodes and links. The rank-1 tables of the
+// primary routing are exercised alongside on the fault-free case.
 func FuzzWalkUnderFaults(f *testing.F) {
 	f.Add(uint8(6), uint64(0), uint8(0), uint8(3), uint64(0), uint64(0))
 	f.Add(uint8(10), uint64(0x5a5a), uint8(2), uint8(7), uint64(1), uint64(0x11))
@@ -110,18 +110,14 @@ func FuzzWalkUnderFaults(f *testing.F) {
 		}
 
 		// Without faults the ranked tables must deliver every routed pair,
-		// and plain Walk must agree on termination.
+		// and the rank-1 tables must follow the stored route.
 		if src != dst {
 			if got := ft.WalkUnderFaults(src, dst, nil); got.Outcome != Delivered {
 				t.Fatalf("fault-free walk (%d,%d): %v", src, dst, got.Outcome)
 			}
-			plain := Compile(r)
-			p, err := plain.Walk(src, dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(p)-1 > n {
-				t.Fatalf("plain walk too long: %v", p)
+			route, _ := r.Get(src, dst)
+			if got := FailoverFromRouting(r).WalkUnderFaults(src, dst, nil); got.Outcome != Delivered || !got.Path.Equal(route) {
+				t.Fatalf("rank-1 walk (%d,%d) = %+v, route %v", src, dst, got, route)
 			}
 		}
 	})

@@ -20,37 +20,25 @@ func diamondGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-func TestFailoverFromRoutingMatchesForwardingWalk(t *testing.T) {
+// TestFailoverFromRoutingWalksStoredRoutes: rank-1 tables hold one
+// entry per hop of each route, and a fault-free walk follows the
+// stored route exactly.
+func TestFailoverFromRoutingWalksStoredRoutes(t *testing.T) {
 	g := gen.Petersen()
 	r, err := ShortestPath(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := Compile(r)
 	fo := FailoverFromRouting(r)
 	if fo.MaxRank() != 1 {
 		t.Fatalf("rank-1 tables report MaxRank %d", fo.MaxRank())
 	}
-	if fo.Entries() != plain.Entries() {
-		t.Fatalf("entries %d vs %d", fo.Entries(), plain.Entries())
+	hops := 0
+	r.Each(func(u, v int, p Path) { hops += len(p) - 1 })
+	if fo.Entries() != hops {
+		t.Fatalf("entries %d, routes have %d hops", fo.Entries(), hops)
 	}
-	none := NewFaultSet(g.N())
-	r.Each(func(u, v int, p Path) {
-		res := fo.WalkUnderFaults(u, v, none)
-		if res.Outcome != Delivered {
-			t.Fatalf("(%d,%d): %v", u, v, res.Outcome)
-		}
-		walked, err := plain.Walk(u, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Path.Equal(walked) {
-			t.Fatalf("(%d,%d): failover path %v vs forwarding path %v", u, v, res.Path, walked)
-		}
-		if res.Failovers != 0 {
-			t.Fatalf("(%d,%d): %d failovers without faults", u, v, res.Failovers)
-		}
-	})
+	walksStoredRoutes(t, fo, r)
 }
 
 func TestWalkClassifiesLoop(t *testing.T) {
@@ -240,7 +228,7 @@ func TestEntriesAtMatchesTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := Compile(r)
+	plain := FailoverFromRouting(r)
 	sum := 0
 	for v := 0; v < g.N(); v++ {
 		sum += plain.EntriesAt(v)

@@ -90,16 +90,9 @@ func (m *MultiRouting) addIfRoom(path Path) bool {
 }
 
 func (m *MultiRouting) add(path Path) error {
-	key := pairKey{int32(path.Src()), int32(path.Dst())}
-	for _, q := range m.routes[key] {
-		if q.Equal(path) {
-			return nil
-		}
-	}
-	if m.limit > 0 && len(m.routes[key]) >= m.limit {
+	if !m.addIfRoom(path) {
 		return fmt.Errorf("routing: pair (%d,%d) exceeds %d routes", path.Src(), path.Dst(), m.limit)
 	}
-	m.routes[key] = append(m.routes[key], path)
 	return nil
 }
 
@@ -146,24 +139,13 @@ func (m *MultiRouting) EachRoute(fn func(u, v int, p Path)) {
 // node faults (may be nil) and edge faults: an arc u→v exists when at
 // least one route of the pair contains no faulty node and traverses no
 // faulty edge. It is the multirouting analogue of
-// Routing.SurvivingGraphMixed.
+// Routing.SurvivingGraphMixed and stops at a pair's first surviving
+// route.
 func (m *MultiRouting) SurvivingGraphMixed(nodeFaults *graph.Bitset, edgeFaults []EdgeFault) *graph.Digraph {
-	bad := make(map[EdgeFault]bool, len(edgeFaults))
-	for _, e := range edgeFaults {
-		bad[e.Normalize()] = true
-	}
-	d := graph.NewDigraph(m.g.N())
-	if nodeFaults != nil {
-		for _, f := range nodeFaults.Elements() {
-			d.Disable(f)
-		}
-	}
+	d, bad := survivingBase(m.g.N(), nodeFaults, edgeFaults)
 	for k, ps := range m.routes {
-		if nodeFaults.Has(int(k.u)) || nodeFaults.Has(int(k.v)) {
-			continue
-		}
 		for _, p := range ps {
-			if !pathAffected(p, nodeFaults) && !pathUsesEdge(p, bad) {
+			if routeSurvives(p, nodeFaults, bad) {
 				d.AddArc(int(k.u), int(k.v))
 				break
 			}
@@ -173,24 +155,8 @@ func (m *MultiRouting) SurvivingGraphMixed(nodeFaults *graph.Bitset, edgeFaults 
 }
 
 // SurvivingGraph computes the surviving route graph: an arc u→v exists
-// when at least one route of the pair avoids the fault set.
+// when at least one route of the pair avoids the fault set. It is
+// SurvivingGraphMixed with no link faults.
 func (m *MultiRouting) SurvivingGraph(faults *graph.Bitset) *graph.Digraph {
-	d := graph.NewDigraph(m.g.N())
-	if faults != nil {
-		for _, f := range faults.Elements() {
-			d.Disable(f)
-		}
-	}
-	for k, ps := range m.routes {
-		if faults.Has(int(k.u)) || faults.Has(int(k.v)) {
-			continue
-		}
-		for _, p := range ps {
-			if !pathAffected(p, faults) {
-				d.AddArc(int(k.u), int(k.v))
-				break
-			}
-		}
-	}
-	return d
+	return m.SurvivingGraphMixed(faults, nil)
 }

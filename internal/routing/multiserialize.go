@@ -15,15 +15,18 @@ type multiJSON struct {
 	Routes        [][][]int `json:"routes"` // groups of parallel paths per stored pair
 }
 
-// MarshalJSON encodes the multirouting. For bidirectional multiroutings
-// only pairs with src < dst are stored (plus any asymmetric leftovers,
-// which cannot arise through Add but are preserved defensively).
+// MarshalJSON encodes the multirouting, pairs in sorted order, so equal
+// multiroutings encode to identical bytes. For bidirectional
+// multiroutings only pairs with src < dst are stored (plus any
+// asymmetric leftovers, which cannot arise through Add but are
+// preserved defensively).
 func (m *MultiRouting) MarshalJSON() ([]byte, error) {
 	wire := multiJSON{Nodes: m.g.N(), Limit: m.limit, Bidirectional: m.bidirectional}
-	for key, paths := range m.routes {
-		if m.bidirectional && key.u > key.v {
+	for _, k := range sortedKeys(m.routes) {
+		if m.bidirectional && k.u > k.v {
 			continue
 		}
+		paths := m.routes[k]
 		group := make([][]int, len(paths))
 		for i, p := range paths {
 			group[i] = []int(p)

@@ -10,12 +10,17 @@
 // conflict-checked construction (the paper's "miserly" at-most-one-route
 // -per-pair model is enforced, not assumed), validation against the
 // underlying graph, surviving-graph computation, multiroutings (§6 of
-// the paper) and a fixed shortest-path routing baseline.
+// the paper) and a fixed shortest-path routing baseline. A routing's
+// per-node next-hop tables, the form a switch holds, are the rank-1
+// FailoverTables of FailoverFromRouting; Reinforce and CompileFailover
+// add ranked backup hops.
 package routing
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ftroute/internal/graph"
 )
@@ -94,6 +99,18 @@ func checkSimplePath(g *graph.Graph, p Path) error {
 
 // pairKey identifies an ordered node pair.
 type pairKey struct{ u, v int32 }
+
+// sortedKeys returns the pairs of a route map in lexicographic order:
+// the one pair order that failover compilation, reinforcement and both
+// JSON encoders follow, so their output does not depend on map order.
+func sortedKeys[V any](routes map[pairKey]V) []pairKey {
+	keys := make([]pairKey, 0, len(routes))
+	for k := range routes {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b pairKey) int { return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v)) })
+	return keys
+}
 
 // Routing is a (partial) assignment of simple paths to ordered node
 // pairs. Construct with New (unidirectional) or NewBidirectional; in a
@@ -278,34 +295,10 @@ func (r *Routing) Stats() Stats {
 
 // SurvivingGraph computes R(G,ρ)/F: the directed graph on the nonfaulty
 // nodes with an arc u→v for every pair whose route exists and avoids F.
-// Faulty nodes are disabled in the result.
+// Faulty nodes are disabled in the result. It is SurvivingGraphMixed
+// with no link faults.
 func (r *Routing) SurvivingGraph(faults *graph.Bitset) *graph.Digraph {
-	d := graph.NewDigraph(r.g.N())
-	if faults != nil {
-		for _, f := range faults.Elements() {
-			d.Disable(f)
-		}
-	}
-	for k, p := range r.routes {
-		if pathAffected(p, faults) {
-			continue
-		}
-		d.AddArc(int(k.u), int(k.v))
-	}
-	return d
-}
-
-// pathAffected reports whether any node of p (endpoints included) is in F.
-func pathAffected(p Path, faults *graph.Bitset) bool {
-	if faults == nil {
-		return false
-	}
-	for _, v := range p {
-		if faults.Has(v) {
-			return true
-		}
-	}
-	return false
+	return r.SurvivingGraphMixed(faults, nil)
 }
 
 // AddEdgeRoutes installs the direct edge route between every pair of

@@ -21,17 +21,17 @@ type routingJSON struct {
 }
 
 // MarshalJSON encodes the routing with its underlying graph's node
-// count. For bidirectional routings only the direction with
-// src < dst (or the lexicographically smaller endpoints for equal) is
-// stored.
+// count. Routes are written in sorted pair order, so equal routings
+// encode to identical bytes. For bidirectional routings only the
+// direction with src < dst is stored.
 func (r *Routing) MarshalJSON() ([]byte, error) {
 	wire := routingJSON{Nodes: r.g.N(), Bidirectional: r.bidirectional}
-	r.Each(func(u, v int, p Path) {
-		if r.bidirectional && u > v {
-			return
+	for _, k := range sortedKeys(r.routes) {
+		if r.bidirectional && k.u > k.v {
+			continue
 		}
-		wire.Routes = append(wire.Routes, []int(p))
-	})
+		wire.Routes = append(wire.Routes, []int(r.routes[k]))
+	}
 	return json.Marshal(wire)
 }
 

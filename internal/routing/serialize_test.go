@@ -177,3 +177,81 @@ func TestDecodeMultiRoutingRejects(t *testing.T) {
 		t.Fatal("non-edge path should fail")
 	}
 }
+
+// TestMarshalJSONIgnoresInsertionOrder: two equal routings whose routes
+// were installed in opposite orders encode to identical bytes, for a
+// Routing and a MultiRouting alike, so an exported table does not
+// depend on map iteration order.
+func TestMarshalJSONIgnoresInsertionOrder(t *testing.T) {
+	g, err := gen.CCC(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ShortestPath(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2]int
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
+			if r.Has(u, v) {
+				pairs = append(pairs, [2]int{u, v})
+			}
+		}
+	}
+	last := len(pairs) - 1
+	fwd, rev := NewBidirectional(g), NewBidirectional(g)
+	for i := range pairs {
+		p, _ := r.Get(pairs[i][0], pairs[i][1])
+		q, _ := r.Get(pairs[last-i][0], pairs[last-i][1])
+		if err := fwd.Set(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := rev.Set(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !fwd.Equal(rev) || !fwd.Equal(r) {
+		t.Fatal("rebuilt routings differ")
+	}
+	sameEncoding(t, "routing", fwd, rev)
+
+	m, err := Reinforce(r, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf, mr := NewMulti(g, m.Limit(), false), NewMulti(g, m.Limit(), false)
+	for i := range pairs {
+		for _, p := range m.Get(pairs[i][0], pairs[i][1]) {
+			if err := mf.Add(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range m.Get(pairs[last-i][0], pairs[last-i][1]) {
+			if err := mr.Add(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !mf.Equal(mr) || !mf.Equal(m) {
+		t.Fatal("rebuilt multiroutings differ")
+	}
+	sameEncoding(t, "multirouting", mf, mr)
+}
+
+// sameEncoding asserts that a and b, and a second encoding of a, are
+// the same bytes.
+func sameEncoding(t *testing.T, name string, a, b json.Marshaler) {
+	t.Helper()
+	var out [3][]byte
+	for i, x := range []json.Marshaler{a, b, a} {
+		data, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = data
+	}
+	if !bytes.Equal(out[0], out[1]) || !bytes.Equal(out[0], out[2]) {
+		t.Fatalf("%s: equal values encode differently:\n%.200s\n%.200s\n%.200s", name, out[0], out[1], out[2])
+	}
+}

@@ -79,9 +79,12 @@ func edgeKey(u, v int) int64 {
 }
 
 // Perm lifts node permutation p to a permutation of edge ids. ok is
-// false when some edge image is not an edge, i.e. p is not an
-// automorphism.
+// false when p does not have n entries or some edge image is not an
+// edge, i.e. p is not an automorphism.
 func (ix *EdgeIndex) Perm(p []int) ([]int, bool) {
+	if len(p) != ix.n {
+		return nil, false
+	}
 	out := make([]int, len(ix.edges))
 	for i, e := range ix.edges {
 		j, ok := ix.id[edgeKey(p[e[0]], p[e[1]])]

@@ -358,3 +358,26 @@ func TestTablesRespect(t *testing.T) {
 		t.Fatal("swapping two adjacent nodes should not respect the tables")
 	}
 }
+
+// TestEdgeIndexPermRejectsWrongLength: on CCC(3) (n = 24) a node
+// permutation without n entries is not an automorphism, so Perm and
+// MixedPerm report (nil, false) instead of indexing past it; the
+// identity still lifts.
+func TestEdgeIndexPermRejectsWrongLength(t *testing.T) {
+	g, err := gen.CCC(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := NewEdgeIndex(g)
+	for _, p := range [][]int{{0, 1}, nil, Identity(g.N() - 1)} {
+		if out, ok := ix.Perm(p); ok || out != nil {
+			t.Errorf("Perm(len %d) = %v, %v; want nil, false", len(p), out, ok)
+		}
+		if out, ok := ix.MixedPerm(p); ok || out != nil {
+			t.Errorf("MixedPerm(len %d) = %v, %v; want nil, false", len(p), out, ok)
+		}
+	}
+	if out, ok := ix.MixedPerm(Identity(g.N())); !ok || !reflect.DeepEqual(out, Identity(g.N()+g.M())) {
+		t.Fatalf("MixedPerm(identity) = %v, %v", out, ok)
+	}
+}
