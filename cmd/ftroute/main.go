@@ -53,6 +53,7 @@ import (
 	"strings"
 
 	"ftroute"
+	"ftroute/internal/connectivity"
 	"ftroute/internal/graph"
 	"ftroute/internal/netsim"
 )
@@ -141,10 +142,7 @@ func simulate(g *ftroute.Graph, construction string, faults, samples int, seed i
 		faults = bt[1]
 	}
 	nw := netsim.New(rt, netsim.Params{HopCost: 1, EndpointCost: 10})
-	stride := g.N() / (faults + 1)
-	if stride == 0 {
-		stride = 1
-	}
+	stride := max(1, g.N()/(faults+1))
 	var failed []int
 	for i := 1; i <= faults && len(failed) < g.N()-2; i++ {
 		v := (i * stride) % g.N()
@@ -321,15 +319,15 @@ func check(g *ftroute.Graph, table string, bound, faults, samples int, seed int6
 	if err != nil {
 		return fmt.Errorf("ftroute: table rejected: %w", err)
 	}
-	k, _, err := ftroute.VertexConnectivity(g)
-	if err != nil {
-		return err
-	}
-	if faults < 0 {
-		faults = k - 1
-	}
 	if bound < 0 {
 		return fmt.Errorf("ftroute: check requires -bound")
+	}
+	if faults < 0 {
+		k, err := kappa(g)
+		if err != nil {
+			return err
+		}
+		faults = k - 1
 	}
 	cfg := ftroute.EvalConfig{Mode: ftroute.Sampled, Samples: samples, Greedy: true, Seed: seed}
 	mode := "sampled"
@@ -518,8 +516,19 @@ func plan(g *ftroute.Graph) error {
 	return nil
 }
 
+// kappa returns the vertex connectivity κ of g, which is n-1 for a
+// complete graph.
+func kappa(g *ftroute.Graph) (int, error) {
+	k, _, err := ftroute.VertexConnectivity(g)
+	if errors.Is(err, connectivity.ErrComplete) {
+		err = nil
+	}
+	return k, err
+}
+
 // build constructs the requested routing and prints a summary. It
-// returns the routing and its guaranteed (bound, t).
+// returns the routing and its guaranteed (bound, t); a routing with no
+// designed bound returns bound 0.
 func build(g *ftroute.Graph, construction string) (ftroute.RouteSource, [2]int, error) {
 	switch construction {
 	case "auto":
@@ -534,19 +543,15 @@ func build(g *ftroute.Graph, construction string) (ftroute.RouteSource, [2]int, 
 		if err != nil {
 			return nil, [2]int{}, err
 		}
-		bound := 2 * inf.T
-		if bound < 4 {
-			bound = 4
-		}
-		fmt.Printf("kernel routing: (%d, %d)-tolerant, separator %v\n", bound, inf.T, inf.Separator)
-		return r, [2]int{bound, inf.T}, nil
+		fmt.Printf("kernel routing: (%d, %d)-tolerant, separator %v\n", inf.Bound, inf.T, inf.Separator)
+		return r, [2]int{inf.Bound, inf.T}, nil
 	case "circular":
 		r, inf, err := ftroute.Circular(g, ftroute.Options{})
 		if err != nil {
 			return nil, [2]int{}, err
 		}
-		fmt.Printf("circular routing: (6, %d)-tolerant, K=%d\n", inf.T, inf.K)
-		return r, [2]int{6, inf.T}, nil
+		fmt.Printf("circular routing: (%d, %d)-tolerant, K=%d\n", inf.Bound, inf.T, inf.K)
+		return r, [2]int{inf.Bound, inf.T}, nil
 	case "tricircular":
 		r, inf, err := ftroute.TriCircular(g, ftroute.Options{})
 		if err != nil {
@@ -559,26 +564,26 @@ func build(g *ftroute.Graph, construction string) (ftroute.RouteSource, [2]int, 
 		if err != nil {
 			return nil, [2]int{}, err
 		}
-		fmt.Printf("unidirectional bipolar routing: (4, %d)-tolerant, roots (%d, %d)\n", inf.T, inf.R1, inf.R2)
-		return r, [2]int{4, inf.T}, nil
+		fmt.Printf("unidirectional bipolar routing: (%d, %d)-tolerant, roots (%d, %d)\n", inf.Bound, inf.T, inf.R1, inf.R2)
+		return r, [2]int{inf.Bound, inf.T}, nil
 	case "bipolar-bi":
 		r, inf, err := ftroute.BipolarBidirectional(g, ftroute.Options{})
 		if err != nil {
 			return nil, [2]int{}, err
 		}
-		fmt.Printf("bidirectional bipolar routing: (5, %d)-tolerant, roots (%d, %d)\n", inf.T, inf.R1, inf.R2)
-		return r, [2]int{5, inf.T}, nil
+		fmt.Printf("bidirectional bipolar routing: (%d, %d)-tolerant, roots (%d, %d)\n", inf.Bound, inf.T, inf.R1, inf.R2)
+		return r, [2]int{inf.Bound, inf.T}, nil
 	case "shortest":
 		r, err := ftroute.ShortestPathRouting(g)
 		if err != nil {
 			return nil, [2]int{}, err
 		}
-		k, _, err := ftroute.VertexConnectivity(g)
+		k, err := kappa(g)
 		if err != nil {
 			return nil, [2]int{}, err
 		}
 		fmt.Printf("shortest-path routing (baseline): no designed tolerance, t=%d\n", k-1)
-		return r, [2]int{1 << 30, k - 1}, nil
+		return r, [2]int{0, k - 1}, nil
 	default:
 		return nil, [2]int{}, fmt.Errorf("ftroute: unknown construction %q", construction)
 	}
@@ -589,17 +594,16 @@ func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed i
 	if err != nil {
 		return err
 	}
-	f := faults
-	if f < 0 {
-		f = bt[1]
+	if faults < 0 {
+		faults = bt[1]
 	}
 	cfg := ftroute.EvalConfig{Mode: ftroute.Sampled, Samples: samples, Greedy: true, Seed: seed}
 	if exhaustive {
 		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive, Pruned: pruned}
 	}
 	if mixed {
-		res := ftroute.MaxDiameterUnderMixedFaultsParallel(r, f, cfg, 0)
-		fmt.Printf("worst case over mixed node+link fault sets of total size <= %d (bound %d for node faults <= %d):\n", f, bt[0], bt[1])
+		res := ftroute.MaxDiameterUnderMixedFaultsParallel(r, faults, cfg, 0)
+		fmt.Printf("worst case over mixed node+link fault sets of total size <= %d%s:\n", faults, boundClause(bt, "node faults"))
 		if res.Disconnected {
 			fmt.Printf("  disconnected by nodes %v, links %v (%d sets evaluated)\n",
 				res.WorstNodeFaults, res.WorstEdgeFaults, res.Evaluated)
@@ -608,7 +612,7 @@ func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed i
 				res.MaxDiameter, res.WorstNodeFaults, res.WorstEdgeFaults, res.Evaluated)
 		}
 		fmt.Printf("worst-case surviving diameter by exact mixed fault-set size:\n")
-		for k, d := range ftroute.MixedDiameterProfile(r, f, cfg) {
+		for k, d := range ftroute.MixedDiameterProfile(r, faults, cfg) {
 			status := ""
 			if d < 0 {
 				status = "  DISCONNECTED"
@@ -617,18 +621,27 @@ func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed i
 		}
 		return nil
 	}
-	profile := ftroute.DiameterProfile(r, f, cfg)
-	fmt.Printf("worst-case surviving diameter by fault count (bound %d for f <= %d):\n", bt[0], bt[1])
+	profile := ftroute.DiameterProfile(r, faults, cfg)
+	fmt.Printf("worst-case surviving diameter by fault count%s:\n", boundClause(bt, "f"))
 	for k, d := range profile {
 		status := ""
 		if d < 0 {
 			status = "  DISCONNECTED"
-		} else if k <= bt[1] && d > bt[0] && bt[0] < 1<<29 {
+		} else if k <= bt[1] && d > bt[0] && bt[0] > 0 {
 			status = "  EXCEEDS BOUND"
 		}
 		fmt.Printf("  |F| = %d: %s%s\n", k, diam(d), status)
 	}
 	return nil
+}
+
+// boundClause is the " (bound d for what <= t)" part of a tolerate
+// header, empty for a routing with no designed bound.
+func boundClause(bt [2]int, what string) string {
+	if bt[0] == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" (bound %d for %s <= %d)", bt[0], what, bt[1])
 }
 
 func diam(d int) string {

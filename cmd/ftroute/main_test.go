@@ -32,6 +32,7 @@ func TestParseGraphSpecs(t *testing.T) {
 		{"grid:3", 0, true, true},
 		{"gnp:20:0.3", 0, true, true},
 		{"gnp:20:x:1", 0, true, true},
+		{"gnp:5:NaN:1", 0, true, false},
 		{"regular:12:3", 0, true, true},
 		{"nosuch:4", 0, true, false},
 		{"cycle", 0, true, true},
@@ -221,5 +222,64 @@ func TestExportIsDeterministic(t *testing.T) {
 	}
 	if string(tables[0]) != string(tables[1]) {
 		t.Fatalf("two exports of ccc:3 differ:\n%.200s\n%.200s", tables[0], tables[1])
+	}
+}
+
+// runOutput runs the CLI and returns what it printed to stdout.
+func runOutput(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	runErr := run(args)
+	os.Stdout = stdout
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+// TestPrintedBounds: each command prints the bound its construction
+// proves, and a routing with no designed bound prints none.
+func TestPrintedBounds(t *testing.T) {
+	table := filepath.Join(t.TempDir(), "complete.json")
+	cases := []struct {
+		args         []string
+		want, unwant string
+	}{
+		// The kernel at t = 1 is (max{2t,4}, t) = (4, 1)-tolerant.
+		{[]string{"plan", "-graph", "cycle:8"}, "surviving diameter <= 4 for up to 1 faults", ""},
+		{[]string{"tolerate", "-graph", "cycle:8", "-exhaustive"}, "(bound 4 for f <= 1)", "EXCEEDS BOUND"},
+		{[]string{"tolerate", "-graph", "cycle:5", "-exhaustive"}, "(bound 4 for f <= 1)", "EXCEEDS BOUND"},
+		{[]string{"tolerate", "-graph", "petersen", "-construction", "shortest", "-exhaustive"},
+			"worst-case surviving diameter by fault count:\n", "bound"},
+		{[]string{"tolerate", "-graph", "petersen", "-construction", "shortest", "-exhaustive", "-mixed"},
+			"fault sets of total size <= 2:\n", "bound"},
+		// A complete graph has κ = n-1 and no separator.
+		{[]string{"tolerate", "-graph", "gnp:5:1:1", "-construction", "shortest", "-exhaustive"}, "t=3", "bound"},
+		{[]string{"export", "-graph", "gnp:5:1:1", "-construction", "shortest", "-table", "TABLE"}, "wrote 20 routes", ""},
+		{[]string{"check", "-graph", "gnp:5:1:1", "-table", "TABLE", "-bound", "1", "-exhaustive"}, "for |F| <= 3", ""},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			args := append([]string(nil), tc.args...)
+			for i, a := range args {
+				if a == "TABLE" {
+					args[i] = table
+				}
+			}
+			out, err := runOutput(t, args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, tc.want) || tc.unwant != "" && strings.Contains(out, tc.unwant) {
+				t.Fatalf("printed\n%s\nwant %q and not %q", out, tc.want, tc.unwant)
+			}
+		})
 	}
 }

@@ -12,7 +12,7 @@
 // fault set smaller than the graph's connectivity:
 //
 //	Construction              Needs                                Guarantee
-//	Kernel (Dolev et al.)     any (t+1)-connected graph            (2t, t) and (4, ⌊t/2⌋)
+//	Kernel (Dolev et al.)     any (t+1)-connected graph            (max{2t,4}, t) and (4, ⌊t/2⌋)
 //	Circular                  neighborhood set of 2t+1             (6, t)
 //	Tri-circular              neighborhood set of 6t+9             (4, t)
 //	Bipolar (unidirectional)  two-trees property                   (4, t)
@@ -94,7 +94,7 @@ const Unreachable = graph.Unreachable
 
 // Routing constructions (see package doc for the guarantee table).
 var (
-	// Kernel builds the (2t,t)- and (4,⌊t/2⌋)-tolerant kernel routing.
+	// Kernel builds the (max{2t,4},t)- and (4,⌊t/2⌋)-tolerant kernel routing.
 	Kernel = core.Kernel
 	// Circular builds the (6,t)-tolerant circular routing (Figure 1).
 	Circular = core.Circular

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"ftroute/internal/connectivity"
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
 )
@@ -31,15 +28,9 @@ func CliqueAugmentedKernel(g *graph.Graph, opts Options) (*graph.Graph, *routing
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sep := opts.Separator
-	if sep == nil {
-		sep, err = connectivity.MinimumSeparator(g)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: no separating set: %v", ErrNotApplicable, err)
-		}
-	}
-	if len(sep) < t+1 {
-		return nil, nil, nil, fmt.Errorf("%w: separator size %d < t+1", ErrConnectivity, len(sep))
+	sep, err := separator(g, opts, t)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	mod := g.Clone()
 	var added [][2]int

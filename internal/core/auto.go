@@ -17,7 +17,7 @@ const (
 	ConstructionBipolarUni  Construction = "bipolar-uni"  // (4, t), Theorem 20
 	ConstructionBipolarBi   Construction = "bipolar-bi"   // (5, t), Theorem 23
 	ConstructionCircular    Construction = "circular"     // (6, t), Theorem 10
-	ConstructionKernel      Construction = "kernel"       // (2t, t), Theorem 3
+	ConstructionKernel      Construction = "kernel"       // (max{2t,4}, t), Theorem 3
 )
 
 // Plan is the result of the Auto planner.
@@ -35,59 +35,41 @@ type Plan struct {
 // gives (4,t); the unidirectional bipolar (needs the two-trees property)
 // also gives (4,t) but is preferred after tri-circular since it is only
 // unidirectional; the circular (needs 2t+1) gives (6,t); the kernel
-// (always applicable to non-complete graphs) gives (2t, t) and
-// (4, ⌊t/2⌋). Pass Options.Tolerance when connectivity is known.
+// (always applicable to non-complete graphs) gives (max{2t,4}, t) and
+// (4, ⌊t/2⌋). The plan's Bound is the chosen construction's own, from
+// its Info. Pass Options.Tolerance when connectivity is known.
 func Auto(g *graph.Graph, opts Options) (*Plan, error) {
 	t, err := resolveTolerance(g, opts)
 	if err != nil {
 		return nil, err
 	}
 	opts.Tolerance = t
-
+	plan := func(c Construction, r *routing.Routing, bound int, reason string) *Plan {
+		return &Plan{Construction: c, Bound: bound, T: t, Bidirected: r.Bidirectional(), Reason: reason, Routing: r}
+	}
 	nset := NeighborhoodSet(g)
-	if need := 6*t + 9; len(nset) >= need {
-		o := opts
-		o.Concentrator = nset
-		if r, _, err := TriCircular(g, o); err == nil {
-			return &Plan{
-				Construction: ConstructionTriCircular,
-				Bound:        4, T: t, Bidirected: true,
-				Reason:  fmt.Sprintf("neighborhood set of %d >= 6t+9 = %d", len(nset), need),
-				Routing: r,
-			}, nil
+	ring := opts
+	ring.Concentrator = nset
+	if need, _ := triCircularK(t, false); len(nset) >= need {
+		if r, info, err := TriCircular(g, ring); err == nil {
+			return plan(ConstructionTriCircular, r, info.Bound,
+				fmt.Sprintf("neighborhood set of %d >= 6t+9 = %d", len(nset), need)), nil
 		}
 	}
-	if tt, err := FindTwoTrees(g); err == nil {
-		o := opts
-		if r, _, err := BipolarUnidirectional(g, o); err == nil {
-			return &Plan{
-				Construction: ConstructionBipolarUni,
-				Bound:        4, T: t, Bidirected: false,
-				Reason:  fmt.Sprintf("two-trees property at roots (%d, %d)", tt.R1, tt.R2),
-				Routing: r,
-			}, nil
-		}
+	if r, info, err := BipolarUnidirectional(g, opts); err == nil {
+		return plan(ConstructionBipolarUni, r, info.Bound,
+			fmt.Sprintf("two-trees property at roots (%d, %d)", info.R1, info.R2)), nil
 	}
 	if need := circularK(t, false); len(nset) >= need {
-		o := opts
-		o.Concentrator = nset
-		if r, _, err := Circular(g, o); err == nil {
-			return &Plan{
-				Construction: ConstructionCircular,
-				Bound:        6, T: t, Bidirected: true,
-				Reason:  fmt.Sprintf("neighborhood set of %d >= 2t+1 = %d", len(nset), need),
-				Routing: r,
-			}, nil
+		if r, info, err := Circular(g, ring); err == nil {
+			return plan(ConstructionCircular, r, info.Bound,
+				fmt.Sprintf("neighborhood set of %d >= 2t+1 = %d", len(nset), need)), nil
 		}
 	}
-	r, _, err := Kernel(g, opts)
+	r, info, err := Kernel(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{
-		Construction: ConstructionKernel,
-		Bound:        2 * t, T: t, Bidirected: true,
-		Reason:  "fallback: kernel routing applies to every non-complete (t+1)-connected graph",
-		Routing: r,
-	}, nil
+	return plan(ConstructionKernel, r, info.Bound,
+		"fallback: kernel routing applies to every non-complete (t+1)-connected graph"), nil
 }

@@ -15,42 +15,31 @@ type BipolarInfo struct {
 	M1, M2 []int
 }
 
-// bipolarSets gathers the structure shared by both bipolar routings:
-// root neighbor sets M1, M2 and membership masks for M = M1 ∪ M2 and the
-// depth-2 trees Γ1 = ∪ Γ(m), m ∈ M1 and Γ2 likewise (note r1 ∈ Γ1 and
-// r2 ∈ Γ2, since every Γ(m) for m ∈ M1 contains r1).
+// bipolarSets gathers the structure shared by both bipolar routings,
+// side 0 for root r1 and side 1 for r2: the root neighbor sets M1, M2
+// and membership masks for them and for the depth-2 trees Γ1 = ∪ Γ(m),
+// m ∈ M1 and Γ2 likewise (note r1 ∈ Γ1 and r2 ∈ Γ2, since every Γ(m)
+// for m ∈ M1 contains r1).
 type bipolarSets struct {
-	m1, m2     []int
-	inM1, inM2 *graph.Bitset
-	inG1, inG2 *graph.Bitset
-	gamma1     [][]int // Γ(m) for m ∈ M1, by index
-	gamma2     [][]int
+	m     [2][]int
+	inM   [2]*graph.Bitset
+	inG   [2]*graph.Bitset
+	gamma [2][][]int // Γ(m) for m ∈ M1 (resp. M2), by index
 }
 
 func newBipolarSets(g *graph.Graph, tt *TwoTrees) *bipolarSets {
-	n := g.N()
-	s := &bipolarSets{
-		m1:   g.Neighbors(tt.R1),
-		m2:   g.Neighbors(tt.R2),
-		inM1: graph.NewBitset(n),
-		inM2: graph.NewBitset(n),
-		inG1: graph.NewBitset(n),
-		inG2: graph.NewBitset(n),
-	}
-	for _, m := range s.m1 {
-		s.inM1.Add(m)
-		nb := g.Neighbors(m)
-		s.gamma1 = append(s.gamma1, nb)
-		for _, v := range nb {
-			s.inG1.Add(v)
-		}
-	}
-	for _, m := range s.m2 {
-		s.inM2.Add(m)
-		nb := g.Neighbors(m)
-		s.gamma2 = append(s.gamma2, nb)
-		for _, v := range nb {
-			s.inG2.Add(v)
+	s := &bipolarSets{}
+	for side, root := range [2]int{tt.R1, tt.R2} {
+		s.m[side] = g.Neighbors(root)
+		s.inM[side] = graph.NewBitset(g.N())
+		s.inG[side] = graph.NewBitset(g.N())
+		for _, m := range s.m[side] {
+			s.inM[side].Add(m)
+			nb := g.Neighbors(m)
+			s.gamma[side] = append(s.gamma[side], nb)
+			for _, v := range nb {
+				s.inG[side].Add(v)
+			}
 		}
 	}
 	return s
@@ -60,14 +49,11 @@ func newBipolarSets(g *graph.Graph, tt *TwoTrees) *bipolarSets {
 // routings: from every m ∈ M1 to every Γ(m'), m' ∈ M1, then likewise for
 // M2.
 func (s *bipolarSets) appendGammaJobs(jobs []treeJob) []treeJob {
-	for _, m := range s.m1 {
-		for _, gset := range s.gamma1 {
-			jobs = append(jobs, treeJob{m, gset})
-		}
-	}
-	for _, m := range s.m2 {
-		for _, gset := range s.gamma2 {
-			jobs = append(jobs, treeJob{m, gset})
+	for side, ms := range s.m {
+		for _, m := range ms {
+			for _, set := range s.gamma[side] {
+				jobs = append(jobs, treeJob{m, set})
+			}
 		}
 	}
 	return jobs
@@ -111,29 +97,23 @@ func BipolarUnidirectional(g *graph.Graph, opts Options) (*routing.Routing, *Bip
 	s := newBipolarSets(g, tt)
 	var jobs []treeJob
 	for x := 0; x < g.N(); x++ {
-		// Component B-POL 1.
-		if !s.inM1.Has(x) {
-			jobs = append(jobs, treeJob{x, s.m1})
-		}
-		// Component B-POL 2.
-		if !s.inM2.Has(x) {
-			jobs = append(jobs, treeJob{x, s.m2})
+		// Components B-POL 1 and B-POL 2.
+		for side, ms := range s.m {
+			if !s.inM[side].Has(x) {
+				jobs = append(jobs, treeJob{x, ms})
+			}
 		}
 	}
-	// Components B-POL 3 and B-POL 4.
-	jobs = s.appendGammaJobs(jobs)
-	r := routing.New(g)
-	if err := compileTrees(g, jobs, t+1, setTrees(r)); err != nil {
-		return nil, nil, err
-	}
-	// Component B-POL 6 before B-POL 5 so that edge pairs are complete in
-	// both directions and are not double-filled.
-	if err := r.AddEdgeRoutes(); err != nil {
+	// Components B-POL 3 and B-POL 4, then B-POL 6 before B-POL 5 so that
+	// edge pairs are complete in both directions and are not
+	// double-filled.
+	r, err := treeRouting(g, s.appendGammaJobs(jobs), t, false)
+	if err != nil {
 		return nil, nil, err
 	}
 	// Component B-POL 5.
 	r.SymmetrizeMissing()
-	return r, &BipolarInfo{T: t, R1: tt.R1, R2: tt.R2, Bound: 4, M1: s.m1, M2: s.m2}, nil
+	return r, &BipolarInfo{T: t, R1: tt.R1, R2: tt.R2, Bound: 4, M1: s.m[0], M2: s.m[1]}, nil
 }
 
 // BipolarBidirectional builds the bidirectional bipolar routing of
@@ -160,23 +140,18 @@ func BipolarBidirectional(g *graph.Graph, opts Options) (*routing.Routing, *Bipo
 	var jobs []treeJob
 	for x := 0; x < g.N(); x++ {
 		// Component 2B-POL 1: x ∉ M ∪ Γ1.
-		if !s.inM1.Has(x) && !s.inM2.Has(x) && !s.inG1.Has(x) {
-			jobs = append(jobs, treeJob{x, s.m1})
+		if !s.inM[0].Has(x) && !s.inM[1].Has(x) && !s.inG[0].Has(x) {
+			jobs = append(jobs, treeJob{x, s.m[0]})
 		}
 		// Component 2B-POL 2: x ∉ M2 ∪ Γ2.
-		if !s.inM2.Has(x) && !s.inG2.Has(x) {
-			jobs = append(jobs, treeJob{x, s.m2})
+		if !s.inM[1].Has(x) && !s.inG[1].Has(x) {
+			jobs = append(jobs, treeJob{x, s.m[1]})
 		}
 	}
-	// Components 2B-POL 3 and 2B-POL 4.
-	jobs = s.appendGammaJobs(jobs)
-	r := routing.NewBidirectional(g)
-	if err := compileTrees(g, jobs, t+1, setTrees(r)); err != nil {
+	// Components 2B-POL 3 and 2B-POL 4, then 2B-POL 5.
+	r, err := treeRouting(g, s.appendGammaJobs(jobs), t, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	// Component 2B-POL 5.
-	if err := r.AddEdgeRoutes(); err != nil {
-		return nil, nil, err
-	}
-	return r, &BipolarInfo{T: t, R1: tt.R1, R2: tt.R2, Bound: 5, M1: s.m1, M2: s.m2}, nil
+	return r, &BipolarInfo{T: t, R1: tt.R1, R2: tt.R2, Bound: 5, M1: s.m[0], M2: s.m[1]}, nil
 }

@@ -1,17 +1,16 @@
 package core
 
 import (
-	"fmt"
-
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
 )
 
 // CircularInfo describes a constructed circular routing.
 type CircularInfo struct {
-	T int   // tolerated faults; the routing is (6, t)-tolerant
-	K int   // concentrator size actually used
-	M []int // the neighborhood set m_0..m_{K-1}
+	T     int   // tolerated faults
+	K     int   // concentrator size actually used
+	Bound int   // proven diameter bound: 6 (Thm 10)
+	M     []int // the neighborhood set m_0..m_{K-1}
 }
 
 // circularK returns the concentrator size the circular construction
@@ -45,61 +44,55 @@ func Circular(g *graph.Graph, opts Options) (*routing.Routing, *CircularInfo, er
 		return nil, nil, err
 	}
 	k := circularK(t, opts.MinimalK)
-	m := opts.Concentrator
-	if m == nil {
-		m, err = NeighborhoodSetAtLeast(g, k)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		if len(m) < k {
-			return nil, nil, fmt.Errorf("%w: concentrator size %d < required K = %d", ErrNotApplicable, len(m), k)
-		}
-		m = m[:k]
-		if err := CheckNeighborhoodSet(g, m); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrNotApplicable, err)
-		}
-	}
-	r := routing.NewBidirectional(g)
-	if err := compileTrees(g, circularJobs(g, m), t+1, setTrees(r)); err != nil {
+	m, err := concentrator(g, opts, k)
+	if err != nil {
 		return nil, nil, err
 	}
-	// Component CIRC 3.
-	if err := r.AddEdgeRoutes(); err != nil {
+	// Components CIRC 1 and CIRC 2, then CIRC 3.
+	r, err := treeRouting(g, ringJobs(g, m, 1), t, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	return r, &CircularInfo{T: t, K: k, M: m}, nil
+	return r, &CircularInfo{T: t, K: k, Bound: 6, M: m}, nil
 }
 
-// circularJobs lists the tree routings of Components CIRC 1 and CIRC 2
-// over the ring m, whose neighbor sets are the Γ_i.
-func circularJobs(g *graph.Graph, m []int) []treeJob {
-	k := len(m)
-	gamma := make([][]int, k)
-	memberRing := make([]int, g.N()) // ring index of each node in Γ, else -1
-	for i := range memberRing {
-		memberRing[i] = -1
+// ringJobs lists the tree routings of the circular routings. The
+// neighborhood set m is cut into rings consecutive rings of equal size
+// s, and Γ_i = Γ(m_i). Every x ∉ Γ routes to every Γ_i (CIRC 1,
+// T-CIRC 1); x ∈ Γ_i routes forward to the next ⌈s/2⌉-1 sets of its
+// ring (CIRC 2, T-CIRC 2) and, when there are several rings, to every
+// set of the next ring (T-CIRC 3).
+func ringJobs(g *graph.Graph, m []int, rings int) []treeJob {
+	size := len(m) / rings
+	gamma := make([][]int, len(m)) // Γ_i, i = ring*size + position
+	at := make([]int, g.N())       // the i with x ∈ Γ_i, or -1 for x ∉ Γ
+	for x := range at {
+		at[x] = -1
 	}
 	for i, mi := range m {
 		gamma[i] = g.Neighbors(mi)
 		for _, v := range gamma[i] {
-			memberRing[v] = i
+			at[v] = i
 		}
 	}
-	forward := (k+1)/2 - 1 // ⌈K/2⌉ - 1
+	forward := (size+1)/2 - 1 // ⌈s/2⌉ - 1
 	var jobs []treeJob
 	for x := 0; x < g.N(); x++ {
-		ring := memberRing[x]
-		if ring == -1 {
-			// Component CIRC 1: x ∉ Γ routes to every Γ_i.
-			for i := 0; i < k; i++ {
-				jobs = append(jobs, treeJob{x, gamma[i]})
+		if at[x] == -1 {
+			for _, set := range gamma {
+				jobs = append(jobs, treeJob{x, set})
 			}
 			continue
 		}
-		// Component CIRC 2: x ∈ Γ_i routes forward around the ring.
-		for j := 1; j <= forward; j++ {
-			jobs = append(jobs, treeJob{x, gamma[(ring+j)%k]})
+		ring, pos := at[x]/size, at[x]%size
+		for step := 1; step <= forward; step++ {
+			jobs = append(jobs, treeJob{x, gamma[ring*size+(pos+step)%size]})
+		}
+		if rings > 1 {
+			next := (ring + 1) % rings
+			for _, set := range gamma[next*size : (next+1)*size] {
+				jobs = append(jobs, treeJob{x, set})
+			}
 		}
 	}
 	return jobs

@@ -132,18 +132,51 @@ func compileTrees(g *graph.Graph, jobs []treeJob, k int, install func(treeJob, [
 	return nil
 }
 
-// setTrees is the install step of the single-route constructions: every
-// path of a job becomes a route of r.
-func setTrees(r *routing.Routing) func(treeJob, [][]int, error) error {
+// installPaths is the install step of the constructions: every path of
+// a solved job goes to add.
+func installPaths(add func(routing.Path) error) func(treeJob, [][]int, error) error {
 	return func(j treeJob, paths [][]int, err error) error {
 		if err != nil {
 			return fmt.Errorf("%w: tree routing from %d: %v", ErrNotApplicable, j.x, err)
 		}
 		for _, p := range paths {
-			if err := r.Set(routing.Path(p)); err != nil {
+			if err := add(routing.Path(p)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+}
+
+// treeRouting is the recipe of the single-route constructions: a new
+// routing on g, bidirectional or not, gets the t+1 paths of every tree
+// routing in jobs, in job order, and then the direct edge routes.
+func treeRouting(g *graph.Graph, jobs []treeJob, t int, bidirectional bool) (*routing.Routing, error) {
+	newRouting := routing.New
+	if bidirectional {
+		newRouting = routing.NewBidirectional
+	}
+	r := newRouting(g)
+	if err := compileTrees(g, jobs, t+1, installPaths(r.Set)); err != nil {
+		return nil, err
+	}
+	if err := r.AddEdgeRoutes(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// treesInto lists a tree routing into m from every node outside m.
+func treesInto(g *graph.Graph, m []int) []treeJob {
+	inM := graph.NewBitset(g.N())
+	for _, v := range m {
+		inM.Add(v)
+	}
+	var jobs []treeJob
+	for x := 0; x < g.N(); x++ {
+		if !inM.Has(x) {
+			jobs = append(jobs, treeJob{x, m})
+		}
+	}
+	return jobs
 }

@@ -125,17 +125,19 @@ func TestHammingNeighborhoodSet(t *testing.T) {
 // --- Kernel routing (Theorems 3 and 4) ---
 
 func TestKernelTheorem3OnSmallGraphs(t *testing.T) {
+	// The paper states max{2t, 4}: tree routings guarantee at most 2
+	// hops to and from the concentrator.
 	tests := []struct {
-		name string
-		g    *graph.Graph
-		t    int
+		name     string
+		g        *graph.Graph
+		t, bound int
 	}{
-		{"cycle8", mustGen(t)(gen.Cycle(8)), 1},
-		{"Q3", mustGen(t)(gen.Hypercube(3)), 2},
-		{"ccc3", mustGen(t)(gen.CCC(3)), 2},
-		{"petersen", gen.Petersen(), 2},
-		{"grid3x4", mustGen(t)(gen.Grid(3, 4)), 1},
-		{"octahedron", gen.Octahedron(), 3},
+		{"cycle8", mustGen(t)(gen.Cycle(8)), 1, 4},
+		{"Q3", mustGen(t)(gen.Hypercube(3)), 2, 4},
+		{"ccc3", mustGen(t)(gen.CCC(3)), 2, 4},
+		{"petersen", gen.Petersen(), 2, 4},
+		{"grid3x4", mustGen(t)(gen.Grid(3, 4)), 1, 4},
+		{"octahedron", gen.Octahedron(), 3, 6},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,19 +145,13 @@ func TestKernelTheorem3OnSmallGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.T != tc.t {
-				t.Fatalf("t = %d, want %d", info.T, tc.t)
+			if info.T != tc.t || info.Bound != tc.bound {
+				t.Fatalf("(bound, t) = (%d, %d), want (%d, %d)", info.Bound, info.T, tc.bound, tc.t)
 			}
 			if err := r.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			bound := 2 * info.T
-			if bound < 4 {
-				// The paper states max{2t, 4}: tree routings guarantee
-				// at most 2 hops to and from the concentrator.
-				bound = 4
-			}
-			if err := eval.CheckTolerance(r, bound, info.T, exhaustiveCfg()); err != nil {
+			if err := eval.CheckTolerance(r, info.Bound, info.T, exhaustiveCfg()); err != nil {
 				t.Fatalf("Theorem 3 violated: %v", err)
 			}
 		})
@@ -540,14 +536,30 @@ func TestAutoPicksTriCircularOnLongCycle(t *testing.T) {
 	}
 }
 
+// TestAutoFallsBackToKernel: Q3 and C8 have no two-trees pair and too
+// small a neighborhood set for the circular routings. The kernel's bound
+// is max{2t, 4}, so C8 at t = 1 gets 4, not 2t = 2.
 func TestAutoFallsBackToKernel(t *testing.T) {
-	g := mustGen(t)(gen.Hypercube(3))
-	plan, err := Auto(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Construction != ConstructionKernel {
-		t.Fatalf("plan = %+v", plan)
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		bound, t int
+	}{
+		{"Q3", mustGen(t)(gen.Hypercube(3)), 4, 2},
+		{"C8", mustGen(t)(gen.Cycle(8)), 4, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := Auto(tc.g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Construction != ConstructionKernel || plan.Bound != tc.bound || plan.T != tc.t || !plan.Bidirected {
+				t.Fatalf("plan = %+v", plan)
+			}
+			if err := eval.CheckTolerance(plan.Routing, plan.Bound, plan.T, exhaustiveCfg()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

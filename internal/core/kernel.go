@@ -45,9 +45,42 @@ func resolveTolerance(g *graph.Graph, opts Options) (int, error) {
 	return k - 1, nil
 }
 
+// separator returns opts.Separator, or else a minimum separating set of
+// g, after checking that it has at least t+1 nodes.
+func separator(g *graph.Graph, opts Options, t int) ([]int, error) {
+	m := opts.Separator
+	if m == nil {
+		var err error
+		if m, err = connectivity.MinimumSeparator(g); err != nil {
+			return nil, fmt.Errorf("%w: no separating set: %v", ErrNotApplicable, err)
+		}
+	}
+	if len(m) < t+1 {
+		return nil, fmt.Errorf("%w: separator size %d < t+1 = %d", ErrConnectivity, len(m), t+1)
+	}
+	return m, nil
+}
+
+// concentrator returns the first k nodes of opts.Concentrator, checked
+// to be a neighborhood set, or else of the greedy neighborhood set of g.
+func concentrator(g *graph.Graph, opts Options, k int) ([]int, error) {
+	m := opts.Concentrator
+	if m == nil {
+		return NeighborhoodSetAtLeast(g, k)
+	}
+	if len(m) < k {
+		return nil, fmt.Errorf("%w: concentrator size %d < required K = %d", ErrNotApplicable, len(m), k)
+	}
+	if err := CheckNeighborhoodSet(g, m[:k]); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNotApplicable, err)
+	}
+	return m[:k], nil
+}
+
 // KernelInfo describes a constructed kernel routing.
 type KernelInfo struct {
-	T         int   // tolerated faults: routing is (2t,t)- and (4,⌊t/2⌋)-tolerant
+	T         int   // tolerated faults
+	Bound     int   // proven diameter bound at T faults: max{2t, 4} (Thm 3); at ⌊t/2⌋ faults it is 4 (Thm 4)
 	Separator []int // the concentrator M (a minimum separating set, |M| = t+1)
 }
 
@@ -55,41 +88,22 @@ type KernelInfo struct {
 // presented in Section 3 of the paper: choose a minimal separating set M
 // of size t+1, give every node x ∉ M a tree routing to M (Component
 // KERNEL 1) and every adjacent pair the direct edge route (Component
-// KERNEL 2). The result is bidirectional, (2t, t)-tolerant (Theorem 3)
-// and (4, ⌊t/2⌋)-tolerant (Theorem 4).
+// KERNEL 2). The result is bidirectional, (max{2t, 4}, t)-tolerant
+// (Theorem 3: tree routings guarantee at most two hops to and from the
+// concentrator) and (4, ⌊t/2⌋)-tolerant (Theorem 4).
 func Kernel(g *graph.Graph, opts Options) (*routing.Routing, *KernelInfo, error) {
 	t, err := resolveTolerance(g, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := opts.Separator
-	if m == nil {
-		m, err = connectivity.MinimumSeparator(g)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: no separating set: %v", ErrNotApplicable, err)
-		}
-	}
-	if len(m) < t+1 {
-		return nil, nil, fmt.Errorf("%w: separator size %d < t+1 = %d", ErrConnectivity, len(m), t+1)
-	}
-	r := routing.NewBidirectional(g)
-	inM := graph.NewBitset(g.N())
-	for _, v := range m {
-		inM.Add(v)
-	}
-	// Component KERNEL 1: tree routings into the separator.
-	var jobs []treeJob
-	for x := 0; x < g.N(); x++ {
-		if !inM.Has(x) {
-			jobs = append(jobs, treeJob{x, m})
-		}
-	}
-	if err := compileTrees(g, jobs, t+1, setTrees(r)); err != nil {
+	m, err := separator(g, opts, t)
+	if err != nil {
 		return nil, nil, err
 	}
-	// Component KERNEL 2: direct edge routes.
-	if err := r.AddEdgeRoutes(); err != nil {
+	// Components KERNEL 1 and KERNEL 2.
+	r, err := treeRouting(g, treesInto(g, m), t, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	return r, &KernelInfo{T: t, Separator: m}, nil
+	return r, &KernelInfo{T: t, Bound: max(2*t, 4), Separator: m}, nil
 }

@@ -54,18 +54,14 @@ func TestConstructionMatrix(t *testing.T) {
 			opts := Options{Tolerance: tol}
 
 			// Kernel applies everywhere in the matrix.
-			kr, _, err := Kernel(fam.g, opts)
+			kr, ki, err := Kernel(fam.g, opts)
 			if err != nil {
 				t.Fatalf("kernel: %v", err)
 			}
 			if err := kr.Validate(); err != nil {
 				t.Fatalf("kernel validate: %v", err)
 			}
-			bound := 2 * tol
-			if bound < 4 {
-				bound = 4
-			}
-			if err := eval.CheckTolerance(kr, bound, tol, sampled); err != nil {
+			if err := eval.CheckTolerance(kr, ki.Bound, tol, sampled); err != nil {
 				t.Fatalf("kernel tolerance: %v", err)
 			}
 			built++
@@ -76,8 +72,11 @@ func TestConstructionMatrix(t *testing.T) {
 			}
 			attempts := []attempt{
 				{"circular", func() (*routing.Routing, int, error) {
-					r, _, err := Circular(fam.g, opts)
-					return r, 6, err
+					r, info, err := Circular(fam.g, opts)
+					if err != nil {
+						return nil, 0, err
+					}
+					return r, info.Bound, nil
 				}},
 				{"tri-circular", func() (*routing.Routing, int, error) {
 					r, info, err := TriCircular(fam.g, opts)
@@ -87,12 +86,18 @@ func TestConstructionMatrix(t *testing.T) {
 					return r, info.Bound, nil
 				}},
 				{"bipolar-uni", func() (*routing.Routing, int, error) {
-					r, _, err := BipolarUnidirectional(fam.g, opts)
-					return r, 4, err
+					r, info, err := BipolarUnidirectional(fam.g, opts)
+					if err != nil {
+						return nil, 0, err
+					}
+					return r, info.Bound, nil
 				}},
 				{"bipolar-bi", func() (*routing.Routing, int, error) {
-					r, _, err := BipolarBidirectional(fam.g, opts)
-					return r, 5, err
+					r, info, err := BipolarBidirectional(fam.g, opts)
+					if err != nil {
+						return nil, 0, err
+					}
+					return r, info.Bound, nil
 				}},
 			}
 			for _, a := range attempts {
@@ -142,12 +147,7 @@ func TestAutoAcrossFamilies(t *testing.T) {
 			if plan.Routing == nil || plan.Bound <= 0 || plan.T <= 0 {
 				t.Fatalf("plan = %+v", plan)
 			}
-			bound := plan.Bound
-			if bound < 4 {
-				// The kernel fallback's effective bound is max{2t, 4}.
-				bound = 4
-			}
-			if err := eval.CheckTolerance(plan.Routing, bound, plan.T, sampled); err != nil {
+			if err := eval.CheckTolerance(plan.Routing, plan.Bound, plan.T, sampled); err != nil {
 				t.Fatalf("plan %s: %v", plan.Construction, err)
 			}
 		})

@@ -27,21 +27,13 @@ func FullMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, *Mul
 	if err != nil {
 		return nil, nil, err
 	}
+	nodes := make([]int, g.N())
+	for v := range nodes {
+		nodes[v] = v
+	}
 	m := routing.NewMulti(g, t+1, true)
-	n := g.N()
-	sp := connectivity.NewSplit(g)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			paths, err := sp.DisjointPaths(u, v, t+1)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrNotApplicable, err)
-			}
-			for _, p := range paths {
-				if err := m.Add(routing.Path(p)); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
+	if err := addDisjointPairs(m, nodes, t+1); err != nil {
+		return nil, nil, err
 	}
 	return m, &MultiInfo{T: t, Limit: t + 1, Bound: 1}, nil
 }
@@ -69,20 +61,8 @@ func KernelMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, *M
 	if err != nil {
 		return nil, nil, err
 	}
-	sp := connectivity.NewSplit(g)
-	for i := 0; i < len(info.Separator); i++ {
-		for j := i + 1; j < len(info.Separator); j++ {
-			u, v := info.Separator[i], info.Separator[j]
-			paths, perr := sp.DisjointPaths(u, v, t+1)
-			if perr != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrNotApplicable, perr)
-			}
-			for _, p := range paths {
-				if aerr := m.Add(routing.Path(p)); aerr != nil {
-					return nil, nil, aerr
-				}
-			}
-		}
+	if err := addDisjointPairs(m, info.Separator, t+1); err != nil {
+		return nil, nil, err
 	}
 	return m, &MultiInfo{T: t, Limit: t + 1, Bound: 3, M: info.Separator}, nil
 }
@@ -105,48 +85,13 @@ func TwoRouteMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, 
 	if err != nil {
 		return nil, nil, err
 	}
-	sep := opts.Separator
-	if sep == nil {
-		sep, err = connectivity.MinimumSeparator(g)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: no separating set: %v", ErrNotApplicable, err)
-		}
-	}
-	if len(sep) < t+1 {
-		return nil, nil, fmt.Errorf("%w: separator size %d < t+1", ErrConnectivity, len(sep))
-	}
-	inM := graph.NewBitset(g.N())
-	for _, v := range sep {
-		inM.Add(v)
+	sep, err := separator(g, opts, t)
+	if err != nil {
+		return nil, nil, err
 	}
 	m := routing.NewMulti(g, 2, true)
-	// add installs a job's paths with Add (MULT 1) or AddCapped (MULT 2).
-	add := func(capped bool) func(treeJob, [][]int, error) error {
-		return func(_ treeJob, paths [][]int, err error) error {
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrNotApplicable, err)
-			}
-			for _, p := range paths {
-				if capped {
-					_, err = m.AddCapped(routing.Path(p))
-				} else {
-					err = m.Add(routing.Path(p))
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
 	// Component MULT 1.
-	var jobs []treeJob
-	for x := 0; x < g.N(); x++ {
-		if !inM.Has(x) {
-			jobs = append(jobs, treeJob{x, sep})
-		}
-	}
-	if err := compileTrees(g, jobs, t+1, add(false)); err != nil {
+	if err := compileTrees(g, treesInto(g, sep), t+1, installPaths(m.Add)); err != nil {
 		return nil, nil, err
 	}
 	// Component MULT 2: m_i to the neighborhood of every other member.
@@ -154,7 +99,7 @@ func TwoRouteMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, 
 	// set may overlap, so a pair can be offered more than two routes;
 	// the paper's two-route budget is honored by keeping the first two
 	// (AddCapped). Experiment E11 measures the resulting tolerance.
-	jobs = nil
+	var jobs []treeJob
 	for _, mi := range sep {
 		for _, mj := range sep {
 			// Adjacent members reach each other via MULT 3 directly.
@@ -163,7 +108,11 @@ func TwoRouteMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, 
 			}
 		}
 	}
-	if err := compileTrees(g, jobs, t+1, add(true)); err != nil {
+	capped := func(p routing.Path) error {
+		_, err := m.AddCapped(p)
+		return err
+	}
+	if err := compileTrees(g, jobs, t+1, installPaths(capped)); err != nil {
 		return nil, nil, err
 	}
 	// Component MULT 3.
@@ -173,4 +122,24 @@ func TwoRouteMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, 
 		}
 	}
 	return m, &MultiInfo{T: t, Limit: 2, Bound: 4, M: sep}, nil
+}
+
+// addDisjointPairs gives every pair of nodes k internally disjoint
+// routes in m, the pairs taken in the order of nodes.
+func addDisjointPairs(m *routing.MultiRouting, nodes []int, k int) error {
+	sp := connectivity.NewSplit(m.Graph())
+	for i, u := range nodes {
+		for _, v := range nodes[i+1:] {
+			paths, err := sp.DisjointPaths(u, v, k)
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrNotApplicable, err)
+			}
+			for _, p := range paths {
+				if err := m.Add(routing.Path(p)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -40,16 +40,12 @@ func TestKernelOnRandomGraphs(t *testing.T) {
 		if err := r.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		bound := 2 * info.T
-		if bound < 4 {
-			bound = 4
-		}
 		// Exhaustive when cheap, sampled otherwise.
 		cfg := eval.Config{Mode: eval.Exhaustive}
 		if tol > 2 {
 			cfg = eval.Config{Mode: eval.Sampled, Samples: 120, Seed: int64(trial), Greedy: true}
 		}
-		if err := eval.CheckTolerance(r, bound, info.T, cfg); err != nil {
+		if err := eval.CheckTolerance(r, info.Bound, info.T, cfg); err != nil {
 			t.Fatalf("trial %d (n=%d κ=%d): %v", trial, n, k, err)
 		}
 		verified++
@@ -78,12 +74,8 @@ func TestAutoOnRandomRegular(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		bound := plan.Bound
-		if bound < 4 {
-			bound = 4
-		}
 		cfg := eval.Config{Mode: eval.Sampled, Samples: 80, Seed: int64(trial), Greedy: true}
-		if err := eval.CheckTolerance(plan.Routing, bound, plan.T, cfg); err != nil {
+		if err := eval.CheckTolerance(plan.Routing, plan.Bound, plan.T, cfg); err != nil {
 			t.Fatalf("trial %d plan %s: %v", trial, plan.Construction, err)
 		}
 		verified++

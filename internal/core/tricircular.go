@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
 )
@@ -47,62 +45,13 @@ func TriCircular(g *graph.Graph, opts Options) (*routing.Routing, *TriCircularIn
 		return nil, nil, err
 	}
 	k, bound := triCircularK(t, opts.MinimalK)
-	m := opts.Concentrator
-	if m == nil {
-		m, err = NeighborhoodSetAtLeast(g, k)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		if len(m) < k {
-			return nil, nil, fmt.Errorf("%w: concentrator size %d < required K = %d", ErrNotApplicable, len(m), k)
-		}
-		m = m[:k]
-		if err := CheckNeighborhoodSet(g, m); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrNotApplicable, err)
-		}
-	}
-	third := k / 3
-	gamma := make([][]int, k)    // indexed ring*third + pos
-	ringOf := make([]int, g.N()) // which ring a Γ node belongs to, else -1
-	posOf := make([]int, g.N())  // position within its ring
-	for i := range ringOf {
-		ringOf[i] = -1
-	}
-	for idx, mi := range m {
-		gamma[idx] = g.Neighbors(mi)
-		for _, v := range gamma[idx] {
-			ringOf[v] = idx / third
-			posOf[v] = idx % third
-		}
-	}
-	forward := (third+1)/2 - 1 // within-ring forward range
-	var jobs []treeJob
-	for x := 0; x < g.N(); x++ {
-		if ringOf[x] == -1 {
-			// Component T-CIRC 1.
-			for idx := 0; idx < k; idx++ {
-				jobs = append(jobs, treeJob{x, gamma[idx]})
-			}
-			continue
-		}
-		j, i := ringOf[x], posOf[x]
-		// Component T-CIRC 2: forward within ring j.
-		for step := 1; step <= forward; step++ {
-			jobs = append(jobs, treeJob{x, gamma[j*third+(i+step)%third]})
-		}
-		// Component T-CIRC 3: every set of ring j+1.
-		next := (j + 1) % 3
-		for l := 0; l < third; l++ {
-			jobs = append(jobs, treeJob{x, gamma[next*third+l]})
-		}
-	}
-	r := routing.NewBidirectional(g)
-	if err := compileTrees(g, jobs, t+1, setTrees(r)); err != nil {
+	m, err := concentrator(g, opts, k)
+	if err != nil {
 		return nil, nil, err
 	}
-	// Component T-CIRC 4.
-	if err := r.AddEdgeRoutes(); err != nil {
+	// Components T-CIRC 1 to T-CIRC 3, then T-CIRC 4.
+	r, err := treeRouting(g, ringJobs(g, m, 3), t, true)
+	if err != nil {
 		return nil, nil, err
 	}
 	return r, &TriCircularInfo{T: t, K: k, Bound: bound, M: m}, nil

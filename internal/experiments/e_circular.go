@@ -46,7 +46,7 @@ func runE3(scale Scale) (*Table, error) {
 			return nil, fmt.Errorf("E3 %s: %w", w.name, err)
 		}
 		measured, method := maxEval(r, info.T, 3000)
-		t.AddRow(w.name, w.g.N(), info.T, info.K, 6, diamStr(measured), method, okStr(measured, 6))
+		t.AddRow(w.name, w.g.N(), info.T, info.K, info.Bound, diamStr(measured), method, okStr(measured, info.Bound))
 	}
 	if scale == Full {
 		// Hypercube Q7 via the Hamming-code concentrator: the greedy
@@ -62,7 +62,7 @@ func runE3(scale Scale) (*Table, error) {
 			return nil, fmt.Errorf("E3 Q7: %w", err)
 		}
 		measured, method := maxEval(r, info.T, 1)
-		t.AddRow("hypercube Q7 (Hamming code)", q7.N(), info.T, info.K, 6, diamStr(measured), method, okStr(measured, 6))
+		t.AddRow("hypercube Q7 (Hamming code)", q7.N(), info.T, info.K, info.Bound, diamStr(measured), method, okStr(measured, info.Bound))
 		t.Notes = append(t.Notes, "Q7 uses the perfect Hamming(7,4) code as concentrator; greedy Lemma 15 alone cannot reach K=13 at n=128")
 	}
 	return t, nil
@@ -100,7 +100,7 @@ func runE4(scale Scale) (*Table, error) {
 			return nil, fmt.Errorf("E4 %s: %w", w.name, err)
 		}
 		measured, method := maxEval(r, info.T, 3000)
-		t.AddRow(w.name, w.g.N(), info.T, info.K, 4, diamStr(measured), method, okStr(measured, 4))
+		t.AddRow(w.name, w.g.N(), info.T, info.K, info.Bound, diamStr(measured), method, okStr(measured, info.Bound))
 	}
 	return t, nil
 }

@@ -42,18 +42,14 @@ func runE14(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		bound := 2 * info.T
-		if bound < 4 {
-			bound = 4
-		}
-		return r, bound, info.T, nil
+		return r, info.Bound, info.T, nil
 	}
 	circBuild := func(g *graph.Graph) (*routing.Routing, int, int, error) {
 		r, info, err := core.Circular(g, core.Options{})
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		return r, 6, info.T, nil
+		return r, info.Bound, info.T, nil
 	}
 	items := []item{
 		{"cycle C9 (circular)", must(gen.Cycle(9)), circBuild},
@@ -178,27 +174,26 @@ func runE15(scale Scale) (*Table, error) {
 	var items []item
 	{
 		g := must(gen.Cycle(45))
-		r, _, err := core.TriCircular(g, core.Options{Tolerance: 1})
+		r, info, err := core.TriCircular(g, core.Options{Tolerance: 1})
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, item{"cycle C45 (tri-circular)", r, 4, []int{7}})
+		items = append(items, item{"cycle C45 (tri-circular)", r, info.Bound, []int{7}})
 	}
 	if scale == Full {
 		g := must(gen.CCC(4))
-		r, _, err := core.Circular(g, core.Options{Tolerance: 2})
+		r, ci, err := core.Circular(g, core.Options{Tolerance: 2})
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, item{"CCC(4) (circular)", r, 6, []int{5, 33}})
+		items = append(items, item{"CCC(4) (circular)", r, ci.Bound, []int{5, 33}})
 
 		q := must(gen.Hypercube(4))
-		kr, info, err := core.Kernel(q, core.Options{Tolerance: 3})
+		kr, ki, err := core.Kernel(q, core.Options{Tolerance: 3})
 		if err != nil {
 			return nil, err
 		}
-		bound := 2 * info.T
-		items = append(items, item{"hypercube Q4 (kernel)", kr, bound, []int{1, 6, 11}})
+		items = append(items, item{"hypercube Q4 (kernel)", kr, ki.Bound, []int{1, 6, 11}})
 	}
 	msgs := 300
 	if scale == Quick {

@@ -88,12 +88,8 @@ func runE1(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E1 %s: %w", w.name, err)
 		}
-		bound := 2 * info.T
-		if bound < 4 {
-			bound = 4
-		}
 		measured, method := maxEval(r, info.T, 40000)
-		t.AddRow(w.name, w.g.N(), info.T, bound, diamStr(measured), method, okStr(measured, bound))
+		t.AddRow(w.name, w.g.N(), info.T, info.Bound, diamStr(measured), method, okStr(measured, info.Bound))
 	}
 	t.Notes = append(t.Notes, "bound is max{2t,4}: tree routings guarantee at most 2 hops to and from the concentrator")
 	return t, nil

@@ -43,14 +43,14 @@ func runE11(scale Scale) (*Table, error) {
 			return nil, fmt.Errorf("E11 full %s: %w", w.name, err)
 		}
 		measured, method := maxEval(full, fi.T, 3000)
-		t.AddRow(w.name, w.g.N(), fi.T, "full (§6.1)", fi.Limit, 1, diamStr(measured), method, okStr(measured, 1))
+		t.AddRow(w.name, w.g.N(), fi.T, "full (§6.1)", fi.Limit, fi.Bound, diamStr(measured), method, okStr(measured, fi.Bound))
 
 		km, ki, err := core.KernelMultirouting(w.g, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("E11 kernel-multi %s: %w", w.name, err)
 		}
 		measured, method = maxEval(km, ki.T, 3000)
-		t.AddRow(w.name, w.g.N(), ki.T, "kernel+concentrator (§6.2)", ki.Limit, 3, diamStr(measured), method, okStr(measured, 3))
+		t.AddRow(w.name, w.g.N(), ki.T, "kernel+concentrator (§6.2)", ki.Limit, ki.Bound, diamStr(measured), method, okStr(measured, ki.Bound))
 
 		tr, ti, err := core.TwoRouteMultirouting(w.g, core.Options{})
 		if err != nil {
@@ -91,7 +91,7 @@ func runE12(scale Scale) (*Table, error) {
 		}
 		measured, method := maxEval(r, info.T, 3000)
 		maxAdd := info.T * (info.T + 1) / 2
-		t.AddRow(w.name, w.g.N(), info.T, len(info.AddedEdges), maxAdd, 3, diamStr(measured), method, okStr(measured, 3))
+		t.AddRow(w.name, w.g.N(), info.T, len(info.AddedEdges), maxAdd, info.Bound, diamStr(measured), method, okStr(measured, info.Bound))
 	}
 	return t, nil
 }

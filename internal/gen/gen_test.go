@@ -307,6 +307,9 @@ func TestGnpExtremes(t *testing.T) {
 	if _, err := Gnp(10, 1.5, 1); !errors.Is(err, ErrBadParam) {
 		t.Fatal("p>1 should fail")
 	}
+	if _, err := Gnp(10, math.NaN(), 1); !errors.Is(err, ErrBadParam) {
+		t.Fatal("p=NaN should fail")
+	}
 }
 
 func TestGnpConnected(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // deterministic in (n, p, seed). This is the model of the paper's
 // Lemma 24 / Theorem 25 (two-trees property for p <= c·n^ε/n).
 func Gnp(n int, p float64, seed int64) (*graph.Graph, error) {
-	if n < 1 || n > graph.MaxNodes || p < 0 || p > 1 {
+	if n < 1 || n > graph.MaxNodes || !(p >= 0 && p <= 1) { // NaN fails both
 		return nil, fmt.Errorf("%w: Gnp(%d, %v)", ErrBadParam, n, p)
 	}
 	rng := rand.New(rand.NewSource(seed))
