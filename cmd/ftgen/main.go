@@ -5,8 +5,10 @@
 //
 //	ftgen -graph <spec> [-o out.txt] [-format edgelist|json|dot]
 //
-// Specs are the same as cmd/ftroute (cycle:N, hypercube:D, ccc:D,
-// harary:KxN, gnp:N:P:SEED, regular:N:D:SEED, ...).
+// Specs are the same as cmd/ftroute's, read by internal/gen's Parse:
+// cycle:N, path:N, wheel:N, grid:RxC, torus:RxC, hypercube:N, ccc:N,
+// butterfly:N, debruijn:N, harary:KxN, gp:NxK, petersen, icosahedron,
+// gnp:N:P:SEED, regular:N:D:SEED and file:PATH.
 package main
 
 import (
@@ -14,10 +16,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
-	"ftroute"
+	"ftroute/internal/gen"
 )
 
 func main() {
@@ -40,7 +40,7 @@ func run(args []string, stdout *os.File) error {
 	if *spec == "" {
 		return fmt.Errorf("usage: ftgen -graph <spec> [-o out] [-format edgelist|json|dot]")
 	}
-	g, err := parseGraph(*spec)
+	g, err := gen.Parse(*spec)
 	if err != nil {
 		return err
 	}
@@ -67,88 +67,6 @@ func run(args []string, stdout *os.File) error {
 		_, err := fmt.Fprint(w, g.DOT("G"))
 		return err
 	default:
-		return fmt.Errorf("ftgen: unknown format %q", *format)
-	}
-}
-
-// parseGraph mirrors cmd/ftroute's generator specs (kept local: main
-// packages cannot import each other).
-func parseGraph(spec string) (*ftroute.Graph, error) {
-	parts := strings.Split(spec, ":")
-	atoi := func(s string) int { v, _ := strconv.Atoi(s); return v }
-	dims := func(s string) (int, int, error) {
-		xy := strings.Split(s, "x")
-		if len(xy) != 2 {
-			return 0, 0, fmt.Errorf("ftgen: bad dimensions %q (want RxC)", s)
-		}
-		return atoi(xy[0]), atoi(xy[1]), nil
-	}
-	switch parts[0] {
-	case "cycle":
-		return ftroute.Cycle(atoi(parts[1]))
-	case "path":
-		return ftroute.PathGraph(atoi(parts[1]))
-	case "grid":
-		r, c, err := dims(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return ftroute.Grid(r, c)
-	case "torus":
-		r, c, err := dims(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return ftroute.Torus(r, c)
-	case "hypercube":
-		return ftroute.Hypercube(atoi(parts[1]))
-	case "ccc":
-		return ftroute.CCC(atoi(parts[1]))
-	case "butterfly":
-		return ftroute.WrappedButterfly(atoi(parts[1]))
-	case "debruijn":
-		return ftroute.DeBruijn(atoi(parts[1]))
-	case "harary":
-		k, n, err := dims(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return ftroute.Harary(k, n)
-	case "gp":
-		n, k, err := dims(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		return ftroute.GeneralizedPetersen(n, k)
-	case "wheel":
-		return ftroute.Wheel(atoi(parts[1]))
-	case "petersen":
-		return ftroute.Petersen(), nil
-	case "icosahedron":
-		return ftroute.Icosahedron(), nil
-	case "gnp":
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("ftgen: gnp wants gnp:N:P:SEED")
-		}
-		p, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := strconv.ParseInt(parts[3], 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		return ftroute.Gnp(atoi(parts[1]), p, seed)
-	case "regular":
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("ftgen: regular wants regular:N:D:SEED")
-		}
-		seed, err := strconv.ParseInt(parts[3], 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		return ftroute.RandomRegular(atoi(parts[1]), atoi(parts[2]), seed)
-	default:
-		return nil, fmt.Errorf("ftgen: unknown graph family %q", parts[0])
+		return fmt.Errorf("unknown format %q", *format)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ftroute/internal/gen"
 )
 
 func TestGenerateEdgeList(t *testing.T) {
@@ -37,29 +39,46 @@ func TestGenerateJSONAndDot(t *testing.T) {
 	}
 }
 
+// TestGenerateErrors: each bad command line fails with an error that
+// says what is wrong and, since main adds "ftgen: ", carries no prefix
+// of its own.
 func TestGenerateErrors(t *testing.T) {
-	if err := run([]string{}, os.Stdout); err == nil {
-		t.Fatal("missing spec should fail")
-	}
-	if err := run([]string{"-graph", "nosuch:1"}, os.Stdout); err == nil {
-		t.Fatal("unknown family should fail")
-	}
-	if err := run([]string{"-graph", "cycle:6", "-format", "xml"}, os.Stdout); err == nil {
-		t.Fatal("unknown format should fail")
-	}
-	if err := run([]string{"-graph", "gp:4x2"}, os.Stdout); err == nil {
-		t.Fatal("bad GP params should fail")
+	for _, tc := range []struct {
+		args []string
+		want string // a substring of the error
+	}{
+		{nil, "usage"},
+		{[]string{"-graph", "nosuch:1"}, `"nosuch:1"`},
+		{[]string{"-graph", "cycle:6", "-format", "xml"}, `unknown format "xml"`},
+		{[]string{"-graph", "gp:4x2"}, "GeneralizedPetersen(4,2)"},
+		// A malformed spec's error names it.
+		{[]string{"-graph", "cycle"}, `"cycle"`},
+		{[]string{"-graph", "harary"}, `"harary"`},
+		{[]string{"-graph", "cycle:7x"}, `"cycle:7x"`},
+		{[]string{"-graph", "ccc:x"}, `"ccc:x"`},
+	} {
+		err := run(tc.args, os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.HasPrefix(err.Error(), "ftgen:") {
+			t.Errorf("ftgen %v: err = %v, want one containing %q and no \"ftgen:\" prefix", tc.args, err, tc.want)
+		}
 	}
 }
 
+// TestGenerateSpecs: for each spec, ftgen writes an edge list that
+// file: reads back as the graph the spec builds.
 func TestGenerateSpecs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
 	for _, spec := range []string{"gp:12x5", "wheel:9", "harary:3x9", "grid:2x3", "torus:3x3", "hypercube:3", "ccc:3", "butterfly:3", "debruijn:3", "path:4", "gnp:10:0.4:3", "regular:10:3:1"} {
-		g, err := parseGraph(spec)
-		if err != nil {
+		if err := run([]string{"-graph", spec, "-o", path}, os.Stdout); err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		if g.N() == 0 {
-			t.Fatalf("%s: empty graph", spec)
+		want, err := gen.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := gen.Parse("file:" + path)
+		if err != nil || got.N() == 0 || !got.Equal(want) {
+			t.Fatalf("%s: read back %v (err %v), want %v", spec, got, err, want)
 		}
 	}
 }

@@ -20,22 +20,24 @@
 // from -seed (default 1), so any run reproduces end to end from the
 // command line.
 //
-// Graph specs:
+// Graph specs (internal/gen's Parse; cmd/ftgen reads the same ones):
 //
 //	cycle:N            cycle on N nodes (connectivity 2)
 //	path:N             path on N nodes
+//	wheel:N            wheel on N nodes, hub included (connectivity 3)
 //	grid:RxC           R-by-C grid (planar)
 //	torus:RxC          R-by-C torus (connectivity 4)
-//	hypercube:D        D-dimensional hypercube
-//	ccc:D              cube-connected cycles
-//	butterfly:D        wrapped butterfly
-//	debruijn:D         binary de Bruijn graph
+//	hypercube:N        N-dimensional hypercube
+//	ccc:N              cube-connected cycles of dimension N
+//	butterfly:N        wrapped butterfly of dimension N
+//	debruijn:N         binary de Bruijn graph of dimension N
 //	harary:KxN         Harary graph H(K,N) (connectivity K)
+//	gp:NxK             generalized Petersen graph GP(N,K)
 //	petersen           the Petersen graph
 //	icosahedron        the icosahedron (planar, connectivity 5)
 //	gnp:N:P:SEED       Erdős–Rényi G(N,P)
 //	regular:N:D:SEED   random D-regular graph
-//	file:PATH          edge-list file (see cmd/ftgen)
+//	file:PATH          edge-list file (cmd/ftgen writes them)
 //
 // Examples:
 //
@@ -50,11 +52,10 @@ import (
 	"math"
 	"os"
 	"strconv"
-	"strings"
 
 	"ftroute"
 	"ftroute/internal/connectivity"
-	"ftroute/internal/graph"
+	"ftroute/internal/gen"
 	"ftroute/internal/netsim"
 )
 
@@ -97,7 +98,7 @@ func run(args []string) error {
 	if *graphSpec == "" {
 		return errUsage
 	}
-	g, err := parseGraph(*graphSpec)
+	g, err := gen.Parse(*graphSpec)
 	if err != nil {
 		return err
 	}
@@ -136,7 +137,7 @@ func simulate(g *ftroute.Graph, construction string, faults, samples int, seed i
 	}
 	rt, ok := r.(*ftroute.Routing)
 	if !ok {
-		return fmt.Errorf("ftroute: simulate supports single routings, not multiroutings")
+		return fmt.Errorf("simulate supports single routings, not multiroutings")
 	}
 	if faults < 0 {
 		faults = bt[1]
@@ -187,7 +188,7 @@ func simulate(g *ftroute.Graph, construction string, faults, samples int, seed i
 // thirds, with each stuck message retrying from its stuck node.
 func failover(g *ftroute.Graph, construction string, cuts, backups, retries, messages, samples int, seed int64, exhaustive, pruned, mixed bool, lambda float64) error {
 	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return fmt.Errorf("ftroute: -lambda must be finite, got %v", lambda)
+		return fmt.Errorf("-lambda must be finite, got %v", lambda)
 	}
 	r, _, err := build(g, construction)
 	if err != nil {
@@ -195,7 +196,7 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 	}
 	rt, ok := r.(*ftroute.Routing)
 	if !ok {
-		return fmt.Errorf("ftroute: failover supports single routings, not multiroutings")
+		return fmt.Errorf("failover supports single routings, not multiroutings")
 	}
 	plain := ftroute.FailoverFromRouting(rt)
 	m, err := ftroute.Reinforce(rt, backups)
@@ -285,7 +286,7 @@ func export(g *ftroute.Graph, construction, table string) error {
 	}
 	rt, ok := r.(*ftroute.Routing)
 	if !ok {
-		return fmt.Errorf("ftroute: export supports single routings, not multiroutings")
+		return fmt.Errorf("export supports single routings, not multiroutings")
 	}
 	w := os.Stdout
 	if table != "" {
@@ -309,7 +310,7 @@ func export(g *ftroute.Graph, construction, table string) error {
 // against the graph and verifies a (bound, faults) tolerance claim.
 func check(g *ftroute.Graph, table string, bound, faults, samples int, seed int64, exhaustive bool) error {
 	if table == "" {
-		return fmt.Errorf("ftroute: check requires -table")
+		return fmt.Errorf("check requires -table")
 	}
 	data, err := os.ReadFile(table)
 	if err != nil {
@@ -317,10 +318,10 @@ func check(g *ftroute.Graph, table string, bound, faults, samples int, seed int6
 	}
 	rt, err := ftroute.DecodeRoutingTable(g, data)
 	if err != nil {
-		return fmt.Errorf("ftroute: table rejected: %w", err)
+		return fmt.Errorf("table rejected: %w", err)
 	}
 	if bound < 0 {
-		return fmt.Errorf("ftroute: check requires -bound")
+		return fmt.Errorf("check requires -bound")
 	}
 	if faults < 0 {
 		k, err := kappa(g)
@@ -340,86 +341,6 @@ func check(g *ftroute.Graph, table string, bound, faults, samples int, seed int6
 	}
 	fmt.Printf("table %s verified (%s): surviving diameter <= %d for |F| <= %d\n", table, mode, bound, faults)
 	return nil
-}
-
-// parseGraph builds a graph from a spec string. A missing or
-// non-numeric argument is an error that names the spec.
-func parseGraph(spec string) (*ftroute.Graph, error) {
-	family, rest, _ := strings.Cut(spec, ":")
-	bad := func(format string, a ...any) error {
-		return fmt.Errorf("ftroute: graph spec %q: %s", spec, fmt.Sprintf(format, a...))
-	}
-	// ints parses exactly len(want) integer arguments separated by sep.
-	ints := func(sep string, want ...string) ([]int, error) {
-		fields := strings.Split(rest, sep)
-		if rest == "" || len(fields) != len(want) {
-			return nil, bad("want %s:%s", family, strings.Join(want, sep))
-		}
-		out := make([]int, len(fields))
-		for i, f := range fields {
-			v, err := strconv.Atoi(f)
-			if err != nil {
-				return nil, bad("%s = %q is not an integer", want[i], f)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	one := map[string]func(int) (*ftroute.Graph, error){
-		"cycle": ftroute.Cycle, "path": ftroute.PathGraph, "hypercube": ftroute.Hypercube,
-		"ccc": ftroute.CCC, "butterfly": ftroute.WrappedButterfly, "debruijn": ftroute.DeBruijn,
-	}
-	two := map[string]func(int, int) (*ftroute.Graph, error){
-		"grid": ftroute.Grid, "torus": ftroute.Torus, "harary": ftroute.Harary,
-	}
-	switch {
-	case family == "file":
-		f, err := os.Open(rest)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ReadEdgeList(f)
-	case one[family] != nil:
-		a, err := ints(":", "N")
-		if err != nil {
-			return nil, err
-		}
-		return one[family](a[0])
-	case two[family] != nil:
-		a, err := ints("x", "R", "C")
-		if err != nil {
-			return nil, err
-		}
-		return two[family](a[0], a[1])
-	case family == "petersen":
-		return ftroute.Petersen(), nil
-	case family == "icosahedron":
-		return ftroute.Icosahedron(), nil
-	case family == "gnp":
-		// P is a probability: parse it apart, then check N and SEED.
-		fields := strings.Split(rest, ":")
-		if len(fields) != 3 {
-			return nil, bad("want gnp:N:P:SEED")
-		}
-		p, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, bad("P = %q is not a number", fields[1])
-		}
-		rest = fields[0] + ":" + fields[2]
-		a, err := ints(":", "N", "SEED")
-		if err != nil {
-			return nil, err
-		}
-		return ftroute.Gnp(a[0], p, int64(a[1]))
-	case family == "regular":
-		a, err := ints(":", "N", "D", "SEED")
-		if err != nil {
-			return nil, err
-		}
-		return ftroute.RandomRegular(a[0], a[1], int64(a[2]))
-	}
-	return nil, fmt.Errorf("ftroute: unknown graph family %q", family)
 }
 
 func info(g *ftroute.Graph) error {
@@ -473,11 +394,11 @@ func orbits(g *ftroute.Graph, faults int) error {
 	for _, p := range elems {
 		ep, ok := ix.Perm(p)
 		if !ok {
-			return fmt.Errorf("ftroute: internal: automorphism does not permute the edges")
+			return fmt.Errorf("internal: automorphism does not permute the edges")
 		}
 		mp, ok := ix.MixedPerm(p)
 		if !ok {
-			return fmt.Errorf("ftroute: internal: automorphism does not permute the mixed items")
+			return fmt.Errorf("internal: automorphism does not permute the mixed items")
 		}
 		edgeElems = append(edgeElems, ep)
 		mixedElems = append(mixedElems, mp)
@@ -585,7 +506,7 @@ func build(g *ftroute.Graph, construction string) (ftroute.RouteSource, [2]int, 
 		fmt.Printf("shortest-path routing (baseline): no designed tolerance, t=%d\n", k-1)
 		return r, [2]int{0, k - 1}, nil
 	default:
-		return nil, [2]int{}, fmt.Errorf("ftroute: unknown construction %q", construction)
+		return nil, [2]int{}, fmt.Errorf("unknown construction %q", construction)
 	}
 }
 

@@ -1,98 +1,45 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"ftroute/internal/gen"
 )
 
+// TestParseGraphSpecs: -graph is gen.Parse, whose own test pins what
+// each spec builds. Each spec prints the node count Parse builds, or
+// fails with Parse's error unchanged (main adds the one "ftroute: ").
 func TestParseGraphSpecs(t *testing.T) {
-	tests := []struct {
-		spec    string
-		wantN   int
-		wantErr bool
-		named   bool // the error must name the spec
-	}{
-		{"cycle:9", 9, false, false},
-		{"path:5", 5, false, false},
-		{"grid:3x4", 12, false, false},
-		{"torus:3x5", 15, false, false},
-		{"hypercube:4", 16, false, false},
-		{"ccc:3", 24, false, false},
-		{"butterfly:3", 24, false, false},
-		{"debruijn:4", 16, false, false},
-		{"harary:3x8", 8, false, false},
-		{"petersen", 10, false, false},
-		{"icosahedron", 12, false, false},
-		{"gnp:20:0.3:7", 20, false, false},
-		{"regular:12:3:5", 12, false, false},
-		{"cycle:2", 0, true, false},
-		{"grid:3", 0, true, true},
-		{"gnp:20:0.3", 0, true, true},
-		{"gnp:20:x:1", 0, true, true},
-		{"gnp:5:NaN:1", 0, true, false},
-		{"regular:12:3", 0, true, true},
-		{"nosuch:4", 0, true, false},
-		{"cycle", 0, true, true},
-		{"grid", 0, true, true},
-		{"ccc:x", 0, true, true},
-		{"grid:3xq", 0, true, true},
-		// Sizes that overflow an int or exceed graph.MaxNodes are errors,
-		// not panics or out-of-memory crashes.
-		{"grid:4294967296x4294967296", 0, true, false},
-		{"torus:3037000500x3037000500", 0, true, false},
-		{"harary:3x4611686018427387904", 0, true, false},
-		{"regular:4611686018427387904:3:1", 0, true, false},
-		{"gnp:4611686018427387904:0.5:1", 0, true, false},
-		{"path:4611686018427387904", 0, true, false},
-		{"cycle:2000000000", 0, true, false},
-	}
-	for _, tc := range tests {
-		t.Run(tc.spec, func(t *testing.T) {
-			g, err := parseGraph(tc.spec)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("spec %q should fail", tc.spec)
-				}
-				if tc.named && !strings.Contains(err.Error(), strconv.Quote(tc.spec)) {
-					t.Fatalf("error %q does not name the spec", err)
+	for _, spec := range []string{
+		"cycle:9", "path:5", "wheel:9", "grid:3x4", "torus:3x5", "hypercube:4", "ccc:3",
+		"butterfly:3", "debruijn:4", "harary:3x8", "gp:12x5", "petersen", "icosahedron",
+		"gnp:20:0.3:7", "regular:12:3:5", "cycle:2", "grid:3", "gnp:20:0.3", "gnp:20:x:1",
+		"gnp:5:NaN:1", "regular:12:3", "nosuch:4", "cycle", "grid", "ccc:x", "grid:3xq",
+		"grid:4294967296x4294967296", "torus:3037000500x3037000500",
+		"harary:3x4611686018427387904", "regular:4611686018427387904:3:1",
+		"gnp:4611686018427387904:0.5:1", "path:4611686018427387904", "cycle:2000000000",
+	} {
+		t.Run(spec, func(t *testing.T) {
+			want, wantErr := gen.Parse(spec)
+			out, err := runOutput(t, "info", "-graph", spec)
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("err = %v, want %v", err, wantErr)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g.N() != tc.wantN {
-				t.Fatalf("n = %d, want %d", g.N(), tc.wantN)
+			if line := fmt.Sprintf("nodes:        %d\n", want.N()); !strings.Contains(out, line) {
+				t.Fatalf("printed\n%s\nwant %q", out, line)
 			}
 		})
-	}
-}
-
-func TestParseGraphFromFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.txt")
-	if err := os.WriteFile(path, []byte("n 3\n0 1\n1 2\n"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	g, err := parseGraph("file:" + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 3 || g.M() != 2 {
-		t.Fatalf("g = %v", g)
-	}
-	if _, err := parseGraph("file:" + filepath.Join(dir, "missing.txt")); err == nil {
-		t.Fatal("missing file should fail")
-	}
-	huge := filepath.Join(dir, "huge.txt")
-	if err := os.WriteFile(huge, []byte("n 100000000000\n"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parseGraph("file:" + huge); err == nil {
-		t.Fatal("a node count above graph.MaxNodes should fail, not allocate")
 	}
 }
 
@@ -151,16 +98,19 @@ func TestRunRejectsNonFiniteLambda(t *testing.T) {
 	for _, lambda := range []string{"NaN", "Inf", "+Inf", "-Inf"} {
 		t.Run(lambda, func(t *testing.T) {
 			err := run([]string{"failover", "-graph", "cycle:6", "-construction", "shortest", "-mixed", "-lambda", lambda})
-			if err == nil || !strings.Contains(err.Error(), "-lambda must be finite") {
+			if err == nil || !strings.HasPrefix(err.Error(), "-lambda must be finite") {
 				t.Fatalf("-lambda %s: err = %v, want a finiteness error", lambda, err)
 			}
 		})
 	}
 }
 
+// TestRunRejectsUnknownConstruction also checks that the error does not
+// name the program: main adds the one "ftroute: ".
 func TestRunRejectsUnknownConstruction(t *testing.T) {
-	if err := run([]string{"route", "-graph", "cycle:9", "-construction", "magic"}); err == nil {
-		t.Fatal("unknown construction should fail")
+	err := run([]string{"route", "-graph", "cycle:9", "-construction", "magic"})
+	if err == nil || err.Error() != `unknown construction "magic"` {
+		t.Fatalf("err = %v, want unknown construction \"magic\"", err)
 	}
 }
 

@@ -19,9 +19,6 @@ import (
 
 // Errors returned by the connectivity computations.
 var (
-	// ErrAdjacent indicates an s–t connectivity query on adjacent nodes,
-	// for which internally-disjoint-path counting is unbounded.
-	ErrAdjacent = errors.New("connectivity: nodes are adjacent")
 	// ErrTooFewPaths indicates that the requested number of disjoint
 	// paths does not exist.
 	ErrTooFewPaths = errors.New("connectivity: too few disjoint paths")
@@ -43,38 +40,10 @@ func checkPair(g *graph.Graph, s, t int) error {
 	return nil
 }
 
-// STConnectivity returns the maximum number of internally node-disjoint
-// s–t paths (equivalently, by Menger's theorem, the minimum number of
-// nodes whose removal separates s from t). s and t must be distinct and
-// non-adjacent; adjacent pairs return ErrAdjacent.
-func STConnectivity(g *graph.Graph, s, t int) (int, error) {
-	if err := checkPair(g, s, t); err != nil {
-		return 0, err
-	}
-	if g.HasEdge(s, t) {
-		return 0, fmt.Errorf("%w: %d-%d", ErrAdjacent, s, t)
-	}
-	k, _ := newSplit(g, flow.Inf).stFlow(s, t, flow.Inf, false)
-	return k, nil
-}
-
-// STSeparator returns a minimum set of nodes (excluding s and t) whose
-// removal disconnects s from t. s and t must be non-adjacent.
-func STSeparator(g *graph.Graph, s, t int) ([]int, error) {
-	if err := checkPair(g, s, t); err != nil {
-		return nil, err
-	}
-	if g.HasEdge(s, t) {
-		return nil, fmt.Errorf("%w: %d-%d", ErrAdjacent, s, t)
-	}
-	_, cut := newSplit(g, flow.Inf).stFlow(s, t, flow.Inf, true)
-	return cut, nil
-}
-
 // DisjointPaths returns k internally node-disjoint paths from s to t,
 // each a node sequence starting at s and ending at t. If fewer than k
-// exist it returns ErrTooFewPaths. Unlike STConnectivity, s and t may be
-// adjacent; the direct edge counts as one path.
+// exist it returns ErrTooFewPaths. s and t may be adjacent; the direct
+// edge counts as one path.
 func DisjointPaths(g *graph.Graph, s, t, k int) ([][]int, error) {
 	return NewSplit(g).DisjointPaths(s, t, k)
 }

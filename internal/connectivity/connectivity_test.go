@@ -21,45 +21,6 @@ func mustGen(t *testing.T) func(*graph.Graph, error) *graph.Graph {
 	}
 }
 
-func TestSTConnectivityCycle(t *testing.T) {
-	g := mustGen(t)(gen.Cycle(6))
-	k, err := STConnectivity(g, 0, 3)
-	if err != nil || k != 2 {
-		t.Fatalf("st-connectivity = (%d,%v), want 2", k, err)
-	}
-}
-
-func TestSTConnectivityAdjacent(t *testing.T) {
-	g := mustGen(t)(gen.Cycle(5))
-	if _, err := STConnectivity(g, 0, 1); !errors.Is(err, ErrAdjacent) {
-		t.Fatalf("adjacent query: %v", err)
-	}
-	if _, err := STConnectivity(g, 2, 2); err == nil {
-		t.Fatal("s==t should error")
-	}
-}
-
-func TestSTSeparatorSeparates(t *testing.T) {
-	g := mustGen(t)(gen.Cycle(8))
-	sep, err := STSeparator(g, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sep) != 2 {
-		t.Fatalf("separator = %v, want size 2", sep)
-	}
-	blocked := graph.NewBitset(g.N())
-	for _, v := range sep {
-		if v == 0 || v == 4 {
-			t.Fatalf("separator contains an endpoint: %v", sep)
-		}
-		blocked.Add(v)
-	}
-	if d := g.BFSDistances(0, blocked)[4]; d != graph.Unreachable {
-		t.Fatalf("separator does not separate: dist=%d", d)
-	}
-}
-
 func TestVertexConnectivityKnownGraphs(t *testing.T) {
 	tests := []struct {
 		name string

@@ -23,12 +23,3 @@ import "ftroute/internal/graph"
 func DisjointPathsToSet(g *graph.Graph, x int, members []int, k int) ([][]int, error) {
 	return NewSplit(g).DisjointPathsToSet(x, members, k)
 }
-
-// Endpoints returns the final node of each path, in path order.
-func Endpoints(paths [][]int) []int {
-	out := make([]int, len(paths))
-	for i, p := range paths {
-		out[i] = p[len(p)-1]
-	}
-	return out
-}

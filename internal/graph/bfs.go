@@ -46,53 +46,6 @@ func (g *Graph) Dist(u, v int) int {
 	return g.BFSDistances(u, nil)[v]
 }
 
-// ShortestPath returns one shortest u-v path (as a node sequence including
-// both endpoints) avoiding blocked nodes, or nil if none exists. Ties are
-// broken toward smaller node identifiers, so the result is deterministic.
-func (g *Graph) ShortestPath(u, v int, blocked *Bitset) []int {
-	n := g.N()
-	if u < 0 || u >= n || v < 0 || v >= n || blocked.Has(u) || blocked.Has(v) {
-		return nil
-	}
-	if u == v {
-		return []int{u}
-	}
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -2 // unvisited
-	}
-	parent[u] = -1
-	queue := []int32{int32(u)}
-	for head := 0; head < len(queue); head++ {
-		x := int(queue[head])
-		for _, y32 := range g.adj[x] {
-			y := int(y32)
-			if parent[y] != -2 || blocked.Has(y) {
-				continue
-			}
-			parent[y] = int32(x)
-			if y == v {
-				return reconstruct(parent, v)
-			}
-			queue = append(queue, y32)
-		}
-	}
-	return nil
-}
-
-// reconstruct walks parent pointers from v back to the root.
-func reconstruct(parent []int32, v int) []int {
-	rev := []int{v}
-	for parent[v] >= 0 {
-		v = int(parent[v])
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // IsConnected reports whether the graph (ignoring blocked nodes, which may
 // be nil) is connected. Graphs with fewer than two unblocked nodes are
 // connected. If every node is blocked the graph is trivially connected.
@@ -187,26 +140,6 @@ func (g *Graph) Diameter(blocked *Bitset) (int, bool) {
 		return 0, false
 	}
 	return diam, true
-}
-
-// Eccentricity returns the eccentricity of u (max distance to any other
-// unblocked node) and true, or (0, false) if some unblocked node is
-// unreachable from u.
-func (g *Graph) Eccentricity(u int, blocked *Bitset) (int, bool) {
-	dist := g.BFSDistances(u, blocked)
-	ecc := 0
-	for v := 0; v < g.N(); v++ {
-		if blocked.Has(v) {
-			continue
-		}
-		if dist[v] == Unreachable {
-			return 0, false
-		}
-		if dist[v] > ecc {
-			ecc = dist[v]
-		}
-	}
-	return ecc, true
 }
 
 // Girth returns the length of the shortest cycle and true, or (0, false)

@@ -68,13 +68,6 @@ func (b *Bitset) Count() int {
 	return c
 }
 
-// Clear removes all elements.
-func (b *Bitset) Clear() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
 // Clone returns a deep copy.
 func (b *Bitset) Clone() *Bitset {
 	return &Bitset{words: append([]uint64(nil), b.words...), n: b.n}
@@ -102,20 +95,6 @@ func (b *Bitset) UnionWith(other *Bitset) {
 	for i, w := range other.words {
 		b.words[i] |= w
 	}
-}
-
-// IntersectsWith reports whether b and other share any element.
-func (b *Bitset) IntersectsWith(other *Bitset) bool {
-	k := len(b.words)
-	if len(other.words) < k {
-		k = len(other.words)
-	}
-	for i := 0; i < k; i++ {
-		if b.words[i]&other.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders the set as "{a,b,c}".

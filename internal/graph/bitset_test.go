@@ -79,14 +79,6 @@ func TestBitsetCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestBitsetClear(t *testing.T) {
-	b := BitsetOf(70, 1, 69)
-	b.Clear()
-	if b.Count() != 0 {
-		t.Fatal("clear failed")
-	}
-}
-
 func TestBitsetUnionWith(t *testing.T) {
 	a := BitsetOf(10, 1, 2)
 	b := BitsetOf(10, 2, 3)
@@ -103,18 +95,6 @@ func TestBitsetUnionMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewBitset(10).UnionWith(NewBitset(20))
-}
-
-func TestBitsetIntersects(t *testing.T) {
-	a := BitsetOf(100, 64)
-	b := BitsetOf(100, 64, 3)
-	c := BitsetOf(100, 65)
-	if !a.IntersectsWith(b) {
-		t.Fatal("expected intersection")
-	}
-	if a.IntersectsWith(c) {
-		t.Fatal("unexpected intersection")
-	}
 }
 
 func TestBitsetString(t *testing.T) {

@@ -230,46 +230,6 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("Graph(n=%d, m=%d)", g.N(), g.M())
 }
 
-// InducedSubgraph returns the subgraph induced by deleting the nodes in
-// the removed set, together with the mapping old→new node ids (-1 for
-// removed nodes) and new→old ids.
-func (g *Graph) InducedSubgraph(removed *Bitset) (sub *Graph, oldToNew []int, newToOld []int) {
-	n := g.N()
-	oldToNew = make([]int, n)
-	next := 0
-	for u := 0; u < n; u++ {
-		if removed != nil && removed.Has(u) {
-			oldToNew[u] = -1
-			continue
-		}
-		oldToNew[u] = next
-		next++
-	}
-	newToOld = make([]int, 0, next)
-	for u := 0; u < n; u++ {
-		if oldToNew[u] >= 0 {
-			newToOld = append(newToOld, u)
-		}
-	}
-	sub = New(next)
-	for u := 0; u < n; u++ {
-		nu := oldToNew[u]
-		if nu < 0 {
-			continue
-		}
-		for _, v32 := range g.adj[u] {
-			v := int(v32)
-			if v <= u {
-				continue
-			}
-			if nv := oldToNew[v]; nv >= 0 {
-				sub.MustAddEdge(nu, nv)
-			}
-		}
-	}
-	return sub, oldToNew, newToOld
-}
-
 // DOT renders the graph in Graphviz DOT format, useful for debugging and
 // documentation.
 func (g *Graph) DOT(name string) string {

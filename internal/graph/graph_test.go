@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func mustPath(t *testing.T, n int, edges ...[2]int) *Graph {
@@ -207,38 +206,6 @@ func TestHasEdgeOutOfRange(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := cycleGraph(6)
-	removed := BitsetOf(6, 2, 5)
-	sub, oldToNew, newToOld := g.InducedSubgraph(removed)
-	if sub.N() != 4 {
-		t.Fatalf("sub n=%d", sub.N())
-	}
-	// Remaining edges of C6 after removing 2 and 5: {0,1}, {3,4}.
-	if sub.M() != 2 {
-		t.Fatalf("sub m=%d, want 2", sub.M())
-	}
-	if oldToNew[2] != -1 || oldToNew[5] != -1 {
-		t.Fatal("removed nodes should map to -1")
-	}
-	for newID, oldID := range newToOld {
-		if oldToNew[oldID] != newID {
-			t.Fatalf("inconsistent mapping for old=%d", oldID)
-		}
-	}
-	if !sub.HasEdge(oldToNew[0], oldToNew[1]) || !sub.HasEdge(oldToNew[3], oldToNew[4]) {
-		t.Fatal("expected edges missing in subgraph")
-	}
-}
-
-func TestInducedSubgraphNilRemoved(t *testing.T) {
-	g := cycleGraph(4)
-	sub, _, _ := g.InducedSubgraph(nil)
-	if !sub.Equal(g) {
-		t.Fatal("nil removal should copy the graph")
-	}
-}
-
 func TestDOT(t *testing.T) {
 	g := mustPath(t, 2, [2]int{0, 1})
 	dot := g.DOT("")
@@ -298,48 +265,6 @@ func TestDistDisconnected(t *testing.T) {
 	g.MustAddEdge(2, 3)
 	if d := g.Dist(0, 3); d != Unreachable {
 		t.Fatalf("Dist across components = %d", d)
-	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g := cycleGraph(6)
-	p := g.ShortestPath(0, 2, nil)
-	want := []int{0, 1, 2}
-	if len(p) != 3 {
-		t.Fatalf("path = %v", p)
-	}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("path = %v, want %v", p, want)
-		}
-	}
-}
-
-func TestShortestPathBlockedForcesDetour(t *testing.T) {
-	g := cycleGraph(6)
-	p := g.ShortestPath(0, 2, BitsetOf(6, 1))
-	// Must go the long way around: 0-5-4-3-2.
-	if len(p) != 5 || p[0] != 0 || p[len(p)-1] != 2 {
-		t.Fatalf("detour path = %v", p)
-	}
-}
-
-func TestShortestPathNone(t *testing.T) {
-	g := New(3)
-	g.MustAddEdge(0, 1)
-	if p := g.ShortestPath(0, 2, nil); p != nil {
-		t.Fatalf("expected nil path, got %v", p)
-	}
-	if p := g.ShortestPath(0, 1, BitsetOf(3, 1)); p != nil {
-		t.Fatalf("blocked target should have no path, got %v", p)
-	}
-}
-
-func TestShortestPathSelf(t *testing.T) {
-	g := New(2)
-	p := g.ShortestPath(1, 1, nil)
-	if len(p) != 1 || p[0] != 1 {
-		t.Fatalf("self path = %v", p)
 	}
 }
 
@@ -421,21 +346,6 @@ func TestDiameterWithBlocked(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	g := pathGraph(5)
-	ecc, ok := g.Eccentricity(2, nil)
-	if !ok || ecc != 2 {
-		t.Fatalf("ecc(2) = (%d,%v)", ecc, ok)
-	}
-	ecc, ok = g.Eccentricity(0, nil)
-	if !ok || ecc != 4 {
-		t.Fatalf("ecc(0) = (%d,%v)", ecc, ok)
-	}
-	if _, ok = g.Eccentricity(0, BitsetOf(5, 2)); ok {
-		t.Fatal("eccentricity with unreachable nodes should fail")
-	}
-}
-
 func TestGirth(t *testing.T) {
 	tests := []struct {
 		name string
@@ -483,41 +393,5 @@ func TestBFSTriangleProperty(t *testing.T) {
 				t.Fatalf("trial %d: edge %v has dist gap %d vs %d", trial, e, du, dv)
 			}
 		}
-	}
-}
-
-// TestShortestPathIsShortest cross-checks ShortestPath length against
-// BFSDistances using testing/quick-style randomized inputs.
-func TestShortestPathIsShortest(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(11))}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(15)
-		g := New(n)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if rng.Float64() < 0.35 {
-					g.MustAddEdge(u, v)
-				}
-			}
-		}
-		u, v := rng.Intn(n), rng.Intn(n)
-		dist := g.BFSDistances(u, nil)
-		p := g.ShortestPath(u, v, nil)
-		if dist[v] == Unreachable {
-			return p == nil
-		}
-		if p == nil || len(p)-1 != dist[v] || p[0] != u || p[len(p)-1] != v {
-			return false
-		}
-		for i := 0; i+1 < len(p); i++ {
-			if !g.HasEdge(p[i], p[i+1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,66 +1,7 @@
 package graph
 
-// Additional structural utilities used by the generators, experiments
-// and command-line tools.
-
-// DegreeSequence returns the sorted (non-increasing) degree sequence.
-func (g *Graph) DegreeSequence() []int {
-	out := make([]int, g.N())
-	for u := range out {
-		out[u] = g.Degree(u)
-	}
-	// Insertion sort, descending; node counts here are small enough.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] < out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-// IsRegular reports whether every node has the same degree, returning
-// that degree (0 for the empty graph).
-func (g *Graph) IsRegular() (int, bool) {
-	if g.N() == 0 {
-		return 0, true
-	}
-	d := g.Degree(0)
-	for u := 1; u < g.N(); u++ {
-		if g.Degree(u) != d {
-			return 0, false
-		}
-	}
-	return d, true
-}
-
-// Complement returns the complement graph (same nodes, exactly the
-// missing edges).
-func (g *Graph) Complement() *Graph {
-	n := g.N()
-	c := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) {
-				c.MustAddEdge(u, v)
-			}
-		}
-	}
-	return c
-}
-
-// DisjointUnion returns the graph consisting of g followed by h on a
-// fresh node range: h's node i becomes g.N()+i.
-func (g *Graph) DisjointUnion(h *Graph) *Graph {
-	out := New(g.N() + h.N())
-	for _, e := range g.Edges() {
-		out.MustAddEdge(e[0], e[1])
-	}
-	off := g.N()
-	for _, e := range h.Edges() {
-		out.MustAddEdge(e[0]+off, e[1]+off)
-	}
-	return out
-}
+// Cut vertices: the 2-connectivity check that internal/gen's tests run
+// on the families they generate.
 
 // ArticulationPoints returns the cut vertices of g (nodes whose removal
 // increases the number of connected components), sorted. A graph is
@@ -126,93 +67,6 @@ func (g *Graph) ArticulationPoints() []int {
 		if c {
 			out = append(out, v)
 		}
-	}
-	return out
-}
-
-// Bridges returns the cut edges of g (edges whose removal disconnects
-// their component), as [2]int{u,v} with u < v, sorted.
-func (g *Graph) Bridges() [][2]int {
-	n := g.N()
-	disc := make([]int, n)
-	low := make([]int, n)
-	parent := make([]int, n)
-	for i := range disc {
-		disc[i] = -1
-		parent[i] = -1
-	}
-	timer := 0
-	var out [][2]int
-	type frame struct {
-		v, idx int
-		// skippedParentEdge handles the first parallel-free tree edge:
-		// only one v-parent edge exists in a simple graph, skip exactly
-		// one traversal back to the parent.
-		skippedParentEdge bool
-	}
-	for root := 0; root < n; root++ {
-		if disc[root] != -1 {
-			continue
-		}
-		stack := []frame{{v: root}}
-		disc[root], low[root] = timer, timer
-		timer++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			nbrs := g.adj[f.v]
-			if f.idx < len(nbrs) {
-				to := int(nbrs[f.idx])
-				f.idx++
-				if to == parent[f.v] && !f.skippedParentEdge {
-					f.skippedParentEdge = true
-					continue
-				}
-				if disc[to] == -1 {
-					parent[to] = f.v
-					disc[to], low[to] = timer, timer
-					timer++
-					stack = append(stack, frame{v: to})
-				} else if disc[to] < low[f.v] {
-					low[f.v] = disc[to]
-				}
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			if p := parent[f.v]; p != -1 {
-				if low[f.v] < low[p] {
-					low[p] = low[f.v]
-				}
-				if low[f.v] > disc[p] {
-					e := [2]int{p, f.v}
-					if e[0] > e[1] {
-						e[0], e[1] = e[1], e[0]
-					}
-					out = append(out, e)
-				}
-			}
-		}
-	}
-	sortEdges(out)
-	return out
-}
-
-// sortEdges sorts edge pairs lexicographically (insertion sort; bridge
-// counts are small).
-func sortEdges(es [][2]int) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && (es[j-1][0] > es[j][0] || (es[j-1][0] == es[j][0] && es[j-1][1] > es[j][1])); j-- {
-			es[j-1], es[j] = es[j], es[j-1]
-		}
-	}
-}
-
-// AllPairsDistances returns the full distance matrix via one BFS per
-// node; Unreachable marks disconnected pairs.
-func (g *Graph) AllPairsDistances() [][]int {
-	n := g.N()
-	out := make([][]int, n)
-	for u := 0; u < n; u++ {
-		out[u] = g.BFSDistances(u, nil)
 	}
 	return out
 }

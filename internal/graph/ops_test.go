@@ -115,62 +115,6 @@ func TestDecodersRejectBadNodeCounts(t *testing.T) {
 	}
 }
 
-func TestDegreeSequence(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(0, 2)
-	g.MustAddEdge(0, 3)
-	seq := g.DegreeSequence()
-	want := []int{3, 1, 1, 1}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Fatalf("seq = %v", seq)
-		}
-	}
-}
-
-func TestIsRegular(t *testing.T) {
-	if d, ok := cycleGraph(6).IsRegular(); !ok || d != 2 {
-		t.Fatalf("cycle: (%d,%v)", d, ok)
-	}
-	if _, ok := pathGraph(4).IsRegular(); ok {
-		t.Fatal("path is not regular")
-	}
-	if d, ok := New(0).IsRegular(); !ok || d != 0 {
-		t.Fatal("empty graph is vacuously regular")
-	}
-}
-
-func TestComplement(t *testing.T) {
-	g := cycleGraph(5)
-	c := g.Complement()
-	if c.M() != 10-5 {
-		t.Fatalf("complement m = %d", c.M())
-	}
-	for u := 0; u < 5; u++ {
-		for v := u + 1; v < 5; v++ {
-			if g.HasEdge(u, v) == c.HasEdge(u, v) {
-				t.Fatalf("edge {%d,%d} in both or neither", u, v)
-			}
-		}
-	}
-}
-
-func TestDisjointUnion(t *testing.T) {
-	g := cycleGraph(3)
-	h := pathGraph(2)
-	u := g.DisjointUnion(h)
-	if u.N() != 5 || u.M() != 4 {
-		t.Fatalf("union = %v", u)
-	}
-	if !u.HasEdge(3, 4) {
-		t.Fatal("offset edge missing")
-	}
-	if u.HasEdge(2, 3) {
-		t.Fatal("components should not touch")
-	}
-}
-
 func TestArticulationPoints(t *testing.T) {
 	// Two triangles sharing node 2: node 2 is the only cut vertex.
 	g := New(5)
@@ -205,30 +149,8 @@ func TestArticulationPointsCycle(t *testing.T) {
 	}
 }
 
-func TestBridges(t *testing.T) {
-	// Triangle with a pendant edge 2-3: the pendant is the only bridge.
-	g := New(4)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 0)
-	g.MustAddEdge(2, 3)
-	bridges := g.Bridges()
-	if len(bridges) != 1 || bridges[0] != [2]int{2, 3} {
-		t.Fatalf("bridges = %v", bridges)
-	}
-}
-
-func TestBridgesPathAndCycle(t *testing.T) {
-	if got := pathGraph(4).Bridges(); len(got) != 3 {
-		t.Fatalf("path bridges = %v", got)
-	}
-	if got := cycleGraph(5).Bridges(); len(got) != 0 {
-		t.Fatalf("cycle bridges = %v", got)
-	}
-}
-
-// TestCutsAgainstBruteForce cross-checks articulation points and bridges
-// against removal-based definitions on random graphs.
+// TestCutsAgainstBruteForce cross-checks articulation points against
+// the removal-based definition on random graphs.
 func TestCutsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 40; trial++ {
@@ -242,7 +164,6 @@ func TestCutsAgainstBruteForce(t *testing.T) {
 			}
 		}
 		comps := len(g.ConnectedComponents(nil))
-		// Articulation points.
 		gotCut := map[int]bool{}
 		for _, v := range g.ArticulationPoints() {
 			gotCut[v] = true
@@ -259,46 +180,6 @@ func TestCutsAgainstBruteForce(t *testing.T) {
 			want := after > base
 			if gotCut[v] != want {
 				t.Fatalf("trial %d: node %d cut=%v want %v\n%s", trial, v, gotCut[v], want, g.DOT("G"))
-			}
-		}
-		// Bridges.
-		gotBridge := map[[2]int]bool{}
-		for _, e := range g.Bridges() {
-			gotBridge[e] = true
-		}
-		for _, e := range g.Edges() {
-			h := g.Clone()
-			removeEdge(h, e[0], e[1])
-			want := len(h.ConnectedComponents(nil)) > comps
-			if gotBridge[e] != want {
-				t.Fatalf("trial %d: edge %v bridge=%v want %v", trial, e, gotBridge[e], want)
-			}
-		}
-	}
-}
-
-// removeEdge deletes {u,v} from h by rebuilding adjacency (test helper).
-func removeEdge(h *Graph, u, v int) {
-	fresh := New(h.N())
-	for _, e := range h.Edges() {
-		if (e[0] == u && e[1] == v) || (e[0] == v && e[1] == u) {
-			continue
-		}
-		fresh.MustAddEdge(e[0], e[1])
-	}
-	*h = *fresh
-}
-
-func TestAllPairsDistances(t *testing.T) {
-	g := cycleGraph(6)
-	d := g.AllPairsDistances()
-	if d[0][3] != 3 || d[1][5] != 2 {
-		t.Fatalf("distances wrong: %v", d)
-	}
-	for u := 0; u < 6; u++ {
-		for v := 0; v < 6; v++ {
-			if d[u][v] != d[v][u] {
-				t.Fatal("distance matrix must be symmetric")
 			}
 		}
 	}

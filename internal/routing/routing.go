@@ -101,8 +101,8 @@ func checkSimplePath(g *graph.Graph, p Path) error {
 type pairKey struct{ u, v int32 }
 
 // sortedKeys returns the pairs of a route map in lexicographic order:
-// the one pair order that failover compilation, reinforcement and both
-// JSON encoders follow, so their output does not depend on map order.
+// the one pair order that failover compilation, reinforcement and the
+// JSON encoder follow, so their output does not depend on map order.
 func sortedKeys[V any](routes map[pairKey]V) []pairKey {
 	keys := make([]pairKey, 0, len(routes))
 	for k := range routes {

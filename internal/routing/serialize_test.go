@@ -128,60 +128,9 @@ func TestWriteTo(t *testing.T) {
 	}
 }
 
-func TestMultiRoutingJSONRoundTrip(t *testing.T) {
-	g, err := gen.Cycle(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMulti(g, 2, true)
-	if err := m.Add(Path{0, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Add(Path{0, 5, 4, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Add(Path{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeMultiRouting(g, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Limit() != 2 || back.Pairs() != m.Pairs() {
-		t.Fatalf("limit=%d pairs=%d vs %d", back.Limit(), back.Pairs(), m.Pairs())
-	}
-	if got := back.Get(0, 3); len(got) != 2 {
-		t.Fatalf("routes (0,3) = %v", got)
-	}
-	if got := back.Get(3, 0); len(got) != 2 {
-		t.Fatalf("reverse routes (3,0) = %v", got)
-	}
-}
-
-func TestDecodeMultiRoutingRejects(t *testing.T) {
-	g, err := gen.Cycle(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeMultiRouting(g, []byte(`{"nodes":9}`)); err == nil {
-		t.Fatal("node mismatch should fail")
-	}
-	if _, err := DecodeMultiRouting(g, []byte(`{`)); err == nil {
-		t.Fatal("garbage should fail")
-	}
-	if _, err := DecodeMultiRouting(g, []byte(`{"nodes":5,"limit":1,"routes":[[[0,2]]]}`)); err == nil {
-		t.Fatal("non-edge path should fail")
-	}
-}
-
 // TestMarshalJSONIgnoresInsertionOrder: two equal routings whose routes
-// were installed in opposite orders encode to identical bytes, for a
-// Routing and a MultiRouting alike, so an exported table does not
-// depend on map iteration order.
+// were installed in opposite orders encode to identical bytes, so an
+// exported table does not depend on map iteration order.
 func TestMarshalJSONIgnoresInsertionOrder(t *testing.T) {
 	g, err := gen.CCC(3)
 	if err != nil {
@@ -214,37 +163,9 @@ func TestMarshalJSONIgnoresInsertionOrder(t *testing.T) {
 	if !fwd.Equal(rev) || !fwd.Equal(r) {
 		t.Fatal("rebuilt routings differ")
 	}
-	sameEncoding(t, "routing", fwd, rev)
-
-	m, err := Reinforce(r, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, mr := NewMulti(g, m.Limit(), false), NewMulti(g, m.Limit(), false)
-	for i := range pairs {
-		for _, p := range m.Get(pairs[i][0], pairs[i][1]) {
-			if err := mf.Add(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, p := range m.Get(pairs[last-i][0], pairs[last-i][1]) {
-			if err := mr.Add(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if !mf.Equal(mr) || !mf.Equal(m) {
-		t.Fatal("rebuilt multiroutings differ")
-	}
-	sameEncoding(t, "multirouting", mf, mr)
-}
-
-// sameEncoding asserts that a and b, and a second encoding of a, are
-// the same bytes.
-func sameEncoding(t *testing.T, name string, a, b json.Marshaler) {
-	t.Helper()
+	// fwd twice, so a second encoding of the same value is checked too.
 	var out [3][]byte
-	for i, x := range []json.Marshaler{a, b, a} {
+	for i, x := range []*Routing{fwd, rev, fwd} {
 		data, err := json.Marshal(x)
 		if err != nil {
 			t.Fatal(err)
@@ -252,6 +173,6 @@ func sameEncoding(t *testing.T, name string, a, b json.Marshaler) {
 		out[i] = data
 	}
 	if !bytes.Equal(out[0], out[1]) || !bytes.Equal(out[0], out[2]) {
-		t.Fatalf("%s: equal values encode differently:\n%.200s\n%.200s\n%.200s", name, out[0], out[1], out[2])
+		t.Fatalf("equal routings encode differently:\n%.200s\n%.200s\n%.200s", out[0], out[1], out[2])
 	}
 }

@@ -47,16 +47,7 @@ func NewEnumerator(items int, elems [][]int) *Enumerator {
 // than the universe, so maxSize is clamped to 0..items.
 func (e *Enumerator) Each(maxSize int, fn func(set []int, mult int)) {
 	maxSize = min(max(maxSize, 0), e.items)
-	e.walk(0, maxSize, make([]int, 0, maxSize), false, fn)
-}
-
-// EachExact is Each restricted to sets of size exactly k; a k outside
-// 0..items yields nothing.
-func (e *Enumerator) EachExact(k int, fn func(set []int, mult int)) {
-	if k < 0 || k > e.items {
-		return
-	}
-	e.walk(0, k, make([]int, 0, k), true, fn)
+	e.walk(0, maxSize, make([]int, 0, maxSize), fn)
 }
 
 // Count returns the number of canonical sets of size 1..maxSize and
@@ -69,21 +60,16 @@ func (e *Enumerator) Count(maxSize int) (reps, total int) {
 	return reps, total
 }
 
-func (e *Enumerator) walk(start, left int, set []int, exact bool, fn func([]int, int)) {
+func (e *Enumerator) walk(start, left int, set []int, fn func([]int, int)) {
 	if left == 0 {
 		return
 	}
 	img := make([]int, 0, len(set)+1)
 	for v := start; v < e.items; v++ {
-		if exact && e.items-v < left {
-			break
-		}
 		set = append(set, v)
 		if e.canonical(set, img) {
-			if !exact || left == 1 {
-				fn(set, e.orbitSize(set))
-			}
-			e.walk(v+1, left-1, set, exact, fn)
+			fn(set, e.orbitSize(set))
+			e.walk(v+1, left-1, set, fn)
 		}
 		set = set[:len(set)-1]
 	}

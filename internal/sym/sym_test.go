@@ -207,33 +207,10 @@ func TestEnumeratorCCC4Mixed(t *testing.T) {
 	t.Logf("CCC(4) mixed f=2: %d reps for 12880 sets (|Aut| = %d)", reps, len(elems))
 }
 
-func TestEachExactMatchesFiltering(t *testing.T) {
-	g := must(gen.Hypercube(3))
-	gr := Automorphisms(g)
-	elems := Elements(gr.N, gr.Gens, 1<<20)
-	en := NewEnumerator(g.N(), elems)
-	want := map[string]int{}
-	en.Each(2, func(set []int, mult int) {
-		if len(set) == 2 {
-			want[intsKey(set)] = mult
-		}
-	})
-	got := map[string]int{}
-	en.EachExact(2, func(set []int, mult int) {
-		if len(set) != 2 {
-			t.Fatalf("EachExact(2) emitted %v", set)
-		}
-		got[intsKey(set)] = mult
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("EachExact %v != filtered Each %v", got, want)
-	}
-}
-
-// TestEnumeratorSizeBounds runs Count and EachExact at sizes outside
-// 0..items on the C6 dihedral group: a negative size yields nothing, a
-// size past the universe is the whole universe for Count (2^6 − 1
-// non-empty sets) and nothing for EachExact, and neither panics.
+// TestEnumeratorSizeBounds runs Count at sizes outside 0..items on the
+// C6 dihedral group: a negative size yields nothing, a size past the
+// universe is the whole universe (2^6 − 1 non-empty sets), and neither
+// panics.
 func TestEnumeratorSizeBounds(t *testing.T) {
 	g := must(gen.Cycle(6))
 	gr := Automorphisms(g)
@@ -242,22 +219,16 @@ func TestEnumeratorSizeBounds(t *testing.T) {
 	for _, tc := range []struct {
 		size        int
 		reps, total int
-		exact       int
 	}{
 		{size: -1},
 		{size: math.MinInt},
 		{size: 0},
-		{size: 6, reps: allReps, total: 63, exact: 1},
+		{size: 6, reps: allReps, total: 63},
 		{size: 7, reps: allReps, total: 63},
 		{size: math.MaxInt, reps: allReps, total: 63},
 	} {
 		if reps, total := en.Count(tc.size); reps != tc.reps || total != tc.total {
 			t.Fatalf("Count(%d) = (%d, %d), want (%d, %d)", tc.size, reps, total, tc.reps, tc.total)
-		}
-		exact := 0
-		en.EachExact(tc.size, func([]int, int) { exact++ })
-		if exact != tc.exact {
-			t.Fatalf("EachExact(%d) yielded %d sets, want %d", tc.size, exact, tc.exact)
 		}
 	}
 }
