@@ -131,13 +131,9 @@ func run(args []string) error {
 // and runs a message workload of `samples` sends, printing delivery
 // statistics and the route-counter broadcast result.
 func simulate(g *ftroute.Graph, construction string, faults, samples int, seed int64) error {
-	r, bt, err := build(g, construction)
+	rt, bt, err := build(g, construction)
 	if err != nil {
 		return err
-	}
-	rt, ok := r.(*ftroute.Routing)
-	if !ok {
-		return fmt.Errorf("simulate supports single routings, not multiroutings")
 	}
 	if faults < 0 {
 		faults = bt[1]
@@ -190,13 +186,9 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 		return fmt.Errorf("-lambda must be finite, got %v", lambda)
 	}
-	r, _, err := build(g, construction)
+	rt, _, err := build(g, construction)
 	if err != nil {
 		return err
-	}
-	rt, ok := r.(*ftroute.Routing)
-	if !ok {
-		return fmt.Errorf("failover supports single routings, not multiroutings")
 	}
 	plain := ftroute.FailoverFromRouting(rt)
 	m, err := ftroute.Reinforce(rt, backups)
@@ -280,13 +272,9 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 // stdout), completing the paper's "compute the table once, distribute
 // it" workflow.
 func export(g *ftroute.Graph, construction, table string) error {
-	r, _, err := build(g, construction)
+	rt, _, err := build(g, construction)
 	if err != nil {
 		return err
-	}
-	rt, ok := r.(*ftroute.Routing)
-	if !ok {
-		return fmt.Errorf("export supports single routings, not multiroutings")
 	}
 	w := os.Stdout
 	if table != "" {
@@ -380,40 +368,34 @@ func orbits(g *ftroute.Graph, faults int) error {
 		fmt.Printf("automorphism group: order > %d — orbit analysis capped (Pruned would fall back)\n", cap)
 		return nil
 	}
+	ix := ftroute.NewItems(g)
+	universes := []struct {
+		name         string
+		nodes, links bool
+		size         int
+		elems        [][]int
+	}{
+		{"node faults ", true, false, g.N(), nil},
+		{"link cuts   ", false, true, g.M(), nil},
+		{"mixed faults", true, true, g.N() + g.M(), nil},
+	}
+	var counts [3]int
+	for i := range universes {
+		u := &universes[i]
+		var ok bool
+		if u.elems, ok = ix.Lift(elems, u.nodes, u.links); !ok {
+			return fmt.Errorf("internal: automorphism does not permute the items")
+		}
+		counts[i] = ftroute.OrbitCount(ftroute.NodeOrbits(u.size, u.elems))
+	}
 	fmt.Printf("automorphism group: order %d (%d generators)\n", len(elems), len(gr.Gens))
-	fmt.Printf("orbits: %d node, %d edge, %d mixed item\n",
-		ftroute.OrbitCount(ftroute.NodeOrbits(g.N(), elems)),
-		ftroute.OrbitCount(ftroute.EdgeOrbits(g, elems)),
-		ftroute.OrbitCount(ftroute.MixedOrbits(g, elems)))
+	fmt.Printf("orbits: %d node, %d edge, %d mixed item\n", counts[0], counts[1], counts[2])
 	if faults < 0 {
 		faults = 2
 	}
-	ix := ftroute.NewEdgeItemIndex(g)
-	edgeElems := make([][]int, 0, len(elems))
-	mixedElems := make([][]int, 0, len(elems))
-	for _, p := range elems {
-		ep, ok := ix.Perm(p)
-		if !ok {
-			return fmt.Errorf("internal: automorphism does not permute the edges")
-		}
-		mp, ok := ix.MixedPerm(p)
-		if !ok {
-			return fmt.Errorf("internal: automorphism does not permute the mixed items")
-		}
-		edgeElems = append(edgeElems, ep)
-		mixedElems = append(mixedElems, mp)
-	}
 	fmt.Printf("orbit pruning of exhaustive fault enumeration, budget <= %d:\n", faults)
-	for _, u := range []struct {
-		name  string
-		items int
-		elems [][]int
-	}{
-		{"node faults ", g.N(), elems},
-		{"link cuts   ", g.M(), edgeElems},
-		{"mixed faults", g.N() + g.M(), mixedElems},
-	} {
-		reps, total := ftroute.NewOrbitEnumerator(u.items, u.elems).Count(faults)
+	for _, u := range universes {
+		reps, total := ftroute.NewOrbitEnumerator(u.size, u.elems).Count(faults)
 		factor := "-"
 		if reps > 0 {
 			factor = fmt.Sprintf("%.1fx", float64(total)/float64(reps))
@@ -450,7 +432,7 @@ func kappa(g *ftroute.Graph) (int, error) {
 // build constructs the requested routing and prints a summary. It
 // returns the routing and its guaranteed (bound, t); a routing with no
 // designed bound returns bound 0.
-func build(g *ftroute.Graph, construction string) (ftroute.RouteSource, [2]int, error) {
+func build(g *ftroute.Graph, construction string) (*ftroute.Routing, [2]int, error) {
 	switch construction {
 	case "auto":
 		p, err := ftroute.Auto(g, ftroute.Options{})

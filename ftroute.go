@@ -322,7 +322,8 @@ var (
 	EvaluateMixedFaults = eval.EvaluateMixedFaults
 )
 
-// Graph symmetry: automorphism groups, orbits, and the machinery behind
+// Graph symmetry: automorphism groups, the fault-item numbering their
+// node permutations lift onto, orbits, and the machinery behind
 // EvalConfig.Pruned — orbit-pruned exhaustive fault enumeration for
 // routings and tables that respect a symmetry subgroup (docs/symmetry.md).
 type (
@@ -331,9 +332,10 @@ type (
 	// OrbitEnumerator enumerates one canonical representative per orbit
 	// of fault sets, with orbit sizes as multiplicities.
 	OrbitEnumerator = sym.Enumerator
-	// EdgeItemIndex lifts node permutations to edge and mixed-item
-	// permutations over g.Edges() order.
-	EdgeItemIndex = sym.EdgeIndex
+	// Items is a graph's fault-item numbering (node v is item v, link i
+	// of g.Edges() is item n+i): it lists the node, link and mixed
+	// universes and lifts node automorphisms onto them.
+	Items = graph.Items
 )
 
 var (
@@ -343,21 +345,17 @@ var (
 	// GroupElements expands a generating set into the full element list
 	// (nil when the order exceeds the cap).
 	GroupElements = sym.Elements
-	// NodeOrbits labels each node with its orbit under the given
-	// permutations.
+	// NodeOrbits labels each point with its orbit under the given
+	// permutations: node permutations, or their lifts (Items.Lift) for
+	// link and mixed orbits.
 	NodeOrbits = sym.Orbits
 	// OrbitCount counts distinct labels in an orbit labeling.
 	OrbitCount = sym.OrbitCount
-	// EdgeOrbits labels each edge (g.Edges() order) with its orbit.
-	EdgeOrbits = sym.EdgeOrbits
-	// MixedOrbits labels the n+m mixed fault universe (nodes then edges)
-	// with its orbits.
-	MixedOrbits = sym.MixedOrbits
 	// NewOrbitEnumerator builds an orbit-pruned fault-set enumerator
 	// over an item universe under a group element list.
 	NewOrbitEnumerator = sym.NewEnumerator
-	// NewEdgeItemIndex builds the edge/mixed-item lifting index for g.
-	NewEdgeItemIndex = sym.NewEdgeIndex
+	// NewItems numbers the fault items of g.
+	NewItems = graph.NewItems
 	// RoutingRespects reports whether a routing is strictly equivariant
 	// under one node permutation.
 	RoutingRespects = sym.RoutingRespects

@@ -1,8 +1,6 @@
 package eval
 
 import (
-	"sort"
-
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
 )
@@ -87,13 +85,12 @@ func BeyondTolerance(s RouteSource, f int) BeyondResult { return beyond(s, f, fa
 func BeyondToleranceMixed(s RouteSource, f int) BeyondResult { return beyond(s, f, true) }
 
 func beyond(src RouteSource, f int, links bool) BeyondResult {
-	g := src.Graph()
 	e := NewEngine(src)
 	res := BeyondResult{WorstFaults: graph.NewBitset(e.n)}
 	if f < 0 {
 		return res
 	}
-	s := newSearch(e, universe(e.n, e.links.m(), true, links), 1)
+	s := newSearch(e, e.items.Universe(true, links), 1)
 	s.lo, s.hi = f, f
 	dist := make([]int, e.n)
 	firstShatter := true
@@ -105,8 +102,7 @@ func beyond(src RouteSource, f int, links bool) BeyondResult {
 	}
 	s.visit = func(*worker[*Engine], *best[int]) bool {
 		res.Evaluated++
-		// Node v is item v, so the item set blocks G−F's faulty nodes.
-		comps := mixedComponents(g, e.faults, e.EdgeFaults())
+		comps := e.items.Components(e.faults)
 		if len(comps) <= 1 {
 			res.GraphConnected++
 		}
@@ -128,42 +124,4 @@ func beyond(src RouteSource, f int, links bool) BeyondResult {
 	}
 	s.walk(&best[int]{})
 	return res
-}
-
-// mixedComponents returns the connected components of G minus the
-// faulty nodes and minus the faulty links, each sorted increasingly,
-// ordered by smallest member (the mixed-model G−F of Open Problem 3).
-func mixedComponents(g *graph.Graph, nf *graph.Bitset, ef []routing.EdgeFault) [][]int {
-	if len(ef) == 0 {
-		return g.ConnectedComponents(nf)
-	}
-	bad := make(map[routing.EdgeFault]bool, len(ef))
-	for _, e := range ef {
-		bad[e.Normalize()] = true
-	}
-	n := g.N()
-	seen := graph.NewBitset(n)
-	var comps [][]int
-	for s := 0; s < n; s++ {
-		if seen.Has(s) || nf.Has(s) {
-			continue
-		}
-		comp := []int{}
-		queue := []int{s}
-		seen.Add(s)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			comp = append(comp, u)
-			g.EachNeighbor(u, func(v int) bool {
-				if !seen.Has(v) && !nf.Has(v) && !bad[(routing.EdgeFault{U: u, V: v}).Normalize()] {
-					seen.Add(v)
-					queue = append(queue, v)
-				}
-				return true
-			})
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
 }

@@ -124,7 +124,7 @@ func TestBoundedMatchesOracle(t *testing.T) {
 				cfg := Config{Mode: Exhaustive, Pruned: pruned}
 				want := fromOracle(plain)
 				if pruned {
-					want = prunedRef(t, s, nodeReps(s, f), oracle.MixedResult{MaxDiameter: plain.MaxDiameter,
+					want = prunedRef(t, s, routingReps(s, f, false), oracle.MixedResult{MaxDiameter: plain.MaxDiameter,
 						Disconnected: plain.Disconnected, WorstNodeFaults: plain.WorstFaults, Evaluated: plain.Evaluated}).node()
 				}
 				sameResult(t, fmt.Sprintf("%s f=%d pruned=%v serial", name, f, pruned), MaxDiameter(s, f, cfg), want)
@@ -159,7 +159,7 @@ func TestBoundedMatchesOracleMixed(t *testing.T) {
 				cfg := Config{Mode: Exhaustive, Pruned: pruned}
 				want := fromOracleMixed(plain)
 				if pruned {
-					want = prunedRef(t, s, mixedReps(s, f), plain)
+					want = prunedRef(t, s, routingReps(s, f, true), plain)
 				}
 				sameMixedResult(t, fmt.Sprintf("%s f=%d pruned=%v serial", name, f, pruned), MaxDiameterMixed(s, f, cfg), want)
 				for _, workers := range []int{1, 2, 8} {

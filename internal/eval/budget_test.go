@@ -157,7 +157,7 @@ func (l *lastDraw) final(int) bool       { return false }
 // when every set is drawn up front, as the oracle does.
 func TestSampledDrawsContinueAcrossBlocks(t *testing.T) {
 	const n, f, samples, seed = 40, 3, 2*sampleBlock + 7, 9
-	s := newSearch(&lastDraw{}, universe(n, 0, true, false), 1)
+	s := newSearch(&lastDraw{}, graph.NewItems(graph.New(n)).Universe(true, false), 1)
 	var b best[int]
 	s.sampled(&b, f, samples, seed)
 	rng := rand.New(rand.NewSource(seed))

@@ -39,7 +39,7 @@ type RouteSource interface {
 //     a toggle touches only the routes it actually lies on rather than
 //     re-scanning all n² routes;
 //   - per-route → pair and per-pair route-count tables;
-//   - the link table (see links).
+//   - the graph's item numbering (graph.Items).
 //
 // Mutable per-instance state:
 //
@@ -69,7 +69,7 @@ type Engine struct {
 	routePair    []int32 // route id -> pair id
 	itemOff      []int32 // item -> offset into itemRoutes (len n+m+1)
 	itemRoutes   []int32 // concatenated route ids per item
-	links        *links
+	items        *graph.Items
 	hubs         []int32 // nodes by decreasing fault-free in-degree, ties to the lower id
 
 	// Mutable fault state.
@@ -120,13 +120,13 @@ func NewEngine(src RouteSource) *Engine {
 	g := src.Graph()
 	n := g.N()
 	words := (n + 63) / 64
-	l := newLinks(g)
-	items := n + l.m()
+	ix := graph.NewItems(g)
+	items := n + ix.M()
 	e := &Engine{
 		n:          n,
 		words:      words,
 		itemOff:    make([]int32, items+1),
-		links:      l,
+		items:      ix,
 		faults:     graph.NewBitset(items),
 		adj:        make([]uint64, n*words),
 		adjT:       make([]uint64, n*words),
@@ -159,7 +159,7 @@ func NewEngine(src RouteSource) *Engine {
 			e.itemOff[w+1]++
 		}
 		for i := 0; i+1 < len(p); i++ {
-			if it, ok := l.item(p[i], p[i+1]); ok {
+			if it, ok := ix.Link(p[i], p[i+1]); ok {
 				e.itemOff[it+1]++
 			}
 		}
@@ -176,7 +176,7 @@ func NewEngine(src RouteSource) *Engine {
 			fill[w]++
 		}
 		for i := 0; i+1 < len(p); i++ {
-			if it, ok := l.item(p[i], p[i+1]); ok {
+			if it, ok := ix.Link(p[i], p[i+1]); ok {
 				e.itemRoutes[fill[it]] = int32(r)
 				fill[it]++
 			}
@@ -228,7 +228,7 @@ func (e *Engine) AliveCount() int { return e.aliveCount }
 
 // Faults returns a copy of the current node-fault set.
 func (e *Engine) Faults() *graph.Bitset {
-	nodes, _ := e.links.split(e.faults.Elements())
+	nodes, _ := split(e.items, e.faults.Elements())
 	return graph.BitsetOf(e.n, nodes...)
 }
 
@@ -325,7 +325,7 @@ func (e *Engine) RemoveFault(v int) {
 // Edge faults never change the alive node count. Cost is proportional
 // to the number of routes over the edge.
 func (e *Engine) AddEdgeFault(u, v int) {
-	if it, ok := e.links.item(u, v); ok {
+	if it, ok := e.items.Link(u, v); ok {
 		e.toggle(it, true)
 	}
 }
@@ -333,21 +333,21 @@ func (e *Engine) AddEdgeFault(u, v int) {
 // RemoveEdgeFault unmarks the link {u, v}, reviving every arc that
 // regains a live route. Removing a non-faulty edge is a no-op.
 func (e *Engine) RemoveEdgeFault(u, v int) {
-	if it, ok := e.links.item(u, v); ok {
+	if it, ok := e.items.Link(u, v); ok {
 		e.toggle(it, false)
 	}
 }
 
 // HasEdgeFault reports whether the link {u, v} is currently faulty.
 func (e *Engine) HasEdgeFault(u, v int) bool {
-	it, ok := e.links.item(u, v)
+	it, ok := e.items.Link(u, v)
 	return ok && e.faults.Has(it)
 }
 
 // EdgeFaults returns the current edge-fault set as normalized
 // (U < V) faults in the graph's lexicographic edge order.
 func (e *Engine) EdgeFaults() []routing.EdgeFault {
-	_, cuts := e.links.split(e.faults.Elements())
+	_, cuts := split(e.items, e.faults.Elements())
 	return cuts
 }
 
@@ -381,7 +381,7 @@ func (e *Engine) setItems(nodes *graph.Bitset, edges []routing.EdgeFault, hi int
 	if nodes != nil {
 		vs = nodes.Elements()
 	}
-	move(e.faults, e.links.set(vs, edges), 0, hi, e.toggle)
+	move(e.faults, set(e.items, vs, edges), 0, hi, e.toggle)
 }
 
 // bfsFrom is the one word-parallel BFS level loop under every distance

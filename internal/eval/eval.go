@@ -30,9 +30,13 @@
 // endpoint of a failed link faulty (Section 1). The package also
 // searches the literal mixed model: a route dies iff it contains a
 // faulty node or traverses a faulty link. Every search enumerates items
-// of one id space — node v is item v, link i of g.Edges() is item n+i —
-// so node-only, link-only and mixed searches differ only in their item
-// lists.
+// of the graph's one numbering, graph.Items — node v is item v, link i
+// of g.Edges() is item n+i — so node-only, link-only and mixed searches
+// differ only in their item lists, the numbering's universes. The
+// engines resolve links, the orbit-pruned plans lift automorphisms, and
+// BeyondTolerance splits G−F into components through the same
+// numbering; split, set and move (items.go) convert between its items
+// and the node lists and routing.EdgeFault links of the public API.
 //
 // # The search driver
 //
@@ -147,7 +151,7 @@ func (r MixedResult) node() Result {
 // result converts a finished diameter search into its result: a final
 // score is a disconnection, whose MaxDiameter is the incumbent it froze.
 func (e *Engine) result(b best[int]) MixedResult {
-	nodes, cuts := e.links.split(b.items)
+	nodes, cuts := split(e.items, b.items)
 	r := MixedResult{MaxDiameter: b.score, WorstNodeFaults: graph.BitsetOf(e.n, nodes...), Evaluated: b.evaluated}
 	if e.final(b.score) {
 		r.Disconnected, r.MaxDiameter = true, b.pre
@@ -163,22 +167,18 @@ func (e *Engine) result(b best[int]) MixedResult {
 // 0..len(items).
 func diameterSearch(src RouteSource, f, workers int, links bool) (*search[*Engine, int], int) {
 	e := NewEngine(src)
-	s := newSearch(e, universe(e.n, e.links.m(), true, links), workers)
+	s := newSearch(e, e.items.Universe(true, links), workers)
 	return s, min(max(f, 0), len(s.items))
 }
 
 // maxDiameter runs the search behind MaxDiameter and MaxDiameterMixed.
 func maxDiameter(src RouteSource, f int, cfg Config, workers int, links bool) MixedResult {
 	s, f := diameterSearch(src, f, workers, links)
-	plan := nodeReps
-	if links {
-		plan = mixedReps
-	}
 	var b best[int]
 	switch {
 	case cfg.Mode != Exhaustive:
 		s.diameterSampled(&b, f, cfg)
-	case cfg.Pruned && s.plan(&b, plan(src, f)):
+	case cfg.Pruned && s.plan(&b, routingReps(src, f, links)):
 	default:
 		s.hi = f
 		s.exhaustive(&b)
@@ -364,7 +364,7 @@ func ConcentratorEdgeAdversary(s RouteSource, f int, targets []routing.EdgeFault
 	for _, t := range targets {
 		if t = t.Normalize(); !seen[t] {
 			seen[t] = true
-			it, ok := e.links.item(t.U, t.V)
+			it, ok := e.items.Link(t.U, t.V)
 			if !ok {
 				it, noop = noop, noop+1
 			}
@@ -389,7 +389,7 @@ func concentrator(e *Engine, f int, items []int) MixedResult {
 // adversary cuts wires but never kills switches.
 func GreedyEdgeAdversary(s RouteSource, f int) MixedResult {
 	e := NewEngine(s)
-	sr := newSearch(e, universe(e.n, e.links.m(), false, true), 1)
+	sr := newSearch(e, e.items.Universe(false, true), 1)
 	var b best[int]
 	sr.visitSet(&sr.main, &b)
 	sr.greedy(&b, f)

@@ -141,7 +141,7 @@ func WorstLinkCuts(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Co
 // identical to the sequential search.
 func WorstLinkCutsParallel(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int) CutResult {
 	b, we := worstWalk(t, g, budget, cfg, workers, false)
-	_, cuts := we.links.split(b.items)
+	_, cuts := split(we.items, b.items)
 	return CutResult{Worst: cuts, Stats: b.score.stats, Evaluated: b.evaluated}
 }
 
@@ -164,7 +164,7 @@ func WorstMixedFaults(t *routing.FailoverTables, g *graph.Graph, budget int, cfg
 // the sequential search.
 func WorstMixedFaultsParallel(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int) MixedCutResult {
 	b, we := worstWalk(t, g, budget, cfg, workers, true)
-	nodes, cuts := we.links.split(b.items)
+	nodes, cuts := split(we.items, b.items)
 	return MixedCutResult{WorstNodes: nodes, WorstCuts: cuts, Stats: b.score.stats, Evaluated: b.evaluated}
 }
 
@@ -175,15 +175,11 @@ func worstWalk(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config
 	if nodes {
 		we.lambda = cfg.SkippedWeight
 	}
-	s := newSearch(we, universe(we.n, we.links.m(), nodes, true), workers)
+	s := newSearch(we, we.items.Universe(nodes, true), workers)
 	budget = min(max(budget, 0), len(s.items))
 	var b best[walkScore]
-	plan := cutReps
-	if nodes {
-		plan = mixedCutReps
-	}
 	if cfg.Mode == Exhaustive {
-		if !cfg.Pruned || !s.plan(&b, plan(t, g, budget)) {
+		if !cfg.Pruned || !s.plan(&b, tableReps(t, g, budget, nodes)) {
 			s.hi = budget
 			s.exhaustive(&b)
 		}
@@ -222,7 +218,7 @@ func (we *WalkEngine) concentratorItems(nodes bool) []int {
 		items = append(items, conc)
 	}
 	we.g.EachNeighbor(conc, func(w int) bool {
-		if it, ok := we.links.item(conc, w); ok {
+		if it, ok := we.items.Link(conc, w); ok {
 			items = append(items, it)
 		}
 		return true

@@ -7,9 +7,10 @@ import (
 	"ftroute/internal/routing"
 )
 
-// TestOutOfRangeLinkEndpoints: an endpoint past the node range packs to
-// the key of a real link (2+2^32 truncates to 2, so {1, 2+2^32} is
-// {1, 2}), so every link method of both engines, and the targets of
+// TestOutOfRangeLinkEndpoints: an endpoint past the node range is no
+// link, even one a packed 32-bit key would alias onto a real link
+// (2+2^32 truncates to 2, so {1, 2+2^32} would read as {1, 2}). Every
+// link method of both engines, and the targets of
 // ConcentratorEdgeAdversary, must treat it as a non-edge.
 func TestOutOfRangeLinkEndpoints(t *testing.T) {
 	g, err := gen.CCC(3)

@@ -442,22 +442,25 @@ func TestBeyondToleranceMixedSemantics(t *testing.T) {
 	}
 }
 
+// TestMixedComponentsCutEdges: the item set of a mixed fault set (set)
+// blocks its links in the component query BeyondToleranceMixed makes,
+// and its nodes as a node-only set does.
 func TestMixedComponentsCutEdges(t *testing.T) {
 	r := cycleRouting(t, 6)
-	g := r.Graph()
+	ix := graph.NewItems(r.Graph())
 	// Cutting links {0,1} and {3,4} splits C6 into {1,2,3} and {0,4,5}.
-	comps := mixedComponents(g, graph.NewBitset(6), []routing.EdgeFault{{U: 1, V: 0}, {U: 3, V: 4}})
+	comps := ix.Components(set(ix, nil, []routing.EdgeFault{{U: 1, V: 0}, {U: 3, V: 4}}))
 	if len(comps) != 2 {
 		t.Fatalf("components = %v", comps)
 	}
 	if fmt.Sprint(comps[0]) != "[0 4 5]" || fmt.Sprint(comps[1]) != "[1 2 3]" {
 		t.Fatalf("components = %v", comps)
 	}
-	// With no edge faults it must agree with ConnectedComponents.
-	a := mixedComponents(g, graph.BitsetOf(6, 2), nil)
-	b := g.ConnectedComponents(graph.BitsetOf(6, 2))
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("mixedComponents %v != ConnectedComponents %v", a, b)
+	// With no edge faults it must agree with the node-only set.
+	a := ix.Components(set(ix, []int{2}, nil))
+	b := ix.Components(graph.BitsetOf(6, 2))
+	if fmt.Sprint(a) != fmt.Sprint(b) || fmt.Sprint(a) != "[[0 1 3 4 5]]" {
+		t.Fatalf("item set %v != node set %v", a, b)
 	}
 }
 

@@ -279,7 +279,7 @@ func ConcentratorEdgeAdversary(s MixedSurvivor, f int, targets []routing.EdgeFau
 // faulty nodes and links, each sorted, ordered by smallest member.
 func mixedComponents(g *graph.Graph, nf *graph.Bitset, ef []routing.EdgeFault) [][]int {
 	if len(ef) == 0 {
-		return g.ConnectedComponents(nf)
+		return graph.NewItems(g).Components(nf)
 	}
 	bad := make(map[routing.EdgeFault]bool, len(ef))
 	for _, e := range ef {

@@ -312,7 +312,7 @@ func BeyondTolerance(s Survivor, f int) BeyondResult {
 		if g.IsConnected(faults) {
 			res.GraphConnected++
 		}
-		worst, shattered := componentwise(s.SurvivingGraph(faults), g.ConnectedComponents(faults))
+		worst, shattered := componentwise(s.SurvivingGraph(faults), graph.NewItems(g).Components(faults))
 		if shattered {
 			res.Shattered++
 			if firstShatter {

@@ -58,39 +58,28 @@ func respectingElems(g *graph.Graph, keep func(p []int) bool) [][]int {
 	return elems
 }
 
-// reps builds the plan for sizes 1..f over the nodes, the links, or
-// both (in item ids), lifting each respecting node permutation to the
-// item universe; a failed lift aborts to the fallback.
+// reps builds the plan for sizes 1..f over the universe of g's nodes,
+// links, or both: the enumerator runs over universe positions under the
+// respecting node permutations lifted onto them, and each
+// representative maps back to items. A failed lift aborts to the
+// fallback.
 func reps(g *graph.Graph, keep func(p []int) bool, f int, nodes, links bool) *prunedReps {
 	elems := respectingElems(g, keep)
 	if elems == nil {
 		return nil
 	}
-	size, offset := g.N(), 0
-	if links {
-		ix := sym.NewEdgeIndex(g)
-		lifted := make([][]int, 0, len(elems))
-		for _, p := range elems {
-			lift, ok := ix.Perm(p)
-			if nodes {
-				lift, ok = ix.MixedPerm(p)
-			}
-			if !ok {
-				return nil
-			}
-			lifted = append(lifted, lift)
-		}
-		elems = lifted
-		if size, offset = g.M(), g.N(); nodes {
-			size, offset = g.N()+g.M(), 0
-		}
+	ix := graph.NewItems(g)
+	lifted, ok := ix.Lift(elems, nodes, links)
+	if !ok {
+		return nil
 	}
+	items := ix.Universe(nodes, links)
 	plan := &prunedReps{}
 	if f > 0 {
-		sym.NewEnumerator(size, elems).Each(f, func(set []int, mult int) {
+		sym.NewEnumerator(len(items), lifted).Each(f, func(set []int, mult int) {
 			rep := make([]int, len(set))
-			for i, it := range set {
-				rep[i] = offset + it
+			for i, pos := range set {
+				rep[i] = items[pos]
 			}
 			plan.sets = append(plan.sets, rep)
 			plan.mults = append(plan.mults, mult)
@@ -99,22 +88,14 @@ func reps(g *graph.Graph, keep func(p []int) bool, f int, nodes, links bool) *pr
 	return plan
 }
 
-// nodeReps is the node-fault plan of routing s under budget f.
-func nodeReps(s RouteSource, f int) *prunedReps {
-	return reps(s.Graph(), sym.NewRoutingCheck(s).Respects, f, true, false)
+// routingReps is the node plan of routing s under budget f, over the
+// mixed node+link universe with links.
+func routingReps(s RouteSource, f int, links bool) *prunedReps {
+	return reps(s.Graph(), sym.NewRoutingCheck(s).Respects, f, true, links)
 }
 
-// mixedReps is the mixed node+link plan of routing s.
-func mixedReps(s RouteSource, f int) *prunedReps {
-	return reps(s.Graph(), sym.NewRoutingCheck(s).Respects, f, true, true)
-}
-
-// cutReps is the link-cut plan of tables t on g.
-func cutReps(t *routing.FailoverTables, g *graph.Graph, budget int) *prunedReps {
-	return reps(g, func(p []int) bool { return sym.TablesRespect(t, p) }, budget, false, true)
-}
-
-// mixedCutReps is the mixed node+link plan of tables t on g.
-func mixedCutReps(t *routing.FailoverTables, g *graph.Graph, budget int) *prunedReps {
-	return reps(g, func(p []int) bool { return sym.TablesRespect(t, p) }, budget, true, true)
+// tableReps is the link-cut plan of tables t on g, over the mixed
+// node+link universe with nodes.
+func tableReps(t *routing.FailoverTables, g *graph.Graph, budget int, nodes bool) *prunedReps {
+	return reps(g, func(p []int) bool { return sym.TablesRespect(t, p) }, budget, nodes, true)
 }

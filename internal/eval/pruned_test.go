@@ -96,9 +96,9 @@ func TestPrunedMatchesPlainMaxDiameter(t *testing.T) {
 				(!pruned.Disconnected && w.MaxDiameter != pruned.MaxDiameter) {
 				t.Fatalf("%s f=%d: witness scores %v, result claims %v", name, f, w, pruned)
 			}
-			// nodeReps must actually engage (else the test is vacuous).
-			if plan := nodeReps(r, f); plan == nil {
-				t.Fatalf("%s: nodeReps fell back on a transported routing", name)
+			// The node plan must actually engage (else the test is vacuous).
+			if plan := routingReps(r, f, false); plan == nil {
+				t.Fatalf("%s: the node plan fell back on a transported routing", name)
 			} else if len(plan.sets) >= plain.Evaluated-1 {
 				t.Fatalf("%s f=%d: %d reps for %d sets — no pruning", name, f, len(plan.sets), plain.Evaluated-1)
 			}
@@ -167,8 +167,8 @@ func TestPrunedCutsMatchPlain(t *testing.T) {
 			if !reflect.DeepEqual(pruned, par) {
 				t.Fatalf("%s b=%d: serial pruned %v, parallel pruned %v", name, b, pruned, par)
 			}
-			if plan := cutReps(ft, g, b); plan == nil {
-				t.Fatalf("%s: cutReps fell back on transported tables", name)
+			if plan := tableReps(ft, g, b, false); plan == nil {
+				t.Fatalf("%s: the cut plan fell back on transported tables", name)
 			}
 		}
 	}
@@ -195,8 +195,8 @@ func TestPrunedMixedFaultsMatchPlain(t *testing.T) {
 			if !reflect.DeepEqual(pruned, par) {
 				t.Fatalf("%s b=%d: serial pruned %v, parallel pruned %v", name, b, pruned, par)
 			}
-			if plan := mixedCutReps(ft, g, b); plan == nil {
-				t.Fatalf("%s: mixedCutReps fell back on transported tables", name)
+			if plan := tableReps(ft, g, b, true); plan == nil {
+				t.Fatalf("%s: the mixed cut plan fell back on transported tables", name)
 			}
 		}
 	}
@@ -208,9 +208,9 @@ func TestPrunedMixedFaultsMatchPlain(t *testing.T) {
 func TestPrunedCCC4MixedFactor(t *testing.T) {
 	g, r := transported(t, "CCC(4)")
 	ft := routing.FailoverFromRouting(r)
-	plan := mixedCutReps(ft, g, 2)
+	plan := tableReps(ft, g, 2, true)
 	if plan == nil {
-		t.Fatal("mixedCutReps fell back on transported CCC(4) tables")
+		t.Fatal("the mixed cut plan fell back on transported CCC(4) tables")
 	}
 	total := 0
 	for _, m := range plan.mults {
@@ -223,8 +223,8 @@ func TestPrunedCCC4MixedFactor(t *testing.T) {
 		t.Fatalf("only %dx pruning (%d reps for %d sets), want >= 10x",
 			total/len(plan.sets), len(plan.sets), total)
 	}
-	if plan2 := mixedReps(r, 2); plan2 == nil {
-		t.Fatal("mixedReps fell back on transported CCC(4) routing")
+	if plan2 := routingReps(r, 2, true); plan2 == nil {
+		t.Fatal("the mixed plan fell back on the transported CCC(4) routing")
 	}
 }
 
@@ -243,8 +243,8 @@ func TestPrunedFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := nodeReps(r, 2); plan != nil {
-		t.Fatalf("nodeReps engaged on an asymmetric graph: %d reps", len(plan.sets))
+	if plan := routingReps(r, 2, false); plan != nil {
+		t.Fatalf("the node plan engaged on an asymmetric graph: %d reps", len(plan.sets))
 	}
 	plain := MaxDiameter(r, 2, Config{Mode: Exhaustive})
 	pruned := MaxDiameter(r, 2, Config{Mode: Exhaustive, Pruned: true})

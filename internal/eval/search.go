@@ -134,22 +134,6 @@ func newSearch[E evaluator[E, S], S any](root E, items []int, workers int) *sear
 	return &search[E, S]{root: root, items: items, workers: workers, shared: new(incumbent[S]), main: worker[E]{ev: root, unit: -1}}
 }
 
-// universe lists the item ids of a search over n nodes and m links.
-func universe(n, m int, nodes, links bool) []int {
-	var items []int
-	if nodes {
-		for v := 0; v < n; v++ {
-			items = append(items, v)
-		}
-	}
-	if links {
-		for i := 0; i < m; i++ {
-			items = append(items, n+i)
-		}
-	}
-	return items
-}
-
 // improve makes sc the incumbent of b, with set as witness, if it is
 // strictly better, publishing exact scores, reached by unit, to the
 // search's incumbent.

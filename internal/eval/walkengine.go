@@ -48,7 +48,7 @@ type WalkEngine struct {
 	pairs        [][2]int32              // pair id -> (src, dst): t.Pairs()
 	lay          routing.Layout          // t's entries and ranked hops, indexed by pair id
 	hopLink      []int32                 // hop -> item of the (at, hop) link; -1 = not a graph edge, never cuttable
-	links        *links                  // link table
+	items        *graph.Items            // item numbering
 	endpointRows []uint64                // node -> bitset over pairs with the node as src or dst
 
 	// Mutable walk cache, deep-copied by Clone.
@@ -81,13 +81,13 @@ func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 		t:         t,
 		pairs:     t.Pairs(),
 		lay:       t.Layout(),
-		links:     newLinks(g),
+		items:     graph.NewItems(g),
 	}
 	we.hopLink = make([]int32, len(we.lay.Hops))
 	for e, at := range we.lay.EntAt {
 		for h := we.lay.HopOff[e]; h < we.lay.HopOff[e+1]; h++ {
 			we.hopLink[h] = -1
-			if it, ok := we.links.item(int(at), int(we.lay.Hops[h])); ok {
+			if it, ok := we.items.Link(int(at), int(we.lay.Hops[h])); ok {
 				we.hopLink[h] = int32(it)
 			}
 		}
@@ -98,7 +98,7 @@ func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 		we.endpointRows[int(pr[0])*we.pairWords+w] |= bit
 		we.endpointRows[int(pr[1])*we.pairWords+w] |= bit
 	}
-	items := we.n + we.links.m()
+	items := we.n + we.items.M()
 	we.faults = graph.NewBitset(items)
 	we.outcome = make([]routing.Outcome, P)
 	we.uses = make([][]int32, P)
@@ -157,7 +157,7 @@ func cloneItemLists(lists [][]int32) [][]int32 {
 func (we *WalkEngine) N() int { return we.n }
 
 // Links returns the number of cuttable links.
-func (we *WalkEngine) Links() int { return we.links.m() }
+func (we *WalkEngine) Links() int { return we.items.M() }
 
 // PairCount returns the number of ordered pairs with table entries.
 func (we *WalkEngine) PairCount() int { return len(we.pairs) }
@@ -224,13 +224,13 @@ func (we *WalkEngine) WalkStuck(p int) int {
 // order coincides with endpoint order because links are compiled from
 // the sorted g.Edges()).
 func (we *WalkEngine) CutList() []routing.EdgeFault {
-	_, cuts := we.links.split(we.faults.Elements())
+	_, cuts := split(we.items, we.faults.Elements())
 	return cuts
 }
 
 // HasLinkCut reports whether the link {u, v} is currently cut.
 func (we *WalkEngine) HasLinkCut(u, v int) bool {
-	it, ok := we.links.item(u, v)
+	it, ok := we.items.Link(u, v)
 	return ok && we.faults.Has(it)
 }
 
@@ -238,7 +238,7 @@ func (we *WalkEngine) HasLinkCut(u, v int) bool {
 // cached walk traversed it. Unknown links and already-cut links are
 // no-ops.
 func (we *WalkEngine) AddLinkCut(u, v int) {
-	if it, ok := we.links.item(u, v); ok {
+	if it, ok := we.items.Link(u, v); ok {
 		we.toggle(it, true)
 	}
 }
@@ -246,7 +246,7 @@ func (we *WalkEngine) AddLinkCut(u, v int) {
 // RemoveLinkCut repairs the link {u, v} and re-walks exactly the pairs
 // whose cached walk was deflected by it.
 func (we *WalkEngine) RemoveLinkCut(u, v int) {
-	if it, ok := we.links.item(u, v); ok {
+	if it, ok := we.items.Link(u, v); ok {
 		we.toggle(it, false)
 	}
 }
@@ -257,7 +257,7 @@ func (we *WalkEngine) HasNodeFault(v int) bool { return v < we.n && we.faults.Ha
 // NodeFaultList returns the currently failed nodes, sorted. The empty
 // set is a non-nil empty slice, like MixedCutResult.WorstNodes.
 func (we *WalkEngine) NodeFaultList() []int {
-	nodes, _ := we.links.split(we.faults.Elements())
+	nodes, _ := split(we.items, we.faults.Elements())
 	return nodes
 }
 
@@ -312,7 +312,7 @@ func (we *WalkEngine) toggle(item int, on bool) {
 // SetCuts replaces the current cut set with exactly the given links via
 // symmetric-difference toggles, so consecutive similar sets stay cheap.
 func (we *WalkEngine) SetCuts(cuts []routing.EdgeFault) {
-	move(we.faults, we.links.set(nil, cuts), we.n, we.faults.Cap(), we.toggle)
+	move(we.faults, set(we.items, nil, cuts), we.n, we.faults.Cap(), we.toggle)
 }
 
 // SetMixedFaults replaces the current mixed fault set with exactly the
@@ -320,7 +320,7 @@ func (we *WalkEngine) SetCuts(cuts []routing.EdgeFault) {
 // consecutive similar sets stay cheap. Out-of-range nodes and unknown
 // links are ignored.
 func (we *WalkEngine) SetMixedFaults(nodes []int, cuts []routing.EdgeFault) {
-	move(we.faults, we.links.set(nodes, cuts), 0, we.faults.Cap(), we.toggle)
+	move(we.faults, set(we.items, nodes, cuts), 0, we.faults.Cap(), we.toggle)
 }
 
 // Reset repairs every cut link and every failed node.

@@ -28,49 +28,24 @@ func runE16(scale Scale) (*Table, error) {
 		PaperClaim: "implicit in Sections 3–6: stronger diameter bounds require larger concentrators and more routes",
 		Header:     []string{"graph", "construction", "bound", "t", "pairs", "avg len", "fwd entries", "build"},
 	}
-	type buildFn struct {
-		name  string
-		bound func(tol int) int
-		make  func(g *graph.Graph, tol int) (*routing.Routing, error)
-	}
-	builders := []buildFn{
-		{"shortest-path (baseline)", func(int) int { return -1 }, func(g *graph.Graph, _ int) (*routing.Routing, error) {
-			return routing.ShortestPath(g)
+	// Each row reports the bound of its construction's own Info; the
+	// shortest-path baseline has none.
+	constructions := []struct {
+		name     string
+		minimalK bool
+		make     func(g *graph.Graph, o core.Options) (*routing.Routing, int, error)
+	}{
+		{"shortest-path (baseline)", false, func(g *graph.Graph, _ core.Options) (*routing.Routing, int, error) {
+			r, err := routing.ShortestPath(g)
+			return r, 0, err
 		}},
-		{"kernel", func(tol int) int {
-			b := 2 * tol
-			if b < 4 {
-				b = 4
-			}
-			return b
-		}, func(g *graph.Graph, tol int) (*routing.Routing, error) {
-			r, _, err := core.Kernel(g, core.Options{Tolerance: tol})
-			return r, err
-		}},
-		{"circular (K=2t+1)", func(int) int { return 6 }, func(g *graph.Graph, tol int) (*routing.Routing, error) {
-			r, _, err := core.Circular(g, core.Options{Tolerance: tol})
-			return r, err
-		}},
-		{"circular (minimal K)", func(int) int { return 6 }, func(g *graph.Graph, tol int) (*routing.Routing, error) {
-			r, _, err := core.Circular(g, core.Options{Tolerance: tol, MinimalK: true})
-			return r, err
-		}},
-		{"tri-circular (K=6t+9)", func(int) int { return 4 }, func(g *graph.Graph, tol int) (*routing.Routing, error) {
-			r, _, err := core.TriCircular(g, core.Options{Tolerance: tol})
-			return r, err
-		}},
-		{"tri-circular (minimal K)", func(int) int { return 5 }, func(g *graph.Graph, tol int) (*routing.Routing, error) {
-			r, _, err := core.TriCircular(g, core.Options{Tolerance: tol, MinimalK: true})
-			return r, err
-		}},
-		{"bipolar-uni", func(int) int { return 4 }, func(g *graph.Graph, tol int) (*routing.Routing, error) {
-			r, _, err := core.BipolarUnidirectional(g, core.Options{Tolerance: tol})
-			return r, err
-		}},
-		{"bipolar-bi", func(int) int { return 5 }, func(g *graph.Graph, tol int) (*routing.Routing, error) {
-			r, _, err := core.BipolarBidirectional(g, core.Options{Tolerance: tol})
-			return r, err
-		}},
+		{"kernel", false, withBound(core.Kernel, func(i *core.KernelInfo) int { return i.Bound })},
+		{"circular (K=2t+1)", false, withBound(core.Circular, func(i *core.CircularInfo) int { return i.Bound })},
+		{"circular (minimal K)", true, withBound(core.Circular, func(i *core.CircularInfo) int { return i.Bound })},
+		{"tri-circular (K=6t+9)", false, withBound(core.TriCircular, func(i *core.TriCircularInfo) int { return i.Bound })},
+		{"tri-circular (minimal K)", true, withBound(core.TriCircular, func(i *core.TriCircularInfo) int { return i.Bound })},
+		{"bipolar-uni", false, withBound(core.BipolarUnidirectional, func(i *core.BipolarInfo) int { return i.Bound })},
+		{"bipolar-bi", false, withBound(core.BipolarBidirectional, func(i *core.BipolarInfo) int { return i.Bound })},
 	}
 	ws := []struct {
 		name string
@@ -87,9 +62,9 @@ func runE16(scale Scale) (*Table, error) {
 		}{"CCC(4)", must(gen.CCC(4)), 2})
 	}
 	for _, w := range ws {
-		for _, b := range builders {
+		for _, b := range constructions {
 			start := time.Now()
-			r, err := b.make(w.g, w.tol)
+			r, bound, err := b.make(w.g, core.Options{Tolerance: w.tol, MinimalK: b.minimalK})
 			if errors.Is(err, core.ErrNotApplicable) {
 				t.AddRow(w.name, b.name, "-", w.tol, "n/a", "-", "-", "-")
 				continue
@@ -101,8 +76,8 @@ func runE16(scale Scale) (*Table, error) {
 			st := r.Stats()
 			ft := routing.FailoverFromRouting(r)
 			boundStr := "none"
-			if bnd := b.bound(w.tol); bnd > 0 {
-				boundStr = fmt.Sprint(bnd)
+			if bound > 0 {
+				boundStr = fmt.Sprint(bound)
 			}
 			t.AddRow(w.name, b.name, boundStr, w.tol, st.Pairs,
 				fmt.Sprintf("%.2f", st.AvgLen), ft.Entries(), elapsed.String())
@@ -113,4 +88,16 @@ func runE16(scale Scale) (*Table, error) {
 		"the shortest-path baseline routes every pair (max table size) but carries no tolerance guarantee",
 		"build times are indicative single-shot measurements, not statistical benchmarks (see bench_test.go)")
 	return t, nil
+}
+
+// withBound adapts a construction to E16's row shape: its routing and
+// the bound its Info reports.
+func withBound[I any](build func(*graph.Graph, core.Options) (*routing.Routing, *I, error), bound func(*I) int) func(*graph.Graph, core.Options) (*routing.Routing, int, error) {
+	return func(g *graph.Graph, o core.Options) (*routing.Routing, int, error) {
+		r, inf, err := build(g, o)
+		if err != nil {
+			return nil, 0, err
+		}
+		return r, bound(inf), nil
+	}
 }

@@ -22,11 +22,12 @@ func init() {
 // scores every set with the multi-pivot diameterAbove kernel against
 // the enumeration's incumbent), and the same search through the
 // work-stealing parallel driver — and the three results must agree bit
-// for bit on diameter, disconnection, witness and evaluated-set count. Full scale extends
-// the ladder to the thousand-node anchors CCC(7) (896 nodes) and Q10
-// (1024 nodes), where the checked-in benchmark gate requires the
-// bounded+parallel configuration to beat the plain serial engine by at
-// least 4x.
+// for bit on diameter, disconnection, witness and evaluated-set count.
+// Full scale extends the ladder to the thousand-node anchors CCC(7)
+// (896 nodes) and Q10 (1024 nodes). On CCC(7) the CI benchmark gate
+// holds the bounded and the bounded+parallel search within 30% of
+// their baseline ratios to the full sweep, ~0.105 and ~0.084, so both
+// must stay at least 7x faster (docs/ci.md).
 func runE21(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:         "E21",
@@ -72,9 +73,9 @@ func runE21(scale Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"routing = the paper's Circular construction at tolerance 1; pairs = routed ordered pairs (the arcs of the unfaulted route graph R(G,rho))",
-		"plain = exhaustive engine search, one full word-parallel BFS diameter per fault set; bounded = Config.Bounded, the multi-pivot diameterAbove kernel against the enumeration's incumbent; b+par = bounded through MaxDiameterParallel's work-stealing clones sharing the incumbent atomically",
+		"plain = exhaustive engine search, one full word-parallel BFS diameter per fault set; bounded = eval.MaxDiameter, which scores every set with the multi-pivot diameterAbove kernel against the enumeration's incumbent; b+par = bounded through MaxDiameterParallel's work-stealing clones sharing the incumbent atomically",
 		"agree checks all three searches bit for bit: worst diameter, disconnection flag, witness fault set and evaluated-set count must coincide (ok = they do; any divergence is flagged as a violated bound)",
-		"speedup = plain ms / b+par ms; the CI benchmark gate pins BenchmarkExhaustiveBoundedParallelCCC7F1 at <= 1/4 of BenchmarkExhaustiveEngineCCC7F1 (see docs/perf.md)",
+		"speedup = plain ms / b+par ms; the CI benchmark gate holds BenchmarkExhaustiveBoundedCCC7F1 and BenchmarkExhaustiveBoundedParallelCCC7F1 within 30% of their baseline ratios to BenchmarkExhaustiveEngineCCC7F1, ~0.105 and ~0.084, i.e. at least 7x (see docs/ci.md)",
 		"wall-clock columns vary run to run and machine to machine; set counts, diameters and witnesses are deterministic")
 	return t, nil
 }

@@ -68,17 +68,17 @@ func runE20(scale Scale) (*Table, error) {
 		}
 		// The subgroup pruning actually enumerates under: every group
 		// element the transported routing commutes with, lifted to the
-		// n+m mixed item universe.
-		keep := sym.Respecting(elems, sym.NewRoutingCheck(tr).Respects)
-		ix := sym.NewEdgeIndex(g)
-		mixed := make([][]int, 0, len(keep))
-		for _, p := range keep {
-			mp, ok := ix.MixedPerm(p)
-			if !ok {
-				return nil, fmt.Errorf("E20 %s: automorphism does not lift to edges", it.name)
-			}
-			mixed = append(mixed, mp)
+		// n+m mixed item universe. The orbit counts lift the full group;
+		// a lift maps nodes to nodes, so the first n mixed items hold
+		// exactly the node orbits.
+		ix := graph.NewItems(g)
+		mixed, ok := ix.Lift(sym.Respecting(elems, sym.NewRoutingCheck(tr).Respects), true, true)
+		all, okAll := ix.Lift(elems, true, true)
+		if !ok || !okAll {
+			return nil, fmt.Errorf("E20 %s: automorphism does not lift to links", it.name)
 		}
+		orbits := sym.Orbits(g.N()+g.M(), all)
+		nodeOrbits := sym.OrbitCount(orbits[:g.N()])
 		reps, total := sym.NewEnumerator(g.N()+g.M(), mixed).Count(f)
 		factor := float64(total) / float64(reps)
 		t0 := time.Now()
@@ -93,9 +93,7 @@ func runE20(scale Scale) (*Table, error) {
 		}
 		prof := eval.ProfileMixed(tr, f, eval.Config{Mode: eval.Exhaustive})
 		t.AddRow(it.name, g.N(), g.M(), len(elems),
-			fmt.Sprintf("%d/%d/%d", sym.OrbitCount(sym.Orbits(g.N(), gr.Gens)),
-				sym.OrbitCount(sym.EdgeOrbits(g, gr.Gens)),
-				sym.OrbitCount(sym.MixedOrbits(g, gr.Gens))),
+			fmt.Sprintf("%d/%d/%d", nodeOrbits, sym.OrbitCount(orbits)-nodeOrbits, sym.OrbitCount(orbits)),
 			f, total, reps, fmt.Sprintf("%.1fx", factor),
 			msCell(plainMS), msCell(prunedMS), diam, profCell(prof))
 	}

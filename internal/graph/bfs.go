@@ -69,48 +69,6 @@ func (g *Graph) IsConnected(blocked *Bitset) bool {
 	return true
 }
 
-// ConnectedComponents returns the partition of unblocked nodes into
-// connected components, each sorted increasingly, ordered by smallest
-// member.
-func (g *Graph) ConnectedComponents(blocked *Bitset) [][]int {
-	n := g.N()
-	seen := NewBitset(n)
-	var comps [][]int
-	for s := 0; s < n; s++ {
-		if seen.Has(s) || blocked.Has(s) {
-			continue
-		}
-		var comp []int
-		queue := []int{s}
-		seen.Add(s)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			comp = append(comp, u)
-			for _, v32 := range g.adj[u] {
-				v := int(v32)
-				if seen.Has(v) || blocked.Has(v) {
-					continue
-				}
-				seen.Add(v)
-				queue = append(queue, v)
-			}
-		}
-		insertionSort(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// insertionSort sorts small int slices without pulling in package sort's
-// interface machinery on hot paths.
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}
-
 // Diameter returns the diameter of the graph and true, or (0, false) if
 // the graph is disconnected or has no nodes. Blocked nodes (may be nil)
 // are treated as deleted.

@@ -7,6 +7,10 @@
 // tests. Graphs are mutable while being built and are typically treated
 // as immutable afterwards; none of the algorithms in this module mutate
 // their inputs.
+//
+// Items is the one fault-item numbering of a graph — node v is item v,
+// link i of Edges() is item n+i — that every fault search, orbit lift
+// and component query of G minus a fault set reads.
 package graph
 
 import (

@@ -295,7 +295,7 @@ func TestConnectedComponents(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(4, 5)
-	comps := g.ConnectedComponents(nil)
+	comps := NewItems(g).Components(nil)
 	if len(comps) != 3 {
 		t.Fatalf("components = %v", comps)
 	}

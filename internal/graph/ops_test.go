@@ -163,13 +163,14 @@ func TestCutsAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
-		comps := len(g.ConnectedComponents(nil))
+		ix := NewItems(g)
+		comps := len(ix.Components(nil))
 		gotCut := map[int]bool{}
 		for _, v := range g.ArticulationPoints() {
 			gotCut[v] = true
 		}
 		for v := 0; v < n; v++ {
-			after := len(g.ConnectedComponents(BitsetOf(n, v)))
+			after := len(ix.Components(BitsetOf(n, v)))
 			// Removing isolated v reduces components; removing a leaf
 			// keeps them; a cut vertex increases them (v itself not
 			// counted: compare against comps minus the v-only component).

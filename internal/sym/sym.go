@@ -1,11 +1,14 @@
 // Package sym computes graph symmetry for fault-set search pruning:
 // automorphism groups via equitable-partition refinement with
-// individualization, node / edge / mixed-item orbits under a group,
-// equivariance checks for routings and failover tables, and an
+// individualization, the element list of a group, orbits under a
+// group, equivariance checks for routings and failover tables, and an
 // orbit-pruned enumerator that yields one canonical representative per
-// orbit of fault sets together with the orbit size. docs/symmetry.md
-// derives the algorithms, states the canonicity rule, and spells out
-// exactly when orbit pruning of an exhaustive fault search is sound.
+// orbit of fault sets together with the orbit size. The package works
+// on node permutations; graph.Items.Lift carries them onto the link
+// and mixed fault universes the orbits and the enumerator then run
+// over. docs/symmetry.md derives the algorithms, states the canonicity
+// rule, and spells out exactly when orbit pruning of an exhaustive
+// fault search is sound.
 package sym
 
 import (
@@ -238,25 +241,43 @@ func Identity(n int) []int {
 // returns nil when the group has more than max elements — callers
 // treat that as "too symmetric to materialize" and fall back.
 func Elements(n int, gens [][]int, max int) [][]int {
-	id := Identity(n)
-	elems := [][]int{id}
-	seen := map[string]bool{permKey(id): true}
+	return closure(append([][]int{Identity(n)}, gens...), nil, max)
+}
+
+// closure closes seed under composition breadth first, from the seed's
+// distinct members, and returns the elements sorted. It returns nil
+// when an element falls outside inGroup (nil admits every permutation)
+// or the closure has more than max elements.
+func closure(seed [][]int, inGroup map[string]bool, max int) [][]int {
+	var elems [][]int
+	seen := make(map[string]bool, len(seed))
+	add := func(p []int) bool {
+		k := permKey(p)
+		if seen[k] {
+			return true
+		}
+		if inGroup != nil && !inGroup[k] || len(elems) >= max {
+			return false
+		}
+		seen[k] = true
+		elems = append(elems, p)
+		return true
+	}
+	for _, p := range seed {
+		if !add(p) {
+			return nil
+		}
+	}
+	gens := elems[:len(elems):len(elems)]
 	for head := 0; head < len(elems); head++ {
-		e := elems[head]
 		for _, q := range gens {
-			c := make([]int, n)
-			for i, v := range e {
+			c := make([]int, len(q))
+			for i, v := range elems[head] {
 				c[i] = q[v]
 			}
-			k := permKey(c)
-			if seen[k] {
-				continue
-			}
-			if len(elems) >= max {
+			if !add(c) {
 				return nil
 			}
-			seen[k] = true
-			elems = append(elems, c)
 		}
 	}
 	sort.Slice(elems, func(i, j int) bool { return permLess(elems[i], elems[j]) })

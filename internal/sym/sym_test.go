@@ -68,8 +68,9 @@ func smallGraphs() map[string]*graph.Graph {
 }
 
 // TestAutomorphismsMatchBruteForce pins the search-found group — as a
-// full element set — and the induced node and edge orbit partitions to
-// an all-permutations brute-force reference on every small graph.
+// full element set — and the induced node, link and mixed-item orbit
+// partitions (links and mixed items through graph.Items.Lift) to an
+// all-permutations brute-force reference on every small graph.
 func TestAutomorphismsMatchBruteForce(t *testing.T) {
 	for name, g := range smallGraphs() {
 		want := bruteAutomorphisms(g)
@@ -85,11 +86,21 @@ func TestAutomorphismsMatchBruteForce(t *testing.T) {
 		if no := Orbits(g.N(), gr.Gens); !reflect.DeepEqual(no, Orbits(g.N(), want)) {
 			t.Errorf("%s: node orbits %v disagree with brute force", name, no)
 		}
-		if eo := EdgeOrbits(g, gr.Gens); !reflect.DeepEqual(eo, EdgeOrbits(g, want)) {
-			t.Errorf("%s: edge orbits %v disagree with brute force", name, eo)
-		}
-		if mo := MixedOrbits(g, gr.Gens); !reflect.DeepEqual(mo, MixedOrbits(g, want)) {
-			t.Errorf("%s: mixed orbits %v disagree with brute force", name, mo)
+		ix := graph.NewItems(g)
+		for _, u := range []struct {
+			name  string
+			nodes bool
+			size  int
+		}{{"link", false, g.M()}, {"mixed", true, g.N() + g.M()}} {
+			gens, okGens := ix.Lift(gr.Gens, u.nodes, true)
+			all, okAll := ix.Lift(want, u.nodes, true)
+			if !okGens || !okAll {
+				t.Errorf("%s: an automorphism does not lift onto the %s items", name, u.name)
+				continue
+			}
+			if o := Orbits(u.size, gens); !reflect.DeepEqual(o, Orbits(u.size, all)) {
+				t.Errorf("%s: %s orbits %v disagree with brute force", name, u.name, o)
+			}
 		}
 	}
 }
@@ -183,14 +194,9 @@ func TestEnumeratorCCC4Mixed(t *testing.T) {
 	if len(elems) < 64 {
 		t.Fatalf("|Aut(CCC(4))| = %d, want >= 64", len(elems))
 	}
-	ix := NewEdgeIndex(g)
-	var mixed [][]int
-	for _, p := range elems {
-		mp, ok := ix.MixedPerm(p)
-		if !ok {
-			t.Fatal("automorphism failed to lift to edges")
-		}
-		mixed = append(mixed, mp)
+	mixed, ok := graph.NewItems(g).Lift(elems, true, true)
+	if !ok {
+		t.Fatal("automorphism failed to lift to edges")
 	}
 	items := g.N() + g.M()
 	if items != 160 {
@@ -327,28 +333,5 @@ func TestTablesRespect(t *testing.T) {
 	bad[0], bad[1] = 1, 0
 	if TablesRespect(tab, bad) {
 		t.Fatal("swapping two adjacent nodes should not respect the tables")
-	}
-}
-
-// TestEdgeIndexPermRejectsWrongLength: on CCC(3) (n = 24) a node
-// permutation without n entries is not an automorphism, so Perm and
-// MixedPerm report (nil, false) instead of indexing past it; the
-// identity still lifts.
-func TestEdgeIndexPermRejectsWrongLength(t *testing.T) {
-	g, err := gen.CCC(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := NewEdgeIndex(g)
-	for _, p := range [][]int{{0, 1}, nil, Identity(g.N() - 1)} {
-		if out, ok := ix.Perm(p); ok || out != nil {
-			t.Errorf("Perm(len %d) = %v, %v; want nil, false", len(p), out, ok)
-		}
-		if out, ok := ix.MixedPerm(p); ok || out != nil {
-			t.Errorf("MixedPerm(len %d) = %v, %v; want nil, false", len(p), out, ok)
-		}
-	}
-	if out, ok := ix.MixedPerm(Identity(g.N())); !ok || !reflect.DeepEqual(out, Identity(g.N()+g.M())) {
-		t.Fatalf("MixedPerm(identity) = %v, %v", out, ok)
 	}
 }

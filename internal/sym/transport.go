@@ -92,8 +92,8 @@ func FreePairSubgroup(elems [][]int) [][]int {
 		if have[permKey(cand)] || !pairFree(cand) {
 			continue
 		}
-		trial, ok := closeUnder(append(append([][]int{}, sub...), cand), inGroup, len(elems))
-		if !ok {
+		trial := closure(append(append([][]int{}, sub...), cand), inGroup, len(elems))
+		if trial == nil {
 			continue
 		}
 		free := true
@@ -112,7 +112,6 @@ func FreePairSubgroup(elems [][]int) [][]int {
 			have[permKey(p)] = true
 		}
 	}
-	sort.Slice(sub, func(i, j int) bool { return permLess(sub[i], sub[j]) })
 	return sub
 }
 
@@ -127,41 +126,4 @@ func pairFree(p []int) bool {
 		}
 	}
 	return !moved || fixed <= 1
-}
-
-// closeUnder closes seed under composition, staying within inGroup and
-// under max elements; ok is false when either bound is crossed.
-func closeUnder(seed [][]int, inGroup map[string]bool, max int) ([][]int, bool) {
-	n := len(seed[0])
-	elems := make([][]int, 0, len(seed))
-	seen := make(map[string]bool, len(seed))
-	for _, p := range seed {
-		k := permKey(p)
-		if !seen[k] {
-			if !inGroup[k] {
-				return nil, false
-			}
-			seen[k] = true
-			elems = append(elems, p)
-		}
-	}
-	gens := append([][]int{}, elems...)
-	for head := 0; head < len(elems); head++ {
-		for _, q := range gens {
-			c := make([]int, n)
-			for i, v := range elems[head] {
-				c[i] = q[v]
-			}
-			k := permKey(c)
-			if seen[k] {
-				continue
-			}
-			if !inGroup[k] || len(elems) >= max {
-				return nil, false
-			}
-			seen[k] = true
-			elems = append(elems, c)
-		}
-	}
-	return elems, true
 }
