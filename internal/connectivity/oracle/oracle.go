@@ -1,7 +1,7 @@
 // Package oracle keeps the reference implementation of the connectivity
 // primitives that the tree-routing constructions are built on: a network
-// rebuilt from the graph's edge list for every query, and Dinic's
-// algorithm without sink-level truncation or scratch reuse. It is the
+// rebuilt from the graph's edge list for every query, and a forward-only
+// Dinic without sink-level truncation or scratch reuse. It is the
 // differential oracle for connectivity.Split, and the baseline of the
 // construction benchmarks. Only tests and benchmarks import it.
 package oracle

@@ -31,7 +31,7 @@ func BenchmarkCircularCCC7(b *testing.B) {
 // and a network rebuilt from the edge list for every flow. The tree
 // routings still run on the parallel compiler, so the CI-gated ratio
 // BenchmarkCircularCCC7/BenchmarkCircularOracleCCC7 measures the split
-// network and the truncated Dinic, not the core count.
+// network and the two-ended Dinic phases, not the core count.
 func BenchmarkCircularOracleCCC7(b *testing.B) {
 	g, err := gen.CCC(7)
 	if err != nil {

@@ -5,13 +5,25 @@
 // (node-disjoint paths from a node to a separating set).
 //
 // Networks here are unit-ish: capacities are 1 except for a handful of
-// infinite arcs, so Dinic runs in O(E·sqrt(V)) which is far more than
-// fast enough for the graph sizes the reproduction uses.
+// infinite arcs. Each Dinic phase labels the shortest residual s–t
+// paths from both ends: breadth-first from s over residual arcs and from
+// t over residual in-arcs, one layer at a time on the side whose
+// frontier is smaller, until the two balls meet. The augmenting DFS
+// follows the forward labels up to the last complete forward layer and
+// the backward labels after it, so it enters only nodes that could reach
+// t when the phase began. It pushes exactly the augmenting paths, in the
+// same order, that a forward-only level graph would give: each arc it
+// takes is a level-graph arc, and each one it skips leads to a node from
+// which that DFS would have backed out empty-handed. On the split
+// networks of the tree routings a phase usually finds a single path, and
+// two balls of half the depth pop far fewer nodes than one ball out to
+// t's level.
 //
 // A network can serve many queries: Save records its capacities,
 // SetCapacity adjusts a few arcs for one query, and Restore returns it
 // to the saved state. MaxFlow and DecomposePaths reuse their scratch
-// buffers across calls.
+// buffers across calls: labels carry a per-phase base and decomposition
+// records a per-call stamp, so neither is cleared between uses.
 package flow
 
 import (
@@ -19,7 +31,8 @@ import (
 	"math"
 )
 
-// Inf is the capacity used for effectively-unbounded arcs.
+// Inf is the capacity used for effectively-unbounded arcs, and the
+// largest capacity an arc may have.
 const Inf = math.MaxInt32
 
 // arc is half of an edge pair; arcs are stored in a flat slice with the
@@ -29,6 +42,14 @@ type arc struct {
 	cap int32
 }
 
+// pairFlow is DecomposePaths' record of one arc pair: the units of the
+// forward arc's flow not yet assigned to a path. It is valid only in the
+// call whose stamp it carries.
+type pairFlow struct {
+	stamp uint32
+	left  int32
+}
+
 // Network is a directed flow network under construction. The zero value
 // is unusable; create one with NewNetwork.
 type Network struct {
@@ -36,11 +57,17 @@ type Network struct {
 	arcs  []arc
 	head  [][]int32 // arc indices leaving each node
 	saved []arc     // capacities Restore returns to
-	// Scratch reused across MaxFlow and DecomposePaths calls.
-	level    []int32
-	iter     []int32
-	queue    []int32
-	flowLeft []int32
+	// Scratch reused across MaxFlow calls. A phase labels node v with
+	// base + its distance from s (fwd) or to t (bwd); a label below base
+	// is stale.
+	fwd, bwd  []uint32
+	base      uint32
+	fq, bq    []int32 // the forward and backward balls, in BFS order
+	iter      []int32
+	dist, mid int32 // the phase's s–t distance and last complete forward layer
+	// Scratch reused across DecomposePaths calls, indexed by arc pair.
+	pairs []pairFlow
+	stamp uint32
 }
 
 // NewNetwork returns an empty network with n nodes.
@@ -54,16 +81,22 @@ func NewNetwork(n int) *Network {
 // N returns the number of nodes.
 func (nw *Network) N() int { return nw.n }
 
+// checkCapacity panics unless 0 <= capacity <= Inf: capacities are
+// stored in 32 bits, and a larger one would wrap.
+func checkCapacity(capacity int) {
+	if capacity < 0 || capacity > Inf {
+		panic(fmt.Sprintf("flow: capacity %d outside [0, Inf]", capacity))
+	}
+}
+
 // AddArc inserts a directed arc u→v with the given capacity and returns
-// its index (usable with Flow after a max-flow run). Capacity must be
-// non-negative.
+// its index (usable with Flow after a max-flow run). Capacity must lie
+// in [0, Inf].
 func (nw *Network) AddArc(u, v, capacity int) int {
 	if u < 0 || u >= nw.n || v < 0 || v >= nw.n {
 		panic(fmt.Sprintf("flow: arc %d->%d out of range (n=%d)", u, v, nw.n))
 	}
-	if capacity < 0 {
-		panic("flow: negative capacity")
-	}
+	checkCapacity(capacity)
 	id := len(nw.arcs)
 	nw.arcs = append(nw.arcs, arc{to: int32(v), cap: int32(capacity)})
 	nw.arcs = append(nw.arcs, arc{to: int32(u), cap: 0})
@@ -79,12 +112,11 @@ func (nw *Network) Flow(arcID int) int {
 }
 
 // SetCapacity sets the capacity of the arc with the given index (as
-// returned by AddArc). The reverse arc is left alone, so call it on a
-// network without flow, such as one just restored.
+// returned by AddArc) to a value in [0, Inf]. The reverse arc is left
+// alone, so call it on a network without flow, such as one just
+// restored.
 func (nw *Network) SetCapacity(arcID, capacity int) {
-	if capacity < 0 {
-		panic("flow: negative capacity")
-	}
+	checkCapacity(capacity)
 	nw.arcs[arcID].cap = int32(capacity)
 }
 
@@ -104,79 +136,131 @@ func (nw *Network) Restore() {
 	copy(nw.arcs, nw.saved)
 }
 
-// bfsLevels builds the level graph; returns false if t is unreachable.
-// It stops expanding at t's level: a node at that level other than t
-// cannot reach t along strictly increasing levels, so the nodes beyond it
-// would only lead dfsAugment into dead ends.
-func (nw *Network) bfsLevels(s, t int) bool {
-	for i := range nw.level {
-		nw.level[i] = -1
+// phase labels the shortest residual s–t paths of one Dinic phase from
+// both ends and reports whether t is reachable. Each round grows the
+// ball with the smaller frontier by one layer: forward from s over arcs
+// with residual capacity, or backward from t over residual in-arcs (arc
+// id^1 of each arc id leaving a node). The first node labelled from both
+// sides fixes dist, the s–t distance, and mid, the deepest forward layer
+// labelled in full: backward labels are complete up to dist−mid−1, so
+// together the two sides label every node of every shortest path.
+// Labelling a node resets its DFS iterator, so nothing is cleared per
+// phase.
+func (nw *Network) phase(s, t int) bool {
+	span := uint32(nw.n)
+	if nw.base > math.MaxUint32-2*span { // the next labels would wrap
+		clear(nw.fwd)
+		clear(nw.bwd)
+		nw.base = 0
 	}
-	queue := append(nw.queue[:0], int32(s))
-	nw.level[s] = 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		if lt := nw.level[t]; lt >= 0 && nw.level[u] >= lt {
-			break
-		}
-		for _, id := range nw.head[u] {
-			a := nw.arcs[id]
-			if a.cap > 0 && nw.level[a.to] < 0 {
-				nw.level[a.to] = nw.level[u] + 1
-				queue = append(queue, a.to)
+	nw.base += span
+	base, fwd, bwd, iter, arcs, head := nw.base, nw.fwd, nw.bwd, nw.iter, nw.arcs, nw.head
+	fwd[s], bwd[t] = base, base
+	iter[s] = 0
+	fq := append(nw.fq[:0], int32(s))
+	bq := append(nw.bq[:0], int32(t))
+	var f0, b0 int  // the last complete layer of each ball starts here
+	var a, b uint32 // and lies at this distance from s, or to t
+	for f0 < len(fq) && b0 < len(bq) {
+		if len(fq)-f0 <= len(bq)-b0 {
+			layer := fq[f0:]
+			f0 = len(fq)
+			for _, u := range layer {
+				for _, id := range head[u] {
+					v := arcs[id].to
+					if arcs[id].cap <= 0 || fwd[v] >= base {
+						continue
+					}
+					fwd[v], iter[v] = base+a+1, 0
+					if bwd[v] >= base {
+						nw.dist, nw.mid = int32(a+1+bwd[v]-base), int32(a)
+						nw.fq, nw.bq = fq, bq
+						return true
+					}
+					fq = append(fq, v)
+				}
 			}
+			a++
+		} else {
+			layer := bq[b0:]
+			b0 = len(bq)
+			for _, v := range layer {
+				for _, id := range head[v] {
+					w := arcs[id].to
+					if arcs[id^1].cap <= 0 || bwd[w] >= base {
+						continue
+					}
+					bwd[w], iter[w] = base+b+1, 0
+					if fwd[w] >= base {
+						nw.dist, nw.mid = int32(fwd[w]-base+b+1), int32(a)
+						nw.fq, nw.bq = fq, bq
+						return true
+					}
+					bq = append(bq, w)
+				}
+			}
+			b++
 		}
 	}
-	nw.queue = queue
-	return nw.level[t] >= 0
+	nw.fq, nw.bq = fq, bq
+	return false
 }
 
-// dfsAugment pushes up to limit units of flow from u toward t along the
-// level graph.
-func (nw *Network) dfsAugment(u, t int, limit int32) int32 {
-	if u == t {
+// augment pushes up to limit units of flow from u, at position j of a
+// shortest s–t path, toward t. Below mid it takes arcs into forward
+// layer j+1; from mid on, arcs into backward layer dist−j−1. Either way
+// the head is at distance j+1 from s, and from mid on it could also
+// still reach t when the phase began.
+func (nw *Network) augment(u, j, limit int32) int32 {
+	if j == nw.dist {
 		return limit
 	}
-	for ; nw.iter[u] < int32(len(nw.head[u])); nw.iter[u]++ {
-		id := nw.head[u][nw.iter[u]]
+	lab, want := nw.fwd, nw.base+uint32(j)+1
+	if j >= nw.mid {
+		lab, want = nw.bwd, nw.base+uint32(nw.dist-j-1)
+	}
+	head := nw.head[u]
+	for i := nw.iter[u]; int(i) < len(head); i++ {
+		id := head[i]
 		a := &nw.arcs[id]
-		if a.cap <= 0 || nw.level[a.to] != nw.level[u]+1 {
+		if a.cap <= 0 || lab[a.to] != want {
 			continue
 		}
-		push := limit
-		if a.cap < push {
-			push = a.cap
-		}
-		got := nw.dfsAugment(int(a.to), t, push)
+		got := nw.augment(a.to, j+1, min(limit, a.cap))
 		if got > 0 {
 			a.cap -= got
 			nw.arcs[id^1].cap += got
+			nw.iter[u] = i
 			return got
 		}
 	}
+	nw.iter[u] = int32(len(head))
 	return 0
 }
 
 // MaxFlow computes the maximum s–t flow, stopping early once the flow
-// reaches limit (pass Inf for the true maximum). It leaves the flow in
-// the network's residual capacities, for Flow, MinCutReachable and
-// DecomposePaths; a further call augments that flow. Restore the saved
-// capacities to start a fresh query on the same network.
+// reaches limit (pass Inf for the true maximum). Each phase labels the
+// shortest residual paths from both ends and saturates them with one
+// augmenting DFS per path (see the package comment); the paths and the
+// residual network are those of a forward-only Dinic. It leaves the
+// flow in the network's residual capacities, for Flow, MinCutReachable
+// and DecomposePaths; a further call augments that flow. Restore the
+// saved capacities to start a fresh query on the same network.
 func (nw *Network) MaxFlow(s, t, limit int) int {
 	if s == t {
 		return 0
 	}
-	if len(nw.level) != nw.n {
-		nw.level = make([]int32, nw.n)
+	if len(nw.fwd) != nw.n {
+		nw.fwd = make([]uint32, nw.n)
+		nw.bwd = make([]uint32, nw.n)
 		nw.iter = make([]int32, nw.n)
+		nw.fq = make([]int32, 0, nw.n)
+		nw.bq = make([]int32, 0, nw.n)
 	}
 	total := 0
-	for total < limit && nw.bfsLevels(s, t) {
-		for i := range nw.iter {
-			nw.iter[i] = 0
-		}
+	for total < limit && nw.phase(s, t) {
 		for total < limit {
-			got := nw.dfsAugment(s, t, int32(minInt(limit-total, Inf)))
+			got := nw.augment(int32(s), 0, int32(min(limit-total, Inf)))
 			if got == 0 {
 				break
 			}
@@ -210,18 +294,17 @@ func (nw *Network) MinCutReachable(s int) []bool {
 // the flow recorded on forward arcs. It returns up to max paths (pass a
 // negative max for all). Each returned path starts at s and ends at t.
 // The decomposition is valid for the unit-capacity networks used in this
-// library (each interior node carries at most one unit).
+// library (each interior node carries at most one unit). A forward arc's
+// flow is read from its reverse residual the first time a walk reaches
+// it, so a call costs the arcs its walks scan, not the whole network.
 func (nw *Network) DecomposePaths(s, t, max int) [][]int {
-	// flowLeft[arcID] = units of flow assigned to this forward arc.
-	if len(nw.flowLeft) != len(nw.arcs) {
-		nw.flowLeft = make([]int32, len(nw.arcs))
+	if len(nw.pairs) != len(nw.arcs)/2 {
+		nw.pairs = make([]pairFlow, len(nw.arcs)/2)
 	}
-	flowLeft := nw.flowLeft
-	for id := 0; id < len(nw.arcs); id += 2 {
-		flowLeft[id] = 0
-		if f := nw.arcs[id^1].cap; f > 0 { // reverse residual == pushed flow
-			flowLeft[id] = f
-		}
+	nw.stamp++
+	if nw.stamp == 0 { // the stamp wrapped: forget every record
+		clear(nw.pairs)
+		nw.stamp = 1
 	}
 	var paths [][]int
 	for max < 0 || len(paths) < max {
@@ -235,10 +318,20 @@ func (nw *Network) DecomposePaths(s, t, max int) [][]int {
 			}
 			advanced := false
 			for _, id := range nw.head[u] {
-				if id%2 == 1 || flowLeft[id] == 0 {
+				if id&1 == 1 {
 					continue
 				}
-				flowLeft[id]--
+				p := &nw.pairs[id>>1]
+				if p.stamp != nw.stamp {
+					p.stamp, p.left = nw.stamp, 0
+					if f := nw.arcs[id^1].cap; f > 0 { // reverse residual == pushed flow
+						p.left = f
+					}
+				}
+				if p.left == 0 {
+					continue
+				}
+				p.left--
 				u = int(nw.arcs[id].to)
 				path = append(path, u)
 				advanced = true
@@ -254,11 +347,4 @@ func (nw *Network) DecomposePaths(s, t, max int) [][]int {
 		paths = append(paths, path)
 	}
 	return paths
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

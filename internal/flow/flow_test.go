@@ -133,7 +133,12 @@ func TestDecomposePathsMax(t *testing.T) {
 
 func TestAddArcPanics(t *testing.T) {
 	nw := NewNetwork(2)
-	for _, tc := range []struct{ u, v, c int }{{-1, 0, 1}, {0, 2, 1}, {0, 1, -1}} {
+	for _, tc := range []struct{ u, v, c int }{
+		{-1, 0, 1}, {0, 2, 1}, {0, 1, -1},
+		// Capacities are 32-bit: above Inf they would wrap (1<<31 to a
+		// max flow of 0, 1<<32+1 to 1).
+		{0, 1, Inf + 1}, {0, 1, 1 << 32}, {0, 1, 1<<32 + 1},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -142,6 +147,37 @@ func TestAddArcPanics(t *testing.T) {
 			}()
 			nw.AddArc(tc.u, tc.v, tc.c)
 		}()
+	}
+	if got := nw.MaxFlow(0, 1, Inf); got != 0 {
+		t.Fatalf("a rejected AddArc left flow %d", got)
+	}
+	nw.AddArc(0, 1, Inf)
+	if got := nw.MaxFlow(0, 1, Inf); got != Inf {
+		t.Fatalf("max flow over an Inf arc = %d, want %d", got, Inf)
+	}
+}
+
+func TestSetCapacityPanics(t *testing.T) {
+	nw := NewNetwork(2)
+	a := nw.AddArc(0, 1, 1)
+	nw.Save()
+	for _, c := range []int{-1, Inf + 1, 1 << 32, 1<<32 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SetCapacity(%d, %d) should panic", a, c)
+				}
+			}()
+			nw.SetCapacity(a, c)
+		}()
+	}
+	if got := nw.MaxFlow(0, 1, Inf); got != 1 {
+		t.Fatalf("a rejected SetCapacity changed the flow to %d, want 1", got)
+	}
+	nw.Restore()
+	nw.SetCapacity(a, Inf)
+	if got := nw.MaxFlow(0, 1, Inf); got != Inf {
+		t.Fatalf("max flow after SetCapacity(Inf) = %d, want %d", got, Inf)
 	}
 }
 
