@@ -19,6 +19,7 @@ import (
 	"ftroute/internal/eval/oracle"
 	"ftroute/internal/experiments"
 	"ftroute/internal/graph"
+	routingoracle "ftroute/internal/routing/oracle"
 )
 
 // benchExperiment runs one registered experiment per iteration.
@@ -413,6 +414,34 @@ func BenchmarkCompileFailoverCCC4(b *testing.B) {
 		}
 		if t := CompileFailover(m); t.Entries() == 0 {
 			b.Fatal("empty tables")
+		}
+	}
+}
+
+// BenchmarkReinforceCCC4 measures Reinforce(r, 2) of the anchor routing:
+// per-worker BFS scratch and link stamps, the pairs in blocks on
+// GOMAXPROCS workers, installed in sorted order. CI runs it at -cpu 1
+// and gates it against BenchmarkReinforceOracleCCC4, so the ratio
+// measures the search, not the core count.
+func BenchmarkReinforceCCC4(b *testing.B) {
+	r := ccc4Circular(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m, err := Reinforce(r, 2); err != nil || m.Pairs() == 0 {
+			b.Fatal("Reinforce:", err)
+		}
+	}
+}
+
+// BenchmarkReinforceOracleCCC4 is the same reinforcement through the
+// reference of internal/routing/oracle: a map of used links and a fresh
+// BFS per backup, one pair at a time.
+func BenchmarkReinforceOracleCCC4(b *testing.B) {
+	r := ccc4Circular(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m, err := routingoracle.Reinforce(r, 2); err != nil || m.Pairs() == 0 {
+			b.Fatal("oracle.Reinforce:", err)
 		}
 	}
 }

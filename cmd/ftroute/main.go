@@ -186,6 +186,14 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 		return fmt.Errorf("-lambda must be finite, got %v", lambda)
 	}
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"cuts", cuts}, {"backups", backups}, {"retries", retries}} {
+		if f.value < 0 {
+			return fmt.Errorf("-%s must be non-negative, got %d", f.name, f.value)
+		}
+	}
 	rt, _, err := build(g, construction)
 	if err != nil {
 		return err

@@ -105,6 +105,20 @@ func TestRunRejectsNonFiniteLambda(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeFailoverCounts: a negative -cuts would search
+// only the empty set, and a negative -backups or -retries would be
+// clamped to zero without a word.
+func TestRunRejectsNegativeFailoverCounts(t *testing.T) {
+	for _, flag := range []string{"-cuts", "-backups", "-retries"} {
+		t.Run(flag, func(t *testing.T) {
+			err := run([]string{"failover", "-graph", "cycle:6", "-construction", "shortest", flag, "-1"})
+			if want := flag + " must be non-negative, got -1"; err == nil || err.Error() != want {
+				t.Fatalf("%s -1: err = %v, want %q", flag, err, want)
+			}
+		})
+	}
+}
+
 // TestRunRejectsUnknownConstruction also checks that the error does not
 // name the program: main adds the one "ftroute: ".
 func TestRunRejectsUnknownConstruction(t *testing.T) {

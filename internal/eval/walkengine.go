@@ -400,10 +400,10 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 	}
 	we.epoch++
 	we.stamp[src] = we.epoch
-	at := src
+	e := we.lay.Entry(p, src)
 	for {
 		took, backup := int32(-1), false
-		if e := we.lay.Entry(p, at); e >= 0 {
+		if e >= 0 {
 			for h := we.lay.HopOff[e]; h < we.lay.HopOff[e+1]; h++ {
 				link, nx := we.hopLink[h], we.lay.Hops[h]
 				dead := false
@@ -440,6 +440,6 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 			return routing.Loop
 		}
 		we.stamp[nx] = we.epoch
-		at = nx
+		e = we.lay.HopEnt[took]
 	}
 }

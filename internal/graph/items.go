@@ -10,23 +10,31 @@ import "slices"
 // position i. Items reads g's adjacency and assumes g is no longer
 // mutated.
 type Items struct {
-	g    *Graph
-	n    int
-	off  []int32 // node u -> link id of its first neighbor above u, minus that neighbor's adjacency index
-	u, v []int32 // link i -> endpoints (u < v)
+	g     *Graph
+	n     int
+	first []int32 // node u -> its arcs' range in arc, len n+1
+	arc   []int32 // u's arcs in g's neighbor order -> item of the link
+	u, v  []int32 // link i -> endpoints (u < v)
 }
 
 // NewItems numbers the items of g.
 func NewItems(g *Graph) *Items {
-	it := &Items{g: g, n: g.N(), off: make([]int32, g.N()), u: make([]int32, 0, g.m), v: make([]int32, 0, g.m)}
+	n := g.N()
+	it := &Items{g: g, n: n, first: make([]int32, n+1), arc: make([]int32, 0, 2*g.m), u: make([]int32, 0, g.m), v: make([]int32, 0, g.m)}
 	for a, lst := range g.adj {
-		above, _ := slices.BinarySearch(lst, int32(a)) // a is not its own neighbor
-		it.off[a] = int32(len(it.u) - above)
-		for _, b := range lst[above:] {
+		it.first[a] = int32(len(it.arc))
+		for _, b := range lst {
+			if int(b) < a { // numbered when b's arcs were
+				l, _ := it.Link(int(b), a)
+				it.arc = append(it.arc, int32(l))
+				continue
+			}
+			it.arc = append(it.arc, int32(n+len(it.u)))
 			it.u = append(it.u, int32(a))
 			it.v = append(it.v, b)
 		}
 	}
+	it.first[n] = int32(len(it.arc))
 	return it
 }
 
@@ -47,7 +55,17 @@ func (it *Items) Link(u, v int) (int, bool) {
 		return 0, false
 	}
 	i, ok := slices.BinarySearch(it.g.adj[u], int32(v))
-	return it.n + int(it.off[u]) + i, ok
+	if !ok {
+		return 0, false
+	}
+	return int(it.arc[int(it.first[u])+i]), true
+}
+
+// Arcs returns u's neighbors in increasing order, g's own adjacency,
+// and at the same index the item of the link to each. Both slices are
+// shared; callers must not mutate them.
+func (it *Items) Arcs(u int) (nbrs, links []int32) {
+	return it.g.adj[u], it.arc[it.first[u]:it.first[u+1]]
 }
 
 // Ends returns the endpoints (u < v) of a link item, reporting false
@@ -122,10 +140,10 @@ func (it *Items) Components(blocked *Bitset) [][]int {
 		comp := []int{s}
 		seen.Add(s)
 		for head := 0; head < len(comp); head++ {
-			u := comp[head]
-			for _, w32 := range it.g.adj[u] {
+			nbrs, links := it.Arcs(comp[head])
+			for j, w32 := range nbrs {
 				w := int(w32)
-				if l, _ := it.Link(u, w); seen.Has(w) || blocked.Has(w) || blocked.Has(l) {
+				if seen.Has(w) || blocked.Has(w) || blocked.Has(int(links[j])) {
 					continue
 				}
 				seen.Add(w)

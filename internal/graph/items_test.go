@@ -48,6 +48,17 @@ func TestItemsLinkRoundTrip(t *testing.T) {
 				}
 			}
 		}
+		for u := 0; u < n; u++ {
+			nbrs, links := ix.Arcs(u)
+			if len(nbrs) != len(links) || len(nbrs) != g.Degree(u) {
+				t.Fatalf("trial %d: Arcs(%d) has %d neighbors and %d links, degree %d", trial, u, len(nbrs), len(links), g.Degree(u))
+			}
+			for j, w := range nbrs {
+				if it, ok := ix.Link(u, int(w)); int(w) != g.Neighbors(u)[j] || !ok || int(links[j]) != it {
+					t.Fatalf("trial %d: Arcs(%d)[%d] = (%d, %d), want (%d, Link %d)", trial, u, j, w, links[j], g.Neighbors(u)[j], it)
+				}
+			}
+		}
 	}
 }
 

@@ -179,18 +179,21 @@ type FailoverTables struct {
 // TablesRespect. Pair p, an index into Pairs(), owns the entries
 // EntOff[p]..EntOff[p+1]-1, sorted by the node that holds them, and
 // entry e ranks the next hops Hops[HopOff[e]:HopOff[e+1]], primary
-// first. The arrays are shared with the tables; readers must not
-// mutate them.
+// first. HopEnt[h] is the pair's entry at hop h's target, so a walk
+// finds its source's entry once (Entry) and then follows pointers. The
+// arrays are shared with the tables; readers must not mutate them.
 type Layout struct {
 	EntOff []int32 // pair -> range in EntAt and HopOff, len P+1
 	EntAt  []int32 // entry -> node holding it, strictly increasing within a pair
 	HopOff []int32 // entry -> range in Hops, len E+1
 	Hops   []int32 // ranked next hops, primary first
+	HopEnt []int32 // hop -> the pair's entry at the hop's target, -1 when it holds none
 }
 
 // Entry returns pair p's entry at node at, or -1 when the node holds
-// none: a binary search of the pair's run. The pointer receiver keeps a
-// per-hop lookup from copying the four slice headers.
+// none: a binary search of the pair's run. The walkers call it for the
+// source only and follow HopEnt from there. The pointer receiver keeps
+// each lookup from copying the slice headers.
 func (l *Layout) Entry(p, at int32) int32 {
 	lo, hi := l.EntOff[p], l.EntOff[p+1]
 	for lo < hi {
@@ -242,7 +245,8 @@ func FailoverFromRouting(r *Routing) *FailoverTables {
 // routes(k) lists pair k's routes in rank order. Each pair collects its
 // (node, next hop) steps in route order and stable-sorts them by node;
 // a node's first step starts its entry, and a step whose hop the entry
-// already ranks is dropped.
+// already ranks is dropped. Then each hop of each pair gets the pair's
+// entry at its target.
 func compileFailover(n int, keys []pairKey, routes func(pairKey) []Path) *FailoverTables {
 	ft := &FailoverTables{n: n, perNode: make([]int32, n)}
 	l := &ft.lay
@@ -281,6 +285,23 @@ func compileFailover(n int, keys []pairKey, routes func(pairKey) []Path) *Failov
 		l.EntOff = append(l.EntOff, int32(len(l.EntAt)))
 	}
 	l.HopOff = append(l.HopOff, int32(len(l.Hops)))
+	l.HopEnt = make([]int32, len(l.Hops))
+	entry := make([]int32, n) // node -> its entry in the current pair, -1 = none
+	for i := range entry {
+		entry[i] = -1
+	}
+	for p := range ft.pairs {
+		ents := l.EntAt[l.EntOff[p]:l.EntOff[p+1]]
+		for i, at := range ents {
+			entry[at] = l.EntOff[p] + int32(i)
+		}
+		for h := l.HopOff[l.EntOff[p]]; h < l.HopOff[l.EntOff[p+1]]; h++ {
+			l.HopEnt[h] = entry[l.Hops[h]]
+		}
+		for _, at := range ents {
+			entry[at] = -1
+		}
+	}
 	return ft
 }
 
@@ -368,9 +389,9 @@ func (ft *FailoverTables) WalkUnderFaults(src, dst int, faults *FaultSet) WalkRe
 	}
 	visited := make([]uint64, (ft.n+63)/64)
 	visited[src>>6] |= 1 << (uint(src) & 63)
-	at := src
+	at, e := src, ft.lay.Entry(p, int32(src))
 	for {
-		nx, rank := liveNext(ft.lay.Ranked(ft.lay.Entry(p, int32(at))), at, faults)
+		nx, rank := liveNext(ft.lay.Ranked(e), at, faults)
 		if nx < 0 {
 			return res
 		}
@@ -389,7 +410,7 @@ func (ft *FailoverTables) WalkUnderFaults(src, dst int, faults *FaultSet) WalkRe
 			return res
 		}
 		visited[w] |= bit
-		at = nx
+		at, e = nx, ft.lay.HopEnt[ft.lay.HopOff[e]+int32(rank)]
 	}
 }
 
@@ -404,89 +425,4 @@ func liveNext(ranked []int32, at int, faults *FaultSet) (int, int) {
 		return n, rank
 	}
 	return -1, -1
-}
-
-// Reinforce builds a failover-ready multirouting from a single routing,
-// in the spirit of Lenzen–Medina's "Robust Routing Made Easy": every
-// routed pair keeps its primary route and gains up to backups additional
-// routes, where backup i is a BFS shortest path (deterministic
-// smallest-id tie-breaking) in the graph with the links of all routes
-// already chosen for the pair removed. Successive backups are therefore
-// link-disjoint from their predecessors: any cut set that kills the
-// primary leaves the first backup intact unless it also spends budget on
-// the backup's own links. Pairs whose residual graph disconnects simply
-// stop early — reinforcement degrades gracefully on sparse graphs.
-func Reinforce(r *Routing, backups int) (*MultiRouting, error) {
-	if backups < 0 {
-		backups = 0
-	}
-	g := r.g
-	m := NewMulti(g, backups+1, false)
-	var firstErr error
-	for _, k := range sortedKeys(r.routes) {
-		primary := r.routes[k]
-		if err := m.Add(primary); err != nil {
-			return nil, err
-		}
-		used := make(map[EdgeFault]bool)
-		markPathLinks(primary, used)
-		for b := 0; b < backups; b++ {
-			alt := shortestPathAvoidingLinks(g, int(k.u), int(k.v), used)
-			if alt == nil {
-				break
-			}
-			added, err := m.AddCapped(alt)
-			if err != nil {
-				firstErr = err
-				break
-			}
-			if !added {
-				break
-			}
-			markPathLinks(alt, used)
-		}
-	}
-	return m, firstErr
-}
-
-// markPathLinks adds p's links to used, normalized.
-func markPathLinks(p Path, used map[EdgeFault]bool) {
-	for i := 0; i+1 < len(p); i++ {
-		used[EdgeFault{U: p[i], V: p[i+1]}.Normalize()] = true
-	}
-}
-
-// shortestPathAvoidingLinks runs a BFS from u to v that never traverses
-// a link in avoid, with deterministic smallest-id tie-breaking (the same
-// rule as ShortestPath). It returns nil when v is unreachable.
-func shortestPathAvoidingLinks(g *graph.Graph, u, v int, avoid map[EdgeFault]bool) Path {
-	n := g.N()
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -2
-	}
-	parent[u] = -1
-	queue := []int32{int32(u)}
-	for head := 0; head < len(queue); head++ {
-		x := int(queue[head])
-		if x == v {
-			break
-		}
-		g.EachNeighbor(x, func(y int) bool {
-			if parent[y] == -2 && !avoid[EdgeFault{U: x, V: y}.Normalize()] {
-				parent[y] = int32(x)
-				queue = append(queue, int32(y))
-			}
-			return true
-		})
-	}
-	if parent[v] == -2 {
-		return nil
-	}
-	rev := Path{v}
-	for x := v; parent[x] >= 0; {
-		x = int(parent[x])
-		rev = append(rev, x)
-	}
-	return rev.Reversed()
 }

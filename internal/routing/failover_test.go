@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -174,8 +175,8 @@ func TestReinforceBackupsAreLinkDisjoint(t *testing.T) {
 					if seen[e] {
 						t.Fatalf("(%d,%d): route %d reuses link %v", u, v, i, e)
 					}
+					seen[e] = true
 				}
-				markPathLinks(p, seen)
 			}
 			pairs++
 		}
@@ -219,6 +220,36 @@ func TestReinforceStopsWhenDisconnected(t *testing.T) {
 	}
 	if got := m.MaxRoutesPerPair(); got != 2 {
 		t.Fatalf("cycle pairs carry %d routes, want 2", got)
+	}
+}
+
+// TestBackupSearchAcrossWrap: a Reinforce worker whose pair and search
+// stamps wrap past zero on first use finds the backups a fresh worker
+// finds. Its arrays start out holding the stamp 1, which both counters
+// restart at, so a wrap that forgot to clear them would see every link
+// used and every node labelled.
+func TestBackupSearchAcrossWrap(t *testing.T) {
+	g := fuzzGraph(12, 0x5a5a)
+	r, err := ShortestPath(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := graph.NewItems(g)
+	fresh, worn := newBackupSearch(items), newBackupSearch(items)
+	worn.pairs, worn.runs = math.MaxUint32, math.MaxUint32 // both wrap on first use
+	for i := range worn.used {
+		worn.used[i] = 1
+	}
+	for i := range worn.seen {
+		worn.seen[i] = 1
+	}
+	for _, k := range sortedKeys(r.routes) {
+		want, got := make([]Path, 3), make([]Path, 3)
+		fresh.pair(r.routes[k], want)
+		worn.pair(r.routes[k], got)
+		if !slices.EqualFunc(got, want, Path.Equal) {
+			t.Fatalf("pair (%d,%d) at stamps %d/%d: backups %v, fresh worker %v", k.u, k.v, worn.pairs, worn.runs, got, want)
+		}
 	}
 }
 
@@ -361,14 +392,30 @@ func checkAgainstMapRule(t *testing.T, name string, ft *FailoverTables, n int, r
 			}
 		}
 	}
+	// Every hop points at the pair's entry at its target: the one Entry
+	// finds, and one exactly when the map rule has an entry there.
+	if len(lay.HopEnt) != len(lay.Hops) {
+		t.Fatalf("%s: %d hop pointers for %d hops", name, len(lay.HopEnt), len(lay.Hops))
+	}
+	for p, pr := range pairs {
+		for h := lay.HopOff[lay.EntOff[p]]; h < lay.HopOff[lay.EntOff[p+1]]; h++ {
+			to, e := lay.Hops[h], lay.HopEnt[h]
+			_, held := want[[3]int{int(to), int(pr[0]), int(pr[1])}]
+			if e != lay.Entry(int32(p), to) || held != (e >= 0) || held && lay.EntAt[e] != to {
+				t.Fatalf("%s: pair %v: hop %d to %d points at entry %d, Entry %d, map rule holds one: %v",
+					name, pr, h, to, e, lay.Entry(int32(p), to), held)
+			}
+		}
+	}
 }
 
 // TestCompiledLayoutMatchesMapRule checks the compile against an
-// independent rule, not against another reader of the same arrays: rank
-// 1 tables and Reinforce(r, 1..3) tables on a few fuzzGraph shapes,
-// plus a hand-built multirouting whose routes share a (node, next hop)
-// pair — which Reinforce, whose backups avoid the links of the earlier
-// routes, never produces — and visit nodes out of id order.
+// independent rule, not against another reader of the same arrays, hop
+// pointers included: rank 1 tables and Reinforce(r, 1..3) tables on a
+// few fuzzGraph shapes, plus a hand-built multirouting whose routes
+// share a (node, next hop) pair — which Reinforce, whose backups avoid
+// the links of the earlier routes, never produces — and visit nodes out
+// of id order.
 func TestCompiledLayoutMatchesMapRule(t *testing.T) {
 	for _, shape := range []struct {
 		n     int

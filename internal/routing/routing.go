@@ -75,26 +75,41 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
+// shortPath is the longest path checkSimplePath scans for a repeated
+// node without sorting a copy first.
+const shortPath = 64
+
 // checkSimplePath validates that p is a nonempty simple path in g from
-// p[0] to p[len-1].
+// p[0] to p[len-1]. Each node is checked in path order for its range,
+// an earlier occurrence and the edge from its predecessor, and the
+// first failure is returned. The earlier occurrence is a scan of the
+// prefix; a path longer than shortPath nodes first sorts a copy of
+// itself and scans only if the copy holds a repeat, so checking a valid
+// path is allocation-free when it is short and never quadratic.
 func checkSimplePath(g *graph.Graph, p Path) error {
 	if len(p) < 2 {
 		return fmt.Errorf("%w: too short: %v", ErrNotPath, p)
 	}
-	seen := make(map[int]bool, len(p))
+	scan := len(p) <= shortPath || hasRepeat(p)
 	for i, v := range p {
 		if v < 0 || v >= g.N() {
 			return fmt.Errorf("%w: node %d out of range", ErrNotPath, v)
 		}
-		if seen[v] {
+		if scan && slices.Contains(p[:i], v) {
 			return fmt.Errorf("%w: repeated node %d in %v", ErrNotPath, v, p)
 		}
-		seen[v] = true
 		if i > 0 && !g.HasEdge(p[i-1], v) {
 			return fmt.Errorf("%w: missing edge %d-%d in %v", ErrNotPath, p[i-1], v, p)
 		}
 	}
 	return nil
+}
+
+// hasRepeat reports whether some node occurs twice in p.
+func hasRepeat(p Path) bool {
+	s := slices.Clone(p)
+	slices.Sort(s)
+	return len(slices.Compact(s)) < len(p)
 }
 
 // pairKey identifies an ordered node pair.

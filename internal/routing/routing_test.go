@@ -2,6 +2,7 @@ package routing
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -71,6 +72,71 @@ func TestSetRejectsBadPaths(t *testing.T) {
 				t.Fatalf("Set(%v) = %v", tc.p, err)
 			}
 		})
+	}
+}
+
+// TestCheckSimplePathMatchesMapRule: short paths and paths longer than
+// shortPath get the error, message included, of the map-based check
+// the scan replaced: the first node, in path order, that is out of
+// range, repeated or not adjacent to its predecessor.
+func TestCheckSimplePathMatchesMapRule(t *testing.T) {
+	mapRule := func(g *graph.Graph, p Path) error {
+		if len(p) < 2 {
+			return fmt.Errorf("%w: too short: %v", ErrNotPath, p)
+		}
+		seen := make(map[int]bool, len(p))
+		for i, v := range p {
+			if v < 0 || v >= g.N() {
+				return fmt.Errorf("%w: node %d out of range", ErrNotPath, v)
+			}
+			if seen[v] {
+				return fmt.Errorf("%w: repeated node %d in %v", ErrNotPath, v, p)
+			}
+			seen[v] = true
+			if i > 0 && !g.HasEdge(p[i-1], v) {
+				return fmt.Errorf("%w: missing edge %d-%d in %v", ErrNotPath, p[i-1], v, p)
+			}
+		}
+		return nil
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{9, 200} {
+		g := cycle(t, n)
+		for trial := 0; trial < 400; trial++ {
+			p := make(Path, 1+rng.Intn(min(n, 150))) // a walk around the cycle, then a few edits
+			p[0] = rng.Intn(n)
+			for i := 1; i < len(p); i++ {
+				p[i] = (p[i-1] + 1) % n
+			}
+			for edits := rng.Intn(3); edits > 0; edits-- {
+				k := rng.Intn(len(p))
+				if p[k] = rng.Intn(n+2) - 1; k > 0 && rng.Intn(2) == 0 {
+					p[k] = p[rng.Intn(k)] // an earlier node again
+				}
+			}
+			if got, want := fmt.Sprint(checkSimplePath(g, p)), fmt.Sprint(mapRule(g, p)); got != want {
+				t.Fatalf("cycle %d, path %v: err %s, map rule %s", n, p, got, want)
+			}
+		}
+	}
+}
+
+// TestCheckSimplePathAllocs: validating a valid route allocates nothing,
+// here a 33-node route, long enough that a set of its nodes would not
+// fit on the stack.
+func TestCheckSimplePathAllocs(t *testing.T) {
+	g := cycle(t, 64)
+	r, err := ShortestPath(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := r.Get(0, 32)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := checkSimplePath(g, p); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("checkSimplePath(%v) made %v allocations, want 0", p, allocs)
 	}
 }
 
