@@ -14,7 +14,9 @@
 //	ftroute check    -graph <spec> -table routing.json -bound d [-faults k] [-seed s] [-exhaustive]
 //
 // The -bounded flag is accepted by every subcommand and does nothing:
-// the exhaustive diameter searches always run branch and bound.
+// the exhaustive diameter searches always run branch and bound. Every
+// subcommand rejects a -cuts, -backups or -retries below 0 and a
+// -samples or -messages below 1.
 //
 // All sampled adversaries and simulated workloads draw their randomness
 // from -seed (default 1), so any run reproduces end to end from the
@@ -95,6 +97,19 @@ func run(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
+	for _, f := range []struct {
+		name   string
+		value  int
+		least  int
+		phrase string
+	}{
+		{"cuts", *cuts, 0, "non-negative"}, {"backups", *backups, 0, "non-negative"}, {"retries", *retries, 0, "non-negative"},
+		{"samples", *samples, 1, "positive"}, {"messages", *messages, 1, "positive"},
+	} {
+		if f.value < f.least {
+			return fmt.Errorf("-%s must be %s, got %d", f.name, f.phrase, f.value)
+		}
+	}
 	if *graphSpec == "" {
 		return errUsage
 	}
@@ -147,9 +162,6 @@ func simulate(g *ftroute.Graph, construction string, faults, samples int, seed i
 		failed = append(failed, v)
 	}
 	fmt.Printf("failed nodes: %v\n", failed)
-	if samples <= 0 {
-		samples = 200
-	}
 	stats, err := nw.RunWorkload(netsim.Workload{Messages: samples, Seed: seed}, nil)
 	if err != nil {
 		return err
@@ -185,14 +197,6 @@ func simulate(g *ftroute.Graph, construction string, faults, samples int, seed i
 func failover(g *ftroute.Graph, construction string, cuts, backups, retries, messages, samples int, seed int64, exhaustive, pruned, mixed bool, lambda float64) error {
 	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 		return fmt.Errorf("-lambda must be finite, got %v", lambda)
-	}
-	for _, f := range []struct {
-		name  string
-		value int
-	}{{"cuts", cuts}, {"backups", backups}, {"retries", retries}} {
-		if f.value < 0 {
-			return fmt.Errorf("-%s must be non-negative, got %d", f.name, f.value)
-		}
 	}
 	rt, _, err := build(g, construction)
 	if err != nil {
@@ -237,11 +241,8 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 		fmt.Printf("adversary (%s, budget %d):\n", mode, cuts)
 		fmt.Printf("  plain:      %s\n", pw)
 		fmt.Printf("  reinforced: %s\n", rw)
-		fmt.Printf("  reinforced under plain's worst cut: %s\n", ftroute.EvaluateLinkCuts(reinforced, pw.Worst))
+		fmt.Printf("  reinforced under plain's worst cut: %s\n", ftroute.EvaluateMixedFaults(reinforced, nil, pw.Worst))
 		worstCuts = pw.Worst
-	}
-	if messages <= 0 {
-		messages = 300
 	}
 	var schedule []netsim.FaultEvent
 	for _, v := range worstNodes {

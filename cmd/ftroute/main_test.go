@@ -105,15 +105,34 @@ func TestRunRejectsNonFiniteLambda(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNegativeFailoverCounts: a negative -cuts would search
-// only the empty set, and a negative -backups or -retries would be
-// clamped to zero without a word.
+// TestRunRejectsNegativeFailoverCounts: run checks the count flags
+// before any subcommand reads them, so every subcommand rejects a
+// -cuts, -backups or -retries below 0 and a -samples or -messages below
+// 1, naming the flag. Accepted, a negative -cuts would search only the
+// empty set, a negative -backups or -retries would be clamped to zero,
+// and a -samples or -messages below 1 would be replaced by a default
+// without a word.
 func TestRunRejectsNegativeFailoverCounts(t *testing.T) {
-	for _, flag := range []string{"-cuts", "-backups", "-retries"} {
-		t.Run(flag, func(t *testing.T) {
-			err := run([]string{"failover", "-graph", "cycle:6", "-construction", "shortest", flag, "-1"})
-			if want := flag + " must be non-negative, got -1"; err == nil || err.Error() != want {
-				t.Fatalf("%s -1: err = %v, want %q", flag, err, want)
+	subcommands := []string{"info", "plan", "route", "orbits", "tolerate", "simulate", "failover", "export", "check"}
+	for _, tc := range []struct {
+		flag   string
+		bad    []string
+		phrase string
+	}{
+		{"-cuts", []string{"-1"}, "non-negative"},
+		{"-backups", []string{"-1"}, "non-negative"},
+		{"-retries", []string{"-1"}, "non-negative"},
+		{"-samples", []string{"0", "-1"}, "positive"},
+		{"-messages", []string{"0", "-1"}, "positive"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			for _, sub := range subcommands {
+				for _, bad := range tc.bad {
+					_, err := runOutput(t, sub, "-graph", "cycle:6", "-construction", "shortest", tc.flag, bad)
+					if want := tc.flag + " must be " + tc.phrase + ", got " + bad; err == nil || err.Error() != want {
+						t.Errorf("%s %s %s: err = %v, want %q", sub, tc.flag, bad, err, want)
+					}
+				}
 			}
 		})
 	}

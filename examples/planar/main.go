@@ -41,7 +41,7 @@ func main() {
 	}
 	res := ftroute.MaxDiameterUnderFaults(kr, ki.T, exhaustive)
 	fmt.Printf("\nkernel routing (Theorem 3): bound 2t = %d, worst over ALL %d fault sets: %d\n",
-		2*ki.T, res.Evaluated, res.MaxDiameter)
+		ki.Bound, res.Evaluated, res.MaxDiameter)
 
 	// Theorem 4: halve the fault budget, get a constant bound of 4.
 	res = ftroute.MaxDiameterUnderFaults(kr, ki.T/2, exhaustive)

@@ -307,8 +307,6 @@ var (
 	// NewWalkEngine compiles failover tables into an incremental
 	// walk engine.
 	NewWalkEngine = eval.NewWalkEngine
-	// EvaluateLinkCuts walks every table pair under one cut set.
-	EvaluateLinkCuts = eval.EvaluateCuts
 	// WorstMixedFaults searches mixed fault sets — failed nodes and cut
 	// links, the paper's literal fault model — for the set disrupting
 	// the most pairs, incrementally through the WalkEngine.
@@ -318,7 +316,8 @@ var (
 	// bit-for-bit identical to the sequential search.
 	WorstMixedFaultsParallel = eval.WorstMixedFaultsParallel
 	// EvaluateMixedFaults walks every table pair under one mixed fault
-	// set (pairs with a failed endpoint count as skipped).
+	// set (pairs with a failed endpoint count as skipped); with no
+	// failed nodes it scores a pure cut set.
 	EvaluateMixedFaults = eval.EvaluateMixedFaults
 )
 

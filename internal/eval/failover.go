@@ -66,19 +66,17 @@ func (r CutResult) String() string {
 	return fmt.Sprintf("worst cut %v: %v (%d sets)", r.Worst, r.Stats, r.Evaluated)
 }
 
-// EvaluateCuts walks every table pair under the given link cuts and
-// returns the outcome counts. It is the single-set evaluation that the
-// adversary searches over, exported for experiments and the CLI.
-func EvaluateCuts(t *routing.FailoverTables, cuts []routing.EdgeFault) CutStats {
-	return walkAllPairsMixed(t, routing.FaultSetOf(t.N(), nil, cuts))
-}
-
-// walkAllPairsMixed walks every pair with table entries under a mixed
-// fault set. Pairs whose source or destination node is failed are not
-// walked and count as Skipped; the rest go through WalkUnderFaults.
-// Without node faults nothing is skipped. The WalkEngine maintains the
-// same counts incrementally (FuzzWalkEngineEquivalence pins the two).
-func walkAllPairsMixed(t *routing.FailoverTables, faults *routing.FaultSet) CutStats {
+// EvaluateMixedFaults walks every table pair under the given failed
+// nodes and cut links and returns the outcome counts — the single-set
+// evaluation the adversaries search over, exported for experiments and
+// the CLI; with no nodes it scores a pure cut set. Pairs with a failed
+// endpoint are not walked and count as Skipped; the rest go through
+// WalkUnderFaults. Nodes outside 0..n-1 are ignored, by
+// routing.FaultSet as by WalkEngine.SetMixedFaults. The WalkEngine
+// keeps the same counts incrementally (FuzzWalkEngineEquivalence pins
+// the two).
+func EvaluateMixedFaults(t *routing.FailoverTables, nodes []int, cuts []routing.EdgeFault) CutStats {
+	faults := routing.FaultSetOf(t.N(), nodes, cuts)
 	var s CutStats
 	for _, p := range t.Pairs() {
 		s.Pairs++
@@ -110,16 +108,6 @@ type MixedCutResult struct {
 // String renders the result compactly.
 func (r MixedCutResult) String() string {
 	return fmt.Sprintf("worst mixed F=%v E=%v: %v (%d sets)", r.WorstNodes, r.WorstCuts, r.Stats, r.Evaluated)
-}
-
-// EvaluateMixedFaults walks every table pair under the given failed
-// nodes and cut links and returns the outcome counts — the single-set
-// evaluation the mixed adversary searches over, exported for
-// experiments and the CLI. Pairs with a failed endpoint are Skipped.
-// Nodes outside 0..n-1 are ignored, by routing.FaultSet as by
-// WalkEngine.SetMixedFaults.
-func EvaluateMixedFaults(t *routing.FailoverTables, nodes []int, cuts []routing.EdgeFault) CutStats {
-	return walkAllPairsMixed(t, routing.FaultSetOf(t.N(), nodes, cuts))
 }
 
 // WorstLinkCuts searches for the cut set of size at most budget that

@@ -8,7 +8,9 @@ import (
 	"ftroute/internal/routing"
 )
 
-func TestEvaluateCutsMatchesWalks(t *testing.T) {
+// TestEvaluateMixedFaultsMatchesWalks: with no failed nodes,
+// EvaluateMixedFaults scores a cut set as one WalkUnderFaults per pair.
+func TestEvaluateMixedFaultsMatchesWalks(t *testing.T) {
 	g := gen.Petersen()
 	r, err := routing.ShortestPath(g)
 	if err != nil {
@@ -16,7 +18,7 @@ func TestEvaluateCutsMatchesWalks(t *testing.T) {
 	}
 	ft := routing.FailoverFromRouting(r)
 	cuts := []routing.EdgeFault{{U: 0, V: 1}, {U: 5, V: 7}}
-	got := EvaluateCuts(ft, cuts)
+	got := EvaluateMixedFaults(ft, nil, cuts)
 	faults := routing.FaultSetOf(g.N(), nil, cuts)
 	want := CutStats{}
 	for _, p := range ft.Pairs() {
@@ -31,7 +33,7 @@ func TestEvaluateCutsMatchesWalks(t *testing.T) {
 		}
 	}
 	if got != want {
-		t.Fatalf("EvaluateCuts = %v, manual walks = %v", got, want)
+		t.Fatalf("EvaluateMixedFaults = %v, manual walks = %v", got, want)
 	}
 	if got.Pairs != got.Delivered+got.Disrupted() {
 		t.Fatalf("outcome counts do not partition pairs: %v", got)
@@ -153,7 +155,7 @@ func TestReinforcementReducesDisruption(t *testing.T) {
 	if worst.Stats.Disrupted() == 0 {
 		t.Fatal("no disruptive single cut on plain Q3 tables")
 	}
-	under := EvaluateCuts(reinforced, worst.Worst)
+	under := EvaluateMixedFaults(reinforced, nil, worst.Worst)
 	if under.Delivered < worst.Stats.Delivered {
 		t.Fatalf("reinforced tables deliver %d < plain %d under cut %v", under.Delivered, worst.Stats.Delivered, worst.Worst)
 	}

@@ -159,7 +159,7 @@ func TestPrunedCutsMatchPlain(t *testing.T) {
 			if pruned.Stats != plain.Stats || pruned.Evaluated != plain.Evaluated {
 				t.Fatalf("%s b=%d: pruned %v, plain %v", name, b, pruned, plain)
 			}
-			if got := EvaluateCuts(ft, pruned.Worst); got != pruned.Stats {
+			if got := EvaluateMixedFaults(ft, nil, pruned.Worst); got != pruned.Stats {
 				t.Fatalf("%s b=%d: witness %v re-evaluates to %v, result claims %v",
 					name, b, pruned.Worst, got, pruned.Stats)
 			}

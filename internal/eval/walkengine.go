@@ -38,13 +38,19 @@ import (
 // per probed fault set. Clone() shares the compiled arrays and copies
 // only the mutable walk cache, which is what the parallel adversary's
 // per-worker clones use.
+//
+// Its client is the adversary (WorstLinkCuts, WorstMixedFaults and
+// their parallel forms), which scores thousands of fault sets over
+// every pair. One fault set costs less through EvaluateMixedFaults, and
+// one message less through WalkUnderFaults, which is how netsim
+// forwards.
 type WalkEngine struct {
 	g         *graph.Graph // neighbor order for the concentrator probe (read-only)
 	n         int          // nodes
 	pairWords int          // uint64 words per item→pairs bitset row
 
 	// Compiled form, shared read-only between clones.
-	t            *routing.FailoverTables // pair lookup and per-node entry counts
+	t            *routing.FailoverTables // per-node entry counts, for the concentrator probe
 	pairs        [][2]int32              // pair id -> (src, dst): t.Pairs()
 	lay          routing.Layout          // t's entries and ranked hops, indexed by pair id
 	hopLink      []int32                 // hop -> item of the (at, hop) link; -1 = not a graph edge, never cuttable
@@ -56,7 +62,6 @@ type WalkEngine struct {
 	outcome   []routing.Outcome
 	uses      [][]int32 // pair -> items its walk uses, hop order; each hop ends with the node it enters
 	blocked   [][]int32 // pair -> faulty items its walk consulted and skipped
-	fails     []int32   // pair -> hops its walk took on a backup (rank > 0) entry
 	useRows   []uint64  // item -> bitset over pairs with the item in uses
 	blockRows []uint64  // item -> bitset over pairs with the item in blocked
 	stats     CutStats
@@ -103,7 +108,6 @@ func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 	we.outcome = make([]routing.Outcome, P)
 	we.uses = make([][]int32, P)
 	we.blocked = make([][]int32, P)
-	we.fails = make([]int32, P)
 	we.useRows = make([]uint64, items*we.pairWords)
 	we.blockRows = make([]uint64, items*we.pairWords)
 	we.stamp = make([]int64, we.n)
@@ -126,7 +130,6 @@ func (we *WalkEngine) Clone() *WalkEngine {
 	c.outcome = append([]routing.Outcome(nil), we.outcome...)
 	c.uses = cloneItemLists(we.uses)
 	c.blocked = cloneItemLists(we.blocked)
-	c.fails = append([]int32(nil), we.fails...)
 	c.useRows = append([]uint64(nil), we.useRows...)
 	c.blockRows = append([]uint64(nil), we.blockRows...)
 	c.stamp = make([]int64, we.n)
@@ -172,7 +175,8 @@ func (we *WalkEngine) Pair(i int) (src, dst int) {
 func (we *WalkEngine) Outcome(i int) routing.Outcome { return we.outcome[i] }
 
 // Stats returns the outcome counts over all pairs under the current
-// cut set — the value EvaluateCuts recomputes by walking every pair.
+// fault set — the value EvaluateMixedFaults recomputes by walking every
+// pair.
 func (we *WalkEngine) Stats() CutStats { return we.stats }
 
 // DisruptedPairs returns the pairs currently blackholed or looping, in
@@ -186,38 +190,6 @@ func (we *WalkEngine) DisruptedPairs() [][2]int32 {
 		}
 	}
 	return out
-}
-
-// PairID returns the pair id of the ordered pair (src, dst), or -1 when
-// the tables hold no entry for it. Pair ids index the per-pair walk
-// accessors below and stay valid for the engine's lifetime.
-func (we *WalkEngine) PairID(src, dst int) int { return we.t.PairIndex(src, dst) }
-
-// WalkHops returns the link traversals of pair p's cached walk under
-// the current fault set — len(Path)-1 of the equivalent WalkUnderFaults
-// result. Skipped pairs report 0.
-func (we *WalkEngine) WalkHops(p int) int {
-	hops := 0
-	for _, it := range we.uses[p] {
-		if int(it) < we.n {
-			hops++
-		}
-	}
-	return hops
-}
-
-// WalkFailovers returns how many hops of pair p's cached walk used a
-// backup (rank > 0) entry, matching WalkResult.Failovers.
-func (we *WalkEngine) WalkFailovers(p int) int { return int(we.fails[p]) }
-
-// WalkStuck returns the node pair p's cached walk ended at: dst when
-// delivered, the dead-end node on a blackhole, the first revisited node
-// on a loop, and the source when the walk never left it.
-func (we *WalkEngine) WalkStuck(p int) int {
-	if l := we.uses[p]; len(l) > 0 {
-		return int(l[len(l)-1])
-	}
-	return int(we.pairs[p][0])
 }
 
 // CutList returns the current cut set, normalized and sorted (link-id
@@ -390,7 +362,6 @@ func (we *WalkEngine) indexPair(p int32, on bool) {
 func (we *WalkEngine) walk(p int32) routing.Outcome {
 	we.uses[p] = we.uses[p][:0]
 	we.blocked[p] = we.blocked[p][:0]
-	we.fails[p] = 0
 	src, dst := we.pairs[p][0], we.pairs[p][1]
 	if we.faults.Has(int(src)) || we.faults.Has(int(dst)) {
 		return routing.Skipped
@@ -402,7 +373,7 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 	we.stamp[src] = we.epoch
 	e := we.lay.Entry(p, src)
 	for {
-		took, backup := int32(-1), false
+		took := int32(-1)
 		if e >= 0 {
 			for h := we.lay.HopOff[e]; h < we.lay.HopOff[e+1]; h++ {
 				link, nx := we.hopLink[h], we.lay.Hops[h]
@@ -418,15 +389,12 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 				if dead {
 					continue
 				}
-				took, backup = h, h > we.lay.HopOff[e]
+				took = h
 				break
 			}
 		}
 		if took < 0 {
 			return routing.Blackhole
-		}
-		if backup {
-			we.fails[p]++
 		}
 		if link := we.hopLink[took]; link >= 0 {
 			we.uses[p] = append(we.uses[p], link)

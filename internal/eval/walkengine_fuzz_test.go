@@ -36,9 +36,9 @@ func fuzzCutGraph(n int, extra uint64) *graph.Graph {
 // legacy re-walk path on random tables and random fault-toggle
 // sequences over both universes: after every single-item toggle (link
 // cut, link repair, node fail, node repair) the cached per-pair
-// outcomes, stats and walk accessors (WalkHops, WalkFailovers,
-// WalkStuck) must equal a from-scratch mixed-oracle evaluation (Skipped
-// for failed endpoints, WalkUnderFaults otherwise), and the
+// outcomes, stats and used-item lists (checkWalks) must equal a
+// from-scratch mixed-oracle evaluation (Skipped for failed endpoints,
+// WalkUnderFaults otherwise), and the
 // engine-backed budget-1 exhaustive adversaries — link-only and mixed —
 // must reproduce their legacy searches exactly. This is the
 // invalidation-correctness property the engine's speed rests on (only
@@ -78,7 +78,7 @@ func FuzzWalkEngineEquivalence(f *testing.F) {
 				}
 			}
 			faults := routing.FaultSetOf(n, nodes, cuts)
-			if got, want := we.Stats(), walkAllPairsMixed(ft, faults); got != want {
+			if got, want := we.Stats(), EvaluateMixedFaults(ft, nodes, cuts); got != want {
 				t.Fatalf("%s: engine stats %v, legacy %v (F %v E %v)", stage, got, want, nodes, cuts)
 			}
 			for i, p := range ft.Pairs() {

@@ -4,6 +4,7 @@ import (
 	"ftroute/internal/eval/oracle"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ftroute/internal/gen"
@@ -95,20 +96,27 @@ func checkEngineState(t *testing.T, name string, we *WalkEngine, ft *routing.Fai
 	checkWalks(t, name, we, ft, routing.FaultSetOf(ft.N(), nil, cuts))
 }
 
-// checkWalks asserts the engine's per-pair walk accessors match
-// WalkUnderFaults's Hops, Failovers and last Path node for every pair
-// whose endpoints are not faulty.
+// checkWalks asserts that each pair's cached uses list, the items the
+// invalidation rows index it under, equals the reference walk's path
+// items: for every hop of WalkUnderFaults's Path, the link item when the
+// hop is a graph edge, then the node entered. A pair with a faulty
+// endpoint is not walked and uses nothing.
 func checkWalks(t *testing.T, name string, we *WalkEngine, ft *routing.FailoverTables, faults *routing.FaultSet) {
 	t.Helper()
 	for i, p := range ft.Pairs() {
 		src, dst := int(p[0]), int(p[1])
-		if faults.NodeFaulty(src) || faults.NodeFaulty(dst) {
-			continue
+		var want []int32
+		if !faults.NodeFaulty(src) && !faults.NodeFaulty(dst) {
+			path := ft.WalkUnderFaults(src, dst, faults).Path
+			for h := 1; h < len(path); h++ {
+				if it, ok := we.items.Link(path[h-1], path[h]); ok {
+					want = append(want, int32(it))
+				}
+				want = append(want, int32(path[h]))
+			}
 		}
-		w := ft.WalkUnderFaults(src, dst, faults)
-		if we.WalkHops(i) != w.Hops || we.WalkFailovers(i) != w.Failovers || we.WalkStuck(i) != w.Path[len(w.Path)-1] {
-			t.Fatalf("%s: pair (%d,%d) engine hops %d, failovers %d, stuck at %d; walk %+v",
-				name, src, dst, we.WalkHops(i), we.WalkFailovers(i), we.WalkStuck(i), w)
+		if !slices.Equal(we.uses[i], want) {
+			t.Fatalf("%s: pair (%d,%d) engine uses %v, walk items %v", name, src, dst, we.uses[i], want)
 		}
 	}
 }

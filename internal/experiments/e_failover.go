@@ -75,7 +75,7 @@ func runE19(scale Scale) (*Table, error) {
 		cfg := eval.Config{Mode: eval.Exhaustive}
 		pw := eval.WorstLinkCutsParallel(plain, it.g, budget, cfg, 0)
 		rw := eval.WorstLinkCutsParallel(reinforced, it.g, budget, cfg, 0)
-		same := eval.EvaluateCuts(reinforced, pw.Worst)
+		same := eval.EvaluateMixedFaults(reinforced, nil, pw.Worst)
 		pm := eval.WorstMixedFaultsParallel(plain, it.g, budget, cfg, 0)
 		rm := eval.WorstMixedFaultsParallel(reinforced, it.g, budget, cfg, 0)
 		t.AddRow(it.name, it.g.N(), it.g.M(), it.routing, budget, backups,

@@ -11,6 +11,18 @@
 // node reconstructs global knowledge (e.g. a new route table) by
 // flooding along all of its routes with a counter that is incremented
 // per route traversal and capped by the surviving diameter bound.
+//
+// RunFailoverWorkload replays the same message stream over
+// static-failover tables instead: every walk segment of a message is
+// one routing.FailoverTables.WalkUnderFaults call under the current
+// faults, with no cached state between messages. It counts what the
+// tables deliver, not what the routing can reach: a message whose pair
+// has no table entries blackholes at its source, so the tables of a
+// routing that covers few pairs deliver few messages even with no
+// faults (23 of 300 on the failover-ccc6 benchmark workload, whose
+// tables cover 12,312 of 147,072 ordered pairs), while RunWorkload
+// stitches routes and delivers all 300. The package uses only the
+// graph and routing layers.
 package netsim
 
 import (

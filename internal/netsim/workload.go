@@ -7,12 +7,10 @@ import (
 	"sort"
 )
 
-// newWorkloadRNG seeds the workload's deterministic message stream.
-func newWorkloadRNG(wl Workload) *rand.Rand { return rand.New(rand.NewSource(wl.Seed)) }
-
-// drawPair draws one (src, dst) request. RunWorkload and
-// RunFailoverWorkload share it, so the same Workload produces the same
-// message sequence under either forwarding model.
+// drawPair draws one (src, dst) request from the workload's stream.
+// RunWorkload and RunFailoverWorkload draw every message through
+// replay, so the same Workload produces the same message sequence under
+// either forwarding model.
 func drawPair(rng *rand.Rand, n int, wl Workload) (src, dst int) {
 	src = rng.Intn(n)
 	dst = rng.Intn(n)
@@ -53,8 +51,7 @@ type FaultEvent struct {
 // negative message count, fewer than two nodes, a hotspot outside
 // 0..n-1 when hotspot sends are drawn, or a node event or link event
 // endpoint outside 0..n-1. A link event between two in-range nodes
-// that share no edge is accepted; it kills no route. RunWorkload and
-// RunFailoverWorkload share it.
+// that share no edge is accepted; it kills no route.
 func checkRun(wl Workload, schedule []FaultEvent, n int) error {
 	outside := func(v int) bool { return v < 0 || v >= n }
 	switch {
@@ -119,22 +116,9 @@ func (s Stats) String() string {
 // statistics. Unreachable destinations and faulty endpoints are counted,
 // not fatal: a real network keeps operating.
 func (nw *Network) RunWorkload(wl Workload, schedule []FaultEvent) (Stats, error) {
-	n := nw.r.Graph().N()
-	if err := checkRun(wl, schedule, n); err != nil {
-		return Stats{}, err
-	}
-	events := append([]FaultEvent(nil), schedule...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].AfterMessage < events[j].AfterMessage })
-	rng := newWorkloadRNG(wl)
 	var stats Stats
-	var latencies []int
-	next := 0
-	for i := 0; i < wl.Messages; i++ {
-		for next < len(events) && events[next].AfterMessage <= i {
-			events[next].apply(nw)
-			next++
-		}
-		src, dst := drawPair(rng, n, wl)
+	var err error
+	stats.P50, stats.P99, stats.Max, err = nw.replay(wl, schedule, func(src, dst int) (int, bool, error) {
 		start := nw.Now()
 		del, err := nw.Send(src, dst)
 		switch {
@@ -142,10 +126,8 @@ func (nw *Network) RunWorkload(wl Workload, schedule []FaultEvent) (Stats, error
 			stats.Delivered++
 			stats.TotalRoutes += del.RouteTraversals
 			stats.TotalHops += del.Hops
-			if del.RouteTraversals > stats.MaxRoutes {
-				stats.MaxRoutes = del.RouteTraversals
-			}
-			latencies = append(latencies, del.Time-start)
+			stats.MaxRoutes = max(stats.MaxRoutes, del.RouteTraversals)
+			return del.Time - start, true, nil
 		case errors.Is(err, ErrUnreachable):
 			if len(nw.LinkFaults()) > 0 && nw.reachableNodesOnly(src, dst) {
 				stats.UnreachableLink++
@@ -155,14 +137,44 @@ func (nw *Network) RunWorkload(wl Workload, schedule []FaultEvent) (Stats, error
 		case errors.Is(err, ErrFaulty):
 			stats.SkippedFault++
 		default:
-			return stats, err
+			return 0, false, err
+		}
+		return 0, false, nil
+	})
+	return stats, err
+}
+
+// replay is the message loop of RunWorkload and RunFailoverWorkload.
+// It checks the run, then for each message applies the scheduled fault
+// events due before it, draws the message's pair and hands it to send,
+// which returns the message's latency and whether it was delivered. It
+// returns the P50, P99 and largest latency over the delivered messages,
+// and stops at the first error send returns.
+func (nw *Network) replay(wl Workload, schedule []FaultEvent, send func(src, dst int) (int, bool, error)) (p50, p99, most int, err error) {
+	n := nw.r.Graph().N()
+	if err := checkRun(wl, schedule, n); err != nil {
+		return 0, 0, 0, err
+	}
+	events := append([]FaultEvent(nil), schedule...)
+	sort.SliceStable(events, func(i, j int) bool { return events[i].AfterMessage < events[j].AfterMessage })
+	rng := rand.New(rand.NewSource(wl.Seed))
+	var latencies []int
+	for i, next := 0, 0; i < wl.Messages; i++ {
+		for ; next < len(events) && events[next].AfterMessage <= i; next++ {
+			events[next].apply(nw)
+		}
+		src, dst := drawPair(rng, n, wl)
+		latency, delivered, err := send(src, dst)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if delivered {
+			latencies = append(latencies, latency)
 		}
 	}
-	if len(latencies) > 0 {
-		sort.Ints(latencies)
-		stats.P50 = latencies[len(latencies)/2]
-		stats.P99 = latencies[len(latencies)*99/100]
-		stats.Max = latencies[len(latencies)-1]
+	if len(latencies) == 0 {
+		return 0, 0, 0, nil
 	}
-	return stats, nil
+	sort.Ints(latencies)
+	return latencies[len(latencies)/2], latencies[len(latencies)*99/100], latencies[len(latencies)-1], nil
 }
