@@ -484,8 +484,9 @@ func BenchmarkWalkUnderFaultsCCC4(b *testing.B) {
 }
 
 // BenchmarkWalkEngineCompileCCC4 measures the one-time WalkEngine
-// compilation (flat walk arrays + initial all-pairs walk + inverted
-// link→pairs indexes) that every adversary search amortizes.
+// compilation (hop links, source entries, the item→candidate pairs
+// index and the initial all-pairs walk) that every adversary search
+// amortizes.
 func BenchmarkWalkEngineCompileCCC4(b *testing.B) {
 	t := ccc4Failover(b)
 	g := ccc4Circular(b).Graph()
@@ -500,8 +501,8 @@ func BenchmarkWalkEngineCompileCCC4(b *testing.B) {
 
 // BenchmarkWalkEngineCutToggleCCC4 measures one incremental
 // AddLinkCut+RemoveLinkCut pair — the per-step cost of the exhaustive
-// enumeration tree, re-walking only the pairs whose cached walk crossed
-// the toggled link.
+// enumeration tree, re-walking only the pairs whose walk crossed the
+// toggled link, from the step that crossed it.
 func BenchmarkWalkEngineCutToggleCCC4(b *testing.B) {
 	t := ccc4Failover(b)
 	g := ccc4Circular(b).Graph()
@@ -621,6 +622,44 @@ func BenchmarkWorstLinkCutsSampledCCC4F2(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWorstMixedFaultsSampledCCC4F2 is failover-ccc6's adversary
+// in miniature: the sampled+concentrator+greedy search over mixed
+// node+link sets at budget 2 (20 samples, seed 1) through the
+// WalkEngine, whose greedy rounds score each candidate with probe. CI
+// gates its ns/op ratio against the oracle twin below.
+func BenchmarkWorstMixedFaultsSampledCCC4F2(b *testing.B) {
+	t := ccc4Failover(b)
+	g := ccc4Circular(b).Graph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := WorstMixedFaults(t, g, 2, eval.Config{Mode: eval.Sampled, Samples: 20, Greedy: true, Seed: 1})
+		if res.Evaluated != sampledMixedSetsCCC4F2 {
+			b.Fatalf("evaluated %d", res.Evaluated)
+		}
+	}
+}
+
+// BenchmarkWorstMixedFaultsSampledOracleCCC4F2 is the same search
+// through oracle.WorstMixedFaults, which re-walks all 4032 pairs per
+// fault set and per greedy candidate.
+func BenchmarkWorstMixedFaultsSampledOracleCCC4F2(b *testing.B) {
+	t := ccc4Failover(b)
+	g := ccc4Circular(b).Graph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := oracle.WorstMixedFaults(t, g, 2, oracle.Config{Mode: oracle.Sampled, Samples: 20, Greedy: true, Seed: 1})
+		if res.Evaluated != sampledMixedSetsCCC4F2 {
+			b.Fatalf("evaluated %d", res.Evaluated)
+		}
+	}
+}
+
+// sampledMixedSetsCCC4F2 counts the sets the budget-2 sampled mixed
+// search evaluates on the anchor: the empty set, 20 samples, the 10
+// nonempty subsets of at most two of the concentrator node and its 3
+// links, and greedy rounds over 160 and then 159 items.
+const sampledMixedSetsCCC4F2 = 1 + 20 + 10 + 160 + 159
 
 // --- Orbit-pruned exhaustive search benchmarks (internal/sym) ---
 //

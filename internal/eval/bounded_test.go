@@ -312,12 +312,13 @@ func TestDiameterParallelMatchesDiameter(t *testing.T) {
 // asked to score against.
 type recorder struct{ bound, tie int }
 
-func (r *recorder) toggle(int, bool)         {}
-func (r *recorder) clone() *recorder         { return &recorder{} }
-func (r *recorder) reset()                   {}
-func (r *recorder) score(bound, tie int) int { r.bound, r.tie = bound, tie; return 0 }
-func (r *recorder) better(a, b int) bool     { return a > b }
-func (r *recorder) final(int) bool           { return false }
+func (r *recorder) toggle(int, bool)                {}
+func (r *recorder) clone() *recorder                { return &recorder{} }
+func (r *recorder) reset()                          {}
+func (r *recorder) score(bound, tie int) int        { r.bound, r.tie = bound, tie; return 0 }
+func (r *recorder) probe(_ int, bound, tie int) int { return r.score(bound, tie) }
+func (r *recorder) better(a, b int) bool            { return a > b }
+func (r *recorder) final(int) bool                  { return false }
 
 // TestScoreAgainstIsPositionAware pins the tie rule of parallel
 // searches: a unit after the one that reached the shared incumbent

@@ -145,12 +145,13 @@ func TestSampledAcrossBlocks(t *testing.T) {
 // scored.
 type lastDraw struct{ scored int }
 
-func (l *lastDraw) toggle(int, bool)     {}
-func (l *lastDraw) clone() *lastDraw     { return &lastDraw{} }
-func (l *lastDraw) reset()               {}
-func (l *lastDraw) score(_, _ int) int   { l.scored++; return l.scored }
-func (l *lastDraw) better(a, b int) bool { return a > b }
-func (l *lastDraw) final(int) bool       { return false }
+func (l *lastDraw) toggle(int, bool)          {}
+func (l *lastDraw) clone() *lastDraw          { return &lastDraw{} }
+func (l *lastDraw) reset()                    {}
+func (l *lastDraw) score(_, _ int) int        { l.scored++; return l.scored }
+func (l *lastDraw) probe(_ int, b, t int) int { return l.score(b, t) }
+func (l *lastDraw) better(a, b int) bool      { return a > b }
+func (l *lastDraw) final(int) bool            { return false }
 
 // TestSampledDrawsContinueAcrossBlocks pins the draw order the blocks
 // keep: the last of 2·sampleBlock+7 sets is the last set one rng draws

@@ -869,6 +869,14 @@ func (e *Engine) score(bound, tie int) int {
 	return 0
 }
 
+// probe is toggle, score, toggle back.
+func (e *Engine) probe(item, bound, tie int) int {
+	e.toggle(item, true)
+	s := e.score(bound, tie)
+	e.toggle(item, false)
+	return s
+}
+
 func (e *Engine) better(a, b int) bool { return a > b }
 
 func (e *Engine) final(s int) bool { return s == disconnected }

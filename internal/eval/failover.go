@@ -230,6 +230,19 @@ func (we *WalkEngine) reset() { we.Reset() }
 
 func (we *WalkEngine) score(_, _ walkScore) walkScore { return walkScore{we.stats, true} }
 
+// probe scores the set plus item with toggle's candidate scan, walking
+// into scratch: it stores no record, outcome or stats, and clears the
+// item's fault bit again before it returns.
+func (we *WalkEngine) probe(item int, _, _ walkScore) walkScore {
+	if item >= we.faults.Cap() || we.faults.Has(item) {
+		return walkScore{we.stats, true}
+	}
+	we.faults.Add(item)
+	s := we.rewalk(item, false)
+	we.faults.Remove(item)
+	return walkScore{s, true}
+}
+
 // better ranks by disrupted pairs, or with λ by disrupted + λ·skipped.
 func (we *WalkEngine) better(a, b walkScore) bool {
 	switch {

@@ -15,9 +15,11 @@ import (
 // on node labels. It draws a small graph (a cycle, a connected random
 // 3-regular graph or a hypercube), a circular routing on it (a kernel
 // routing where circular does not apply) and a relabelling π, and
-// carries the routing and its rank-1 failover tables through π. The
-// searches, plain and orbit-pruned, must agree on the original and the
-// relabelled instance in everything labels cannot move:
+// carries the routing through π, and with it the routing's rank-1
+// failover tables and its reinforcement (Reinforce(r, 1), relabelled
+// route for route, compiled to multi-rank tables). The searches, plain
+// and orbit-pruned, must agree on the original and the relabelled
+// instance in everything labels cannot move:
 //
 //   - MaxDiameterMixed: Disconnected and Evaluated, and MaxDiameter when
 //     connected (after a disconnection freezes the search, MaxDiameter
@@ -26,7 +28,8 @@ import (
 //   - every row of ProfileMixed;
 //   - BeyondTolerance and BeyondToleranceMixed: the counts and the worst
 //     component diameter;
-//   - WorstMixedFaults: Evaluated and Disrupted().
+//   - WorstLinkCuts and WorstMixedFaults, on both table sets:
+//     Evaluated and Disrupted().
 //
 // Each relabelled witness, mapped back through π⁻¹ (links by their
 // endpoints), must score the same on the original: the same surviving
@@ -79,7 +82,22 @@ func FuzzRelabelInvariance(f *testing.F) {
 				t.Fatal(err)
 			}
 		})
-		tg, th := routing.FailoverFromRouting(r), routing.FailoverFromRouting(rh)
+		// Reinforce once and carry the multirouting through π route for
+		// route: reinforcing h would break BFS ties by the new labels.
+		m, err := routing.Reinforce(r, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mh := routing.NewMulti(h, m.Limit(), false)
+		m.EachRoute(func(_, _ int, p routing.Path) {
+			q := make(routing.Path, len(p))
+			for i, v := range p {
+				q[i] = pi[v]
+			}
+			if err := mh.Add(q); err != nil {
+				t.Fatal(err)
+			}
+		})
 		back := func(nodes []int, cuts []routing.EdgeFault) (*graph.Bitset, []routing.EdgeFault) {
 			nf := graph.NewBitset(n)
 			for _, v := range nodes {
@@ -115,13 +133,30 @@ func FuzzRelabelInvariance(f *testing.F) {
 			}
 		}
 
-		wa, wb := WorstMixedFaults(tg, g, fb, cfg), WorstMixedFaults(th, h, fb, cfg)
-		if wa.Evaluated != wb.Evaluated || wa.Stats.Disrupted() != wb.Stats.Disrupted() {
-			t.Fatalf("WorstMixedFaults: original %v, relabelled %v", wa, wb)
-		}
-		nf, ef = back(wb.WorstNodes, wb.WorstCuts)
-		if got := EvaluateMixedFaults(tg, nf.Elements(), ef); got != wb.Stats {
-			t.Fatalf("walk witness %v %v of %v walks to %+v on the original", nf, ef, wb, got)
+		for _, tables := range []struct {
+			name   string
+			tg, th *routing.FailoverTables
+		}{
+			{"rank-1", routing.FailoverFromRouting(r), routing.FailoverFromRouting(rh)},
+			{"reinforced", routing.CompileFailover(m), routing.CompileFailover(mh)},
+		} {
+			tg, th := tables.tg, tables.th
+			ca, cb := WorstLinkCuts(tg, g, fb, cfg), WorstLinkCuts(th, h, fb, cfg)
+			if ca.Evaluated != cb.Evaluated || ca.Stats.Disrupted() != cb.Stats.Disrupted() {
+				t.Fatalf("%s WorstLinkCuts: original %v, relabelled %v", tables.name, ca, cb)
+			}
+			_, ef := back(nil, cb.Worst)
+			if got := EvaluateMixedFaults(tg, nil, ef); got != cb.Stats {
+				t.Fatalf("%s cut witness %v of %v walks to %+v on the original", tables.name, ef, cb, got)
+			}
+			wa, wb := WorstMixedFaults(tg, g, fb, cfg), WorstMixedFaults(th, h, fb, cfg)
+			if wa.Evaluated != wb.Evaluated || wa.Stats.Disrupted() != wb.Stats.Disrupted() {
+				t.Fatalf("%s WorstMixedFaults: original %v, relabelled %v", tables.name, wa, wb)
+			}
+			nf, ef := back(wb.WorstNodes, wb.WorstCuts)
+			if got := EvaluateMixedFaults(tg, nf.Elements(), ef); got != wb.Stats {
+				t.Fatalf("%s walk witness %v %v of %v walks to %+v on the original", tables.name, nf, ef, wb, got)
+			}
 		}
 	})
 }

@@ -45,6 +45,9 @@ type evaluator[E any, S any] interface {
 	// cannot tie tie may be reported as any score better than neither;
 	// every other set is scored exactly.
 	score(bound, tie S) S
+	// probe scores the current set plus item, which it does not hold,
+	// as score would, and leaves the set as it was.
+	probe(item int, bound, tie S) S
 	// better reports whether a is strictly better than b for the
 	// adversary.
 	better(a, b S) bool
@@ -172,12 +175,18 @@ func (s *search[E, S]) raise(in *incumbent[S], sc S, unit int) {
 // units keep ties with in exact, which is what leaves the first
 // achiever of the final score its witness after the ordered merge.
 func (s *search[E, S]) scoreAgainst(w *worker[E], in *incumbent[S], bound S) S {
+	return w.ev.score(s.against(w, in, bound))
+}
+
+// against returns the bound and the tie the worker's set scores against
+// (see scoreAgainst).
+func (s *search[E, S]) against(w *worker[E], in *incumbent[S], bound S) (S, S) {
 	m := in.load()
 	if w.unit > m.unit {
 		var bottom S
-		return w.ev.score(m.score, bottom)
+		return m.score, bottom
 	}
-	return w.ev.score(bound, m.score)
+	return bound, m.score
 }
 
 // fold counts the worker's current set mult times and scores it against
@@ -352,9 +361,8 @@ func (s *search[E, S]) greedy(b *best[S], f int) {
 			if chosen[i] || int64(i) > minFinal.Load() {
 				return
 			}
-			w.ev.toggle(s.items[i], true)
-			sc := s.scoreAgainst(w, &inc, bottom)
-			w.ev.toggle(s.items[i], false)
+			bound, tie := s.against(w, &inc, bottom)
+			sc := w.ev.probe(s.items[i], bound, tie)
 			verdicts[i] = sc
 			if s.root.final(sc) {
 				casMin(&minFinal, int64(i))

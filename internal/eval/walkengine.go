@@ -1,7 +1,7 @@
 package eval
 
 import (
-	"math/bits"
+	"slices"
 
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
@@ -10,34 +10,41 @@ import (
 // WalkEngine is the incremental evaluation engine for static-failover
 // walks under mixed faults — the packet-level analogue of Engine. It
 // walks the tables' own flat layout (routing.Layout), compiling only
-// what depends on the graph: each hop's link item and each node's
-// endpoint pairs. Per ordered pair it caches the current walk: its
-// outcome, the items it uses (for each hop, the link when the hop is a
-// graph edge, then the node it enters), and the items it blocked on
-// (for each entry it consulted and skipped, the faulty link and the
-// faulty target node). Faults are items of the nodes-then-links id
-// space (node v is item v, link i of g.Edges() is item n+i), and
-// inverted item→pairs bitset rows over both lists make invalidation
-// exact:
+// what depends on the graph: each hop's link item, each pair's entry at
+// its source, and an index from each item to its candidate pairs, the
+// pairs whose entries hold a hop over or to the item or that have the
+// item as an endpoint. Faults are items of the nodes-then-links id
+// space (node v is item v, link i of g.Edges() is item n+i).
 //
-//   - Failing an item changes the walk of exactly the pairs whose cached
-//     walk uses it. Every entry ranked before the one a walk took was
-//     already dead, and a taken entry that avoids the item stays live,
-//     so a walk that never used the item replays identically.
-//   - Repairing an item changes the walk of exactly the pairs whose
-//     cached walk blocked on it: repairing an item no walk was deflected
-//     by cannot improve any decision it made. Blocked lists include
-//     every dead entry at a blackhole node, so blackholed pairs recover
-//     as soon as one of their entries does.
+// Per ordered pair it keeps the current outcome and a walk record: for
+// each step, the faulty items it blocked on (the faulty link and the
+// faulty target of each ranked hop it skipped), then the hop it took. A
+// toggle scans the record of each candidate of the item and walks a
+// pair again exactly when the item touches one of its steps, from the
+// first such step on:
+//
+//   - Failing an item changes the walk of exactly the pairs that took a
+//     hop over or to it. Every hop ranked before a taken one was already
+//     dead, and a taken hop that avoids the item stays live, so the
+//     steps before the first such hop replay identically.
+//   - Repairing an item changes the walk of exactly the pairs that
+//     blocked on it: repairing an item no step was deflected by cannot
+//     improve any decision it made, and the steps before the first one
+//     that blocked on it keep their decisions. A hop dead for two
+//     reasons blocks on both, and every dead hop at a blackhole node is
+//     recorded, so blackholed pairs recover as soon as one hop does.
 //   - A node item also changes the pairs with the node as an endpoint:
 //     they become Skipped when it fails (no packet to forward) and are
-//     walked again when it is repaired.
+//     walked from the start when it is repaired.
 //
-// Each toggle therefore re-walks only the affected pairs, maintaining
-// CutStats incrementally, while the oracle re-walks all P pairs
-// per probed fault set. Clone() shares the compiled arrays and copies
-// only the mutable walk cache, which is what the parallel adversary's
-// per-worker clones use.
+// A resumed walk re-stamps the nodes of the steps it keeps, for loop
+// detection, and follows HopEnt from the last hop it keeps. Each toggle
+// therefore re-walks only the affected pairs, and only their changed
+// suffix, maintaining CutStats incrementally, while the oracle re-walks
+// all P pairs per probed fault set; probe scores the set plus one item
+// with the same scan without storing anything. Clone() shares the
+// compiled arrays and copies only the mutable walk cache, which is what
+// the parallel adversary's per-worker clones use.
 //
 // Its client is the adversary (WorstLinkCuts, WorstMixedFaults and
 // their parallel forms), which scores thousands of fault sets over
@@ -45,81 +52,137 @@ import (
 // one message less through WalkUnderFaults, which is how netsim
 // forwards.
 type WalkEngine struct {
-	g         *graph.Graph // neighbor order for the concentrator probe (read-only)
-	n         int          // nodes
-	pairWords int          // uint64 words per item→pairs bitset row
+	g *graph.Graph // neighbor order for the concentrator probe (read-only)
+	n int          // nodes
 
 	// Compiled form, shared read-only between clones.
-	t            *routing.FailoverTables // per-node entry counts, for the concentrator probe
-	pairs        [][2]int32              // pair id -> (src, dst): t.Pairs()
-	lay          routing.Layout          // t's entries and ranked hops, indexed by pair id
-	hopLink      []int32                 // hop -> item of the (at, hop) link; -1 = not a graph edge, never cuttable
-	items        *graph.Items            // item numbering
-	endpointRows []uint64                // node -> bitset over pairs with the node as src or dst
+	t       *routing.FailoverTables // per-node entry counts, for the concentrator probe
+	pairs   [][2]int32              // pair id -> (src, dst): t.Pairs()
+	lay     routing.Layout          // t's entries and ranked hops, indexed by pair id
+	hopLink []int32                 // hop -> item of the (at, hop) link; -1 = not a graph edge, never cuttable
+	srcEnt  []int32                 // pair -> its entry at its source, -1 when it holds none
+	items   *graph.Items            // item numbering
+	candOff []int                   // item -> range in cands, len n+m+1
+	cands   []int32                 // each item's candidate pairs, ascending
 
 	// Mutable walk cache, deep-copied by Clone.
-	faults    *graph.Bitset // failed nodes and cut links, as items
-	outcome   []routing.Outcome
-	uses      [][]int32 // pair -> items its walk uses, hop order; each hop ends with the node it enters
-	blocked   [][]int32 // pair -> faulty items its walk consulted and skipped
-	useRows   []uint64  // item -> bitset over pairs with the item in uses
-	blockRows []uint64  // item -> bitset over pairs with the item in blocked
-	stats     CutStats
-	lambda    float64 // Config.SkippedWeight of the search running on the engine
+	faults  *graph.Bitset // failed nodes and cut links, as items
+	outcome []routing.Outcome
+	rec     [][]int32 // pair -> walk record: per step, the blocked items (>= 0), then ^hop taken
+	stats   CutStats
+	lambda  float64 // Config.SkippedWeight of the search running on the engine
 
 	// Walk scratch, per clone.
 	stamp   []int64 // node -> epoch of last visit (loop detection)
 	epoch   int64
-	scratch []uint64 // snapshot of one item row during a toggle
+	scratch []int32 // the record of a probe's walk, discarded
 }
 
 // NewWalkEngine compiles tables t (built for graph g) and walks every
-// pair once under the empty cut set. The tables and graph are only
+// pair once under the empty fault set. The tables and graph are only
 // read, never retained mutably; the engine itself is not safe for
 // concurrent use — use Clone for parallel searches.
 func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 	P := len(t.Pairs())
 	we := &WalkEngine{
-		g:         g,
-		n:         g.N(),
-		pairWords: (P + 63) / 64,
-		t:         t,
-		pairs:     t.Pairs(),
-		lay:       t.Layout(),
-		items:     graph.NewItems(g),
+		g:     g,
+		n:     g.N(),
+		t:     t,
+		pairs: t.Pairs(),
+		lay:   t.Layout(),
+		items: graph.NewItems(g),
 	}
 	we.hopLink = make([]int32, len(we.lay.Hops))
 	for e, at := range we.lay.EntAt {
+		nbrs, links := we.items.Arcs(int(at))
 		for h := we.lay.HopOff[e]; h < we.lay.HopOff[e+1]; h++ {
 			we.hopLink[h] = -1
-			if it, ok := we.items.Link(int(at), int(we.lay.Hops[h])); ok {
-				we.hopLink[h] = int32(it)
+			if i, ok := slices.BinarySearch(nbrs, we.lay.Hops[h]); ok {
+				we.hopLink[h] = links[i]
 			}
 		}
 	}
-	we.endpointRows = make([]uint64, we.n*we.pairWords)
+	we.srcEnt = make([]int32, P)
 	for p, pr := range we.pairs {
-		w, bit := p>>6, uint64(1)<<(uint(p)&63)
-		we.endpointRows[int(pr[0])*we.pairWords+w] |= bit
-		we.endpointRows[int(pr[1])*we.pairWords+w] |= bit
+		we.srcEnt[p] = we.lay.Entry(int32(p), pr[0])
 	}
-	items := we.n + we.items.M()
-	we.faults = graph.NewBitset(items)
+	we.compileCandidates()
+	we.faults = graph.NewBitset(we.n + we.items.M())
 	we.outcome = make([]routing.Outcome, P)
-	we.uses = make([][]int32, P)
-	we.blocked = make([][]int32, P)
-	we.useRows = make([]uint64, items*we.pairWords)
-	we.blockRows = make([]uint64, items*we.pairWords)
 	we.stamp = make([]int64, we.n)
-	we.scratch = make([]uint64, we.pairWords)
 	we.stats.Pairs = P
-	for p := 0; p < P; p++ {
-		out := we.walk(int32(p))
+	// Walk every pair into one backing array, then pin each record's
+	// capacity so a longer re-walk relocates it instead of overwriting
+	// the next pair's.
+	we.rec = make([][]int32, P)
+	var backing []int32
+	ends := make([]int, P)
+	for p := range ends {
+		var out routing.Outcome
+		backing, out = we.walk(int32(p), 0, backing)
+		ends[p] = len(backing)
 		we.outcome[p] = out
-		we.indexPair(int32(p), true)
-		we.bumpStats(out, 1)
+		we.stats.add(out, 1)
+	}
+	start := 0
+	for p, end := range ends {
+		we.rec[p] = backing[start:end:end]
+		start = end
 	}
 	return we
+}
+
+// compileCandidates builds the item -> candidate pairs index in two
+// counting passes over the pairs, one to size the rows and one to fill
+// them, each in ascending pair order.
+func (we *WalkEngine) compileCandidates() {
+	items := we.n + we.items.M()
+	stamp := make([]int32, items)
+	var buf []int32
+	we.candOff = make([]int, items+1)
+	for p := range we.pairs {
+		buf = we.pairItems(p, stamp, buf[:0])
+		for _, it := range buf {
+			we.candOff[it+1]++
+		}
+	}
+	for it := 0; it < items; it++ {
+		we.candOff[it+1] += we.candOff[it]
+	}
+	we.cands = make([]int32, we.candOff[items])
+	next := append([]int(nil), we.candOff[:items]...)
+	clear(stamp)
+	for p := range we.pairs {
+		buf = we.pairItems(p, stamp, buf[:0])
+		for _, it := range buf {
+			we.cands[next[it]] = int32(p)
+			next[it]++
+		}
+	}
+}
+
+// pairItems appends pair p's distinct items to buf: its endpoints, then
+// the link and the target of each of its hops. An item is listed once
+// per pass, when its stamp is not yet 1 + p.
+func (we *WalkEngine) pairItems(p int, stamp, buf []int32) []int32 {
+	mark := int32(p) + 1
+	for _, it := range we.pairs[p] {
+		if stamp[it] != mark {
+			stamp[it] = mark
+			buf = append(buf, it)
+		}
+	}
+	for h := we.lay.HopOff[we.lay.EntOff[p]]; h < we.lay.HopOff[we.lay.EntOff[p+1]]; h++ {
+		if it := we.hopLink[h]; it >= 0 && stamp[it] != mark {
+			stamp[it] = mark
+			buf = append(buf, it)
+		}
+		if it := we.lay.Hops[h]; stamp[it] != mark {
+			stamp[it] = mark
+			buf = append(buf, it)
+		}
+	}
+	return buf
 }
 
 // Clone returns an independent engine over the same compiled tables:
@@ -128,29 +191,26 @@ func (we *WalkEngine) Clone() *WalkEngine {
 	c := *we
 	c.faults = we.faults.Clone()
 	c.outcome = append([]routing.Outcome(nil), we.outcome...)
-	c.uses = cloneItemLists(we.uses)
-	c.blocked = cloneItemLists(we.blocked)
-	c.useRows = append([]uint64(nil), we.useRows...)
-	c.blockRows = append([]uint64(nil), we.blockRows...)
+	c.rec = cloneRecords(we.rec)
 	c.stamp = make([]int64, we.n)
 	c.epoch = 0
-	c.scratch = make([]uint64, we.pairWords)
+	c.scratch = nil
 	return &c
 }
 
-// cloneItemLists deep-copies per-pair item lists into one backing
+// cloneRecords deep-copies per-pair walk records into one backing
 // array. Capacities are pinned to lengths so a later append relocates
 // the pair's slice instead of overwriting a neighbor's.
-func cloneItemLists(lists [][]int32) [][]int32 {
+func cloneRecords(recs [][]int32) [][]int32 {
 	total := 0
-	for _, l := range lists {
-		total += len(l)
+	for _, r := range recs {
+		total += len(r)
 	}
 	backing := make([]int32, 0, total)
-	out := make([][]int32, len(lists))
-	for i, l := range lists {
+	out := make([][]int32, len(recs))
+	for i, r := range recs {
 		a := len(backing)
-		backing = append(backing, l...)
+		backing = append(backing, r...)
 		out[i] = backing[a:len(backing):len(backing)]
 	}
 	return out
@@ -250,35 +310,21 @@ func (we *WalkEngine) RemoveNodeFault(v int) {
 	}
 }
 
-// toggle fails (on) or repairs one item and re-walks the pairs it can
-// change: the pairs that use a failed item, the pairs that blocked on a
-// repaired one, and for a node item its endpoint pairs. Repeating the
-// current state, and ids past the universe, are no-ops. Every fault
-// mutator of the WalkEngine is a call to it.
+// toggle fails (on) or repairs one item and walks again, from the
+// first step the item touches, the candidate pairs whose record it
+// touches (see rewalk). Repeating the current state, and ids past the
+// universe, are no-ops. Every fault mutator of the WalkEngine is a call
+// to it.
 func (we *WalkEngine) toggle(item int, on bool) {
 	if item >= we.faults.Cap() || we.faults.Has(item) == on {
 		return
 	}
-	rows := we.blockRows
 	if on {
 		we.faults.Add(item)
-		rows = we.useRows
 	} else {
 		we.faults.Remove(item)
 	}
-	// Snapshot the rows first: each re-walk edits the live ones.
-	pw := we.pairWords
-	copy(we.scratch, rows[item*pw:(item+1)*pw])
-	if item < we.n {
-		for i, word := range we.endpointRows[item*pw : (item+1)*pw] {
-			we.scratch[i] |= word
-		}
-	}
-	for wi, word := range we.scratch {
-		for ; word != 0; word &= word - 1 {
-			we.rewalk(int32(wi<<6 | bits.TrailingZeros64(word)))
-		}
-	}
+	we.rewalk(item, true)
 }
 
 // SetCuts replaces the current cut set with exactly the given links via
@@ -298,80 +344,112 @@ func (we *WalkEngine) SetMixedFaults(nodes []int, cuts []routing.EdgeFault) {
 // Reset repairs every cut link and every failed node.
 func (we *WalkEngine) Reset() { move(we.faults, nil, 0, we.faults.Cap(), we.toggle) }
 
-// rewalk re-walks pair p, refreshing its cache rows and the running
-// stats.
-func (we *WalkEngine) rewalk(p int32) {
-	we.indexPair(p, false)
-	old := we.outcome[p]
-	out := we.walk(p)
-	we.indexPair(p, true)
-	if out != old {
-		we.bumpStats(old, -1)
-		we.bumpStats(out, 1)
-		we.outcome[p] = out
+// rewalk walks again every candidate pair of item whose record the
+// item touches, from the first step it touches, under the fault set
+// with the item just flipped, and returns the stats that follow. With
+// commit it stores each pair's new record and outcome and the stats;
+// without, the walks go to the scratch record and nothing is stored,
+// which is what probe scores with.
+func (we *WalkEngine) rewalk(item int, commit bool) CutStats {
+	stats := we.stats
+	for _, p := range we.cands[we.candOff[item]:we.candOff[item+1]] {
+		off := we.touches(p, int32(item))
+		if off < 0 {
+			continue
+		}
+		var out routing.Outcome
+		if commit {
+			we.rec[p], out = we.walk(p, off, we.rec[p][:off])
+		} else {
+			we.scratch, out = we.walk(p, off, we.scratch[:0])
+		}
+		if old := we.outcome[p]; out != old {
+			stats.add(old, -1)
+			stats.add(out, 1)
+			if commit {
+				we.outcome[p] = out
+			}
+		}
 	}
+	if commit {
+		we.stats = stats
+	}
+	return stats
 }
 
-// bumpStats adjusts the outcome counter for o by d (Pairs is fixed).
-func (we *WalkEngine) bumpStats(o routing.Outcome, d int) {
+// touches returns the record offset of the first step of pair p that
+// item touches — a blocked item equal to it, or a taken hop over or to
+// it — 0 when item is an endpoint of p, and -1 when it touches none. A
+// failing item cannot be a blocked one and a repaired item cannot lie
+// on a taken hop, so one scan serves both directions; a hop's target is
+// a node item and its link a link item, so one array says whether a
+// hop touches the item.
+func (we *WalkEngine) touches(p, item int32) int {
+	if pr := we.pairs[p]; pr[0] == item || pr[1] == item {
+		return 0
+	}
+	via := we.lay.Hops
+	if int(item) >= we.n {
+		via = we.hopLink
+	}
+	step := 0
+	for i, c := range we.rec[p] {
+		switch {
+		case c >= 0:
+			if c == item {
+				return step
+			}
+		case via[^c] == item:
+			return step
+		default:
+			step = i + 1
+		}
+	}
+	return -1
+}
+
+// add adjusts the outcome counter for o by d (Pairs is fixed).
+func (s *CutStats) add(o routing.Outcome, d int) {
 	switch o {
 	case routing.Delivered:
-		we.stats.Delivered += d
+		s.Delivered += d
 	case routing.Blackhole:
-		we.stats.Blackhole += d
+		s.Blackhole += d
 	case routing.Skipped:
-		we.stats.Skipped += d
+		s.Skipped += d
 	default:
-		we.stats.Loop += d
+		s.Loop += d
 	}
 }
 
-// indexPair sets (on=true) or clears pair p's bits in the item rows of
-// its cached uses and blocked lists. Duplicate items (a loop walk's
-// revisited node, a link blocked at two nodes) are harmless: set and
-// clear are idempotent.
-func (we *WalkEngine) indexPair(p int32, on bool) {
-	w, bit := int(p)>>6, uint64(1)<<(uint(p)&63)
-	if on {
-		for _, it := range we.uses[p] {
-			we.useRows[int(it)*we.pairWords+w] |= bit
-		}
-		for _, it := range we.blocked[p] {
-			we.blockRows[int(it)*we.pairWords+w] |= bit
-		}
-		return
-	}
-	for _, it := range we.uses[p] {
-		we.useRows[int(it)*we.pairWords+w] &^= bit
-	}
-	for _, it := range we.blocked[p] {
-		we.blockRows[int(it)*we.pairWords+w] &^= bit
-	}
-}
-
-// walk replays pair p's forwarding walk under the current mixed fault
-// set, rebuilding its uses and blocked lists, and returns the outcome.
-// Semantics mirror FailoverTables.WalkUnderFaults — an entry is dead
-// iff its link or its target node is faulty, the first live ranked
-// entry is taken, Delivered on reaching dst, Blackhole when no live
-// entry exists, Loop on a node revisit (epoch-stamped, allocation-free)
-// — except that a failed src or dst yields Skipped: there is no packet
-// to walk. An entry dead for both reasons blocks on both items, so
-// repairing either one alone re-walks the pair (a no-op walk, but never
-// a missed invalidation).
-func (we *WalkEngine) walk(p int32) routing.Outcome {
-	we.uses[p] = we.uses[p][:0]
-	we.blocked[p] = we.blocked[p][:0]
+// walk walks pair p under the current mixed fault set from offset off
+// of its record on, appends the steps it takes to rec and returns rec
+// and the outcome. The steps before off are kept: walk stamps their
+// nodes and starts at the entry their last hop points to (the source's
+// entry when off is 0). Semantics mirror
+// FailoverTables.WalkUnderFaults — a hop is dead iff its link or its
+// target node is faulty, the first live ranked hop is taken, Delivered
+// on reaching dst, Blackhole when no live hop exists, Loop on a node
+// revisit (epoch-stamped, allocation-free) — except that a failed src
+// or dst yields Skipped with nothing recorded: there is no packet to
+// walk.
+func (we *WalkEngine) walk(p int32, off int, rec []int32) ([]int32, routing.Outcome) {
 	src, dst := we.pairs[p][0], we.pairs[p][1]
 	if we.faults.Has(int(src)) || we.faults.Has(int(dst)) {
-		return routing.Skipped
+		return rec, routing.Skipped
 	}
 	if src == dst {
-		return routing.Delivered
+		return rec, routing.Delivered
 	}
 	we.epoch++
 	we.stamp[src] = we.epoch
-	e := we.lay.Entry(p, src)
+	e := we.srcEnt[p]
+	for _, c := range we.rec[p][:off] {
+		if c < 0 {
+			we.stamp[we.lay.Hops[^c]] = we.epoch
+			e = we.lay.HopEnt[^c]
+		}
+	}
 	for {
 		took := int32(-1)
 		if e >= 0 {
@@ -379,33 +457,29 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 				link, nx := we.hopLink[h], we.lay.Hops[h]
 				dead := false
 				if link >= 0 && we.faults.Has(int(link)) {
-					we.blocked[p] = append(we.blocked[p], link)
+					rec = append(rec, link)
 					dead = true
 				}
 				if we.faults.Has(int(nx)) {
-					we.blocked[p] = append(we.blocked[p], nx)
+					rec = append(rec, nx)
 					dead = true
 				}
-				if dead {
-					continue
+				if !dead {
+					took = h
+					break
 				}
-				took = h
-				break
 			}
 		}
 		if took < 0 {
-			return routing.Blackhole
+			return rec, routing.Blackhole
 		}
-		if link := we.hopLink[took]; link >= 0 {
-			we.uses[p] = append(we.uses[p], link)
-		}
+		rec = append(rec, ^took)
 		nx := we.lay.Hops[took]
-		we.uses[p] = append(we.uses[p], nx)
 		if nx == dst {
-			return routing.Delivered
+			return rec, routing.Delivered
 		}
 		if we.stamp[nx] == we.epoch {
-			return routing.Loop
+			return rec, routing.Loop
 		}
 		we.stamp[nx] = we.epoch
 		e = we.lay.HopEnt[took]

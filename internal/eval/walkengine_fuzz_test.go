@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"fmt"
 	"ftroute/internal/eval/oracle"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ftroute/internal/graph"
@@ -36,13 +38,15 @@ func fuzzCutGraph(n int, extra uint64) *graph.Graph {
 // legacy re-walk path on random tables and random fault-toggle
 // sequences over both universes: after every single-item toggle (link
 // cut, link repair, node fail, node repair) the cached per-pair
-// outcomes, stats and used-item lists (checkWalks) must equal a
+// outcomes, stats and walk records (checkWalks) must equal a
 // from-scratch mixed-oracle evaluation (Skipped for failed endpoints,
-// WalkUnderFaults otherwise), and the
+// WalkUnderFaults otherwise), a probe of an item outside the set must
+// score the set plus that item and change nothing, and the
 // engine-backed budget-1 exhaustive adversaries — link-only and mixed —
 // must reproduce their legacy searches exactly. This is the
 // invalidation-correctness property the engine's speed rests on (only
-// pairs whose walk touched a toggled item are re-walked).
+// pairs whose walk touched a toggled item are re-walked, from the first
+// step it touched).
 func FuzzWalkEngineEquivalence(f *testing.F) {
 	f.Add(uint8(6), uint64(0), uint64(0), uint64(0), uint64(0))
 	f.Add(uint8(10), uint64(0x5a5a), uint64(0x11), uint64(0b1010), uint64(0x9))
@@ -64,6 +68,7 @@ func FuzzWalkEngineEquivalence(f *testing.F) {
 
 		cut := map[int]bool{}
 		down := map[int]bool{}
+		universe, probes := we.faults.Cap(), 0
 		check := func(stage string) {
 			var cuts []routing.EdgeFault
 			for i, e := range edges {
@@ -91,6 +96,28 @@ func FuzzWalkEngineEquivalence(f *testing.F) {
 				}
 			}
 			checkWalks(t, stage, we, ft, faults)
+
+			// Probe two items the set does not hold, one rotating over the
+			// universe and one drawn by the fuzzer: each must score the set
+			// plus the item and leave the engine as it was.
+			before := snapshotWalks(we)
+			for _, it := range []int{probes % universe, int((extra >> (probes % 32)) % uint64(universe))} {
+				probes += 7
+				if we.faults.Has(it) {
+					continue
+				}
+				pn, pc := nodes, cuts
+				if it < n {
+					pn = append(slices.Clone(nodes), it)
+				} else {
+					u, v, _ := we.items.Ends(it)
+					pc = append(slices.Clone(cuts), routing.EdgeFault{U: u, V: v})
+				}
+				if got, want := we.probe(it, walkScore{}, walkScore{}).stats, EvaluateMixedFaults(ft, pn, pc); got != want {
+					t.Fatalf("%s: probe(%d) scores %v, legacy %v (F %v E %v)", stage, it, got, want, nodes, cuts)
+				}
+				checkUnchanged(t, fmt.Sprintf("%s after probing %d", stage, it), we, before)
+			}
 		}
 
 		check("initial")

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"ftroute/internal/eval/oracle"
 	"math/rand"
 	"reflect"
@@ -96,11 +97,14 @@ func checkEngineState(t *testing.T, name string, we *WalkEngine, ft *routing.Fai
 	checkWalks(t, name, we, ft, routing.FaultSetOf(ft.N(), nil, cuts))
 }
 
-// checkWalks asserts that each pair's cached uses list, the items the
-// invalidation rows index it under, equals the reference walk's path
-// items: for every hop of WalkUnderFaults's Path, the link item when the
-// hop is a graph edge, then the node entered. A pair with a faulty
-// endpoint is not walked and uses nothing.
+// checkWalks asserts that each pair's walk record agrees with the
+// reference walk and with the candidate index. The items of the
+// record's taken hops (for each, the link item when the hop is a graph
+// edge, then the node entered) must equal the items of
+// WalkUnderFaults's Path, and a pair with a faulty endpoint is not
+// walked and records nothing. Every item the record blocked on must be
+// faulty, and every item it mentions, blocked or on a taken hop, must
+// list the pair among its candidates.
 func checkWalks(t *testing.T, name string, we *WalkEngine, ft *routing.FailoverTables, faults *routing.FaultSet) {
 	t.Helper()
 	for i, p := range ft.Pairs() {
@@ -115,8 +119,93 @@ func checkWalks(t *testing.T, name string, we *WalkEngine, ft *routing.FailoverT
 				want = append(want, int32(path[h]))
 			}
 		}
-		if !slices.Equal(we.uses[i], want) {
-			t.Fatalf("%s: pair (%d,%d) engine uses %v, walk items %v", name, src, dst, we.uses[i], want)
+		var took, blocked []int32
+		for _, c := range we.rec[i] {
+			if c >= 0 {
+				blocked = append(blocked, c)
+				continue
+			}
+			if link := we.hopLink[^c]; link >= 0 {
+				took = append(took, link)
+			}
+			took = append(took, we.lay.Hops[^c])
+		}
+		if !slices.Equal(took, want) {
+			t.Fatalf("%s: pair (%d,%d) record takes %v, walk items %v", name, src, dst, took, want)
+		}
+		for _, it := range blocked {
+			if !we.faults.Has(int(it)) {
+				t.Fatalf("%s: pair (%d,%d) record blocks on item %d, which is not faulty", name, src, dst, it)
+			}
+		}
+		for _, it := range append(blocked, took...) {
+			if _, ok := slices.BinarySearch(we.cands[we.candOff[it]:we.candOff[it+1]], int32(i)); !ok {
+				t.Fatalf("%s: pair (%d,%d) record mentions item %d, whose candidates omit it", name, src, dst, it)
+			}
+		}
+	}
+}
+
+// walkState is a deep copy of a WalkEngine's stats, outcomes and walk
+// records.
+type walkState struct {
+	stats    CutStats
+	outcomes []routing.Outcome
+	records  [][]int32
+}
+
+func snapshotWalks(we *WalkEngine) walkState {
+	return walkState{we.stats, slices.Clone(we.outcome), cloneRecords(we.rec)}
+}
+
+// checkUnchanged asserts that we holds exactly the state s.
+func checkUnchanged(t *testing.T, name string, we *WalkEngine, s walkState) {
+	t.Helper()
+	if we.Stats() != s.stats {
+		t.Fatalf("%s: stats moved from %v to %v", name, s.stats, we.Stats())
+	}
+	for i := range s.outcomes {
+		if we.Outcome(i) != s.outcomes[i] || !slices.Equal(we.rec[i], s.records[i]) {
+			t.Fatalf("%s: pair %d moved from %v %v to %v %v", name, i, s.outcomes[i], s.records[i], we.Outcome(i), we.rec[i])
+		}
+	}
+}
+
+// TestWalkProbeMatchesToggle pins probe to the toggle sequence it
+// replaces in greedy rounds: on every instance, under the empty set and
+// seeded mixed sets, probing each item the set does not hold scores
+// what toggling it on and reading Stats does, and leaves the stats,
+// every outcome and every walk record exactly as they were.
+func TestWalkProbeMatchesToggle(t *testing.T) {
+	for _, inst := range walkEngineInstances(t) {
+		we := NewWalkEngine(inst.ft, inst.g)
+		universe := we.faults.Cap()
+		rng := rand.New(rand.NewSource(11))
+		for round := 0; round < 5; round++ {
+			for k := 0; k < round; k++ { // round 0 probes under the empty set
+				we.toggle(rng.Intn(universe), true)
+			}
+			name := fmt.Sprintf("%s under %v", inst.name, we.faults.Elements())
+			for it := 0; it < universe; it++ {
+				if we.faults.Has(it) {
+					continue
+				}
+				before := snapshotWalks(we)
+				got := we.probe(it, walkScore{}, walkScore{})
+				checkUnchanged(t, fmt.Sprintf("%s after probing %d", name, it), we, before)
+				we.toggle(it, true)
+				want := we.Stats()
+				we.toggle(it, false)
+				if !got.ok || got.stats != want {
+					t.Fatalf("%s: probe(%d) scores %v, toggle %v", name, it, got.stats, want)
+				}
+				if we.Stats() != before.stats || !slices.Equal(we.outcome, before.outcomes) {
+					t.Fatalf("%s: toggling %d on and off moved the outcomes", name, it)
+				}
+			}
+			nodes, cuts := we.NodeFaultList(), we.CutList()
+			checkWalks(t, name, we, inst.ft, routing.FaultSetOf(inst.ft.N(), nodes, cuts))
+			we.Reset()
 		}
 	}
 }

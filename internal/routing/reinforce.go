@@ -21,7 +21,9 @@ import (
 //
 // The pairs' backups are searched in blocks on up to GOMAXPROCS workers
 // and installed in sorted pair order, so the routes, and the first error
-// reported, are those of reinforcing one pair at a time.
+// reported, are those of reinforcing one pair at a time. The install
+// fills pre-sized storage: a map made for every pair, and for each pair
+// a slot of backups+1 routes in one backing array.
 func Reinforce(r *Routing, backups int) (*MultiRouting, error) {
 	backups = max(backups, 0)
 	keys := sortedKeys(r.routes)
@@ -29,9 +31,12 @@ func Reinforce(r *Routing, backups int) (*MultiRouting, error) {
 	if backups > 0 {
 		searchBackups(r, keys, alts, backups)
 	}
-	m := NewMulti(r.g, backups+1, false)
+	per := backups + 1 // routes per pair
+	m := &MultiRouting{g: r.g, limit: per, routes: make(map[pairKey][]Path, len(keys))}
+	slots := make([]Path, len(keys)*per)
 	var firstErr error
 	for i, k := range keys {
+		m.routes[k] = slots[i*per : i*per : (i+1)*per]
 		if err := m.Add(r.routes[k]); err != nil {
 			return nil, err
 		}
