@@ -1,8 +1,8 @@
 package ftroute
 
-// Benchmark harness: one benchmark per experiment (E1..E13, the
-// empirical tables standing in for the theory paper's theorems, figures
-// and remarks — see DESIGN.md §4 and EXPERIMENTS.md), plus
+// Benchmark harness: one benchmark for each of experiments E1..E13 (of
+// internal/experiments' E1..E21, the empirical tables standing in for
+// the theory paper's theorems, figures and remarks), plus
 // micro-benchmarks of the library's hot operations. Regenerate the full
 // tables with:
 //
@@ -22,7 +22,7 @@ import (
 	routingoracle "ftroute/internal/routing/oracle"
 )
 
-// benchExperiment runs one registered experiment per iteration.
+// benchExperiment runs one experiment per iteration.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -682,7 +682,7 @@ func ccc4Transported(b *testing.B) (*Graph, *Routing) {
 		b.Fatal(err)
 	}
 	gr := Automorphisms(g)
-	elems := GroupElements(gr.N, gr.Gens, 1<<14)
+	elems := GroupElements(gr.N, gr.Gens, GroupElementCap)
 	tr, err := TransportRouting(g, r, FreePairSubgroup(elems))
 	if err != nil {
 		b.Fatal(err)

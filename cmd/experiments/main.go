@@ -8,7 +8,7 @@
 //	experiments [-exp E1,E4] [-quick] [-markdown]
 //
 // With no flags it runs every experiment at full scale and prints ASCII
-// tables; -markdown emits the EXPERIMENTS.md body instead.
+// tables; -markdown emits GitHub-flavored markdown tables instead.
 package main
 
 import (
@@ -30,7 +30,7 @@ func main() {
 
 func run() error {
 	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiment ids (E1..E13) or 'all'")
+		expFlag  = flag.String("exp", "all", "comma-separated experiment ids (E1..E21) or 'all'")
 		quick    = flag.Bool("quick", false, "run reduced configurations")
 		markdown = flag.Bool("markdown", false, "emit markdown instead of ASCII tables")
 	)

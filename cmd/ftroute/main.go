@@ -123,7 +123,7 @@ func run(args []string) error {
 	case "plan":
 		return plan(g)
 	case "route":
-		_, _, err := build(g, *construction)
+		_, err := build(g, *construction)
 		return err
 	case "orbits":
 		return orbits(g, *faults)
@@ -146,14 +146,14 @@ func run(args []string) error {
 // and runs a message workload of `samples` sends, printing delivery
 // statistics and the route-counter broadcast result.
 func simulate(g *ftroute.Graph, construction string, faults, samples int, seed int64) error {
-	rt, bt, err := build(g, construction)
+	p, err := build(g, construction)
 	if err != nil {
 		return err
 	}
 	if faults < 0 {
-		faults = bt[1]
+		faults = p.T
 	}
-	nw := netsim.New(rt, netsim.Params{HopCost: 1, EndpointCost: 10})
+	nw := netsim.New(p.Routing, netsim.Params{HopCost: 1, EndpointCost: 10})
 	stride := max(1, g.N()/(faults+1))
 	var failed []int
 	for i := 1; i <= faults && len(failed) < g.N()-2; i++ {
@@ -198,12 +198,12 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 		return fmt.Errorf("-lambda must be finite, got %v", lambda)
 	}
-	rt, _, err := build(g, construction)
+	p, err := build(g, construction)
 	if err != nil {
 		return err
 	}
-	plain := ftroute.FailoverFromRouting(rt)
-	m, err := ftroute.Reinforce(rt, backups)
+	plain := ftroute.FailoverFromRouting(p.Routing)
+	m, err := ftroute.Reinforce(p.Routing, backups)
 	if err != nil {
 		return err
 	}
@@ -267,7 +267,7 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 		name   string
 		tables *ftroute.FailoverTables
 	}{{"plain", plain}, {"reinforced", reinforced}} {
-		nw := netsim.New(rt, netsim.Params{HopCost: 1, EndpointCost: 10})
+		nw := netsim.New(p.Routing, netsim.Params{HopCost: 1, EndpointCost: 10})
 		stats, err := nw.RunFailoverWorkload(wl, schedule, netsim.FailoverParams{Tables: tc.tables, Retries: retries})
 		if err != nil {
 			return err
@@ -281,7 +281,7 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 // stdout), completing the paper's "compute the table once, distribute
 // it" workflow.
 func export(g *ftroute.Graph, construction, table string) error {
-	rt, _, err := build(g, construction)
+	p, err := build(g, construction)
 	if err != nil {
 		return err
 	}
@@ -294,11 +294,11 @@ func export(g *ftroute.Graph, construction, table string) error {
 		defer f.Close()
 		w = f
 	}
-	if _, err := rt.WriteTo(w); err != nil {
+	if _, err := p.Routing.WriteTo(w); err != nil {
 		return err
 	}
 	if table != "" {
-		fmt.Printf("wrote %d routes to %s\n", rt.Len(), table)
+		fmt.Printf("wrote %d routes to %s\n", p.Routing.Len(), table)
 	}
 	return nil
 }
@@ -370,11 +370,10 @@ func info(g *ftroute.Graph) error {
 // over plain exhaustive enumeration at the given fault budget — the
 // structure EvalConfig.Pruned exploits (see docs/symmetry.md).
 func orbits(g *ftroute.Graph, faults int) error {
-	const cap = 1 << 14
 	gr := ftroute.Automorphisms(g)
-	elems := ftroute.GroupElements(gr.N, gr.Gens, cap)
+	elems := ftroute.GroupElements(gr.N, gr.Gens, ftroute.GroupElementCap)
 	if elems == nil {
-		fmt.Printf("automorphism group: order > %d — orbit analysis capped (Pruned would fall back)\n", cap)
+		fmt.Printf("automorphism group: order > %d — orbit analysis capped (Pruned would fall back)\n", ftroute.GroupElementCap)
 		return nil
 	}
 	ix := ftroute.NewItems(g)
@@ -438,84 +437,70 @@ func kappa(g *ftroute.Graph) (int, error) {
 	return k, err
 }
 
-// build constructs the requested routing and prints a summary. It
-// returns the routing and its guaranteed (bound, t); a routing with no
-// designed bound returns bound 0.
-func build(g *ftroute.Graph, construction string) (*ftroute.Routing, [2]int, error) {
+// constructions maps each -construction name that ftroute.Build serves
+// to its construction and the label of its summary line.
+var constructions = map[string]struct {
+	c     ftroute.Construction
+	label string
+}{
+	"kernel":      {ftroute.ConstructionKernel, "kernel"},
+	"circular":    {ftroute.ConstructionCircular, "circular"},
+	"tricircular": {ftroute.ConstructionTriCircular, "tri-circular"},
+	"bipolar":     {ftroute.ConstructionBipolarUni, "unidirectional bipolar"},
+	"bipolar-bi":  {ftroute.ConstructionBipolarBi, "bidirectional bipolar"},
+}
+
+// build constructs the requested routing, prints a summary and returns
+// its plan. The shortest-path baseline has no designed bound: its plan
+// has Bound 0 and T = κ-1.
+func build(g *ftroute.Graph, construction string) (*ftroute.Plan, error) {
+	if c, ok := constructions[construction]; ok {
+		p, err := ftroute.Build(g, c.c, ftroute.Options{})
+		if err != nil {
+			return nil, err
+		}
+		fmt.Printf("%s routing: (%d, %d)-tolerant, %s\n", c.label, p.Bound, p.T, p.Reason)
+		return p, nil
+	}
 	switch construction {
 	case "auto":
 		p, err := ftroute.Auto(g, ftroute.Options{})
 		if err != nil {
-			return nil, [2]int{}, err
+			return nil, err
 		}
 		fmt.Printf("auto chose %s: (%d, %d)-tolerant — %s\n", p.Construction, p.Bound, p.T, p.Reason)
-		return p.Routing, [2]int{p.Bound, p.T}, nil
-	case "kernel":
-		r, inf, err := ftroute.Kernel(g, ftroute.Options{})
-		if err != nil {
-			return nil, [2]int{}, err
-		}
-		fmt.Printf("kernel routing: (%d, %d)-tolerant, separator %v\n", inf.Bound, inf.T, inf.Separator)
-		return r, [2]int{inf.Bound, inf.T}, nil
-	case "circular":
-		r, inf, err := ftroute.Circular(g, ftroute.Options{})
-		if err != nil {
-			return nil, [2]int{}, err
-		}
-		fmt.Printf("circular routing: (%d, %d)-tolerant, K=%d\n", inf.Bound, inf.T, inf.K)
-		return r, [2]int{inf.Bound, inf.T}, nil
-	case "tricircular":
-		r, inf, err := ftroute.TriCircular(g, ftroute.Options{})
-		if err != nil {
-			return nil, [2]int{}, err
-		}
-		fmt.Printf("tri-circular routing: (%d, %d)-tolerant, K=%d\n", inf.Bound, inf.T, inf.K)
-		return r, [2]int{inf.Bound, inf.T}, nil
-	case "bipolar":
-		r, inf, err := ftroute.BipolarUnidirectional(g, ftroute.Options{})
-		if err != nil {
-			return nil, [2]int{}, err
-		}
-		fmt.Printf("unidirectional bipolar routing: (%d, %d)-tolerant, roots (%d, %d)\n", inf.Bound, inf.T, inf.R1, inf.R2)
-		return r, [2]int{inf.Bound, inf.T}, nil
-	case "bipolar-bi":
-		r, inf, err := ftroute.BipolarBidirectional(g, ftroute.Options{})
-		if err != nil {
-			return nil, [2]int{}, err
-		}
-		fmt.Printf("bidirectional bipolar routing: (%d, %d)-tolerant, roots (%d, %d)\n", inf.Bound, inf.T, inf.R1, inf.R2)
-		return r, [2]int{inf.Bound, inf.T}, nil
+		return p, nil
 	case "shortest":
 		r, err := ftroute.ShortestPathRouting(g)
 		if err != nil {
-			return nil, [2]int{}, err
+			return nil, err
 		}
 		k, err := kappa(g)
 		if err != nil {
-			return nil, [2]int{}, err
+			return nil, err
 		}
 		fmt.Printf("shortest-path routing (baseline): no designed tolerance, t=%d\n", k-1)
-		return r, [2]int{0, k - 1}, nil
+		return &ftroute.Plan{T: k - 1, Bidirected: r.Bidirectional(), Routing: r}, nil
 	default:
-		return nil, [2]int{}, fmt.Errorf("unknown construction %q", construction)
+		return nil, fmt.Errorf("unknown construction %q", construction)
 	}
 }
 
 func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed int64, exhaustive, pruned, mixed bool) error {
-	r, bt, err := build(g, construction)
+	p, err := build(g, construction)
 	if err != nil {
 		return err
 	}
 	if faults < 0 {
-		faults = bt[1]
+		faults = p.T
 	}
 	cfg := ftroute.EvalConfig{Mode: ftroute.Sampled, Samples: samples, Greedy: true, Seed: seed}
 	if exhaustive {
 		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive, Pruned: pruned}
 	}
 	if mixed {
-		res := ftroute.MaxDiameterUnderMixedFaultsParallel(r, faults, cfg, 0)
-		fmt.Printf("worst case over mixed node+link fault sets of total size <= %d%s:\n", faults, boundClause(bt, "node faults"))
+		res := ftroute.MaxDiameterUnderMixedFaultsParallel(p.Routing, faults, cfg, 0)
+		fmt.Printf("worst case over mixed node+link fault sets of total size <= %d%s:\n", faults, boundClause(p, "node faults"))
 		if res.Disconnected {
 			fmt.Printf("  disconnected by nodes %v, links %v (%d sets evaluated)\n",
 				res.WorstNodeFaults, res.WorstEdgeFaults, res.Evaluated)
@@ -524,7 +509,7 @@ func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed i
 				res.MaxDiameter, res.WorstNodeFaults, res.WorstEdgeFaults, res.Evaluated)
 		}
 		fmt.Printf("worst-case surviving diameter by exact mixed fault-set size:\n")
-		for k, d := range ftroute.MixedDiameterProfile(r, faults, cfg) {
+		for k, d := range ftroute.MixedDiameterProfile(p.Routing, faults, cfg) {
 			status := ""
 			if d < 0 {
 				status = "  DISCONNECTED"
@@ -533,13 +518,13 @@ func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed i
 		}
 		return nil
 	}
-	profile := ftroute.DiameterProfile(r, faults, cfg)
-	fmt.Printf("worst-case surviving diameter by fault count%s:\n", boundClause(bt, "f"))
+	profile := ftroute.DiameterProfile(p.Routing, faults, cfg)
+	fmt.Printf("worst-case surviving diameter by fault count%s:\n", boundClause(p, "f"))
 	for k, d := range profile {
 		status := ""
 		if d < 0 {
 			status = "  DISCONNECTED"
-		} else if k <= bt[1] && d > bt[0] && bt[0] > 0 {
+		} else if k <= p.T && d > p.Bound && p.Bound > 0 {
 			status = "  EXCEEDS BOUND"
 		}
 		fmt.Printf("  |F| = %d: %s%s\n", k, diam(d), status)
@@ -549,11 +534,11 @@ func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed i
 
 // boundClause is the " (bound d for what <= t)" part of a tolerate
 // header, empty for a routing with no designed bound.
-func boundClause(bt [2]int, what string) string {
-	if bt[0] == 0 {
+func boundClause(p *ftroute.Plan, what string) string {
+	if p.Bound == 0 {
 		return ""
 	}
-	return fmt.Sprintf(" (bound %d for %s <= %d)", bt[0], what, bt[1])
+	return fmt.Sprintf(" (bound %d for %s <= %d)", p.Bound, what, p.T)
 }
 
 func diam(d int) string {

@@ -59,9 +59,9 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 func TestRunSubcommands(t *testing.T) {
-	// The subcommands print to stdout; we only assert they succeed on
-	// well-formed input (output formatting is exercised manually and in
-	// examples).
+	// The subcommands print to stdout; these cases assert only that
+	// they succeed on well-formed input (TestRouteSummaryLines and
+	// TestPrintedBounds pin printed lines).
 	cases := [][]string{
 		{"info", "-graph", "cycle:9"},
 		{"plan", "-graph", "cycle:12"},
@@ -89,6 +89,37 @@ func TestRunSubcommands(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRouteSummaryLines pins the first line route prints for each
+// construction: its name, the (bound, t) its Info reports and the
+// structure it chose, or the construction's error unchanged.
+func TestRouteSummaryLines(t *testing.T) {
+	for _, tc := range []struct {
+		spec, construction, want string
+	}{
+		{"cycle:9", "circular", "circular routing: (6, 1)-tolerant, K=3"},
+		{"ccc:3", "kernel", "kernel routing: (4, 2)-tolerant, separator [1 2 3]"},
+		{"cycle:10", "bipolar", "unidirectional bipolar routing: (4, 1)-tolerant, roots (0, 5)"},
+		{"cycle:10", "bipolar-bi", "bidirectional bipolar routing: (5, 1)-tolerant, roots (0, 5)"},
+		{"cycle:45", "tricircular", "tri-circular routing: (4, 1)-tolerant, K=15"},
+		{"cycle:12", "auto", "auto chose bipolar-uni: (4, 1)-tolerant — two-trees property at roots (0, 5)"},
+		{"cycle:9", "shortest", "shortest-path routing (baseline): no designed tolerance, t=1"},
+	} {
+		t.Run(tc.spec+" "+tc.construction, func(t *testing.T) {
+			out, err := runOutput(t, "route", "-graph", tc.spec, "-construction", tc.construction)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line, _, _ := strings.Cut(out, "\n"); line != tc.want {
+				t.Fatalf("printed %q, want %q", line, tc.want)
+			}
+		})
+	}
+	_, err := runOutput(t, "route", "-graph", "ccc:3", "-construction", "bipolar")
+	if want := "core: construction not applicable: no two-trees pair"; err == nil || err.Error() != want {
+		t.Fatalf("ccc:3 bipolar: err = %v, want %q", err, want)
 	}
 }
 

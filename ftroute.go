@@ -58,8 +58,11 @@ type (
 	MultiRouting = routing.MultiRouting
 	// Options tunes the constructions (tolerance, concentrators, ...).
 	Options = core.Options
-	// Plan is the Auto planner's result.
+	// Plan is a routing built by name with its proven (Bound, T): the
+	// result of Build and Auto.
 	Plan = core.Plan
+	// Construction names one of the five single-routing constructions.
+	Construction = core.Construction
 	// TwoTrees witnesses the two-trees property (Section 5).
 	TwoTrees = core.TwoTrees
 )
@@ -78,6 +81,15 @@ type (
 	MultiInfo = core.MultiInfo
 	// AugmentInfo describes a clique-augmented kernel routing (Section 6).
 	AugmentInfo = core.AugmentInfo
+)
+
+// The constructions Build builds by name (see the package doc table).
+const (
+	ConstructionKernel      = core.ConstructionKernel
+	ConstructionCircular    = core.ConstructionCircular
+	ConstructionTriCircular = core.ConstructionTriCircular
+	ConstructionBipolarUni  = core.ConstructionBipolarUni
+	ConstructionBipolarBi   = core.ConstructionBipolarBi
 )
 
 // NewGraph returns an empty undirected graph with n nodes.
@@ -118,6 +130,9 @@ var (
 	// CliqueAugmentedKernel returns a modified network plus a
 	// (3,t)-tolerant routing on it (Section 6).
 	CliqueAugmentedKernel = core.CliqueAugmentedKernel
+	// Build builds one of the five single-routing constructions by
+	// name and reports the (Bound, T) it proves.
+	Build = core.Build
 	// Auto picks the strongest applicable construction.
 	Auto = core.Auto
 	// ShortestPathRouting builds the fixed shortest-path baseline.
@@ -371,6 +386,11 @@ var (
 	// pairs, the precondition for conflict-free transport.
 	FreePairSubgroup = sym.FreePairSubgroup
 )
+
+// GroupElementCap is the largest automorphism group order that
+// EvalConfig.Pruned expands; past it the searches fall back to plain
+// enumeration.
+const GroupElementCap = sym.ElementCap
 
 // Beyond-tolerance analysis (the paper's Open Problem 3).
 type (

@@ -73,25 +73,13 @@ func FuzzConstructionBounds(f *testing.F) {
 				t.Fatalf("%s on %d nodes: not (%d, %d)-tolerant: %v", name, g.N(), bound, faults, err)
 			}
 		}
-		if r, info, err := Kernel(g, opts); built("kernel", err) {
-			check("kernel", r, info.Bound, info.T)
-			check("kernel (Theorem 4)", r, 4, info.T/2)
-		}
-		for _, minimal := range []bool{false, true} {
-			o := opts
-			o.MinimalK = minimal
-			if r, info, err := Circular(g, o); built("circular", err) {
-				check("circular", r, info.Bound, info.T)
+		for _, b := range builds {
+			if p, err := b.build(g, opts); built(b.String(), err) {
+				check(b.String(), p.Routing, p.Bound, p.T)
+				if b.c == ConstructionKernel {
+					check("kernel (Theorem 4)", p.Routing, 4, p.T/2)
+				}
 			}
-			if r, info, err := TriCircular(g, o); built("tri-circular", err) {
-				check("tri-circular", r, info.Bound, info.T)
-			}
-		}
-		if r, info, err := BipolarUnidirectional(g, opts); built("bipolar-uni", err) {
-			check("bipolar-uni", r, info.Bound, info.T)
-		}
-		if r, info, err := BipolarBidirectional(g, opts); built("bipolar-bi", err) {
-			check("bipolar-bi", r, info.Bound, info.T)
 		}
 		if g.N() <= 20 {
 			if m, info, err := FullMultirouting(g, opts); built("full multirouting", err) {

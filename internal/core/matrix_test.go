@@ -11,6 +11,39 @@ import (
 	"ftroute/internal/routing"
 )
 
+// buildRow is one single-routing row of the construction tests: a
+// construction Build builds, at the minimal concentrator size or not.
+type buildRow struct {
+	c        Construction
+	minimalK bool
+}
+
+// builds are the five constructions, and the two ring constructions
+// again at their minimal concentrator size.
+var builds = []buildRow{
+	{ConstructionKernel, false},
+	{ConstructionCircular, false},
+	{ConstructionCircular, true},
+	{ConstructionTriCircular, false},
+	{ConstructionTriCircular, true},
+	{ConstructionBipolarUni, false},
+	{ConstructionBipolarBi, false},
+}
+
+// build builds the row on g through Build.
+func (b buildRow) build(g *graph.Graph, opts Options) (*Plan, error) {
+	opts.MinimalK = b.minimalK
+	return Build(g, b.c, opts)
+}
+
+// String labels the row in test failures.
+func (b buildRow) String() string {
+	if b.minimalK {
+		return string(b.c) + " (minimal K)"
+	}
+	return string(b.c)
+}
+
 // TestConstructionMatrix builds every construction on a matrix of graph
 // families; wherever a construction applies, its routing is validated
 // and its theorem bound is spot-checked with sampled fault injection.
@@ -53,66 +86,24 @@ func TestConstructionMatrix(t *testing.T) {
 			tol := k - 1
 			opts := Options{Tolerance: tol}
 
-			// Kernel applies everywhere in the matrix.
-			kr, ki, err := Kernel(fam.g, opts)
-			if err != nil {
-				t.Fatalf("kernel: %v", err)
-			}
-			if err := kr.Validate(); err != nil {
-				t.Fatalf("kernel validate: %v", err)
-			}
-			if err := eval.CheckTolerance(kr, ki.Bound, tol, sampled); err != nil {
-				t.Fatalf("kernel tolerance: %v", err)
-			}
-			built++
-
-			type attempt struct {
-				name  string
-				build func() (*routing.Routing, int, error) // routing, bound
-			}
-			attempts := []attempt{
-				{"circular", func() (*routing.Routing, int, error) {
-					r, info, err := Circular(fam.g, opts)
-					if err != nil {
-						return nil, 0, err
-					}
-					return r, info.Bound, nil
-				}},
-				{"tri-circular", func() (*routing.Routing, int, error) {
-					r, info, err := TriCircular(fam.g, opts)
-					if err != nil {
-						return nil, 0, err
-					}
-					return r, info.Bound, nil
-				}},
-				{"bipolar-uni", func() (*routing.Routing, int, error) {
-					r, info, err := BipolarUnidirectional(fam.g, opts)
-					if err != nil {
-						return nil, 0, err
-					}
-					return r, info.Bound, nil
-				}},
-				{"bipolar-bi", func() (*routing.Routing, int, error) {
-					r, info, err := BipolarBidirectional(fam.g, opts)
-					if err != nil {
-						return nil, 0, err
-					}
-					return r, info.Bound, nil
-				}},
-			}
-			for _, a := range attempts {
-				r, bound, err := a.build()
-				if errors.Is(err, ErrNotApplicable) {
+			// Kernel applies everywhere in the matrix; the others may
+			// fail, but only with ErrNotApplicable.
+			for _, b := range builds {
+				p, err := b.build(fam.g, opts)
+				if errors.Is(err, ErrNotApplicable) && b.c != ConstructionKernel {
 					continue
 				}
 				if err != nil {
-					t.Fatalf("%s: unexpected error class: %v", a.name, err)
+					t.Fatalf("%s: unexpected error class: %v", b, err)
 				}
-				if err := r.Validate(); err != nil {
-					t.Fatalf("%s validate: %v", a.name, err)
+				if p.T != tol {
+					t.Fatalf("%s: plan T = %d, want %d", b, p.T, tol)
 				}
-				if err := eval.CheckTolerance(r, bound, tol, sampled); err != nil {
-					t.Fatalf("%s tolerance: %v", a.name, err)
+				if err := p.Routing.Validate(); err != nil {
+					t.Fatalf("%s validate: %v", b, err)
+				}
+				if err := eval.CheckTolerance(p.Routing, p.Bound, tol, sampled); err != nil {
+					t.Fatalf("%s tolerance: %v", b, err)
 				}
 				built++
 			}
@@ -151,5 +142,61 @@ func TestAutoAcrossFamilies(t *testing.T) {
 				t.Fatalf("plan %s: %v", plan.Construction, err)
 			}
 		})
+	}
+}
+
+// TestBuildMatchesConstructors: Build returns its constructor's routing,
+// the (Bound, T) its Info reports and the structure it chose, or the
+// constructor's error unchanged.
+func TestBuildMatchesConstructors(t *testing.T) {
+	c9, c10, c45, ccc3 := mustGen(t)(gen.Cycle(9)), mustGen(t)(gen.Cycle(10)), mustGen(t)(gen.Cycle(45)), mustGen(t)(gen.CCC(3))
+	kr, ki, err := Kernel(ccc3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, ci, err := Circular(c9, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, ti, err := TriCircular(c45, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ur, ui, err := BipolarUnidirectional(c10, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, bi, err := BipolarBidirectional(c10, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		g         *graph.Graph
+		c         Construction
+		r         *routing.Routing
+		bound, tt int
+		reason    string
+	}{
+		{ccc3, ConstructionKernel, kr, ki.Bound, ki.T, "separator [1 2 3]"},
+		{c9, ConstructionCircular, cr, ci.Bound, ci.T, "K=3"},
+		{c45, ConstructionTriCircular, tr, ti.Bound, ti.T, "K=15"},
+		{c10, ConstructionBipolarUni, ur, ui.Bound, ui.T, "roots (0, 5)"},
+		{c10, ConstructionBipolarBi, br, bi.Bound, bi.T, "roots (0, 5)"},
+	} {
+		p, err := Build(tc.g, tc.c, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.c, err)
+		}
+		if p.Construction != tc.c || p.Bound != tc.bound || p.T != tc.tt || p.Reason != tc.reason ||
+			p.Bidirected != tc.r.Bidirectional() || !p.Routing.Equal(tc.r) {
+			t.Fatalf("%s: plan %+v, want (%d, %d), %q and the constructor's routing", tc.c, p, tc.bound, tc.tt, tc.reason)
+		}
+	}
+	_, _, want := BipolarUnidirectional(ccc3, Options{})
+	if _, err := Build(ccc3, ConstructionBipolarUni, Options{}); want == nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("bipolar on CCC(3): err = %v, want %v", err, want)
+	}
+	if _, err := Build(c9, "magic", Options{}); err == nil {
+		t.Fatal("an unknown construction should fail")
 	}
 }

@@ -48,27 +48,28 @@ func differentialGraphs(t *testing.T) map[string]*graph.Graph {
 	return gs
 }
 
-// differentialConstructions are the constructions built from tree
-// routings, each reduced to (routing, error).
-var differentialConstructions = []struct {
+// differential is a construction built from tree routings, reduced to
+// (routing, error).
+type differential struct {
 	name  string
 	build func(*graph.Graph) (any, error)
-}{
-	{"kernel", func(g *graph.Graph) (any, error) { r, _, err := Kernel(g, Options{}); return r, err }},
-	{"circular", func(g *graph.Graph) (any, error) { r, _, err := Circular(g, Options{}); return r, err }},
-	{"circular-minimal", func(g *graph.Graph) (any, error) {
-		r, _, err := Circular(g, Options{MinimalK: true})
-		return r, err
-	}},
-	{"tricircular", func(g *graph.Graph) (any, error) { r, _, err := TriCircular(g, Options{}); return r, err }},
-	{"tricircular-minimal", func(g *graph.Graph) (any, error) {
-		r, _, err := TriCircular(g, Options{MinimalK: true})
-		return r, err
-	}},
-	{"bipolar-uni", func(g *graph.Graph) (any, error) { r, _, err := BipolarUnidirectional(g, Options{}); return r, err }},
-	{"bipolar-bi", func(g *graph.Graph) (any, error) { r, _, err := BipolarBidirectional(g, Options{}); return r, err }},
-	{"multi-two-route", func(g *graph.Graph) (any, error) { m, _, err := TwoRouteMultirouting(g, Options{}); return m, err }},
-	{"multi-kernel", func(g *graph.Graph) (any, error) { m, _, err := KernelMultirouting(g, Options{}); return m, err }},
+}
+
+// differentials are every Build row and the two multiroutings.
+func differentials() []differential {
+	var ds []differential
+	for _, b := range builds {
+		ds = append(ds, differential{b.String(), func(g *graph.Graph) (any, error) {
+			p, err := b.build(g, Options{})
+			if err != nil {
+				return (*routing.Routing)(nil), err
+			}
+			return p.Routing, nil
+		}})
+	}
+	return append(ds,
+		differential{"multi-two-route", func(g *graph.Graph) (any, error) { m, _, err := TwoRouteMultirouting(g, Options{}); return m, err }},
+		differential{"multi-kernel", func(g *graph.Graph) (any, error) { m, _, err := KernelMultirouting(g, Options{}); return m, err }})
 }
 
 // checkedFinder answers with a connectivity.Split and asserts that the
@@ -112,7 +113,7 @@ func TestConstructionsMatchOracle(t *testing.T) {
 	var calls atomic.Int64
 	built := 0
 	for name, g := range differentialGraphs(t) {
-		for _, c := range differentialConstructions {
+		for _, c := range differentials() {
 			restore := setPathFinder(func(g *graph.Graph) pathFinder {
 				return checkedFinder{t: t, g: g, split: connectivity.NewSplit(g), calls: &calls}
 			})

@@ -81,12 +81,13 @@ type Config struct {
 	// routing (or failover tables) is strictly equivariant under a
 	// nontrivial subgroup of the graph's automorphism group, only one
 	// canonical representative per fault-set orbit is evaluated and its
-	// orbit size reconstructs the full Evaluated count. Results carry
-	// the same worst scores and counts as the plain enumeration; the
-	// reported witness is the canonical member of a worst orbit, which
-	// may differ from the plain witness set. When the symmetry check
-	// fails (or the group is trivial or too large) the search silently
-	// falls back to the plain enumeration. See docs/symmetry.md.
+	// orbit size reconstructs the full Evaluated count. Results equal
+	// the plain enumeration's, witness included: the witness is the
+	// first set in enumeration order to reach the worst score, and the
+	// first member of an orbit in that order is its canonical
+	// representative. When the symmetry check fails (or the group is
+	// trivial or too large) the search silently falls back to the plain
+	// enumeration. See docs/symmetry.md.
 	Pruned bool
 	// Deprecated: Bounded is ignored. Every diameter search scores its
 	// fault sets with the branch-and-bound kernel, threading the
@@ -291,8 +292,8 @@ func toleranceError(links bool, nf *graph.Bitset, ef []routing.EdgeFault, disc b
 // empty profile, and f is clamped to the n nodes, so the profile has at
 // most n+1 rows. It shares cfg semantics with MaxDiameter but evaluates
 // each size separately, which is the shape of the per-fault-count
-// tables in EXPERIMENTS.md. Each size runs on GOMAXPROCS workers, with
-// the result of the sequential search.
+// table ftroute tolerate prints. Each size runs on GOMAXPROCS workers,
+// with the result of the sequential search.
 func Profile(s RouteSource, f int, cfg Config) []int { return profile(s, f, cfg, 0, false) }
 
 // ProfileMixed reports, for each total mixed fault-set size 0..f — the

@@ -21,11 +21,6 @@ import (
 // group, nothing respecting — and the searches then fall back to the
 // plain enumeration. The driver walks a plan with search.plan.
 
-// prunedElementCap bounds the group orders pruning will expand: beyond
-// this many elements the respect checks and per-set canonicity tests
-// cost more than the enumeration they save, so the searches fall back.
-const prunedElementCap = 1 << 14
-
 // prunedReps is a compiled orbit-pruned enumeration plan: the canonical
 // representative fault sets (sorted item lists in lexicographic
 // preorder) and their orbit sizes. The empty set is not included — the
@@ -37,13 +32,13 @@ type prunedReps struct {
 
 // respectingElems computes the full element list of Aut(g) and filters
 // it to the elements keep accepts. It returns nil when pruning cannot
-// help: trivial group, more than prunedElementCap elements, or no
+// help: trivial group, more than sym.ElementCap elements, or no
 // nontrivial respecting element. When every generator respects the
 // evaluated object the whole generated group does, so one keep check
 // per generator replaces one per element.
 func respectingElems(g *graph.Graph, keep func(p []int) bool) [][]int {
 	gr := sym.Automorphisms(g)
-	elems := sym.Elements(gr.N, gr.Gens, prunedElementCap)
+	elems := sym.Elements(gr.N, gr.Gens, sym.ElementCap)
 	if len(elems) <= 1 {
 		return nil
 	}

@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"ftroute/internal/core"
 	"ftroute/internal/gen"
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
@@ -39,7 +41,7 @@ func transported(t *testing.T, name string) (*graph.Graph, *routing.Routing) {
 		t.Fatal(err)
 	}
 	gr := sym.Automorphisms(g)
-	elems := sym.Elements(gr.N, gr.Gens, prunedElementCap)
+	elems := sym.Elements(gr.N, gr.Gens, sym.ElementCap)
 	if elems == nil {
 		t.Fatalf("%s: automorphism group over cap", name)
 	}
@@ -78,12 +80,8 @@ func TestPrunedMatchesPlainMaxDiameter(t *testing.T) {
 		for f := 1; f <= 2; f++ {
 			plain := MaxDiameter(r, f, Config{Mode: Exhaustive})
 			pruned := MaxDiameter(r, f, Config{Mode: Exhaustive, Pruned: true})
-			if pruned.MaxDiameter != plain.MaxDiameter || pruned.Disconnected != plain.Disconnected {
+			if !reflect.DeepEqual(pruned, plain) {
 				t.Fatalf("%s f=%d: pruned %v, plain %v", name, f, pruned, plain)
-			}
-			if pruned.Evaluated != plain.Evaluated {
-				t.Fatalf("%s f=%d: pruned Evaluated=%d, plain %d (multiplicities wrong)",
-					name, f, pruned.Evaluated, plain.Evaluated)
 			}
 			if pruned.WorstFaults.Count() > f {
 				t.Fatalf("%s f=%d: witness %v over budget", name, f, pruned.WorstFaults)
@@ -113,8 +111,7 @@ func TestPrunedMatchesPlainMaxDiameterMixed(t *testing.T) {
 		f := 2
 		plain := MaxDiameterMixed(r, f, Config{Mode: Exhaustive})
 		pruned := MaxDiameterMixed(r, f, Config{Mode: Exhaustive, Pruned: true})
-		if pruned.MaxDiameter != plain.MaxDiameter || pruned.Disconnected != plain.Disconnected ||
-			pruned.Evaluated != plain.Evaluated {
+		if !reflect.DeepEqual(pruned, plain) {
 			t.Fatalf("%s: pruned %v, plain %v", name, pruned, plain)
 		}
 		w := scoreOfMixed(r, pruned.WorstNodeFaults, pruned.WorstEdgeFaults)
@@ -134,7 +131,7 @@ func TestPrunedMatchesPlainParallel(t *testing.T) {
 			t.Fatalf("f=%d: serial pruned %v, parallel pruned %v", f, serial, par)
 		}
 		plain := MaxDiameter(r, f, Config{Mode: Exhaustive})
-		if par.MaxDiameter != plain.MaxDiameter || par.Evaluated != plain.Evaluated {
+		if !reflect.DeepEqual(par, plain) {
 			t.Fatalf("f=%d: parallel pruned %v, plain %v", f, par, plain)
 		}
 	}
@@ -156,7 +153,7 @@ func TestPrunedCutsMatchPlain(t *testing.T) {
 		for _, b := range budgets {
 			plain := WorstLinkCuts(ft, g, b, Config{Mode: Exhaustive})
 			pruned := WorstLinkCuts(ft, g, b, Config{Mode: Exhaustive, Pruned: true})
-			if pruned.Stats != plain.Stats || pruned.Evaluated != plain.Evaluated {
+			if !reflect.DeepEqual(pruned, plain) {
 				t.Fatalf("%s b=%d: pruned %v, plain %v", name, b, pruned, plain)
 			}
 			if got := EvaluateMixedFaults(ft, nil, pruned.Worst); got != pruned.Stats {
@@ -185,7 +182,7 @@ func TestPrunedMixedFaultsMatchPlain(t *testing.T) {
 		for _, b := range budgets {
 			plain := WorstMixedFaults(ft, g, b, Config{Mode: Exhaustive})
 			pruned := WorstMixedFaults(ft, g, b, Config{Mode: Exhaustive, Pruned: true})
-			if pruned.Stats != plain.Stats || pruned.Evaluated != plain.Evaluated {
+			if !reflect.DeepEqual(pruned, plain) {
 				t.Fatalf("%s b=%d: pruned %v, plain %v", name, b, pruned, plain)
 			}
 			if got := EvaluateMixedFaults(ft, pruned.WorstNodes, pruned.WorstCuts); got != pruned.Stats {
@@ -199,6 +196,74 @@ func TestPrunedMixedFaultsMatchPlain(t *testing.T) {
 				t.Fatalf("%s: the mixed cut plan fell back on transported tables", name)
 			}
 		}
+	}
+}
+
+// TestPrunedMatchesPlainOnConstructions runs every pruned search on
+// the paper's routings (and the shortest-path baseline) wherever the
+// plans engage on these graphs, and requires the plain result, witness
+// included. It cannot differ: a representative is the lex-min member
+// of its orbit, so the orbit's first set in the plain preorder, the
+// plan visits representatives in that preorder, and every score is
+// constant on orbits, so the first set to reach the final score is a
+// representative.
+func TestPrunedMatchesPlainOnConstructions(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		c    core.Construction // "" for the shortest-path routing
+	}{
+		{"cycle:9", ""}, {"cycle:9", core.ConstructionKernel}, {"cycle:9", core.ConstructionCircular},
+		{"cycle:12", ""}, {"cycle:12", core.ConstructionKernel}, {"cycle:12", core.ConstructionBipolarUni},
+		{"petersen", ""}, {"petersen", core.ConstructionKernel},
+		{"wheel:9", ""}, {"wheel:9", core.ConstructionKernel},
+		{"harary:4x12", core.ConstructionKernel},
+		{"hypercube:3", ""},
+		{"torus:4x4", ""},
+	} {
+		t.Run(tc.spec+" "+string(tc.c), func(t *testing.T) {
+			g, err := gen.Parse(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := routing.ShortestPath(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.c != "" {
+				p, err := core.Build(g, tc.c, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r = p.Routing
+			}
+			ft := routing.FailoverFromRouting(r)
+			if routingReps(r, 2, true) == nil || tableReps(ft, g, 2, true) == nil {
+				t.Fatal("a plan fell back")
+			}
+			plain, pruned := Config{Mode: Exhaustive}, Config{Mode: Exhaustive, Pruned: true}
+			same := func(what string, p, q any) {
+				t.Helper()
+				if !reflect.DeepEqual(p, q) {
+					t.Fatalf("%s: plain %v, pruned %v", what, p, q)
+				}
+			}
+			for f := 1; f <= 3; f++ {
+				for _, w := range []int{1, 3} {
+					same(fmt.Sprintf("nodes f=%d, %d workers", f, w),
+						MaxDiameterParallel(r, f, plain, w), MaxDiameterParallel(r, f, pruned, w))
+				}
+			}
+			for b := 1; b <= 2; b++ {
+				same(fmt.Sprintf("mixed f=%d", b), MaxDiameterMixed(r, b, plain), MaxDiameterMixed(r, b, pruned))
+				same(fmt.Sprintf("cuts b=%d", b), WorstLinkCuts(ft, g, b, plain), WorstLinkCuts(ft, g, b, pruned))
+				for _, lambda := range []float64{0, 0.5, 2} {
+					pl, pr := plain, pruned
+					pl.SkippedWeight, pr.SkippedWeight = lambda, lambda
+					same(fmt.Sprintf("mixed walks b=%d λ=%g", b, lambda),
+						WorstMixedFaults(ft, g, b, pl), WorstMixedFaults(ft, g, b, pr))
+				}
+			}
+		})
 	}
 }
 

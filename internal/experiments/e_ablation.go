@@ -11,16 +11,12 @@ import (
 	"ftroute/internal/routing"
 )
 
-func init() {
-	register("E16", runE16)
-}
-
-// runE16 is the ablation study DESIGN.md calls out: the price of each
-// construction's guarantee, measured as route-table size (routed pairs,
-// average route length), per-node forwarding state, and build time —
-// side by side with the guarantee it buys. The paper's trade-off
-// (stronger bounds need bigger concentrators: K = 2t+1 for (6,t) vs
-// K = 6t+9 for (4,t)) becomes visible as route-table growth.
+// runE16 is an ablation study: the price of each construction's
+// guarantee, measured as route-table size (routed pairs, average route
+// length), per-node forwarding state, and build time — side by side
+// with the guarantee it buys. The paper's trade-off (stronger bounds
+// need bigger concentrators: K = 2t+1 for (6,t) vs K = 6t+9 for (4,t))
+// becomes visible as route-table growth.
 func runE16(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:         "E16",
@@ -28,24 +24,21 @@ func runE16(scale Scale) (*Table, error) {
 		PaperClaim: "implicit in Sections 3–6: stronger diameter bounds require larger concentrators and more routes",
 		Header:     []string{"graph", "construction", "bound", "t", "pairs", "avg len", "fwd entries", "build"},
 	}
-	// Each row reports the bound of its construction's own Info; the
-	// shortest-path baseline has none.
+	// Each row reports the bound its construction's Build plan carries;
+	// the shortest-path baseline (no construction) has none.
 	constructions := []struct {
 		name     string
+		c        core.Construction
 		minimalK bool
-		make     func(g *graph.Graph, o core.Options) (*routing.Routing, int, error)
 	}{
-		{"shortest-path (baseline)", false, func(g *graph.Graph, _ core.Options) (*routing.Routing, int, error) {
-			r, err := routing.ShortestPath(g)
-			return r, 0, err
-		}},
-		{"kernel", false, withBound(core.Kernel, func(i *core.KernelInfo) int { return i.Bound })},
-		{"circular (K=2t+1)", false, withBound(core.Circular, func(i *core.CircularInfo) int { return i.Bound })},
-		{"circular (minimal K)", true, withBound(core.Circular, func(i *core.CircularInfo) int { return i.Bound })},
-		{"tri-circular (K=6t+9)", false, withBound(core.TriCircular, func(i *core.TriCircularInfo) int { return i.Bound })},
-		{"tri-circular (minimal K)", true, withBound(core.TriCircular, func(i *core.TriCircularInfo) int { return i.Bound })},
-		{"bipolar-uni", false, withBound(core.BipolarUnidirectional, func(i *core.BipolarInfo) int { return i.Bound })},
-		{"bipolar-bi", false, withBound(core.BipolarBidirectional, func(i *core.BipolarInfo) int { return i.Bound })},
+		{"shortest-path (baseline)", "", false},
+		{"kernel", core.ConstructionKernel, false},
+		{"circular (K=2t+1)", core.ConstructionCircular, false},
+		{"circular (minimal K)", core.ConstructionCircular, true},
+		{"tri-circular (K=6t+9)", core.ConstructionTriCircular, false},
+		{"tri-circular (minimal K)", core.ConstructionTriCircular, true},
+		{"bipolar-uni", core.ConstructionBipolarUni, false},
+		{"bipolar-bi", core.ConstructionBipolarBi, false},
 	}
 	ws := []struct {
 		name string
@@ -64,7 +57,13 @@ func runE16(scale Scale) (*Table, error) {
 	for _, w := range ws {
 		for _, b := range constructions {
 			start := time.Now()
-			r, bound, err := b.make(w.g, core.Options{Tolerance: w.tol, MinimalK: b.minimalK})
+			p := &core.Plan{}
+			var err error
+			if b.c == "" {
+				p.Routing, err = routing.ShortestPath(w.g)
+			} else {
+				p, err = core.Build(w.g, b.c, core.Options{Tolerance: w.tol, MinimalK: b.minimalK})
+			}
 			if errors.Is(err, core.ErrNotApplicable) {
 				t.AddRow(w.name, b.name, "-", w.tol, "n/a", "-", "-", "-")
 				continue
@@ -73,11 +72,11 @@ func runE16(scale Scale) (*Table, error) {
 				return nil, fmt.Errorf("E16 %s/%s: %w", w.name, b.name, err)
 			}
 			elapsed := time.Since(start).Round(10 * time.Microsecond)
-			st := r.Stats()
-			ft := routing.FailoverFromRouting(r)
+			st := p.Routing.Stats()
+			ft := routing.FailoverFromRouting(p.Routing)
 			boundStr := "none"
-			if bound > 0 {
-				boundStr = fmt.Sprint(bound)
+			if p.Bound > 0 {
+				boundStr = fmt.Sprint(p.Bound)
 			}
 			t.AddRow(w.name, b.name, boundStr, w.tol, st.Pairs,
 				fmt.Sprintf("%.2f", st.AvgLen), ft.Entries(), elapsed.String())
@@ -88,16 +87,4 @@ func runE16(scale Scale) (*Table, error) {
 		"the shortest-path baseline routes every pair (max table size) but carries no tolerance guarantee",
 		"build times are indicative single-shot measurements, not statistical benchmarks (see bench_test.go)")
 	return t, nil
-}
-
-// withBound adapts a construction to E16's row shape: its routing and
-// the bound its Info reports.
-func withBound[I any](build func(*graph.Graph, core.Options) (*routing.Routing, *I, error), bound func(*I) int) func(*graph.Graph, core.Options) (*routing.Routing, int, error) {
-	return func(g *graph.Graph, o core.Options) (*routing.Routing, int, error) {
-		r, inf, err := build(g, o)
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, bound(inf), nil
-	}
 }

@@ -11,12 +11,6 @@ import (
 	"ftroute/internal/graph"
 )
 
-func init() {
-	register("E8", runE8)
-	register("E9", runE9)
-	register("E10", runE10)
-}
-
 // bipolarWorkloads are shared between E8 and E9.
 func bipolarWorkloads(scale Scale) []workload {
 	ws := []workload{

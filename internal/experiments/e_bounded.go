@@ -11,10 +11,6 @@ import (
 	"ftroute/internal/routing"
 )
 
-func init() {
-	register("E21", runE21)
-}
-
 // runE21 measures the branch-and-bound exhaustive adversary across the
 // anchor ladder. Each instance is a Circular routing on a paper family;
 // the exhaustive node-fault search runs three ways — a full-diameter

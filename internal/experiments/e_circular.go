@@ -9,12 +9,6 @@ import (
 	"ftroute/internal/gen"
 )
 
-func init() {
-	register("E3", runE3)
-	register("E4", runE4)
-	register("E5", runE5)
-}
-
 // runE3 measures Theorem 10 / Figure 1: circular routings with
 // K = 2t+1 keep the surviving diameter at most 6 for |F| <= t.
 func runE3(scale Scale) (*Table, error) {

@@ -5,17 +5,12 @@ import (
 
 	"ftroute/internal/core"
 	"ftroute/internal/eval"
-	"ftroute/internal/gen"
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
 )
 
-func init() {
-	register("E18", runE18)
-}
-
 // runE18 measures the literal mixed fault model through the incremental
-// engine's edge-fault path (PR 2). Two quantities per instance:
+// engine's edge-fault path. Two quantities per instance:
 //
 //   - the worst surviving diameter over every mixed node∪edge fault set
 //     of total size <= t, found by exhaustive enumeration over the n+m
@@ -33,47 +28,24 @@ func runE18(scale Scale) (*Table, error) {
 		PaperClaim: "Section 1: a faulty edge is treated as a faulty endpoint, 'an assumption that can only weaken our results' — an edge fault kills a subset of the routes either endpoint kills",
 		Header:     []string{"graph", "n", "m", "t", "worst mixed", "sets", "max edge kills", "min endpoint kills", "strictly fewer", "check"},
 	}
-	type item struct {
-		name  string
-		g     *graph.Graph
-		build func(*graph.Graph) (*routing.Routing, int, error) // routing, t
-	}
-	kernelBuild := func(g *graph.Graph) (*routing.Routing, int, error) {
-		r, info, err := core.Kernel(g, core.Options{})
-		return r, info.T, err
-	}
-	circBuild := func(g *graph.Graph) (*routing.Routing, int, error) {
-		r, info, err := core.Circular(g, core.Options{})
-		return r, info.T, err
-	}
-	items := []item{
-		{"cycle C9 (circular)", must(gen.Cycle(9)), circBuild},
-		{"hypercube Q3 (kernel)", must(gen.Hypercube(3)), kernelBuild},
-	}
-	if scale == Full {
-		items = append(items,
-			item{"CCC(3) (kernel)", must(gen.CCC(3)), kernelBuild},
-			item{"cycle C15 (circular)", must(gen.Cycle(15)), circBuild},
-			item{"Petersen (kernel)", gen.Petersen(), kernelBuild},
-		)
-	}
-	for _, it := range items {
-		r, tol, err := it.build(it.g)
+	for _, in := range mixedInstances(scale) {
+		name := fmt.Sprintf("%s (%s)", in.name, in.c)
+		p, err := core.Build(in.g, in.c, core.Options{})
 		if err != nil {
-			return nil, fmt.Errorf("E18 %s: %w", it.name, err)
+			return nil, fmt.Errorf("E18 %s: %w", name, err)
 		}
-		res := eval.MaxDiameterMixed(r, tol, eval.Config{Mode: eval.Exhaustive})
+		res := eval.MaxDiameterMixed(p.Routing, p.T, eval.Config{Mode: eval.Exhaustive})
 		worst := res.MaxDiameter
 		if res.Disconnected {
 			worst = -1
 		}
-		maxEdge, minEndpoint, strict, dominated := edgeKillStats(r, it.g)
+		maxEdge, minEndpoint, strict, dominated := edgeKillStats(p.Routing, in.g)
 		check := "ok"
 		if !dominated {
 			check = "VIOLATED"
 		}
-		t.AddRow(it.name, it.g.N(), it.g.M(), tol, diamStr(worst), res.Evaluated,
-			maxEdge, minEndpoint, fmt.Sprintf("%d/%d", strict, it.g.M()), check)
+		t.AddRow(name, in.g.N(), in.g.M(), p.T, diamStr(worst), res.Evaluated,
+			maxEdge, minEndpoint, fmt.Sprintf("%d/%d", strict, in.g.M()), check)
 	}
 	t.Notes = append(t.Notes,
 		"worst mixed: exhaustive enumeration of all node+edge fault sets of total size <= t (engine-backed; the diameter is over all literally alive nodes, so it may exceed the node-fault bound, which only covers nodes alive under the endpoint mapping — see E14)",

@@ -11,9 +11,21 @@ import (
 	"ftroute/internal/routing"
 )
 
-func init() {
-	register("E14", runE14)
-	register("E15", runE15)
+// mixedInstances lists the instances E14, E18 and E19 search under
+// mixed faults; Full scale adds CCC(3), C15 and the Petersen graph.
+func mixedInstances(scale Scale) []instance {
+	is := []instance{
+		{"cycle C9", must(gen.Cycle(9)), core.ConstructionCircular},
+		{"hypercube Q3", must(gen.Hypercube(3)), core.ConstructionKernel},
+	}
+	if scale == Full {
+		is = append(is,
+			instance{"CCC(3)", must(gen.CCC(3)), core.ConstructionKernel},
+			instance{"cycle C15", must(gen.Cycle(15)), core.ConstructionCircular},
+			instance{"Petersen", gen.Petersen(), core.ConstructionKernel},
+		)
+	}
+	return is
 }
 
 // runE14 verifies the paper's edge-fault remark (Section 1): faulty
@@ -32,46 +44,17 @@ func runE14(scale Scale) (*Table, error) {
 		PaperClaim: "Section 1 remark: treating an edge fault as an endpoint node fault can only weaken the results — so the node-fault bound d covers mixed faults too",
 		Header:     []string{"graph", "n", "t", "bound", "measured (mixed)", "sets", "check"},
 	}
-	type item struct {
-		name  string
-		g     *graph.Graph
-		build func(*graph.Graph) (*routing.Routing, int, int, error) // routing, bound, t
-	}
-	kernelBuild := func(g *graph.Graph) (*routing.Routing, int, int, error) {
-		r, info, err := core.Kernel(g, core.Options{})
+	for _, in := range mixedInstances(scale) {
+		name := fmt.Sprintf("%s (%s)", in.name, in.c)
+		p, err := core.Build(in.g, in.c, core.Options{})
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, fmt.Errorf("E14 %s: %w", name, err)
 		}
-		return r, info.Bound, info.T, nil
-	}
-	circBuild := func(g *graph.Graph) (*routing.Routing, int, int, error) {
-		r, info, err := core.Circular(g, core.Options{})
+		worst, sets, err := worstMixedDiameter(p.Routing, in.g, p.T)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, fmt.Errorf("E14 %s: %w", name, err)
 		}
-		return r, info.Bound, info.T, nil
-	}
-	items := []item{
-		{"cycle C9 (circular)", must(gen.Cycle(9)), circBuild},
-		{"hypercube Q3 (kernel)", must(gen.Hypercube(3)), kernelBuild},
-	}
-	if scale == Full {
-		items = append(items,
-			item{"CCC(3) (kernel)", must(gen.CCC(3)), kernelBuild},
-			item{"cycle C15 (circular)", must(gen.Cycle(15)), circBuild},
-			item{"Petersen (kernel)", gen.Petersen(), kernelBuild},
-		)
-	}
-	for _, it := range items {
-		r, bound, tol, err := it.build(it.g)
-		if err != nil {
-			return nil, fmt.Errorf("E14 %s: %w", it.name, err)
-		}
-		worst, sets, err := worstMixedDiameter(r, it.g, tol)
-		if err != nil {
-			return nil, fmt.Errorf("E14 %s: %w", it.name, err)
-		}
-		t.AddRow(it.name, it.g.N(), tol, bound, diamStr(worst), sets, okStr(worst, bound))
+		t.AddRow(name, in.g.N(), p.T, p.Bound, diamStr(worst), sets, okStr(worst, p.Bound))
 	}
 	t.Notes = append(t.Notes,
 		"mixed fault sets: every combination of k node faults and l edge faults with k+l <= t (edges drawn from the graph's edge set)",

@@ -5,14 +5,8 @@ import (
 
 	"ftroute/internal/core"
 	"ftroute/internal/eval"
-	"ftroute/internal/gen"
-	"ftroute/internal/graph"
 	"ftroute/internal/routing"
 )
-
-func init() {
-	register("E19", runE19)
-}
 
 // runE19 measures static-failover forwarding under adversarial faults:
 // the paper's routings compiled to rank-1 failover tables (no backups)
@@ -33,52 +27,27 @@ func runE19(scale Scale) (*Table, error) {
 		PaperClaim: "the paper evaluates routings at the route-graph level; at the forwarding-table level, backup routes (Section 6 multiroutings / Lenzen–Medina reinforcement) are what survives adversarial link cutting (Chiesa et al.)",
 		Header:     []string{"graph", "n", "m", "routing", "budget", "backups", "plain worst", "reinforced worst", "reinf @ plain cut", "plain worst mixed", "reinf worst mixed", "sets"},
 	}
-	type item struct {
-		name    string
-		g       *graph.Graph
-		routing string
-		build   func(*graph.Graph) (*routing.Routing, error)
-	}
-	kernelBuild := func(g *graph.Graph) (*routing.Routing, error) {
-		r, _, err := core.Kernel(g, core.Options{})
-		return r, err
-	}
-	circBuild := func(g *graph.Graph) (*routing.Routing, error) {
-		r, _, err := core.Circular(g, core.Options{})
-		return r, err
-	}
-	items := []item{
-		{"cycle C9", must(gen.Cycle(9)), "circular", circBuild},
-		{"hypercube Q3", must(gen.Hypercube(3)), "kernel", kernelBuild},
-	}
-	if scale == Full {
-		items = append(items,
-			item{"CCC(3)", must(gen.CCC(3)), "kernel", kernelBuild},
-			item{"cycle C15", must(gen.Cycle(15)), "circular", circBuild},
-			item{"Petersen", gen.Petersen(), "kernel", kernelBuild},
-		)
-	}
 	const budget, backups = 2, 2
-	for _, it := range items {
-		r, err := it.build(it.g)
+	for _, in := range mixedInstances(scale) {
+		p, err := core.Build(in.g, in.c, core.Options{})
 		if err != nil {
-			return nil, fmt.Errorf("E19 %s: %w", it.name, err)
+			return nil, fmt.Errorf("E19 %s: %w", in.name, err)
 		}
-		plain := routing.FailoverFromRouting(r)
-		m, err := routing.Reinforce(r, backups)
+		plain := routing.FailoverFromRouting(p.Routing)
+		m, err := routing.Reinforce(p.Routing, backups)
 		if err != nil {
-			return nil, fmt.Errorf("E19 %s: reinforce: %w", it.name, err)
+			return nil, fmt.Errorf("E19 %s: reinforce: %w", in.name, err)
 		}
 		reinforced := routing.CompileFailover(m)
 		// The parallel engine search is bit-for-bit identical to the
 		// sequential and legacy paths, so the table stays stable.
 		cfg := eval.Config{Mode: eval.Exhaustive}
-		pw := eval.WorstLinkCutsParallel(plain, it.g, budget, cfg, 0)
-		rw := eval.WorstLinkCutsParallel(reinforced, it.g, budget, cfg, 0)
+		pw := eval.WorstLinkCutsParallel(plain, in.g, budget, cfg, 0)
+		rw := eval.WorstLinkCutsParallel(reinforced, in.g, budget, cfg, 0)
 		same := eval.EvaluateMixedFaults(reinforced, nil, pw.Worst)
-		pm := eval.WorstMixedFaultsParallel(plain, it.g, budget, cfg, 0)
-		rm := eval.WorstMixedFaultsParallel(reinforced, it.g, budget, cfg, 0)
-		t.AddRow(it.name, it.g.N(), it.g.M(), it.routing, budget, backups,
+		pm := eval.WorstMixedFaultsParallel(plain, in.g, budget, cfg, 0)
+		rm := eval.WorstMixedFaultsParallel(reinforced, in.g, budget, cfg, 0)
+		t.AddRow(in.name, in.g.N(), in.g.M(), string(in.c), budget, backups,
 			cutCell(pw.Stats), cutCell(rw.Stats), cutCell(same),
 			mixedCell(pm.Stats), mixedCell(rm.Stats),
 			pw.Evaluated+rw.Evaluated+pm.Evaluated+rm.Evaluated)

@@ -9,11 +9,6 @@ import (
 	"ftroute/internal/graph"
 )
 
-func init() {
-	register("E1", runE1)
-	register("E2", runE2)
-}
-
 // must unwraps generator results whose parameters are compile-time
 // constants; a failure is a bug in the experiment definition, so it
 // panics rather than propagating an impossible error.
@@ -28,6 +23,14 @@ func must(g *graph.Graph, err error) *graph.Graph {
 type workload struct {
 	name string
 	g    *graph.Graph
+}
+
+// instance is one named graph and the construction an experiment
+// builds on it with core.Build.
+type instance struct {
+	name string
+	g    *graph.Graph
+	c    core.Construction
 }
 
 // maxEval is the shared evaluation policy: exhaustive when the number of

@@ -9,11 +9,6 @@ import (
 	"ftroute/internal/gen"
 )
 
-func init() {
-	register("E6", runE6)
-	register("E7", runE7)
-}
-
 // runE6 measures Lemma 15: the greedy neighborhood set always reaches
 // ceil(n/(d^2+1)) members.
 func runE6(scale Scale) (*Table, error) {

@@ -6,13 +6,7 @@ import (
 	"ftroute/internal/core"
 	"ftroute/internal/eval"
 	"ftroute/internal/gen"
-	"ftroute/internal/graph"
-	"ftroute/internal/routing"
 )
-
-func init() {
-	register("E17", runE17)
-}
 
 // runE17 probes the paper's Open Problem 3 empirically: beyond the
 // designed tolerance t, do the constructions stay "well behaved" —
@@ -28,57 +22,26 @@ func runE17(scale Scale) (*Table, error) {
 		PaperClaim: "§7(3) asks whether routings remain well behaved when |F| > t; no answer is proven in the paper — these are empirical observations",
 		Header:     []string{"graph", "construction", "t", "F", "fault sets", "G−F connected", "shattered", "worst comp diam"},
 	}
-	type item struct {
-		name  string
-		cname string
-		r     *routing.Routing
-		tol   int
-	}
-	var items []item
-	add := func(name, cname string, g *graph.Graph, build func(*graph.Graph) (*routing.Routing, int, error)) error {
-		r, tol, err := build(g)
-		if err != nil {
-			return fmt.Errorf("E17 %s: %w", name, err)
-		}
-		items = append(items, item{name, cname, r, tol})
-		return nil
-	}
-	kernel := func(g *graph.Graph) (*routing.Routing, int, error) {
-		r, info, err := core.Kernel(g, core.Options{})
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, info.T, nil
-	}
-	circular := func(g *graph.Graph) (*routing.Routing, int, error) {
-		r, info, err := core.Circular(g, core.Options{})
-		if err != nil {
-			return nil, 0, err
-		}
-		return r, info.T, nil
-	}
-	if err := add("cycle C12", "circular", must(gen.Cycle(12)), circular); err != nil {
-		return nil, err
-	}
-	if err := add("hypercube Q3", "kernel", must(gen.Hypercube(3)), kernel); err != nil {
-		return nil, err
+	is := []instance{
+		{"cycle C12", must(gen.Cycle(12)), core.ConstructionCircular},
+		{"hypercube Q3", must(gen.Hypercube(3)), core.ConstructionKernel},
 	}
 	if scale == Full {
-		if err := add("cycle C16", "circular", must(gen.Cycle(16)), circular); err != nil {
-			return nil, err
-		}
-		if err := add("CCC(3)", "kernel", must(gen.CCC(3)), kernel); err != nil {
-			return nil, err
-		}
-		if err := add("Petersen", "kernel", gen.Petersen(), kernel); err != nil {
-			return nil, err
-		}
+		is = append(is,
+			instance{"cycle C16", must(gen.Cycle(16)), core.ConstructionCircular},
+			instance{"CCC(3)", must(gen.CCC(3)), core.ConstructionKernel},
+			instance{"Petersen", gen.Petersen(), core.ConstructionKernel},
+		)
 	}
-	for _, it := range items {
+	for _, in := range is {
+		p, err := core.Build(in.g, in.c, core.Options{})
+		if err != nil {
+			return nil, fmt.Errorf("E17 %s: %w", in.name, err)
+		}
 		for extra := 1; extra <= 2; extra++ {
-			f := it.tol + extra
-			res := eval.BeyondTolerance(it.r, f)
-			t.AddRow(it.name, it.cname, it.tol, f, res.Evaluated, res.GraphConnected,
+			f := p.T + extra
+			res := eval.BeyondTolerance(p.Routing, f)
+			t.AddRow(in.name, string(in.c), p.T, f, res.Evaluated, res.GraphConnected,
 				res.Shattered, res.WorstComponentDiameter)
 		}
 	}

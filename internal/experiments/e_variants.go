@@ -8,12 +8,6 @@ import (
 	"ftroute/internal/routing"
 )
 
-func init() {
-	register("E11", runE11)
-	register("E12", runE12)
-	register("E13", runE13)
-}
-
 // runE11 measures the three multirouting observations of Section 6:
 // (1) t+1 routes per pair give surviving diameter 1;
 // (2) kernel + multiroutes inside the concentrator give 3;

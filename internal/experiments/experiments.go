@@ -6,12 +6,11 @@
 // delivers its claimed (d, f)-tolerance on the network families the
 // paper names.
 //
-// Experiments are identified E1..E13; see DESIGN.md §4 for the index.
+// Experiments are identified E1..E21, listed in order in runners below.
 package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -21,7 +20,7 @@ type Scale int
 const (
 	// Quick runs reduced configurations (used by unit tests).
 	Quick Scale = iota
-	// Full runs the configurations recorded in EXPERIMENTS.md.
+	// Full runs the configurations cmd/experiments prints by default.
 	Full
 )
 
@@ -111,48 +110,51 @@ func (t *Table) Markdown() string {
 // Runner produces an experiment's tables at a given scale.
 type Runner func(Scale) (*Table, error)
 
-// registry maps experiment ids to runners; populated by init functions
-// in the per-experiment files.
-var registry = map[string]Runner{}
-
-// register adds a runner; duplicate ids are a programming error.
-func register(id string, r Runner) {
-	if _, dup := registry[id]; dup {
-		panic("experiments: duplicate id " + id)
-	}
-	registry[id] = r
+// runners lists every experiment in order.
+var runners = []struct {
+	id  string
+	run Runner
+}{
+	{"E1", runE1},
+	{"E2", runE2},
+	{"E3", runE3},
+	{"E4", runE4},
+	{"E5", runE5},
+	{"E6", runE6},
+	{"E7", runE7},
+	{"E8", runE8},
+	{"E9", runE9},
+	{"E10", runE10},
+	{"E11", runE11},
+	{"E12", runE12},
+	{"E13", runE13},
+	{"E14", runE14},
+	{"E15", runE15},
+	{"E16", runE16},
+	{"E17", runE17},
+	{"E18", runE18},
+	{"E19", runE19},
+	{"E20", runE20},
+	{"E21", runE21},
 }
 
 // IDs returns all experiment ids in order.
 func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
+	ids := make([]string, len(runners))
+	for i, r := range runners {
+		ids[i] = r.id
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		// E1 < E2 < ... < E10 < ...: numeric compare of the suffix.
-		return idNum(ids[i]) < idNum(ids[j])
-	})
 	return ids
-}
-
-func idNum(id string) int {
-	n := 0
-	for _, r := range id {
-		if r >= '0' && r <= '9' {
-			n = n*10 + int(r-'0')
-		}
-	}
-	return n
 }
 
 // Run executes one experiment by id.
 func Run(id string, scale Scale) (*Table, error) {
-	r, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
+	for _, r := range runners {
+		if r.id == id {
+			return r.run(scale)
+		}
 	}
-	return r(scale)
+	return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 }
 
 // diamStr renders a measured diameter, with ∞ for disconnection.

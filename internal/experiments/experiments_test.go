@@ -1,9 +1,32 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the tables the experiments print now")
+
+// timingHeaders name the columns whose cells are wall-clock readings;
+// the golden comparison blanks them.
+var timingHeaders = map[string]bool{
+	"build": true, "plain ms": true, "pruned ms": true, "bounded ms": true, "b+par ms": true, "speedup": true,
+}
+
+// blankTimings empties every cell under a timing header, before the
+// table is rendered, so column widths do not depend on the clock.
+func blankTimings(tbl *Table) {
+	for i, h := range tbl.Header {
+		if timingHeaders[h] {
+			for _, row := range tbl.Rows {
+				row[i] = ""
+			}
+		}
+	}
+}
 
 func TestIDsOrdered(t *testing.T) {
 	ids := IDs()
@@ -25,7 +48,10 @@ func TestRunUnknown(t *testing.T) {
 }
 
 // TestAllExperimentsQuick runs every registered experiment at Quick scale
-// and asserts that no measured value violates its paper bound.
+// and asserts that no measured value violates its paper bound, and that
+// each table, timing cells blanked, prints what testdata/<id>.golden
+// holds. Regenerate those files with
+// go test ./internal/experiments -run TestAllExperimentsQuick -update.
 func TestAllExperimentsQuick(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
@@ -50,6 +76,22 @@ func TestAllExperimentsQuick(t *testing.T) {
 			md := tbl.Markdown()
 			if strings.Count(md, "\n|") < len(tbl.Rows)+1 {
 				t.Fatal("markdown missing rows")
+			}
+			blankTimings(tbl)
+			got := tbl.String()
+			golden := filepath.Join("testdata", id+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("table differs from %s:\n%s\nwant:\n%s", golden, got, want)
 			}
 		})
 	}

@@ -236,6 +236,13 @@ func Identity(n int) []int {
 	return p
 }
 
+// ElementCap is the largest group order the orbit-pruned searches (and
+// the reports that predict them) expand with Elements: beyond it the
+// respect checks and per-set canonicity tests cost more than the
+// enumeration they save, so the searches fall back to plain
+// enumeration.
+const ElementCap = 1 << 14
+
 // Elements expands a generating set to the full element list of the
 // generated group (identity included), sorted deterministically. It
 // returns nil when the group has more than max elements — callers

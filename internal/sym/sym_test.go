@@ -187,7 +187,7 @@ func TestEnumeratorMatchesBruteForce(t *testing.T) {
 func TestEnumeratorCCC4Mixed(t *testing.T) {
 	g := must(gen.CCC(4))
 	gr := Automorphisms(g)
-	elems := Elements(gr.N, gr.Gens, 1<<14)
+	elems := Elements(gr.N, gr.Gens, ElementCap)
 	if elems == nil {
 		t.Fatal("CCC(4) element cap exceeded")
 	}
