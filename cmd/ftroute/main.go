@@ -110,6 +110,9 @@ func run(args []string) error {
 			return fmt.Errorf("-%s must be %s, got %d", f.name, f.phrase, f.value)
 		}
 	}
+	if _, ok := constructions[*construction]; !ok && *construction != "auto" && *construction != "shortest" {
+		return fmt.Errorf("unknown construction %q", *construction)
+	}
 	if *graphSpec == "" {
 		return errUsage
 	}
@@ -239,10 +242,10 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 		pw := ftroute.WorstLinkCutsParallel(plain, g, cuts, cfg, 0)
 		rw := ftroute.WorstLinkCutsParallel(reinforced, g, cuts, cfg, 0)
 		fmt.Printf("adversary (%s, budget %d):\n", mode, cuts)
-		fmt.Printf("  plain:      %s\n", pw)
-		fmt.Printf("  reinforced: %s\n", rw)
-		fmt.Printf("  reinforced under plain's worst cut: %s\n", ftroute.EvaluateMixedFaults(reinforced, nil, pw.Worst))
-		worstCuts = pw.Worst
+		fmt.Printf("  plain:      worst cut %v: %v (%d sets)\n", pw.WorstCuts, pw.Stats, pw.Evaluated)
+		fmt.Printf("  reinforced: worst cut %v: %v (%d sets)\n", rw.WorstCuts, rw.Stats, rw.Evaluated)
+		fmt.Printf("  reinforced under plain's worst cut: %s\n", ftroute.EvaluateMixedFaults(reinforced, nil, pw.WorstCuts))
+		worstCuts = pw.WorstCuts
 	}
 	var schedule []netsim.FaultEvent
 	for _, v := range worstNodes {
@@ -451,8 +454,10 @@ var constructions = map[string]struct {
 }
 
 // build constructs the requested routing, prints a summary and returns
-// its plan. The shortest-path baseline has no designed bound: its plan
-// has Bound 0 and T = κ-1.
+// its plan. The construction is auto, shortest or a name of the
+// constructions table; run rejects any other before it dispatches. The
+// shortest-path baseline has no designed bound: its plan has Bound 0
+// and T = κ-1.
 func build(g *ftroute.Graph, construction string) (*ftroute.Plan, error) {
 	if c, ok := constructions[construction]; ok {
 		p, err := ftroute.Build(g, c.c, ftroute.Options{})
@@ -462,28 +467,24 @@ func build(g *ftroute.Graph, construction string) (*ftroute.Plan, error) {
 		fmt.Printf("%s routing: (%d, %d)-tolerant, %s\n", c.label, p.Bound, p.T, p.Reason)
 		return p, nil
 	}
-	switch construction {
-	case "auto":
+	if construction == "auto" {
 		p, err := ftroute.Auto(g, ftroute.Options{})
 		if err != nil {
 			return nil, err
 		}
 		fmt.Printf("auto chose %s: (%d, %d)-tolerant — %s\n", p.Construction, p.Bound, p.T, p.Reason)
 		return p, nil
-	case "shortest":
-		r, err := ftroute.ShortestPathRouting(g)
-		if err != nil {
-			return nil, err
-		}
-		k, err := kappa(g)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("shortest-path routing (baseline): no designed tolerance, t=%d\n", k-1)
-		return &ftroute.Plan{T: k - 1, Bidirected: r.Bidirectional(), Routing: r}, nil
-	default:
-		return nil, fmt.Errorf("unknown construction %q", construction)
 	}
+	r, err := ftroute.ShortestPathRouting(g)
+	if err != nil {
+		return nil, err
+	}
+	k, err := kappa(g)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("shortest-path routing (baseline): no designed tolerance, t=%d\n", k-1)
+	return &ftroute.Plan{T: k - 1, Bidirected: r.Bidirectional(), Routing: r}, nil
 }
 
 func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed int64, exhaustive, pruned, mixed bool) error {

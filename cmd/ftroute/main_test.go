@@ -144,7 +144,6 @@ func TestRunRejectsNonFiniteLambda(t *testing.T) {
 // and a -samples or -messages below 1 would be replaced by a default
 // without a word.
 func TestRunRejectsNegativeFailoverCounts(t *testing.T) {
-	subcommands := []string{"info", "plan", "route", "orbits", "tolerate", "simulate", "failover", "export", "check"}
 	for _, tc := range []struct {
 		flag   string
 		bad    []string
@@ -169,12 +168,21 @@ func TestRunRejectsNegativeFailoverCounts(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownConstruction also checks that the error does not
-// name the program: main adds the one "ftroute: ".
+// subcommands are the nine subcommands run dispatches to.
+var subcommands = []string{"info", "plan", "route", "orbits", "tolerate", "simulate", "failover", "export", "check"}
+
+// TestRunRejectsUnknownConstruction: run checks -construction before it
+// dispatches, so every subcommand rejects a name build does not know,
+// also those that never build a routing (info, plan, orbits, check).
+// The error does not name the program: main adds the one "ftroute: ".
 func TestRunRejectsUnknownConstruction(t *testing.T) {
-	err := run([]string{"route", "-graph", "cycle:9", "-construction", "magic"})
-	if err == nil || err.Error() != `unknown construction "magic"` {
-		t.Fatalf("err = %v, want unknown construction \"magic\"", err)
+	for _, sub := range subcommands {
+		t.Run(sub, func(t *testing.T) {
+			_, err := runOutput(t, sub, "-graph", "cycle:9", "-construction", "magic")
+			if want := `unknown construction "magic"`; err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+		})
 	}
 }
 

@@ -54,7 +54,7 @@ func main() {
 		Mode: ftroute.Sampled, Samples: 150, Greedy: true, Seed: 42,
 	})
 	fmt.Printf("worst over %d fault sets: diameter %d (worst F = %v)\n",
-		res.Evaluated, res.MaxDiameter, res.WorstFaults)
+		res.Evaluated, res.MaxDiameter, res.WorstNodeFaults)
 	if res.MaxDiameter > plan.Bound || res.Disconnected {
 		log.Fatal("bound violated — this would be a bug")
 	}

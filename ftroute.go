@@ -171,8 +171,6 @@ var (
 type (
 	// EvalConfig controls fault-set search.
 	EvalConfig = eval.Config
-	// EvalResult reports the worst case found.
-	EvalResult = eval.Result
 	// EvalEngine is the incremental surviving-graph evaluation engine:
 	// it compiles a routing once and then maintains R(G,ρ)/F under
 	// single-fault additions/removals with word-parallel BFS diameters.
@@ -183,7 +181,10 @@ type (
 	// the input of every evaluation entry point (Routing and
 	// MultiRouting both qualify).
 	RouteSource = eval.RouteSource
-	// MixedResult reports the worst case found over mixed fault sets.
+	// MixedResult is the report of every diameter search: the worst
+	// surviving diameter found and a fault set achieving it, split into
+	// nodes (WorstNodeFaults) and links (WorstEdgeFaults, nil for a
+	// node-only search).
 	MixedResult = eval.MixedResult
 )
 
@@ -198,7 +199,7 @@ const (
 
 var (
 	// MaxDiameterUnderFaults searches fault sets of size ≤ f for the
-	// worst surviving diameter.
+	// worst surviving diameter; its MixedResult has no link part.
 	MaxDiameterUnderFaults = eval.MaxDiameter
 	// MaxDiameterUnderFaultsParallel fans the search over worker
 	// goroutines (per-worker engine clones with work stealing); results
@@ -270,8 +271,6 @@ type (
 	// LinkCutStats counts walk outcomes over all table pairs under one
 	// cut set.
 	LinkCutStats = eval.CutStats
-	// LinkCutResult reports the worst link-cut set found.
-	LinkCutResult = eval.CutResult
 	// WalkEngine is the incremental failover-walk engine: it walks the
 	// tables' flat layout, caches every pair's walk, and re-walks only
 	// the pairs whose cached walk touched a toggled item on
@@ -279,8 +278,10 @@ type (
 	// packet-level adversary entry points use it automatically; it is
 	// exported for custom search loops.
 	WalkEngine = eval.WalkEngine
-	// MixedCutResult reports the worst mixed (node+link) fault set
-	// found by the packet-level mixed adversary.
+	// MixedCutResult is the report of every packet-level adversary
+	// search: the worst fault set found, split into nodes (WorstNodes,
+	// []int{} for a link-only search) and links (WorstCuts), and the walk
+	// outcomes under it.
 	MixedCutResult = eval.MixedCutResult
 )
 
@@ -313,7 +314,8 @@ var (
 	FaultSetOf = routing.FaultSetOf
 	// WorstLinkCuts searches for the cut set disrupting the most pairs
 	// of a failover table set (exhaustive, or sampled+greedy+concentrator),
-	// incrementally through the WalkEngine.
+	// incrementally through the WalkEngine; its MixedCutResult has no
+	// node part.
 	WorstLinkCuts = eval.WorstLinkCuts
 	// WorstLinkCutsParallel fans the link-cut search over worker
 	// goroutines on per-worker WalkEngine clones; results are

@@ -134,7 +134,7 @@ func TestFacadeEvalEngine(t *testing.T) {
 	seq := MaxDiameterUnderFaults(r, 1, EvalConfig{Mode: Exhaustive})
 	par := MaxDiameterUnderFaultsParallel(r, 1, EvalConfig{Mode: Exhaustive}, 4)
 	if seq.MaxDiameter != par.MaxDiameter || seq.Evaluated != par.Evaluated ||
-		seq.WorstFaults.String() != par.WorstFaults.String() {
+		seq.WorstNodeFaults.String() != par.WorstNodeFaults.String() {
 		t.Fatalf("parallel %v != sequential %v", par, seq)
 	}
 

@@ -125,7 +125,7 @@ func TestBoundedMatchesOracle(t *testing.T) {
 				want := fromOracle(plain)
 				if pruned {
 					want = prunedRef(t, s, routingReps(s, f, false), oracle.MixedResult{MaxDiameter: plain.MaxDiameter,
-						Disconnected: plain.Disconnected, WorstNodeFaults: plain.WorstFaults, Evaluated: plain.Evaluated}).node()
+						Disconnected: plain.Disconnected, WorstNodeFaults: plain.WorstFaults, Evaluated: plain.Evaluated})
 				}
 				sameResult(t, fmt.Sprintf("%s f=%d pruned=%v serial", name, f, pruned), MaxDiameter(s, f, cfg), want)
 				for _, workers := range []int{1, 2, 8} {
@@ -377,8 +377,8 @@ func TestCountSetsMatchesEnumeration(t *testing.T) {
 			for s := 1; s <= left; s++ {
 				want += binom(n, s)
 			}
-			if got := countSets(n, left); got != want {
-				t.Fatalf("countSets(%d,%d) = %d, want %d", n, left, got, want)
+			if got := countRange(n, 1, left); got != want {
+				t.Fatalf("countRange(%d,1,%d) = %d, want %d", n, left, got, want)
 			}
 		}
 	}
@@ -414,12 +414,12 @@ func TestCountSetsSaturate(t *testing.T) {
 		for s := 1; s <= f; s++ {
 			sum.Add(sum, new(big.Int).Binomial(5000, int64(s)))
 		}
-		if got, want := countSets(5000, f), saturated(sum); got != want {
-			t.Errorf("countSets(5000, %d) = %d, want %d", f, got, want)
+		if got, want := countRange(5000, 1, f), saturated(sum); got != want {
+			t.Errorf("countRange(5000, 1, %d) = %d, want %d", f, got, want)
 		}
 	}
-	if countSets(5000, 6) != math.MaxInt {
-		t.Error("countSets(5000, 6) does not saturate")
+	if countRange(5000, 1, 6) != math.MaxInt {
+		t.Error("countRange(5000, 1, 6) does not saturate")
 	}
 	if got := satAdd(math.MaxInt-1, 2); got != math.MaxInt {
 		t.Errorf("satAdd overflowed to %d", got)

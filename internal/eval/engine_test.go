@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"fmt"
 	"ftroute/internal/eval/oracle"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ftroute/internal/core"
@@ -66,14 +68,14 @@ func testSources(t *testing.T) map[string]testSource {
 	return srcs
 }
 
-// sameResult asserts bit-for-bit equality including the witness set.
-func sameResult(t *testing.T, name string, got, want Result) {
+// sameResult asserts that got, the report of a node-only search, has
+// a nil link part and equals want bit for bit, witness included.
+func sameResult(t *testing.T, name string, got, want MixedResult) {
 	t.Helper()
-	if got.MaxDiameter != want.MaxDiameter || got.Disconnected != want.Disconnected ||
-		got.Evaluated != want.Evaluated || got.WorstFaults.String() != want.WorstFaults.String() {
-		t.Fatalf("%s: engine %+v (F=%v) != legacy %+v (F=%v)",
-			name, got, got.WorstFaults, want, want.WorstFaults)
+	if got.WorstEdgeFaults != nil {
+		t.Fatalf("%s: node-only report %v has a link part", name, got)
 	}
+	sameMixedResult(t, name, got, want)
 }
 
 func TestEngineMatchesSurvivingGraphOnRandomFaultSets(t *testing.T) {
@@ -224,7 +226,7 @@ func TestNegativeFaultBudget(t *testing.T) {
 	// f < 0 must mean "empty set only" on every path (the serial legacy
 	// recursion used to enumerate all 2^n subsets on a negative budget).
 	r := cycleRouting(t, 6)
-	for _, res := range []Result{
+	for _, res := range []MixedResult{
 		MaxDiameter(r, -1, Config{Mode: Exhaustive}),
 		MaxDiameter(r, -1, Config{Mode: Sampled, Samples: 2, Seed: 1}),
 		MaxDiameterParallel(r, -1, Config{Mode: Exhaustive}, 4),
@@ -245,6 +247,44 @@ func TestEngineConcentratorEquivalence(t *testing.T) {
 		got := ConcentratorAdversary(s, 2, targets)
 		want := fromOracle(oracle.ConcentratorAdversary(s, 2, targets))
 		sameResult(t, name, got, want)
+	}
+}
+
+// TestOneReportPerObjective pins the empty witness parts of the two
+// reports against the oracle: every node-only diameter search reports
+// a nil link part (sameResult checks it), as a mixed search whose
+// witness has no links does, and every link-only walk search reports
+// its node part as []int{}, as a mixed walk search whose witness has no
+// nodes does.
+func TestOneReportPerObjective(t *testing.T) {
+	cfgs := []Config{
+		{Mode: Exhaustive},
+		{Mode: Exhaustive, Pruned: true},
+		{Mode: Sampled, Samples: 20, Seed: 4, Greedy: true},
+	}
+	for name, s := range testSources(t) {
+		n := s.Graph().N()
+		for _, cfg := range cfgs {
+			want := fromOracle(oracle.MaxDiameter(s, 2, oc(cfg)))
+			sameResult(t, fmt.Sprintf("%s %+v serial", name, cfg), MaxDiameter(s, 2, cfg), want)
+			sameResult(t, fmt.Sprintf("%s %+v w=3", name, cfg), MaxDiameterParallel(s, 2, cfg, 3), want)
+		}
+		targets := []int{0, n / 2, n - 1}
+		sameResult(t, name+" concentrator", ConcentratorAdversary(s, 2, targets),
+			fromOracle(oracle.ConcentratorAdversary(s, 2, targets)))
+	}
+	for _, it := range walkEngineInstances(t) {
+		for _, cfg := range cfgs {
+			want := fromOracleCuts(oracle.WorstLinkCuts(it.ft, it.g, 2, oc(cfg)))
+			for _, got := range []MixedCutResult{WorstLinkCuts(it.ft, it.g, 2, cfg), WorstLinkCutsParallel(it.ft, it.g, 2, cfg, 3)} {
+				if got.WorstNodes == nil || len(got.WorstNodes) != 0 {
+					t.Fatalf("%s %+v: link-only report %v has node part %#v, want []int{}", it.name, cfg, got, got.WorstNodes)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %+v: engine %v, oracle %v", it.name, cfg, got, want)
+				}
+			}
+		}
 	}
 }
 

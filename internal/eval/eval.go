@@ -38,6 +38,16 @@
 // numbering; split, set and move (items.go) convert between its items
 // and the node lists and routing.EdgeFault links of the public API.
 //
+// # Reports
+//
+// Each objective has one report. Every diameter search, over nodes,
+// links or both, returns a MixedResult; every walk search, over links
+// or links and nodes, returns a MixedCutResult. A search that cannot
+// fault an item kind reports that witness part empty: a node-only
+// diameter search leaves WorstEdgeFaults nil, a link-only walk search
+// reports WorstNodes as []int{}. Both names keep "Mixed" because
+// bench/ftbench, the end-to-end benchmark, reads them by name.
+//
 // # The search driver
 //
 // Every entry point (MaxDiameter, Profile, CheckTolerance,
@@ -111,42 +121,26 @@ func (c Config) samples() int {
 	return c.Samples
 }
 
-// Result reports the worst case found.
-type Result struct {
-	MaxDiameter  int           // largest surviving diameter observed
-	Disconnected bool          // some fault set disconnected the surviving graph
-	WorstFaults  *graph.Bitset // a fault set achieving the reported worst case
-	Evaluated    int           // number of fault sets evaluated
+// MixedResult is the report of every diameter search (MaxDiameter,
+// MaxDiameterMixed, ConcentratorAdversary, ConcentratorEdgeAdversary,
+// GreedyEdgeAdversary and the Parallel variants): the worst case found
+// and a fault set achieving it, split into its nodes and its links. A
+// search over nodes only leaves WorstEdgeFaults nil. The name keeps
+// "Mixed" because bench/ftbench reads the type by name.
+type MixedResult struct {
+	MaxDiameter     int                 // largest surviving diameter observed
+	Disconnected    bool                // some fault set disconnected the surviving graph
+	WorstNodeFaults *graph.Bitset       // node part of a worst-case witness
+	WorstEdgeFaults []routing.EdgeFault // edge part, normalized and sorted
+	Evaluated       int                 // number of fault sets evaluated
 }
 
 // String renders a result compactly.
-func (r Result) String() string {
-	if r.Disconnected {
-		return fmt.Sprintf("disconnected (worst F=%v, %d sets)", r.WorstFaults, r.Evaluated)
-	}
-	return fmt.Sprintf("max diameter %d (worst F=%v, %d sets)", r.MaxDiameter, r.WorstFaults, r.Evaluated)
-}
-
-// MixedResult reports the worst case found over mixed fault sets.
-type MixedResult struct {
-	MaxDiameter     int                 // largest surviving diameter observed
-	Disconnected    bool                // some mixed set disconnected the surviving graph
-	WorstNodeFaults *graph.Bitset       // node part of a worst-case witness
-	WorstEdgeFaults []routing.EdgeFault // edge part, normalized and sorted
-	Evaluated       int                 // number of mixed fault sets evaluated
-}
-
-// String renders a mixed result compactly.
 func (r MixedResult) String() string {
 	if r.Disconnected {
 		return fmt.Sprintf("disconnected (worst F=%v E=%v, %d sets)", r.WorstNodeFaults, r.WorstEdgeFaults, r.Evaluated)
 	}
 	return fmt.Sprintf("max diameter %d (worst F=%v E=%v, %d sets)", r.MaxDiameter, r.WorstNodeFaults, r.WorstEdgeFaults, r.Evaluated)
-}
-
-// node drops the edge part of a node-only search's result.
-func (r MixedResult) node() Result {
-	return Result{MaxDiameter: r.MaxDiameter, Disconnected: r.Disconnected, WorstFaults: r.WorstNodeFaults, Evaluated: r.Evaluated}
 }
 
 // result converts a finished diameter search into its result: a final
@@ -201,8 +195,8 @@ func (s *search[E, S]) diameterSampled(b *best[S], f int, cfg Config) {
 // means the empty set only) and returns the worst surviving diameter
 // found. Disconnection (some ordered pair with no surviving path)
 // dominates any finite diameter.
-func MaxDiameter(s RouteSource, f int, cfg Config) Result {
-	return maxDiameter(s, f, cfg, 1, false).node()
+func MaxDiameter(s RouteSource, f int, cfg Config) MixedResult {
+	return maxDiameter(s, f, cfg, 1, false)
 }
 
 // MaxDiameterParallel is MaxDiameter with the search fanned out over
@@ -211,8 +205,8 @@ func MaxDiameter(s RouteSource, f int, cfg Config) Result {
 // orbit-representative chunks, pre-drawn samples and greedy candidates.
 // Sub-results merge in enumeration order, so the result — witness
 // included — is identical to MaxDiameter's.
-func MaxDiameterParallel(s RouteSource, f int, cfg Config, workers int) Result {
-	return maxDiameter(s, f, cfg, workers, false).node()
+func MaxDiameterParallel(s RouteSource, f int, cfg Config, workers int) MixedResult {
+	return maxDiameter(s, f, cfg, workers, false)
 }
 
 // MaxDiameterMixed searches mixed fault sets — any combination of node
@@ -339,7 +333,7 @@ func profile(src RouteSource, f int, cfg Config, workers int, links bool) []int 
 // ids outside 0..n−1 dropped — plus the empty set, in preorder over the
 // target order. This is the adversary the paper's proofs defend
 // against: faults concentrated on the concentrator.
-func ConcentratorAdversary(s RouteSource, f int, targets []int) Result {
+func ConcentratorAdversary(s RouteSource, f int, targets []int) MixedResult {
 	n := s.Graph().N()
 	seen := graph.NewBitset(n)
 	var items []int
@@ -349,7 +343,7 @@ func ConcentratorAdversary(s RouteSource, f int, targets []int) Result {
 			items = append(items, v)
 		}
 	}
-	return concentrator(NewEngine(s), f, items).node()
+	return concentrator(NewEngine(s), f, items)
 }
 
 // ConcentratorEdgeAdversary enumerates every subset of size at most f

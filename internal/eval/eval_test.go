@@ -44,8 +44,8 @@ func TestExhaustiveCycleEdgeRouting(t *testing.T) {
 	if res.Evaluated != 7 { // empty + 6 singletons
 		t.Fatalf("evaluated = %d, want 7", res.Evaluated)
 	}
-	if res.WorstFaults.Count() != 1 {
-		t.Fatalf("worst faults = %v", res.WorstFaults)
+	if res.WorstNodeFaults.Count() != 1 {
+		t.Fatalf("worst faults = %v", res.WorstNodeFaults)
 	}
 }
 
@@ -56,8 +56,8 @@ func TestExhaustiveDetectsDisconnection(t *testing.T) {
 	if !res.Disconnected {
 		t.Fatal("two faults must disconnect C6's edge routing")
 	}
-	if res.WorstFaults.Count() != 2 {
-		t.Fatalf("worst faults = %v", res.WorstFaults)
+	if res.WorstNodeFaults.Count() != 2 {
+		t.Fatalf("worst faults = %v", res.WorstNodeFaults)
 	}
 	if !strings.Contains(res.String(), "disconnected") {
 		t.Fatalf("String() = %q", res.String())
@@ -112,8 +112,8 @@ func TestGreedyAdversaryFindsWorstSingleFault(t *testing.T) {
 	if !res.Disconnected {
 		t.Fatal("greedy adversary should disconnect by killing node 2")
 	}
-	if !res.WorstFaults.Has(2) && !res.WorstFaults.Has(1) {
-		t.Fatalf("worst faults = %v", res.WorstFaults)
+	if !res.WorstNodeFaults.Has(2) && !res.WorstNodeFaults.Has(1) {
+		t.Fatalf("worst faults = %v", res.WorstNodeFaults)
 	}
 }
 
@@ -209,7 +209,7 @@ func TestConcentratorAdversaryPairs(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res := Result{MaxDiameter: 5, WorstFaults: graph.BitsetOf(4, 1), Evaluated: 10}
+	res := MixedResult{MaxDiameter: 5, WorstNodeFaults: graph.BitsetOf(4, 1), Evaluated: 10}
 	if !strings.Contains(res.String(), "max diameter 5") {
 		t.Fatalf("String = %q", res.String())
 	}

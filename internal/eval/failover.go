@@ -54,18 +54,6 @@ func (s CutStats) String() string {
 	return fmt.Sprintf("%d/%d delivered (%d blackhole, %d loop)", s.Delivered, s.Pairs, s.Blackhole, s.Loop)
 }
 
-// CutResult reports the worst link-cut set found against a table set.
-type CutResult struct {
-	Worst     []routing.EdgeFault // cut set maximizing disrupted pairs, normalized and sorted
-	Stats     CutStats            // outcomes under Worst
-	Evaluated int                 // number of cut sets evaluated
-}
-
-// String renders the result compactly.
-func (r CutResult) String() string {
-	return fmt.Sprintf("worst cut %v: %v (%d sets)", r.Worst, r.Stats, r.Evaluated)
-}
-
 // EvaluateMixedFaults walks every table pair under the given failed
 // nodes and cut links and returns the outcome counts — the single-set
 // evaluation the adversaries search over, exported for experiments and
@@ -96,13 +84,17 @@ func EvaluateMixedFaults(t *routing.FailoverTables, nodes []int, cuts []routing.
 	return s
 }
 
-// MixedCutResult reports the worst mixed fault set found against a
-// table set.
+// MixedCutResult is the report of every walk search (WorstLinkCuts,
+// WorstMixedFaults and the Parallel variants): the worst fault set
+// found against a table set, split into its nodes and its links, and
+// the walk outcomes under it. A search over links only reports
+// WorstNodes as []int{}. The name keeps "Mixed" because bench/ftbench
+// reads the type by name.
 type MixedCutResult struct {
 	WorstNodes []int               // node part of the worst set, sorted
 	WorstCuts  []routing.EdgeFault // link part, normalized and sorted
 	Stats      CutStats            // outcomes under the worst set
-	Evaluated  int                 // number of mixed fault sets evaluated
+	Evaluated  int                 // number of fault sets evaluated
 }
 
 // String renders the result compactly.
@@ -117,9 +109,10 @@ func (r MixedCutResult) String() string {
 // Exhaustive mode is exact; the default Sampled mode combines random
 // sampling, the concentrator probe, and (with cfg.Greedy) a greedy
 // grow-one-link adversary. The empty cut set is always evaluated first,
-// so a returned empty Worst means no evaluated cut disrupts anything.
-// Ties keep the earlier set, so the reported worst set is deterministic.
-func WorstLinkCuts(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config) CutResult {
+// so a returned empty WorstCuts means no evaluated cut disrupts
+// anything. Ties keep the earlier set, so the reported worst set is
+// deterministic. The report's WorstNodes is always []int{}.
+func WorstLinkCuts(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config) MixedCutResult {
 	return WorstLinkCutsParallel(t, g, budget, cfg, 1)
 }
 
@@ -127,10 +120,8 @@ func WorstLinkCuts(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Co
 // goroutines on per-worker engine clones (workers <= 0 means
 // GOMAXPROCS). Sub-results merge in enumeration order, so the result is
 // identical to the sequential search.
-func WorstLinkCutsParallel(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int) CutResult {
-	b, we := worstWalk(t, g, budget, cfg, workers, false)
-	_, cuts := split(we.items, b.items)
-	return CutResult{Worst: cuts, Stats: b.score.stats, Evaluated: b.evaluated}
+func WorstLinkCutsParallel(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int) MixedCutResult {
+	return worstWalk(t, g, budget, cfg, workers, false)
 }
 
 // WorstMixedFaults searches mixed fault sets — any combination of
@@ -151,14 +142,12 @@ func WorstMixedFaults(t *routing.FailoverTables, g *graph.Graph, budget int, cfg
 // goroutines as WorstLinkCutsParallel is; the result is identical to
 // the sequential search.
 func WorstMixedFaultsParallel(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int) MixedCutResult {
-	b, we := worstWalk(t, g, budget, cfg, workers, true)
-	nodes, cuts := split(we.items, b.items)
-	return MixedCutResult{WorstNodes: nodes, WorstCuts: cuts, Stats: b.score.stats, Evaluated: b.evaluated}
+	return worstWalk(t, g, budget, cfg, workers, true)
 }
 
 // worstWalk runs the walk adversary over the links, plus the nodes when
-// nodes is set.
-func worstWalk(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int, nodes bool) (best[walkScore], *WalkEngine) {
+// nodes is set, and reports its worst set.
+func worstWalk(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int, nodes bool) MixedCutResult {
 	we := NewWalkEngine(t, g)
 	if nodes {
 		we.lambda = cfg.SkippedWeight
@@ -166,24 +155,25 @@ func worstWalk(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config
 	s := newSearch(we, we.items.Universe(nodes, true), workers)
 	budget = min(max(budget, 0), len(s.items))
 	var b best[walkScore]
-	if cfg.Mode == Exhaustive {
-		if !cfg.Pruned || !s.plan(&b, tableReps(t, g, budget, nodes)) {
-			s.hi = budget
-			s.exhaustive(&b)
+	switch {
+	case cfg.Mode != Exhaustive:
+		s.visitSet(&s.main, &b)
+		if budget > 0 {
+			s.sampled(&b, budget, cfg.samples(), cfg.Seed)
 		}
-		return b, we
+		c := *s // the concentrator probe runs on the root, over its own items
+		c.items = we.concentratorItems(nodes)
+		c.below(&c.main, 0, budget, &b)
+		if cfg.Greedy {
+			s.greedy(&b, budget)
+		}
+	case cfg.Pruned && s.plan(&b, tableReps(t, g, budget, nodes)):
+	default:
+		s.hi = budget
+		s.exhaustive(&b)
 	}
-	s.visitSet(&s.main, &b)
-	if budget > 0 {
-		s.sampled(&b, budget, cfg.samples(), cfg.Seed)
-	}
-	c := *s // the concentrator probe runs on the root, over its own items
-	c.items = we.concentratorItems(nodes)
-	c.below(&c.main, 0, budget, &b)
-	if cfg.Greedy {
-		s.greedy(&b, budget)
-	}
-	return b, we
+	worstNodes, worstCuts := split(we.items, b.items)
+	return MixedCutResult{WorstNodes: worstNodes, WorstCuts: worstCuts, Stats: b.score.stats, Evaluated: b.evaluated}
 }
 
 // concentratorItems lists the probe targets: the node holding the most

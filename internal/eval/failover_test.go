@@ -58,8 +58,8 @@ func TestWorstLinkCutsExhaustive(t *testing.T) {
 	if res.Evaluated != 7 {
 		t.Fatalf("evaluated %d sets, want 7", res.Evaluated)
 	}
-	if len(res.Worst) != 1 {
-		t.Fatalf("worst cut = %v, want a single link", res.Worst)
+	if len(res.WorstCuts) != 1 {
+		t.Fatalf("worst cut = %v, want a single link", res.WorstCuts)
 	}
 	if res.Stats.Disrupted() == 0 {
 		t.Fatal("every cycle link carries routes; some cut must disrupt")
@@ -67,8 +67,8 @@ func TestWorstLinkCutsExhaustive(t *testing.T) {
 	// Exact check: cutting one link of C6 blackholes every pair whose
 	// unique shortest route crosses it. All links are symmetric, so the
 	// first link in enumeration order wins every tie.
-	if res.Worst[0] != (routing.EdgeFault{U: 0, V: 1}) {
-		t.Fatalf("worst cut = %v, want the first enumerated link {0,1}", res.Worst)
+	if res.WorstCuts[0] != (routing.EdgeFault{U: 0, V: 1}) {
+		t.Fatalf("worst cut = %v, want the first enumerated link {0,1}", res.WorstCuts)
 	}
 	again := WorstLinkCuts(ft, g, 1, Config{Mode: Exhaustive})
 	if !reflect.DeepEqual(res, again) {
@@ -84,7 +84,7 @@ func TestWorstLinkCutsEmptyBudget(t *testing.T) {
 	}
 	ft := routing.FailoverFromRouting(r)
 	res := WorstLinkCuts(ft, g, 0, Config{Mode: Exhaustive})
-	if res.Evaluated != 1 || len(res.Worst) != 0 || res.Stats.Disrupted() != 0 {
+	if res.Evaluated != 1 || len(res.WorstCuts) != 0 || res.Stats.Disrupted() != 0 {
 		t.Fatalf("budget-0 search: %v", res)
 	}
 	if res.Stats.Delivered != res.Stats.Pairs || res.Stats.Pairs != g.N()*(g.N()-1) {
@@ -108,8 +108,8 @@ func TestWorstLinkCutsSampledDeterministic(t *testing.T) {
 	if res.Stats.Disrupted() == 0 {
 		t.Fatal("greedy+concentrator found no disruptive 2-cut on rank-1 Petersen tables")
 	}
-	if len(res.Worst) > 2 {
-		t.Fatalf("worst cut %v exceeds budget", res.Worst)
+	if len(res.WorstCuts) > 2 {
+		t.Fatalf("worst cut %v exceeds budget", res.WorstCuts)
 	}
 }
 
@@ -155,9 +155,9 @@ func TestReinforcementReducesDisruption(t *testing.T) {
 	if worst.Stats.Disrupted() == 0 {
 		t.Fatal("no disruptive single cut on plain Q3 tables")
 	}
-	under := EvaluateMixedFaults(reinforced, nil, worst.Worst)
+	under := EvaluateMixedFaults(reinforced, nil, worst.WorstCuts)
 	if under.Delivered < worst.Stats.Delivered {
-		t.Fatalf("reinforced tables deliver %d < plain %d under cut %v", under.Delivered, worst.Stats.Delivered, worst.Worst)
+		t.Fatalf("reinforced tables deliver %d < plain %d under cut %v", under.Delivered, worst.Stats.Delivered, worst.WorstCuts)
 	}
 }
 

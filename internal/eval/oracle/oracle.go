@@ -60,7 +60,8 @@ func (c Config) samples() int {
 	return c.Samples
 }
 
-// Result mirrors eval.Result.
+// Result mirrors eval.MixedResult of a node-only search, whose link
+// part is nil.
 type Result struct {
 	MaxDiameter  int
 	Disconnected bool
@@ -68,7 +69,7 @@ type Result struct {
 	Evaluated    int
 }
 
-// String renders a result like eval.Result.String.
+// String renders a result compactly, without a link part.
 func (r Result) String() string {
 	if r.Disconnected {
 		return fmt.Sprintf("disconnected (worst F=%v, %d sets)", r.WorstFaults, r.Evaluated)

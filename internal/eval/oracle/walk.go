@@ -20,7 +20,8 @@ type CutStats struct {
 // Disrupted returns the pairs whose packets the tables mishandled.
 func (s CutStats) Disrupted() int { return s.Blackhole + s.Loop }
 
-// CutResult mirrors eval.CutResult.
+// CutResult mirrors eval.MixedCutResult of a link-only search, whose
+// node part is []int{}.
 type CutResult struct {
 	Worst     []routing.EdgeFault
 	Stats     CutStats

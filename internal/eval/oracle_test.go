@@ -20,14 +20,20 @@ func oc(cfg Config) oracle.Config {
 		Greedy: cfg.Greedy, SkippedWeight: cfg.SkippedWeight}
 }
 
-func fromOracle(r oracle.Result) Result { return Result(r) }
+// fromOracle maps a node-only oracle result onto the diameter report,
+// whose link part a node-only search leaves nil.
+func fromOracle(r oracle.Result) MixedResult {
+	return MixedResult{MaxDiameter: r.MaxDiameter, Disconnected: r.Disconnected, WorstNodeFaults: r.WorstFaults, Evaluated: r.Evaluated}
+}
 
 func fromOracleMixed(r oracle.MixedResult) MixedResult { return MixedResult(r) }
 
 func fromOracleBeyond(r oracle.BeyondResult) BeyondResult { return BeyondResult(r) }
 
-func fromOracleCuts(r oracle.CutResult) CutResult {
-	return CutResult{Worst: r.Worst, Stats: CutStats(r.Stats), Evaluated: r.Evaluated}
+// fromOracleCuts maps a link-only oracle result onto the walk report,
+// whose node part a link-only search reports as []int{}.
+func fromOracleCuts(r oracle.CutResult) MixedCutResult {
+	return MixedCutResult{WorstNodes: []int{}, WorstCuts: r.Worst, Stats: CutStats(r.Stats), Evaluated: r.Evaluated}
 }
 
 func fromOracleMixedCuts(r oracle.MixedCutResult) MixedCutResult {

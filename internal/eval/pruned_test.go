@@ -59,11 +59,11 @@ func transported(t *testing.T, name string) (*graph.Graph, *routing.Routing) {
 var prunedGraphs = []string{"CCC(3)", "Q3", "C9", "CCC(4)"}
 
 // scoreOf re-evaluates a node-fault witness from scratch.
-func scoreOf(r *routing.Routing, faults *graph.Bitset) Result {
+func scoreOf(r *routing.Routing, faults *graph.Bitset) MixedResult {
 	eng := NewEngine(r)
 	eng.SetFaults(faults)
 	d, ok := eng.Diameter()
-	return Result{MaxDiameter: d, Disconnected: !ok, WorstFaults: faults}
+	return MixedResult{MaxDiameter: d, Disconnected: !ok, WorstNodeFaults: faults}
 }
 
 // scoreOfMixed re-evaluates a mixed witness from scratch.
@@ -83,13 +83,13 @@ func TestPrunedMatchesPlainMaxDiameter(t *testing.T) {
 			if !reflect.DeepEqual(pruned, plain) {
 				t.Fatalf("%s f=%d: pruned %v, plain %v", name, f, pruned, plain)
 			}
-			if pruned.WorstFaults.Count() > f {
-				t.Fatalf("%s f=%d: witness %v over budget", name, f, pruned.WorstFaults)
+			if pruned.WorstNodeFaults.Count() > f {
+				t.Fatalf("%s f=%d: witness %v over budget", name, f, pruned.WorstNodeFaults)
 			}
 			// The canonical witness must achieve the reported worst case.
 			// (MaxDiameter under a disconnecting result is the max over
 			// the connected sets, not a property of the witness.)
-			w := scoreOf(r, pruned.WorstFaults)
+			w := scoreOf(r, pruned.WorstNodeFaults)
 			if w.Disconnected != pruned.Disconnected ||
 				(!pruned.Disconnected && w.MaxDiameter != pruned.MaxDiameter) {
 				t.Fatalf("%s f=%d: witness scores %v, result claims %v", name, f, w, pruned)
@@ -156,9 +156,9 @@ func TestPrunedCutsMatchPlain(t *testing.T) {
 			if !reflect.DeepEqual(pruned, plain) {
 				t.Fatalf("%s b=%d: pruned %v, plain %v", name, b, pruned, plain)
 			}
-			if got := EvaluateMixedFaults(ft, nil, pruned.Worst); got != pruned.Stats {
+			if got := EvaluateMixedFaults(ft, nil, pruned.WorstCuts); got != pruned.Stats {
 				t.Fatalf("%s b=%d: witness %v re-evaluates to %v, result claims %v",
-					name, b, pruned.Worst, got, pruned.Stats)
+					name, b, pruned.WorstCuts, got, pruned.Stats)
 			}
 			par := WorstLinkCutsParallel(ft, g, b, Config{Mode: Exhaustive, Pruned: true}, 4)
 			if !reflect.DeepEqual(pruned, par) {

@@ -145,7 +145,7 @@ func FuzzRelabelInvariance(f *testing.F) {
 			if ca.Evaluated != cb.Evaluated || ca.Stats.Disrupted() != cb.Stats.Disrupted() {
 				t.Fatalf("%s WorstLinkCuts: original %v, relabelled %v", tables.name, ca, cb)
 			}
-			_, ef := back(nil, cb.Worst)
+			_, ef := back(nil, cb.WorstCuts)
 			if got := EvaluateMixedFaults(tg, nil, ef); got != cb.Stats {
 				t.Fatalf("%s cut witness %v of %v walks to %+v on the original", tables.name, ef, cb, got)
 			}

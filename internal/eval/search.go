@@ -571,10 +571,6 @@ func countRange(avail, lo, hi int) int {
 	return total
 }
 
-// countSets counts the nonempty subsets of size at most left drawn from
-// avail items — one enumeration subtree.
-func countSets(avail, left int) int { return countRange(avail, 1, left) }
-
 // satAdd is a + b for non-negative counts, saturating at math.MaxInt.
 func satAdd(a, b int) int {
 	if a > math.MaxInt-b {

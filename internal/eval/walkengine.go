@@ -216,12 +216,6 @@ func cloneRecords(recs [][]int32) [][]int32 {
 	return out
 }
 
-// N returns the node count.
-func (we *WalkEngine) N() int { return we.n }
-
-// Links returns the number of cuttable links.
-func (we *WalkEngine) Links() int { return we.items.M() }
-
 // PairCount returns the number of ordered pairs with table entries.
 func (we *WalkEngine) PairCount() int { return len(we.pairs) }
 

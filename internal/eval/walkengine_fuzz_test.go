@@ -163,12 +163,12 @@ func FuzzWalkEngineEquivalence(f *testing.F) {
 		got := WorstLinkCuts(ft, g, 1, cfg)
 		want := fromOracleCuts(oracle.WorstLinkCuts(ft, g, 1, oc(cfg)))
 		if got.Evaluated != want.Evaluated || got.Stats != want.Stats ||
-			len(got.Worst) != len(want.Worst) {
+			len(got.WorstCuts) != len(want.WorstCuts) {
 			t.Fatalf("adversary diverged: engine %v, legacy %v", got, want)
 		}
-		for i := range got.Worst {
-			if got.Worst[i] != want.Worst[i] {
-				t.Fatalf("worst witness diverged: engine %v, legacy %v", got.Worst, want.Worst)
+		for i := range got.WorstCuts {
+			if got.WorstCuts[i] != want.WorstCuts[i] {
+				t.Fatalf("worst witness diverged: engine %v, legacy %v", got.WorstCuts, want.WorstCuts)
 			}
 		}
 		gotM := WorstMixedFaults(ft, g, 1, cfg)

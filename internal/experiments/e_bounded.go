@@ -82,17 +82,17 @@ func runE21(scale Scale) (*Table, error) {
 // searches do — sets with fewer than two alive nodes score nothing,
 // the first strictly worse set is the witness, and the first
 // disconnection freezes the result while later sets are only counted.
-func fullSweep(r eval.RouteSource, f int) eval.Result {
+func fullSweep(r eval.RouteSource, f int) eval.MixedResult {
 	e := eval.NewEngine(r)
 	n := e.N()
-	res := eval.Result{WorstFaults: graph.NewBitset(n)}
+	res := eval.MixedResult{WorstNodeFaults: graph.NewBitset(n)}
 	visit := func() {
 		res.Evaluated++
 		if res.Disconnected || e.AliveCount() <= 1 {
 			return
 		}
 		if d, ok := e.Diameter(); !ok || d > res.MaxDiameter {
-			res.Disconnected, res.WorstFaults = !ok, e.Faults()
+			res.Disconnected, res.WorstNodeFaults = !ok, e.Faults()
 			if ok {
 				res.MaxDiameter = d
 			}
@@ -120,15 +120,15 @@ func pairCount(r eval.RouteSource) int {
 }
 
 // agreeCell renders the three-way bit-identity check of E21.
-func agreeCell(plain, bounded, par eval.Result) string {
+func agreeCell(plain, bounded, par eval.MixedResult) string {
 	d := plain.MaxDiameter
 	if plain.Disconnected {
 		d = -1
 	}
-	for _, other := range []eval.Result{bounded, par} {
+	for _, other := range []eval.MixedResult{bounded, par} {
 		if other.MaxDiameter != plain.MaxDiameter || other.Disconnected != plain.Disconnected ||
 			other.Evaluated != plain.Evaluated ||
-			other.WorstFaults.String() != plain.WorstFaults.String() {
+			other.WorstNodeFaults.String() != plain.WorstNodeFaults.String() {
 			return fmt.Sprintf("%s VIOLATED (%v)", diamStr(d), other)
 		}
 	}

@@ -44,7 +44,7 @@ func runE19(scale Scale) (*Table, error) {
 		cfg := eval.Config{Mode: eval.Exhaustive}
 		pw := eval.WorstLinkCutsParallel(plain, in.g, budget, cfg, 0)
 		rw := eval.WorstLinkCutsParallel(reinforced, in.g, budget, cfg, 0)
-		same := eval.EvaluateMixedFaults(reinforced, nil, pw.Worst)
+		same := eval.EvaluateMixedFaults(reinforced, nil, pw.WorstCuts)
 		pm := eval.WorstMixedFaultsParallel(plain, in.g, budget, cfg, 0)
 		rm := eval.WorstMixedFaultsParallel(reinforced, in.g, budget, cfg, 0)
 		t.AddRow(in.name, in.g.N(), in.g.M(), string(in.c), budget, backups,

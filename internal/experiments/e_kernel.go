@@ -44,7 +44,7 @@ func maxEval(s eval.RouteSource, f int, exhaustiveBudget int) (int, string) {
 		binom = binom * (n - k + 1) / k
 		sets += binom
 	}
-	var res eval.Result
+	var res eval.MixedResult
 	method := "exhaustive"
 	if sets <= exhaustiveBudget {
 		// Workers = 0 means GOMAXPROCS; for engine-backed routings the
