@@ -263,6 +263,24 @@ func BenchmarkEngineFaultToggleCCC4(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineFaultToggleMultiCCC4 is BenchmarkEngineFaultToggleCCC4
+// on the anchor reinforced with 2 link-disjoint backups per pair, where
+// most pairs have several routes, so a route's death or revival goes
+// through its pair's live counter.
+func BenchmarkEngineFaultToggleMultiCCC4(b *testing.B) {
+	m, err := Reinforce(ccc4Circular(b), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := NewEvalEngine(m)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := i % 64
+		eng.AddFault(v)
+		eng.RemoveFault(v)
+	}
+}
+
 // BenchmarkEngineDiameterCCC4 measures one word-parallel diameter over
 // the live bitrows; compare BenchmarkSurvivingDiameterCCC4, the
 // allocating per-node BFS on a materialized Digraph.

@@ -11,12 +11,14 @@
 //	ftroute simulate -graph <spec> [-construction ...] [-faults k] [-samples n] [-seed s]
 //	ftroute failover -graph <spec> [-construction ...] [-cuts k] [-backups b] [-retries r] [-messages n] [-samples n] [-seed s] [-exhaustive] [-pruned] [-mixed] [-lambda w]
 //	ftroute export   -graph <spec> [-construction ...] -table routing.json
-//	ftroute check    -graph <spec> -table routing.json -bound d [-faults k] [-seed s] [-exhaustive]
+//	ftroute check    -graph <spec> -table routing.json -bound d [-faults k] [-samples n] [-seed s] [-exhaustive]
 //
-// The -bounded flag is accepted by every subcommand and does nothing:
-// the exhaustive diameter searches always run branch and bound. Every
-// subcommand rejects a -cuts, -backups or -retries below 0 and a
-// -samples or -messages below 1.
+// Each subcommand rejects a flag it does not read, one not on its
+// usage line above. The -bounded flag is the exception: every
+// subcommand accepts it and does nothing with it, since the exhaustive
+// diameter searches always run branch and bound. Every subcommand
+// rejects a -cuts, -backups or -retries below 0 and a -samples or
+// -messages below 1.
 //
 // All sampled adversaries and simulated workloads draw their randomness
 // from -seed (default 1), so any run reproduces end to end from the
@@ -53,6 +55,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 
 	"ftroute"
@@ -113,6 +116,17 @@ func run(args []string) error {
 	if _, ok := constructions[*construction]; !ok && *construction != "auto" && *construction != "shortest" {
 		return fmt.Errorf("unknown construction %q", *construction)
 	}
+	if read, ok := reads[cmd]; ok {
+		var unread error
+		fs.Visit(func(f *flag.Flag) {
+			if unread == nil && f.Name != "bounded" && !slices.Contains(read, f.Name) {
+				unread = fmt.Errorf("%s takes no -%s flag", cmd, f.Name)
+			}
+		})
+		if unread != nil {
+			return unread
+		}
+	}
 	if *graphSpec == "" {
 		return errUsage
 	}
@@ -143,6 +157,21 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("%w: unknown subcommand %q", errUsage, cmd)
 	}
+}
+
+// reads lists the flags each subcommand reads, as its call in run's
+// dispatch passes them; run rejects any other flag set on the command
+// line, except -bounded.
+var reads = map[string][]string{
+	"info":     {"graph"},
+	"plan":     {"graph"},
+	"route":    {"graph", "construction"},
+	"orbits":   {"graph", "faults"},
+	"tolerate": {"graph", "construction", "faults", "samples", "seed", "exhaustive", "pruned", "mixed"},
+	"simulate": {"graph", "construction", "faults", "samples", "seed"},
+	"failover": {"graph", "construction", "cuts", "backups", "retries", "messages", "samples", "seed", "exhaustive", "pruned", "mixed", "lambda"},
+	"export":   {"graph", "construction", "table"},
+	"check":    {"graph", "table", "bound", "faults", "samples", "seed", "exhaustive"},
 }
 
 // simulate builds the requested routing, fails `faults` spread-out nodes

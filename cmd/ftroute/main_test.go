@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -183,6 +184,66 @@ func TestRunRejectsUnknownConstruction(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, want)
 			}
 		})
+	}
+}
+
+// TestRunRejectsUnreadFlags: each subcommand rejects every flag that is
+// not on its usage line, naming the subcommand and the flag, and
+// accepts -bounded. Each row lists what the usage line reads.
+func TestRunRejectsUnreadFlags(t *testing.T) {
+	set := map[string][]string{
+		"construction": {"-construction", "shortest"}, "faults": {"-faults", "1"},
+		"samples": {"-samples", "5"}, "seed": {"-seed", "3"}, "exhaustive": {"-exhaustive"},
+		"pruned": {"-pruned"}, "mixed": {"-mixed"}, "lambda": {"-lambda", "0.5"},
+		"table": {"-table", "TABLE"}, "bound": {"-bound", "2"}, "cuts": {"-cuts", "1"},
+		"backups": {"-backups", "1"}, "retries": {"-retries", "1"}, "messages": {"-messages", "10"},
+	}
+	for _, tc := range []struct {
+		sub   string
+		reads []string
+	}{
+		{"info", nil},
+		{"plan", nil},
+		{"route", []string{"construction"}},
+		{"orbits", []string{"faults"}},
+		{"tolerate", []string{"construction", "faults", "samples", "seed", "exhaustive", "pruned", "mixed"}},
+		{"simulate", []string{"construction", "faults", "samples", "seed"}},
+		{"failover", []string{"construction", "cuts", "backups", "retries", "messages", "samples", "seed", "exhaustive", "pruned", "mixed", "lambda"}},
+		{"export", []string{"construction", "table"}},
+		{"check", []string{"table", "bound", "faults", "samples", "seed", "exhaustive"}},
+	} {
+		t.Run(tc.sub, func(t *testing.T) {
+			rejected := 0
+			for name, args := range set {
+				if slices.Contains(tc.reads, name) {
+					continue
+				}
+				rejected++
+				_, err := runOutput(t, append([]string{tc.sub, "-graph", "cycle:9"}, args...)...)
+				if want := tc.sub + " takes no -" + name + " flag"; err == nil || err.Error() != want {
+					t.Errorf("-%s: err = %v, want %q", name, err, want)
+				}
+			}
+			if rejected+len(tc.reads) != len(set) {
+				t.Fatalf("row names a flag run does not define: %v", tc.reads)
+			}
+		})
+	}
+	table := filepath.Join(t.TempDir(), "routing.json")
+	for _, args := range [][]string{
+		{"info", "-graph", "cycle:9"},
+		{"plan", "-graph", "cycle:9"},
+		{"route", "-graph", "cycle:9"},
+		{"orbits", "-graph", "cycle:9"},
+		{"tolerate", "-graph", "cycle:9", "-samples", "5"},
+		{"simulate", "-graph", "cycle:9", "-samples", "5"},
+		{"failover", "-graph", "cycle:9", "-samples", "5", "-messages", "10"},
+		{"export", "-graph", "cycle:9", "-table", table},
+		{"check", "-graph", "cycle:9", "-table", table, "-bound", "6", "-faults", "1", "-samples", "5"},
+	} {
+		if _, err := runOutput(t, append(args, "-bounded")...); err != nil {
+			t.Errorf("%v -bounded: %v", args, err)
+		}
 	}
 }
 

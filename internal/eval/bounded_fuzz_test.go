@@ -18,7 +18,10 @@ import (
 // profiles must match the oracle's at the fuzzed worker count, and the
 // fanned-out walk over sets of size exactly f must match the serial one,
 // Evaluated included: the random graphs often disconnect at f = 2,
-// where frozen units count their sets instead of visiting them.
+// where frozen units count their sets instead of visiting them. Every
+// check runs on the shortest-path routing and on its reinforcement with
+// one link-disjoint backup per pair, a multirouting whose pairs keep one
+// route or get two.
 func FuzzBoundedEquivalence(f *testing.F) {
 	f.Add(uint8(6), uint64(0), uint8(1), uint8(1))
 	f.Add(uint8(9), uint64(0x5a5a), uint8(2), uint8(4))
@@ -30,30 +33,40 @@ func FuzzBoundedEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m, err := routing.Reinforce(r, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		budget := 1 + int(fRaw)%2 // 1..2 faults
 		workers := 1 + int(wRaw)%7
 
 		cfg := Config{Mode: Exhaustive}
 
-		want := fromOracle(oracle.MaxDiameter(r, budget, oc(cfg)))
-		sameResult(t, "serial", MaxDiameter(r, budget, cfg), want)
-		sameResult(t, "parallel", MaxDiameterParallel(r, budget, cfg, workers), want)
+		for _, src := range []struct {
+			name string
+			s    testSource
+		}{{"routing", r}, {"reinforced", m}} {
+			name, s := src.name, src.s
+			want := fromOracle(oracle.MaxDiameter(s, budget, oc(cfg)))
+			sameResult(t, name+" serial", MaxDiameter(s, budget, cfg), want)
+			sameResult(t, name+" parallel", MaxDiameterParallel(s, budget, cfg, workers), want)
 
-		wantM := fromOracleMixed(oracle.MaxDiameterMixed(r, budget, oc(cfg)))
-		sameMixedResult(t, "mixed serial", MaxDiameterMixed(r, budget, cfg), wantM)
-		sameMixedResult(t, "mixed parallel", MaxDiameterMixedParallel(r, budget, cfg, workers), wantM)
+			wantM := fromOracleMixed(oracle.MaxDiameterMixed(s, budget, oc(cfg)))
+			sameMixedResult(t, name+" mixed serial", MaxDiameterMixed(s, budget, cfg), wantM)
+			sameMixedResult(t, name+" mixed parallel", MaxDiameterMixedParallel(s, budget, cfg, workers), wantM)
 
-		for _, links := range []bool{false, true} {
-			want := oracle.Profile(r, budget, oc(cfg))
-			if links {
-				want = oracle.ProfileMixed(r, budget, oc(cfg))
+			for _, links := range []bool{false, true} {
+				want := oracle.Profile(s, budget, oc(cfg))
+				if links {
+					want = oracle.ProfileMixed(s, budget, oc(cfg))
+				}
+				if got := profile(s, budget, cfg, workers, links); !slices.Equal(got, want) {
+					t.Fatalf("%s links=%v w=%d: profile %v != oracle %v", name, links, workers, got, want)
+				}
+				serial, _ := sizeRange(s, budget, budget, 1, links)
+				got, _ := sizeRange(s, budget, budget, workers, links)
+				sameMixedResult(t, fmt.Sprintf("%s links=%v size %d w=%d", name, links, budget, workers), got, serial)
 			}
-			if got := profile(r, budget, cfg, workers, links); !slices.Equal(got, want) {
-				t.Fatalf("links=%v w=%d: profile %v != oracle %v", links, workers, got, want)
-			}
-			serial, _ := sizeRange(r, budget, budget, 1, links)
-			got, _ := sizeRange(r, budget, budget, workers, links)
-			sameMixedResult(t, fmt.Sprintf("links=%v size %d w=%d", links, budget, workers), got, serial)
 		}
 	})
 }

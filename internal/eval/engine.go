@@ -14,7 +14,9 @@ import (
 
 // RouteSource is a routing whose fixed routes can be enumerated: the
 // input of every search in this package. *routing.Routing and
-// *routing.MultiRouting both satisfy it.
+// *routing.MultiRouting both satisfy it. EachRoute must enumerate the
+// same routes, in any order, each time it is called: NewEngine calls it
+// twice.
 type RouteSource interface {
 	Graph() *graph.Graph
 	EachRoute(fn func(u, v int, p routing.Path))
@@ -38,14 +40,17 @@ type RouteSource interface {
 //   - an inverted index item → routes holding it (CSR int32 arrays), so
 //     a toggle touches only the routes it actually lies on rather than
 //     re-scanning all n² routes;
-//   - per-route → pair and per-pair route-count tables;
+//   - one record per route (routeArc): the bit positions of its pair's
+//     arc in adj and adjT, and the slot of the pair's live counter when
+//     the pair has several routes, −1 when the route is its only one;
 //   - the graph's item numbering (graph.Items).
 //
 // Mutable per-instance state:
 //
 //   - faults: the faulty items;
 //   - hits[r]: number of faulty items on route r;
-//   - deadRoutes[p]: number of the pair's routes with hits > 0;
+//   - live[s]: number of routes with hits = 0 of the pair in slot s,
+//     one slot per pair with several routes (empty for a Routing);
 //   - adj: the live surviving graph as n rows of ⌈n/64⌉ uint64 words
 //     (bit v of row u set iff arc u→v survives). Because every route
 //     contains its endpoints, arcs incident to a faulty node die
@@ -64,18 +69,16 @@ type Engine struct {
 	words int
 
 	// Compiled form, shared (read-only) between clones.
-	pairU, pairV []int32 // pair id -> arc endpoints
-	pairRoutes   []int32 // pair id -> number of parallel routes
-	routePair    []int32 // route id -> pair id
-	itemOff      []int32 // item -> offset into itemRoutes (len n+m+1)
-	itemRoutes   []int32 // concatenated route ids per item
-	items        *graph.Items
-	hubs         []int32 // nodes by decreasing fault-free in-degree, ties to the lower id
+	routes     []routeArc // route id -> its pair's arc and live slot
+	itemOff    []int32    // item -> offset into itemRoutes (len n+m+1)
+	itemRoutes []int32    // concatenated route ids per item
+	items      *graph.Items
+	hubs       []int32 // nodes by decreasing fault-free in-degree, ties to the lower id
 
 	// Mutable fault state.
 	faults          *graph.Bitset // faulty items
 	hits            []int32       // route id -> faulty items on the route
-	deadRoutes      []int32       // pair id -> routes with hits > 0
+	live            []int32       // live slot -> routes with hits = 0
 	deadRoutesTotal int           // routes with hits > 0, across all pairs
 	adj             []uint64
 	adjT            []uint64 // transposed bitrows: bit u of row v set iff arc u→v survives
@@ -115,7 +118,8 @@ func newBFSScratch(words int) *bfsScratch {
 const diamExtraPivots = 4
 
 // NewEngine compiles src into an incremental evaluation engine with an
-// empty fault set.
+// empty fault set. It enumerates the routes twice, so it keeps no copy
+// of them between its two passes.
 func NewEngine(src RouteSource) *Engine {
 	g := src.Graph()
 	n := g.N()
@@ -135,26 +139,21 @@ func NewEngine(src RouteSource) *Engine {
 		mask:       make([]uint64, words),
 		skip:       make([]uint64, words),
 	}
-	pairID := make(map[pairKey]int32)
-	// Pass 1: assign pair and route ids and count the routes of each
-	// item (its nodes, then the links between consecutive nodes) one
-	// slot to the right, so the prefix sums below are the offsets.
-	var paths []routing.Path
+	// Pass 1: count the routes, set each pair's arc, give a pair seen a
+	// second time a live slot, and count the routes of each item (its
+	// nodes, then the links between consecutive nodes) one slot to the
+	// right, so the prefix sums below are the offsets.
+	routes := 0
+	slots := make(map[uint64]int32) // arc position in adj -> live slot, for pairs with several routes
 	src.EachRoute(func(u, v int, p routing.Path) {
-		key := pairKey{u: int32(u), v: int32(v)}
-		id, ok := pairID[key]
-		if !ok {
-			id = int32(len(e.pairU))
-			pairID[key] = id
-			e.pairU = append(e.pairU, int32(u))
-			e.pairV = append(e.pairV, int32(v))
-			e.pairRoutes = append(e.pairRoutes, 0)
-			e.adj[u*words+v>>6] |= 1 << (uint(v) & 63)
-			e.adjT[v*words+u>>6] |= 1 << (uint(u) & 63)
+		routes++
+		if fwd, bwd := arcBit(u, v, words), arcBit(v, u, words); e.adj[fwd>>6]&(1<<(fwd&63)) == 0 {
+			e.adj[fwd>>6] |= 1 << (fwd & 63)
+			e.adjT[bwd>>6] |= 1 << (bwd & 63)
+			e.alivePairs++
+		} else if _, ok := slots[fwd]; !ok {
+			slots[fwd] = int32(len(slots))
 		}
-		e.pairRoutes[id]++
-		e.routePair = append(e.routePair, id)
-		paths = append(paths, p)
 		for _, w := range p {
 			e.itemOff[w+1]++
 		}
@@ -169,22 +168,30 @@ func NewEngine(src RouteSource) *Engine {
 	}
 	e.itemRoutes = make([]int32, e.itemOff[items])
 	fill := append([]int32(nil), e.itemOff[:items]...)
-	// Pass 2: list every route under its items, in route order.
-	for r, p := range paths {
+	e.routes = make([]routeArc, 0, routes)
+	e.hits = make([]int32, routes)
+	e.live = make([]int32, len(slots))
+	// Pass 2: number the routes in the order of a second enumeration,
+	// compile each one's record and list it under its items.
+	src.EachRoute(func(u, v int, p routing.Path) {
+		r := int32(len(e.routes))
+		arc := routeArc{fwd: arcBit(u, v, words), bwd: arcBit(v, u, words), shared: -1}
+		if s, ok := slots[arc.fwd]; ok {
+			arc.shared = s
+			e.live[s]++
+		}
+		e.routes = append(e.routes, arc)
 		for _, w := range p {
-			e.itemRoutes[fill[w]] = int32(r)
+			e.itemRoutes[fill[w]] = r
 			fill[w]++
 		}
 		for i := 0; i+1 < len(p); i++ {
 			if it, ok := ix.Link(p[i], p[i+1]); ok {
-				e.itemRoutes[fill[it]] = int32(r)
+				e.itemRoutes[fill[it]] = r
 				fill[it]++
 			}
 		}
-	}
-	e.hits = make([]int32, len(e.routePair))
-	e.deadRoutes = make([]int32, len(e.pairU))
-	e.alivePairs = len(e.pairU)
+	})
 	e.alive = make([]uint64, words)
 	indeg := make([]int, n)
 	e.hubs = make([]int32, n)
@@ -199,8 +206,18 @@ func NewEngine(src RouteSource) *Engine {
 	return e
 }
 
-// pairKey is shared with package routing's map key shape.
-type pairKey = struct{ u, v int32 }
+// routeArc is a route's compiled record: fwd and bwd are the bit
+// positions of its pair's arc u→v in adj and adjT (see arcBit), and
+// shared is the slot of the pair's live counter, or −1 when the route
+// is its pair's only one.
+type routeArc struct {
+	fwd, bwd uint64
+	shared   int32
+}
+
+// arcBit is the position of bit v of row u in bitrows of words words
+// each: u·64·words + v, computed in 64 bits so no node count overflows.
+func arcBit(u, v, words int) uint64 { return uint64(u)*64*uint64(words) + uint64(v) }
 
 // Clone returns an independent engine sharing the compiled arrays but
 // with its own fault state and scratch buffers, suitable for a worker
@@ -209,7 +226,7 @@ func (e *Engine) Clone() *Engine {
 	c := *e
 	c.faults = e.faults.Clone()
 	c.hits = append([]int32(nil), e.hits...)
-	c.deadRoutes = append([]int32(nil), e.deadRoutes...)
+	c.live = append([]int32(nil), e.live...)
 	c.adj = append([]uint64(nil), e.adj...)
 	c.adjT = append([]uint64(nil), e.adjT...)
 	c.alive = append([]uint64(nil), e.alive...)
@@ -235,59 +252,57 @@ func (e *Engine) Faults() *graph.Bitset {
 // HasFault reports whether v is currently faulty.
 func (e *Engine) HasFault(v int) bool { return v < e.n && e.faults.Has(v) }
 
-// hitRoute records one more fault on route r, killing the pair's arc
-// when its last live route dies.
-func (e *Engine) hitRoute(r int32) {
-	e.hits[r]++
-	if e.hits[r] == 1 {
-		e.deadRoutesTotal++
-		p := e.routePair[r]
-		e.deadRoutes[p]++
-		if e.deadRoutes[p] == e.pairRoutes[p] {
-			u, w := e.pairU[p], e.pairV[p]
-			e.adj[int(u)*e.words+int(w)>>6] &^= 1 << (uint(w) & 63)
-			e.adjT[int(w)*e.words+int(u)>>6] &^= 1 << (uint(u) & 63)
-			e.alivePairs--
-		}
-	}
-}
-
-// unhitRoute removes one fault from route r, reviving the pair's arc
-// when the route becomes the pair's first live one again.
-func (e *Engine) unhitRoute(r int32) {
-	e.hits[r]--
-	if e.hits[r] == 0 {
-		e.deadRoutesTotal--
-		p := e.routePair[r]
-		e.deadRoutes[p]--
-		if e.deadRoutes[p] == e.pairRoutes[p]-1 {
-			u, w := e.pairU[p], e.pairV[p]
-			e.adj[int(u)*e.words+int(w)>>6] |= 1 << (uint(w) & 63)
-			e.adjT[int(w)*e.words+int(u)>>6] |= 1 << (uint(u) & 63)
-			e.alivePairs++
-		}
-	}
-}
-
-// toggle adds (on) or removes the fault on one item, hitting or
-// unhitting every route that holds it; a node item also flips its alive
-// bit. Repeating the current state, and ids past the universe, are
-// no-ops. Every fault mutator of the Engine is a call to it.
+// toggle adds (on) or removes the fault on one item; a node item also
+// flips its alive bit. Each route that holds the item counts it in
+// hits; a route whose first fault arrives (or whose last one leaves)
+// kills (revives) its pair's arc unless the pair's live counter says
+// another of its routes is still alive. Repeating the current state, and
+// ids past the universe, are no-ops. Every fault mutator of the Engine
+// is a call to it.
 func (e *Engine) toggle(item int, on bool) {
 	if item >= e.faults.Cap() || e.faults.Has(item) == on {
 		return
 	}
 	routes := e.itemRoutes[e.itemOff[item]:e.itemOff[item+1]]
+	flips, arcs := 0, 0 // routes and arcs whose state the toggle flips
 	if on {
 		e.faults.Add(item)
 		for _, r := range routes {
-			e.hitRoute(r)
+			if e.hits[r]++; e.hits[r] != 1 {
+				continue
+			}
+			flips++
+			a := &e.routes[r]
+			if a.shared >= 0 {
+				if e.live[a.shared]--; e.live[a.shared] != 0 {
+					continue
+				}
+			}
+			e.adj[a.fwd>>6] ^= 1 << (a.fwd & 63)
+			e.adjT[a.bwd>>6] ^= 1 << (a.bwd & 63)
+			arcs++
 		}
+		e.deadRoutesTotal += flips
+		e.alivePairs -= arcs
 	} else {
 		e.faults.Remove(item)
 		for _, r := range routes {
-			e.unhitRoute(r)
+			if e.hits[r]--; e.hits[r] != 0 {
+				continue
+			}
+			flips++
+			a := &e.routes[r]
+			if a.shared >= 0 {
+				if e.live[a.shared]++; e.live[a.shared] != 1 {
+					continue
+				}
+			}
+			e.adj[a.fwd>>6] ^= 1 << (a.fwd & 63)
+			e.adjT[a.bwd>>6] ^= 1 << (a.bwd & 63)
+			arcs++
 		}
+		e.deadRoutesTotal -= flips
+		e.alivePairs += arcs
 	}
 	if item < e.n {
 		e.alive[item>>6] ^= 1 << (uint(item) & 63)

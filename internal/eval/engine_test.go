@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"ftroute/internal/eval/oracle"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,7 +16,8 @@ import (
 
 // testSources builds a spread of routings: edge routings, shortest-path
 // routings on random graphs, a paper construction, a deliberately
-// fragile routing, and a multirouting.
+// fragile routing, and two multiroutings, one whose pairs all have two
+// routes and one that mixes one-route and two-route pairs.
 func testSources(t *testing.T) map[string]testSource {
 	t.Helper()
 	srcs := make(map[string]testSource)
@@ -64,6 +66,21 @@ func testSources(t *testing.T) map[string]testSource {
 		t.Fatal(err)
 	}
 	srcs["c8-multi"] = multi
+
+	// Two K4s joined through one middle node: Reinforce finds a
+	// link-disjoint backup for 24 of the 72 pairs, so the engine's live
+	// counters run next to pairs with one route.
+	bb, err := gen.Barbell(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bsp, err := routing.ShortestPath(bb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srcs["barbell4-reinforced"], err = routing.Reinforce(bsp, 1); err != nil {
+		t.Fatal(err)
+	}
 
 	return srcs
 }
@@ -166,6 +183,55 @@ func TestEngineIncrementalMatchesRebuild(t *testing.T) {
 			if gd != wd || gok != wok {
 				t.Fatalf("%s step %d F=%v: engine (%d,%v) != legacy (%d,%v)",
 					name, step, faults, gd, gok, wd, wok)
+			}
+		}
+	}
+}
+
+// TestEngineCountersMatchRecount pins the two counters a toggle adds
+// its deltas to once: after every toggle of a seeded walk over nodes
+// and links, DeadRouteCount must equal the routes holding a faulty
+// item, recounted from EachRoute, and alivePairs the arcs set in adj.
+func TestEngineCountersMatchRecount(t *testing.T) {
+	for name, s := range testSources(t) {
+		rng := rand.New(rand.NewSource(29))
+		eng := NewEngine(s)
+		n := s.Graph().N()
+		edges := s.Graph().Edges()
+		nodes := graph.NewBitset(n)
+		cut := make(map[[2]int]bool)
+		for step := 0; step < 200; step++ {
+			if k := rng.Intn(n + len(edges)); k < n {
+				if nodes.Has(k) {
+					nodes.Remove(k)
+					eng.RemoveFault(k)
+				} else {
+					nodes.Add(k)
+					eng.AddFault(k)
+				}
+			} else if e := edges[k-n]; cut[e] {
+				delete(cut, e)
+				eng.RemoveEdgeFault(e[1], e[0])
+			} else {
+				cut[e] = true
+				eng.AddEdgeFault(e[0], e[1])
+			}
+			dead := 0
+			s.EachRoute(func(u, v int, p routing.Path) {
+				for i, w := range p {
+					if nodes.Has(w) || i > 0 && cut[[2]int{min(w, p[i-1]), max(w, p[i-1])}] {
+						dead++
+						return
+					}
+				}
+			})
+			arcs := 0
+			for _, w := range eng.adj {
+				arcs += bits.OnesCount64(w)
+			}
+			if eng.DeadRouteCount() != dead || eng.alivePairs != arcs {
+				t.Fatalf("%s step %d F=%v E=%v: DeadRouteCount %d, alivePairs %d; recounted %d dead routes, %d arcs",
+					name, step, nodes, eng.EdgeFaults(), eng.DeadRouteCount(), eng.alivePairs, dead, arcs)
 			}
 		}
 	}
