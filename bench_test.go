@@ -908,6 +908,29 @@ func BenchmarkExhaustiveBoundedParallelCCC7F1(b *testing.B) {
 	}
 }
 
+// BenchmarkExhaustiveBoundedCCC7T2F1 is the bounded search on CCC(7)'s
+// circular routing built with Options{}, so t = κ−1 = 2: the routing
+// of bench/'s tolerate-ccc7 workload. All 897 sets score the hubs'
+// eccentricity 2, where each pivot's ball is the pivot alone and the
+// shared covers of the hub pivots skip most sources. Report-only.
+func BenchmarkExhaustiveBoundedCCC7T2F1(b *testing.B) {
+	g, err := CCC(7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, _, err := Circular(g, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := eval.MaxDiameter(r, 1, eval.Config{Mode: eval.Exhaustive})
+		if res.Evaluated != 897 || res.MaxDiameter != 2 {
+			b.Fatalf("evaluated %d, diameter %d", res.Evaluated, res.MaxDiameter)
+		}
+	}
+}
+
 // BenchmarkExhaustiveBoundedQ10F1 is the exhaustive search on the
 // 1024-node hypercube anchor.
 func BenchmarkExhaustiveBoundedQ10F1(b *testing.B) {

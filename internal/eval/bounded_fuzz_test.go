@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"ftroute/internal/core"
 	"ftroute/internal/eval/oracle"
 	"ftroute/internal/routing"
 )
@@ -19,9 +20,14 @@ import (
 // fanned-out walk over sets of size exactly f must match the serial one,
 // Evaluated included: the random graphs often disconnect at f = 2,
 // where frozen units count their sets instead of visiting them. Every
-// check runs on the shortest-path routing and on its reinforcement with
+// check runs on the shortest-path routing, on its reinforcement with
 // one link-disjoint backup per pair, a multirouting whose pairs keep one
-// route or get two.
+// route or get two, and on core.Auto's routing when the graph admits
+// one. The first two are total, so their route graphs mostly go to the
+// dense kernel; Auto's (usually the kernel construction) are sparse and
+// drive the pivots and the skip set, which checkSkipSet also checks
+// directly after each single-item fault and on the empty set, at every
+// bound from −1 to 4.
 func FuzzBoundedEquivalence(f *testing.F) {
 	f.Add(uint8(6), uint64(0), uint8(1), uint8(1))
 	f.Add(uint8(9), uint64(0x5a5a), uint8(2), uint8(4))
@@ -42,10 +48,15 @@ func FuzzBoundedEquivalence(f *testing.F) {
 
 		cfg := Config{Mode: Exhaustive}
 
-		for _, src := range []struct {
+		type source struct {
 			name string
 			s    testSource
-		}{{"routing", r}, {"reinforced", m}} {
+		}
+		srcs := []source{{"routing", r}, {"reinforced", m}}
+		if plan, err := core.Auto(g, core.Options{}); err == nil {
+			srcs = append(srcs, source{"auto", plan.Routing})
+		}
+		for _, src := range srcs {
 			name, s := src.name, src.s
 			want := fromOracle(oracle.MaxDiameter(s, budget, oc(cfg)))
 			sameResult(t, name+" serial", MaxDiameter(s, budget, cfg), want)
@@ -66,6 +77,19 @@ func FuzzBoundedEquivalence(f *testing.F) {
 				serial, _ := sizeRange(s, budget, budget, 1, links)
 				got, _ := sizeRange(s, budget, budget, workers, links)
 				sameMixedResult(t, fmt.Sprintf("%s links=%v size %d w=%d", name, links, budget, workers), got, serial)
+			}
+
+			eng := NewEngine(s)
+			for it := -1; it < eng.faults.Cap(); it++ {
+				if it >= 0 {
+					eng.toggle(it, true)
+				}
+				for bound := -1; bound <= 4; bound++ {
+					checkSkipSet(t, name, eng, bound)
+				}
+				if it >= 0 {
+					eng.toggle(it, false)
+				}
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/big"
 	"math/rand"
@@ -247,13 +248,14 @@ func TestExhaustiveSizeRanges(t *testing.T) {
 
 // TestDiameterAboveAgreesWithDiameter sweeps the bound across the true
 // diameter and checks the three-way verdict of the pivot-pruned kernel
-// on random fault sets: above=true must report the exact diameter,
-// above=false certifies diameter ≤ bound, and disconnection matches.
-// The reference is the materialized surviving graph's Digraph
+// on random fault sets, drawn from one rng per source so that a failure
+// reproduces whatever the map order: above=true must report the exact
+// diameter, above=false certifies diameter ≤ bound, and disconnection
+// matches. The reference is the materialized surviving graph's Digraph
 // diameter, which shares no code with the Engine's BFS.
 func TestDiameterAboveAgreesWithDiameter(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
 	for name, s := range boundedSources(t) {
+		rng := rand.New(rand.NewSource(11))
 		eng := NewEngine(s)
 		n := s.Graph().N()
 		for trial := 0; trial < 30; trial++ {
@@ -285,12 +287,140 @@ func TestDiameterAboveAgreesWithDiameter(t *testing.T) {
 	}
 }
 
+// checkSkipSet runs the serial kernel on e's current faults at bound,
+// as diameterAbove does (pivot phase, skip set, source loop), and checks
+// the skip set twice: as first built, and as the source loop leaves it.
+// Every alive source in it must reach every alive node with an exact
+// eccentricity at most the limit the set was built for. It returns how
+// many sources of the finished set lie in no pivot's reverse ball,
+// measured from their own distances: the sources only the shared covers
+// skip. Sets that leave one node alive, or that the dense kernel
+// scores, are not checked.
+func checkSkipSet(t *testing.T, name string, e *Engine, bound int) int {
+	t.Helper()
+	if e.AliveCount() <= 1 || e.dense() {
+		return 0
+	}
+	p, worst, ok := e.pivot()
+	if !ok {
+		return 0
+	}
+	check := func(stage string, limit int) []int {
+		t.Helper()
+		var skipped []int
+		for v := 0; v < e.N(); v++ {
+			if !e.HasFault(v) && e.skip[v>>6]&(1<<(uint(v)&63)) != 0 {
+				skipped = append(skipped, v)
+			}
+		}
+		for _, v := range skipped {
+			if ecc, ok := e.eccentricity(v); !ok || ecc > limit {
+				t.Fatalf("%s F=%v bound %d: the %s skip set holds %d, eccentricity (%d, %v) at limit %d",
+					name, e.faults.Elements(), bound, stage, v, ecc, ok, limit)
+			}
+		}
+		return skipped
+	}
+	e.skipSet(&p, max(worst, bound))
+	check("first", max(worst, bound))
+	if worst, ok = e.sources(&p, worst, bound); !ok {
+		return 0
+	}
+	limit := max(worst, bound)
+	beyond := 0
+	dist := make([]int, e.N())
+	for _, v := range check("finished", limit) {
+		e.DistancesFrom(v, dist)
+		inBall := false
+		for h := 0; h < p.k; h++ {
+			if d := dist[p.node[h]]; d != graph.Unreachable && d <= limit-p.ecc[h] {
+				inBall = true
+			}
+		}
+		if !inBall {
+			beyond++
+		}
+	}
+	return beyond
+}
+
+// TestSkipSetIsSound pins the skip set of the branch-and-bound kernel
+// itself (checkSkipSet), at every bound from −1 to 4, on random node,
+// link and mixed fault sets of size ≤ 2, seeded per source. A source
+// skipped wrongly changes a score only when it alone would beat the
+// limit, which the scoring tests rarely meet: measuring some pivots' far
+// sets one level too far passes every one of them. The sources are
+// boundedSources,
+// the circular routings of CCC(4) and CCC(5) with Options{} (t = κ−1,
+// the hub-and-spoke shape of the benchmark routings, where the shared
+// covers fire) and core.Auto's routing of seeded fuzz graphs. On CCC(4)
+// the shared covers must skip some source that no ball holds.
+func TestSkipSetIsSound(t *testing.T) {
+	type source struct {
+		name string
+		s    RouteSource
+	}
+	var srcs []source
+	bounded := boundedSources(t)
+	for _, name := range slices.Sorted(maps.Keys(bounded)) {
+		srcs = append(srcs, source{name, bounded[name]})
+	}
+	for _, k := range []int{4, 5} {
+		g, err := gen.CCC(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := core.Circular(g, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, source{fmt.Sprintf("ccc%d-circular", k), r})
+	}
+	for i := 0; i < 60; i++ {
+		rng := rand.New(rand.NewSource(int64(i)))
+		g := fuzzCutGraph(4+rng.Intn(9), rng.Uint64())
+		if plan, err := core.Auto(g, core.Options{}); err == nil {
+			srcs = append(srcs, source{fmt.Sprintf("auto-%d", i), plan.Routing})
+		}
+	}
+	beyond := make(map[string]int)
+	for _, src := range srcs {
+		rng := rand.New(rand.NewSource(31))
+		eng := NewEngine(src.s)
+		n, m := eng.N(), eng.items.M()
+		for trial := 0; trial < 25; trial++ {
+			var items []int
+			switch size := 1 + rng.Intn(2); {
+			case trial == 0: // the empty set
+			case trial%3 == 0: // nodes
+				items = rng.Perm(n)[:size]
+			case trial%3 == 1: // links
+				for _, i := range rng.Perm(m)[:size] {
+					items = append(items, n+i)
+				}
+			default: // a node and a link
+				items = []int{rng.Intn(n), n + rng.Intn(m)}
+			}
+			eng.Reset()
+			for _, it := range items {
+				eng.toggle(it, true)
+			}
+			for bound := -1; bound <= 4; bound++ {
+				beyond[src.name] += checkSkipSet(t, src.name, eng, bound)
+			}
+		}
+	}
+	if beyond["ccc4-circular"] == 0 {
+		t.Fatal("ccc4-circular: the shared covers skipped no source beyond the balls")
+	}
+}
+
 // TestDiameterParallelMatchesDiameter checks the intra-diameter
 // source-parallel path against the materialized surviving graph on
 // random fault sets.
 func TestDiameterParallelMatchesDiameter(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
 	for name, s := range boundedSources(t) {
+		rng := rand.New(rand.NewSource(17))
 		eng := NewEngine(s)
 		n := s.Graph().N()
 		for trial := 0; trial < 30; trial++ {

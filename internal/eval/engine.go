@@ -89,7 +89,8 @@ type Engine struct {
 	// BFS scratch, reused across calls.
 	bfs  *bfsScratch
 	mask []uint64
-	skip []uint64      // sources diameterAbove's pivots certify (see skipBalls)
+	skip []uint64      // sources diameterAbove's pivots certify (see skipSet)
+	far  []uint64      // row h: the alive nodes at distance ecc(pivot h) from it (see pivot)
 	pool []*bfsScratch // per-worker scratch for DiameterParallel, lazily grown
 }
 
@@ -114,7 +115,8 @@ func newBFSScratch(words int) *bfsScratch {
 // branch-and-bound diameter kernel adds to the first-alive pivot. Each
 // costs one BFS per call; in exchange a hub pivot whose out-eccentricity
 // sits one below the limit certifies a skip for every one of its
-// in-neighbors.
+// in-neighbors, and hubs at the limit certify their shared in-neighbors
+// (see skipSet).
 const diamExtraPivots = 4
 
 // NewEngine compiles src into an incremental evaluation engine with an
@@ -138,6 +140,7 @@ func NewEngine(src RouteSource) *Engine {
 		bfs:        newBFSScratch(words),
 		mask:       make([]uint64, words),
 		skip:       make([]uint64, words),
+		far:        make([]uint64, (1+diamExtraPivots)*words),
 	}
 	// Pass 1: count the routes, set each pair's arc, give a pair seen a
 	// second time a live slot, and count the routes of each item (its
@@ -233,6 +236,7 @@ func (e *Engine) Clone() *Engine {
 	c.bfs = newBFSScratch(e.words)
 	c.mask = make([]uint64, e.words)
 	c.skip = make([]uint64, e.words)
+	c.far = make([]uint64, len(e.far))
 	c.pool = nil
 	return &c
 }
@@ -410,8 +414,10 @@ func (e *Engine) setItems(nodes *graph.Bitset, edges []routing.EdgeFault, hi int
 // levels, or when a level reaches nothing new. It returns the number of
 // levels and whether every target was covered, (0, false) if not. A
 // non-nil dist receives every node's level, graph.Unreachable for nodes
-// not reached. s.visited holds the nodes reached, except when a level
-// stopped early on coverage (see expand): the result is then true.
+// not reached. After a false result s.visited holds the nodes reached;
+// after a true one it holds the nodes within level − 1 hops, whether
+// the last level ran to its end or stopped early on coverage (see
+// expand), so the targets outside it are those at distance level.
 func (e *Engine) bfsFrom(rows []uint64, src int, mask []uint64, levels int, s *bfsScratch, dist []int) (int, bool) {
 	want, target := e.alive, e.aliveCount
 	if mask != nil {
@@ -469,6 +475,9 @@ func (e *Engine) bfsFrom(rows []uint64, src int, mask []uint64, levels int, s *b
 		}
 		covered += fresh
 		cur, next = next, cur
+	}
+	for i, cw := range cur {
+		visited[i] &^= cw
 	}
 	return level, true
 }
@@ -558,7 +567,8 @@ type pivots struct {
 
 // pivot runs the pivot phase: pivot 0 is the first alive node, the
 // others are the first diamExtraPivots further alive nodes of the
-// compiled in-degree order, each measured by one forward BFS. It
+// compiled in-degree order, each measured by one forward BFS, whose
+// last level it keeps as the pivot's far set, row h of e.far. It
 // returns the pivots and the largest of their eccentricities, or false
 // when some pivot cannot reach every alive node.
 func (e *Engine) pivot() (pivots, int, bool) {
@@ -566,6 +576,10 @@ func (e *Engine) pivot() (pivots, int, bool) {
 	worst := 0
 	measure := func(v int) bool {
 		ecc, ok := e.eccentricity(v)
+		far := e.far[p.k*e.words : (p.k+1)*e.words]
+		for i, aw := range e.alive {
+			far[i] = aw &^ e.bfs.visited[i]
+		}
 		p.node[p.k], p.ecc[p.k] = v, ecc
 		p.k++
 		worst = max(worst, ecc)
@@ -586,14 +600,30 @@ func (e *Engine) pivot() (pivots, int, bool) {
 	return p, worst, true
 }
 
-// skipBalls sets e.skip to the union, over the pivots p, of the reverse
-// balls B⁻(p, limit − ecc(p)): the nodes within that many hops of p.
-// A ball member v has ecc(v) ≤ d(v,p) + ecc(p) ≤ limit by the triangle
-// inequality, and it reaches every alive node through p. Each ball is a
-// reverse BFS capped at its radius, which on the paper's route graphs is
-// usually 0 (just p) or 1 (p's in-row).
-func (e *Engine) skipBalls(p *pivots, limit int) {
+// skipSet sets e.skip to the sources the pivots p certify at limit:
+// each has ecc ≤ limit and reaches every alive node, so it needs no BFS.
+// Two rules add them.
+//
+//   - Balls. The reverse ball B⁻(p, limit − ecc(p)) holds the nodes
+//     within that many hops of pivot p. A member v has ecc(v) ≤ d(v,p) +
+//     ecc(p) ≤ limit by the triangle inequality, and it reaches every
+//     alive node through p. Each ball is a reverse BFS capped at its
+//     radius, which on the paper's route graphs is usually 0 (just p) or
+//     1 (p's in-row).
+//   - Shared covers. A pivot is tight when ecc(p) = limit; its far set
+//     (see pivot) is then the alive nodes it does not reach within
+//     limit − 1 hops. For every set S of two or more tight pivots whose
+//     far sets share no node, the sources with an arc to each pivot of S,
+//     the AND of their adjT rows, join. For such a source v and any
+//     alive t, some p in S reaches t within limit − 1 hops, so d(v,t) ≤
+//     limit. A superset of a set that passed adds nothing and is skipped.
+//
+// A pivot below the limit has an empty far set and a ball of radius at
+// least 1, which holds its in-row, so only tight pivots add covers, and
+// the set that a higher limit builds contains the one a lower limit did.
+func (e *Engine) skipSet(p *pivots, limit int) {
 	clear(e.skip)
+	tight := 0 // bit h set when pivot h is tight
 	for h := 0; h < p.k; h++ {
 		if _, all := e.bfsFrom(e.adjT, p.node[h], nil, limit-p.ecc[h], e.bfs, nil); all {
 			copy(e.skip, e.alive)
@@ -602,7 +632,41 @@ func (e *Engine) skipBalls(p *pivots, limit int) {
 		for i, vw := range e.bfs.visited {
 			e.skip[i] |= vw
 		}
+		if p.ecc[h] == limit {
+			tight |= 1 << h
+		}
 	}
+	var done uint64 // bit s set when pivot set s contains a set that passed
+	for s := 3; s <= tight; s++ {
+		if s&^tight != 0 || s&(s-1) == 0 || done&(1<<s) != 0 || e.farMeet(s) {
+			continue
+		}
+		for i := range e.skip {
+			w := e.alive[i]
+			for h := s; h != 0; h &= h - 1 {
+				w &= e.adjT[p.node[bits.TrailingZeros(uint(h))]*e.words+i]
+			}
+			e.skip[i] |= w
+		}
+		for sup := s; sup <= tight; sup = (sup + 1) | s {
+			done |= 1 << sup
+		}
+	}
+}
+
+// farMeet reports whether the far sets of the pivots in set s (bit h
+// for pivot h) share a node.
+func (e *Engine) farMeet(s int) bool {
+	for i, aw := range e.alive {
+		w := aw
+		for h := s; h != 0; h &= h - 1 {
+			w &= e.far[bits.TrailingZeros(uint(h))*e.words+i]
+		}
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // diameterAbove is the branch-and-bound diameter kernel and the only
@@ -613,14 +677,15 @@ func (e *Engine) skipBalls(p *pivots, limit int) {
 // connected false matches Diameter()'s (0, false) exactly.
 //
 // Instead of one BFS per source, it works through a handful of pivots
-// (see pivot), each with an exact forward BFS. Any other source v has
-// ecc(v) ≤ d(v,p) + ecc(p) by the triangle inequality, so the sources
-// in the reverse balls around the pivots (see skipBalls) cannot beat
-// limit = max(bound, runningMax) and are skipped without a BFS; the
-// rest get exact eccentricities, on workers goroutines when workers > 1.
-// A skipped source can never hold a value above the returned maximum,
+// (see pivot), each with an exact forward BFS, and skips without a BFS
+// every source the pivots certify at limit = max(bound, runningMax)
+// (see skipSet): the sources in the reverse balls around them, where
+// ecc(v) ≤ d(v,p) + ecc(p) by the triangle inequality, and the shared
+// in-neighbors of tight pivots whose far sets do not meet. The rest get
+// exact eccentricities, on workers goroutines when workers > 1. A
+// skipped source can never hold a value above the returned maximum,
 // which keeps the exact-when-above contract. Disconnection detection is
-// exact too: a ball member reaches every node through its pivot, and
+// exact too: a skipped source reaches every node through a pivot, and
 // every other alive source gets its own BFS.
 //
 // High-in-degree pivots are what make this effective on the paper
@@ -629,24 +694,23 @@ func (e *Engine) skipBalls(p *pivots, limit int) {
 // its in-neighbors at once), so once the enumeration's incumbent
 // reaches hubEcc+1, nearly every source is skipped. When the incumbent
 // ties the hubs' eccentricity the balls shrink to the pivots
-// themselves, and the coverage-stopped levels of bfsFrom carry the cost.
+// themselves; then two hubs that together reach every node within one
+// hop less skip the sources routed to both, and the coverage-stopped
+// levels of bfsFrom carry the cost of the rest.
 //
 // The caller must ensure at least one alive node exists.
 //
 // On dense surviving graphs — route graphs of total routings are
 // complete digraphs minus the arcs the faults killed — the triangle
 // bound cannot prune (every eccentricity ties the tiny diameter), so
-// the kernel dispatches to the complement-scan variant whenever at
-// least 7/8 of the alive ordered pairs still carry an arc.
+// the kernel dispatches to the complement-scan variant (see dense).
 func (e *Engine) diameterAbove(bound, workers int) (int, bool, bool) {
-	if a := e.aliveCount; a > 2 {
-		if dead := a*(a-1) - e.alivePairs; dead >= 0 && dead*8 <= a*(a-1) {
-			return e.diameterAboveDense(bound)
-		}
+	if e.dense() {
+		return e.diameterAboveDense(bound)
 	}
 	p, worst, ok := e.pivot()
 	if ok {
-		e.skipBalls(&p, max(worst, bound))
+		e.skipSet(&p, max(worst, bound))
 		if workers > 1 {
 			worst, ok = e.sourcesParallel(worst, workers)
 		} else {
@@ -662,14 +726,25 @@ func (e *Engine) diameterAbove(bound, workers int) (int, bool, bool) {
 	return 0, false, true
 }
 
+// dense reports whether diameterAbove dispatches to the complement-scan
+// kernel: more than two nodes are alive and at least 7/8 of their
+// ordered pairs still carry an arc.
+func (e *Engine) dense() bool {
+	a := e.aliveCount
+	dead := a*(a-1) - e.alivePairs
+	return a > 2 && dead >= 0 && dead*8 <= a*(a-1)
+}
+
 // sources runs a BFS from every alive source outside e.skip, in node
 // order. A source above the limit max(worst, bound) becomes the new
-// worst and limit, and the balls regrow for it, so the result is exact
+// worst and limit, and the skip set is rebuilt for it (no pivot is
+// tight any more, so the balls alone grow), so the result is exact
 // whenever it ends above bound. It reports false on a disconnection.
 func (e *Engine) sources(p *pivots, worst, bound int) (int, bool) {
 	limit := max(worst, bound)
 	for i, aw := range e.alive {
-		// e.skip only grows, so re-masking after each source is exact.
+		// e.skip only grows (see skipSet), so re-masking after each
+		// source is exact.
 		for w := aw &^ e.skip[i]; w != 0; w = w & (w - 1) &^ e.skip[i] {
 			ecc, ok := e.eccentricity(i<<6 | bits.TrailingZeros64(w))
 			if !ok {
@@ -677,7 +752,7 @@ func (e *Engine) sources(p *pivots, worst, bound int) (int, bool) {
 			}
 			if ecc > limit {
 				worst, limit = ecc, ecc
-				e.skipBalls(p, limit)
+				e.skipSet(p, limit)
 			}
 		}
 	}
@@ -687,7 +762,7 @@ func (e *Engine) sources(p *pivots, worst, bound int) (int, bool) {
 // sourcesParallel is sources with the alive words outside e.skip stolen
 // from a shared counter by workers that share the read-only bitrows and
 // skip set, each on pooled BFS scratch, folding into an atomic running
-// maximum. The balls stay those of the starting limit, so a skipped
+// maximum. The skip set stays that of the starting limit, so a skipped
 // source is at most that limit, and the result is exact whenever it ends
 // above bound, as the serial loop's is.
 func (e *Engine) sourcesParallel(worst, workers int) (int, bool) {

@@ -96,8 +96,8 @@ func sameResult(t *testing.T, name string, got, want MixedResult) {
 }
 
 func TestEngineMatchesSurvivingGraphOnRandomFaultSets(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
 	for name, s := range testSources(t) {
+		rng := rand.New(rand.NewSource(3))
 		rs, ok := s.(RouteSource)
 		if !ok {
 			t.Fatalf("%s: not a RouteSource", name)
@@ -157,8 +157,8 @@ func TestEngineMatchesSurvivingGraphOnRandomFaultSets(t *testing.T) {
 func TestEngineIncrementalMatchesRebuild(t *testing.T) {
 	// Random add/remove walk: after every single toggle the engine must
 	// agree with a from-scratch rebuild.
-	rng := rand.New(rand.NewSource(17))
 	for name, s := range testSources(t) {
+		rng := rand.New(rand.NewSource(17))
 		eng := NewEngine(s.(RouteSource))
 		n := s.Graph().N()
 		faults := graph.NewBitset(n)

@@ -45,8 +45,8 @@ func drawEdgeFaults(rng *rand.Rand, g *graph.Graph, k int) []routing.EdgeFault {
 }
 
 func TestMixedEngineMatchesSurvivingGraphMixed(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
 	for name, s := range mixedSources(t) {
+		rng := rand.New(rand.NewSource(7))
 		eng := NewEngine(s)
 		g := s.Graph()
 		n := g.N()
@@ -97,8 +97,8 @@ func TestMixedEngineMatchesSurvivingGraphMixed(t *testing.T) {
 func TestMixedIncrementalMatchesRebuild(t *testing.T) {
 	// Random mixed toggle walk: after every single node- or edge-fault
 	// toggle the engine must agree with a from-scratch rebuild.
-	rng := rand.New(rand.NewSource(23))
 	for name, s := range mixedSources(t) {
+		rng := rand.New(rand.NewSource(23))
 		eng := NewEngine(s)
 		g := s.Graph()
 		n := g.N()
