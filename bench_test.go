@@ -679,119 +679,6 @@ func BenchmarkWorstMixedFaultsSampledOracleCCC4F2(b *testing.B) {
 // links, and greedy rounds over 160 and then 159 items.
 const sampledMixedSetsCCC4F2 = 1 + 20 + 10 + 160 + 159
 
-// --- Orbit-pruned exhaustive search benchmarks (internal/sym) ---
-//
-// The transported anchor: CCC(4) shortest-path routing made strictly
-// equivariant under a pair-free automorphism subgroup, the routing kind
-// EvalConfig.Pruned engages on. The *PlainSym* twins run the identical
-// search on the identical routing with pruning off, so each pruned/plain
-// ns-ratio isolates the orbit enumerator's win; CI gates all three
-// ratios via cmd/benchdiff -gate-ratio.
-
-// ccc4Transported builds the symmetric anchor instance.
-func ccc4Transported(b *testing.B) (*Graph, *Routing) {
-	b.Helper()
-	g, err := CCC(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := ShortestPathRouting(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gr := Automorphisms(g)
-	elems := GroupElements(gr.N, gr.Gens, GroupElementCap)
-	tr, err := TransportRouting(g, r, FreePairSubgroup(elems))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g, tr
-}
-
-// BenchmarkExhaustivePrunedCCC4F2 measures the orbit-pruned exhaustive
-// node-fault search over CCC(4)'s 2081 sets at f=2.
-func BenchmarkExhaustivePrunedCCC4F2(b *testing.B) {
-	_, tr := ccc4Transported(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameter(tr, 2, eval.Config{Mode: eval.Exhaustive, Pruned: true})
-		if res.Evaluated != 2081 {
-			b.Fatalf("evaluated %d", res.Evaluated)
-		}
-	}
-}
-
-// BenchmarkExhaustivePlainSymCCC4F2 is the same search on the same
-// transported routing with pruning off.
-func BenchmarkExhaustivePlainSymCCC4F2(b *testing.B) {
-	_, tr := ccc4Transported(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameter(tr, 2, eval.Config{Mode: eval.Exhaustive})
-		if res.Evaluated != 2081 {
-			b.Fatalf("evaluated %d", res.Evaluated)
-		}
-	}
-}
-
-// BenchmarkExhaustiveMixedPrunedCCC4F2 measures the orbit-pruned
-// exhaustive mixed search over CCC(4)'s 12881-set f=2 universe — the
-// acceptance anchor for the >=10x representative reduction.
-func BenchmarkExhaustiveMixedPrunedCCC4F2(b *testing.B) {
-	_, tr := ccc4Transported(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameterMixed(tr, 2, eval.Config{Mode: eval.Exhaustive, Pruned: true})
-		if res.Evaluated != 12881 {
-			b.Fatalf("evaluated %d", res.Evaluated)
-		}
-	}
-}
-
-// BenchmarkExhaustiveMixedPlainSymCCC4F2 is the mixed twin with pruning
-// off.
-func BenchmarkExhaustiveMixedPlainSymCCC4F2(b *testing.B) {
-	_, tr := ccc4Transported(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameterMixed(tr, 2, eval.Config{Mode: eval.Exhaustive})
-		if res.Evaluated != 12881 {
-			b.Fatalf("evaluated %d", res.Evaluated)
-		}
-	}
-}
-
-// BenchmarkWorstLinkCutsPrunedCCC4 measures the orbit-pruned exhaustive
-// budget-2 link-cut adversary (4657 sets) on tables compiled from the
-// transported routing. Budget 2, not 1: the equivariance safety check
-// walks all ~24k table entries per group element, a fixed cost only a
-// multi-thousand-set search amortizes.
-func BenchmarkWorstLinkCutsPrunedCCC4(b *testing.B) {
-	g, tr := ccc4Transported(b)
-	t := FailoverFromRouting(tr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := WorstLinkCuts(t, g, 2, eval.Config{Mode: eval.Exhaustive, Pruned: true})
-		if res.Evaluated != 4657 {
-			b.Fatalf("evaluated %d", res.Evaluated)
-		}
-	}
-}
-
-// BenchmarkWorstLinkCutsPlainSymCCC4 is the budget-2 twin with pruning
-// off.
-func BenchmarkWorstLinkCutsPlainSymCCC4(b *testing.B) {
-	g, tr := ccc4Transported(b)
-	t := FailoverFromRouting(tr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := WorstLinkCuts(t, g, 2, eval.Config{Mode: eval.Exhaustive})
-		if res.Evaluated != 4657 {
-			b.Fatalf("evaluated %d", res.Evaluated)
-		}
-	}
-}
-
 // BenchmarkE14EdgeFaults regenerates E14 (edge-fault extension).
 func BenchmarkE14EdgeFaults(b *testing.B) { benchExperiment(b, "E14") }
 
@@ -810,7 +697,7 @@ func BenchmarkE17BeyondTolerance(b *testing.B) { benchExperiment(b, "E17") }
 // BenchmarkE19Failover regenerates E19 (static-failover adversaries).
 func BenchmarkE19Failover(b *testing.B) { benchExperiment(b, "E19") }
 
-// BenchmarkE20Symmetry regenerates E20 (orbit-pruned enumeration).
+// BenchmarkE20Symmetry regenerates E20 (automorphism orbits).
 func BenchmarkE20Symmetry(b *testing.B) { benchExperiment(b, "E20") }
 
 // BenchmarkE21Bounded regenerates E21 (branch-and-bound search).

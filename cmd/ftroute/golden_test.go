@@ -18,15 +18,16 @@ var goldenRuns = []struct {
 	args []string
 }{
 	{"failover-sampled", []string{"failover", "-graph", "cycle:9", "-construction", "circular", "-cuts", "1", "-messages", "60", "-samples", "20"}},
+	{"failover-sampled-shortest", []string{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-samples", "20"}},
 	{"failover-exhaustive", []string{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-exhaustive"}},
-	{"failover-pruned", []string{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-exhaustive", "-pruned"}},
+	{"failover-exhaustive-circular", []string{"failover", "-graph", "cycle:9", "-construction", "circular", "-cuts", "1", "-messages", "60", "-exhaustive"}},
 	{"failover-no-backups", []string{"failover", "-graph", "ccc:3", "-cuts", "2", "-messages", "60", "-samples", "20", "-backups", "0"}},
 	{"failover-no-cuts", []string{"failover", "-graph", "cycle:12", "-construction", "kernel", "-cuts", "0", "-messages", "60", "-exhaustive"}},
 	{"failover-mixed", []string{"failover", "-graph", "cycle:9", "-construction", "circular", "-cuts", "1", "-messages", "60", "-exhaustive", "-mixed"}},
+	{"failover-mixed-sampled", []string{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-samples", "20", "-mixed"}},
 	{"failover-mixed-lambda", []string{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-samples", "20", "-mixed", "-lambda", "0.5"}},
 	{"tolerate-sampled", []string{"tolerate", "-graph", "cycle:12", "-samples", "20"}},
 	{"tolerate-exhaustive", []string{"tolerate", "-graph", "cycle:9", "-construction", "circular", "-exhaustive"}},
-	{"tolerate-pruned", []string{"tolerate", "-graph", "petersen", "-construction", "shortest", "-exhaustive", "-pruned"}},
 	{"tolerate-mixed", []string{"tolerate", "-graph", "cycle:12", "-construction", "circular", "-mixed", "-faults", "2", "-samples", "20"}},
 	{"tolerate-mixed-exhaustive", []string{"tolerate", "-graph", "cycle:9", "-construction", "circular", "-exhaustive", "-mixed"}},
 	{"route-auto", []string{"route", "-graph", "cycle:12"}},
@@ -37,8 +38,10 @@ var goldenRuns = []struct {
 	{"route-bipolar-bi", []string{"route", "-graph", "cycle:12", "-construction", "bipolar-bi"}},
 	{"route-shortest", []string{"route", "-graph", "petersen", "-construction", "shortest"}},
 	{"plan", []string{"plan", "-graph", "petersen"}},
+	{"plan-cycle12", []string{"plan", "-graph", "cycle:12"}},
 	{"info", []string{"info", "-graph", "petersen"}},
 	{"orbits", []string{"orbits", "-graph", "ccc:3"}},
+	{"orbits-hypercube6", []string{"orbits", "-graph", "hypercube:6"}},
 	{"simulate", []string{"simulate", "-graph", "cycle:12", "-construction", "kernel", "-samples", "30"}},
 	{"export", []string{"export", "-graph", "cycle:9", "-construction", "circular", "-table", "TABLE"}},
 	{"check-fails", []string{"check", "-graph", "cycle:9", "-table", "TABLE", "-bound", "2", "-exhaustive"}},

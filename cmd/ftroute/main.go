@@ -6,10 +6,10 @@
 //	ftroute info  -graph <spec>
 //	ftroute plan  -graph <spec>
 //	ftroute route -graph <spec> [-construction auto|kernel|circular|tricircular|bipolar|bipolar-bi]
-//	ftroute orbits -graph <spec> [-faults k]
-//	ftroute tolerate -graph <spec> [-construction ...] [-faults k] [-samples n] [-seed s] [-exhaustive] [-pruned] [-mixed]
+//	ftroute orbits -graph <spec>
+//	ftroute tolerate -graph <spec> [-construction ...] [-faults k] [-samples n] [-seed s] [-exhaustive] [-mixed]
 //	ftroute simulate -graph <spec> [-construction ...] [-faults k] [-samples n] [-seed s]
-//	ftroute failover -graph <spec> [-construction ...] [-cuts k] [-backups b] [-retries r] [-messages n] [-samples n] [-seed s] [-exhaustive] [-pruned] [-mixed] [-lambda w]
+//	ftroute failover -graph <spec> [-construction ...] [-cuts k] [-backups b] [-retries r] [-messages n] [-samples n] [-seed s] [-exhaustive] [-mixed] [-lambda w]
 //	ftroute export   -graph <spec> [-construction ...] -table routing.json
 //	ftroute check    -graph <spec> -table routing.json -bound d [-faults k] [-samples n] [-seed s] [-exhaustive]
 //
@@ -82,10 +82,9 @@ func run(args []string) error {
 	var (
 		graphSpec    = fs.String("graph", "", "graph specification (see command doc)")
 		construction = fs.String("construction", "auto", "auto|kernel|circular|tricircular|bipolar|bipolar-bi|shortest")
-		faults       = fs.Int("faults", -1, "fault budget (default: tolerance t)")
+		faults       = fs.Int("faults", -1, "tolerate/simulate/check: fault budget (default: tolerance t)")
 		samples      = fs.Int("samples", 200, "random fault sets when not exhaustive")
 		exhaustive   = fs.Bool("exhaustive", false, "enumerate all fault sets (exponential)")
-		pruned       = fs.Bool("pruned", false, "exhaustive searches: evaluate one fault set per automorphism orbit when the routing respects the symmetry (falls back silently otherwise)")
 		mixed        = fs.Bool("mixed", false, "tolerate/failover: spend the fault budget on nodes and links combined")
 		lambda       = fs.Float64("lambda", 0, "failover -mixed: weight of skipped pairs in the adversary objective disrupted+lambda*skipped")
 		table        = fs.String("table", "", "routing-table file for export/check")
@@ -143,13 +142,13 @@ func run(args []string) error {
 		_, err := build(g, *construction)
 		return err
 	case "orbits":
-		return orbits(g, *faults)
+		return orbits(g)
 	case "tolerate":
-		return tolerate(g, *construction, *faults, *samples, *seed, *exhaustive, *pruned, *mixed)
+		return tolerate(g, *construction, *faults, *samples, *seed, *exhaustive, *mixed)
 	case "simulate":
 		return simulate(g, *construction, *faults, *samples, *seed)
 	case "failover":
-		return failover(g, *construction, *cuts, *backups, *retries, *messages, *samples, *seed, *exhaustive, *pruned, *mixed, *lambda)
+		return failover(g, *construction, *cuts, *backups, *retries, *messages, *samples, *seed, *exhaustive, *mixed, *lambda)
 	case "export":
 		return export(g, *construction, *table)
 	case "check":
@@ -166,10 +165,10 @@ var reads = map[string][]string{
 	"info":     {"graph"},
 	"plan":     {"graph"},
 	"route":    {"graph", "construction"},
-	"orbits":   {"graph", "faults"},
-	"tolerate": {"graph", "construction", "faults", "samples", "seed", "exhaustive", "pruned", "mixed"},
+	"orbits":   {"graph"},
+	"tolerate": {"graph", "construction", "faults", "samples", "seed", "exhaustive", "mixed"},
 	"simulate": {"graph", "construction", "faults", "samples", "seed"},
-	"failover": {"graph", "construction", "cuts", "backups", "retries", "messages", "samples", "seed", "exhaustive", "pruned", "mixed", "lambda"},
+	"failover": {"graph", "construction", "cuts", "backups", "retries", "messages", "samples", "seed", "exhaustive", "mixed", "lambda"},
 	"export":   {"graph", "construction", "table"},
 	"check":    {"graph", "table", "bound", "faults", "samples", "seed", "exhaustive"},
 }
@@ -226,7 +225,7 @@ func simulate(g *ftroute.Graph, construction string, faults, samples int, seed i
 // as a mid-run fault-injection in the simulator: the faults land a
 // third of the way through the workload and are repaired at two
 // thirds, with each stuck message retrying from its stuck node.
-func failover(g *ftroute.Graph, construction string, cuts, backups, retries, messages, samples int, seed int64, exhaustive, pruned, mixed bool, lambda float64) error {
+func failover(g *ftroute.Graph, construction string, cuts, backups, retries, messages, samples int, seed int64, exhaustive, mixed bool, lambda float64) error {
 	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 		return fmt.Errorf("-lambda must be finite, got %v", lambda)
 	}
@@ -245,11 +244,8 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 	cfg := ftroute.EvalConfig{Mode: ftroute.Sampled, Samples: samples, Greedy: true, Seed: seed}
 	mode := "sampled+greedy+concentrator"
 	if exhaustive {
-		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive, Pruned: pruned}
+		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive}
 		mode = "exhaustive"
-		if pruned {
-			mode = "exhaustive, orbit-pruned"
-		}
 	}
 	cfg.SkippedWeight = lambda
 	var worstNodes []int
@@ -397,51 +393,26 @@ func info(g *ftroute.Graph) error {
 	return nil
 }
 
-// orbits reports the graph's automorphism group, its node/edge/mixed
-// orbit structure, and the pruning factors orbit enumeration would earn
-// over plain exhaustive enumeration at the given fault budget — the
-// structure EvalConfig.Pruned exploits (see docs/symmetry.md).
-func orbits(g *ftroute.Graph, faults int) error {
+// orbits reports the graph's automorphism group and the orbits of its
+// node, link and mixed node+link fault items (see docs/symmetry.md).
+// The orbits need only the generators, so only the group's order is
+// capped.
+func orbits(g *ftroute.Graph) error {
 	gr := ftroute.Automorphisms(g)
-	elems := ftroute.GroupElements(gr.N, gr.Gens, ftroute.GroupElementCap)
-	if elems == nil {
-		fmt.Printf("automorphism group: order > %d — orbit analysis capped (Pruned would fall back)\n", ftroute.GroupElementCap)
-		return nil
+	order := fmt.Sprintf("order > %d", ftroute.GroupElementCap)
+	if elems := ftroute.GroupElements(gr.N, gr.Gens, ftroute.GroupElementCap); elems != nil {
+		order = fmt.Sprintf("order %d", len(elems))
 	}
-	ix := ftroute.NewItems(g)
-	universes := []struct {
-		name         string
-		nodes, links bool
-		size         int
-		elems        [][]int
-	}{
-		{"node faults ", true, false, g.N(), nil},
-		{"link cuts   ", false, true, g.M(), nil},
-		{"mixed faults", true, true, g.N() + g.M(), nil},
+	fmt.Printf("automorphism group: %s (%d generators)\n", order, len(gr.Gens))
+	// A lift maps nodes to nodes and links to links, so the first n
+	// mixed items hold exactly the node orbits and the rest the links'.
+	gens, ok := ftroute.NewItems(g).Lift(gr.Gens, true, true)
+	if !ok {
+		return fmt.Errorf("internal: automorphism does not permute the items")
 	}
-	var counts [3]int
-	for i := range universes {
-		u := &universes[i]
-		var ok bool
-		if u.elems, ok = ix.Lift(elems, u.nodes, u.links); !ok {
-			return fmt.Errorf("internal: automorphism does not permute the items")
-		}
-		counts[i] = ftroute.OrbitCount(ftroute.NodeOrbits(u.size, u.elems))
-	}
-	fmt.Printf("automorphism group: order %d (%d generators)\n", len(elems), len(gr.Gens))
-	fmt.Printf("orbits: %d node, %d edge, %d mixed item\n", counts[0], counts[1], counts[2])
-	if faults < 0 {
-		faults = 2
-	}
-	fmt.Printf("orbit pruning of exhaustive fault enumeration, budget <= %d:\n", faults)
-	for _, u := range universes {
-		reps, total := ftroute.NewOrbitEnumerator(u.size, u.elems).Count(faults)
-		factor := "-"
-		if reps > 0 {
-			factor = fmt.Sprintf("%.1fx", float64(total)/float64(reps))
-		}
-		fmt.Printf("  %s %d representatives for %d non-empty sets (%s)\n", u.name, reps, total, factor)
-	}
+	orbits := ftroute.NodeOrbits(g.N()+g.M(), gens)
+	nodes, mixed := ftroute.OrbitCount(orbits[:g.N()]), ftroute.OrbitCount(orbits)
+	fmt.Printf("orbits: %d node, %d edge, %d mixed item\n", nodes, mixed-nodes, mixed)
 	return nil
 }
 
@@ -516,7 +487,7 @@ func build(g *ftroute.Graph, construction string) (*ftroute.Plan, error) {
 	return &ftroute.Plan{T: k - 1, Bidirected: r.Bidirectional(), Routing: r}, nil
 }
 
-func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed int64, exhaustive, pruned, mixed bool) error {
+func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed int64, exhaustive, mixed bool) error {
 	p, err := build(g, construction)
 	if err != nil {
 		return err
@@ -526,7 +497,7 @@ func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed i
 	}
 	cfg := ftroute.EvalConfig{Mode: ftroute.Sampled, Samples: samples, Greedy: true, Seed: seed}
 	if exhaustive {
-		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive, Pruned: pruned}
+		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive}
 	}
 	if mixed {
 		res := ftroute.MaxDiameterUnderMixedFaultsParallel(p.Routing, faults, cfg, 0)

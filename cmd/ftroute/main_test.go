@@ -59,40 +59,6 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
-func TestRunSubcommands(t *testing.T) {
-	// The subcommands print to stdout; these cases assert only that
-	// they succeed on well-formed input (TestRouteSummaryLines and
-	// TestPrintedBounds pin printed lines).
-	cases := [][]string{
-		{"info", "-graph", "cycle:9"},
-		{"plan", "-graph", "cycle:12"},
-		{"route", "-graph", "cycle:9", "-construction", "circular"},
-		{"route", "-graph", "ccc:3", "-construction", "kernel"},
-		{"route", "-graph", "cycle:10", "-construction", "bipolar"},
-		{"route", "-graph", "cycle:10", "-construction", "bipolar-bi"},
-		{"route", "-graph", "cycle:45", "-construction", "tricircular"},
-		{"route", "-graph", "cycle:9", "-construction", "shortest"},
-		{"tolerate", "-graph", "cycle:9", "-construction", "circular", "-exhaustive"},
-		{"tolerate", "-graph", "cycle:12", "-construction", "auto", "-samples", "20"},
-		{"tolerate", "-graph", "cycle:9", "-construction", "circular", "-exhaustive", "-mixed"},
-		{"tolerate", "-graph", "cycle:12", "-construction", "circular", "-mixed", "-faults", "2", "-samples", "20"},
-		{"simulate", "-graph", "cycle:12", "-construction", "kernel", "-samples", "30"},
-		{"failover", "-graph", "cycle:9", "-construction", "circular", "-cuts", "1", "-messages", "60", "-exhaustive"},
-		{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-samples", "20"},
-		{"failover", "-graph", "cycle:9", "-construction", "circular", "-cuts", "1", "-messages", "60", "-exhaustive", "-mixed"},
-		{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-samples", "20", "-mixed"},
-		// A budget past the universe counts every set of the universe.
-		{"orbits", "-graph", "cycle:6", "-faults", "9223372036854775807"},
-	}
-	for _, args := range cases {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			if err := run(args); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestRouteSummaryLines pins the first line route prints for each
 // construction: its name, the (bound, t) its Info reports and the
 // structure it chose, or the construction's error unchanged.
@@ -194,7 +160,7 @@ func TestRunRejectsUnreadFlags(t *testing.T) {
 	set := map[string][]string{
 		"construction": {"-construction", "shortest"}, "faults": {"-faults", "1"},
 		"samples": {"-samples", "5"}, "seed": {"-seed", "3"}, "exhaustive": {"-exhaustive"},
-		"pruned": {"-pruned"}, "mixed": {"-mixed"}, "lambda": {"-lambda", "0.5"},
+		"mixed": {"-mixed"}, "lambda": {"-lambda", "0.5"},
 		"table": {"-table", "TABLE"}, "bound": {"-bound", "2"}, "cuts": {"-cuts", "1"},
 		"backups": {"-backups", "1"}, "retries": {"-retries", "1"}, "messages": {"-messages", "10"},
 	}
@@ -205,10 +171,10 @@ func TestRunRejectsUnreadFlags(t *testing.T) {
 		{"info", nil},
 		{"plan", nil},
 		{"route", []string{"construction"}},
-		{"orbits", []string{"faults"}},
-		{"tolerate", []string{"construction", "faults", "samples", "seed", "exhaustive", "pruned", "mixed"}},
+		{"orbits", nil},
+		{"tolerate", []string{"construction", "faults", "samples", "seed", "exhaustive", "mixed"}},
 		{"simulate", []string{"construction", "faults", "samples", "seed"}},
-		{"failover", []string{"construction", "cuts", "backups", "retries", "messages", "samples", "seed", "exhaustive", "pruned", "mixed", "lambda"}},
+		{"failover", []string{"construction", "cuts", "backups", "retries", "messages", "samples", "seed", "exhaustive", "mixed", "lambda"}},
 		{"export", []string{"construction", "table"}},
 		{"check", []string{"table", "bound", "faults", "samples", "seed", "exhaustive"}},
 	} {

@@ -339,15 +339,11 @@ var (
 )
 
 // Graph symmetry: automorphism groups, the fault-item numbering their
-// node permutations lift onto, orbits, and the machinery behind
-// EvalConfig.Pruned — orbit-pruned exhaustive fault enumeration for
-// routings and tables that respect a symmetry subgroup (docs/symmetry.md).
+// node permutations lift onto, and orbits on the node, link and mixed
+// fault universes (ftroute orbits, docs/symmetry.md).
 type (
 	// SymmetryGroup is an automorphism group as a generating set.
 	SymmetryGroup = sym.Group
-	// OrbitEnumerator enumerates one canonical representative per orbit
-	// of fault sets, with orbit sizes as multiplicities.
-	OrbitEnumerator = sym.Enumerator
 	// Items is a graph's fault-item numbering (node v is item v, link i
 	// of g.Edges() is item n+i): it lists the node, link and mixed
 	// universes and lifts node automorphisms onto them.
@@ -363,35 +359,16 @@ var (
 	GroupElements = sym.Elements
 	// NodeOrbits labels each point with its orbit under the given
 	// permutations: node permutations, or their lifts (Items.Lift) for
-	// link and mixed orbits.
+	// link and mixed orbits. Generators suffice.
 	NodeOrbits = sym.Orbits
 	// OrbitCount counts distinct labels in an orbit labeling.
 	OrbitCount = sym.OrbitCount
-	// NewOrbitEnumerator builds an orbit-pruned fault-set enumerator
-	// over an item universe under a group element list.
-	NewOrbitEnumerator = sym.NewEnumerator
 	// NewItems numbers the fault items of g.
 	NewItems = graph.NewItems
-	// RoutingRespects reports whether a routing is strictly equivariant
-	// under one node permutation.
-	RoutingRespects = sym.RoutingRespects
-	// TablesRespect reports whether failover tables are strictly
-	// equivariant under one node permutation.
-	TablesRespect = sym.TablesRespect
-	// RespectingElements filters a group element list to those a keep
-	// predicate accepts (the respecting elements form a subgroup).
-	RespectingElements = sym.Respecting
-	// TransportRouting makes a routing strictly equivariant under a
-	// subgroup by transporting orbit-representative routes.
-	TransportRouting = sym.TransportRouting
-	// FreePairSubgroup extracts a subgroup acting freely on ordered
-	// pairs, the precondition for conflict-free transport.
-	FreePairSubgroup = sym.FreePairSubgroup
 )
 
 // GroupElementCap is the largest automorphism group order that
-// EvalConfig.Pruned expands; past it the searches fall back to plain
-// enumeration.
+// ftroute orbits lists with GroupElements to print the group's order.
 const GroupElementCap = sym.ElementCap
 
 // Beyond-tolerance analysis (the paper's Open Problem 3).

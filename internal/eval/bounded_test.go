@@ -17,13 +17,13 @@ import (
 )
 
 // boundedSources builds the equivalence anchors the branch-and-bound
-// search is pinned against: a cycle edge routing, symmetric paper
-// constructions (orbit pruning kicks in when Pruned is set), and a
-// seeded asymmetric random graph (pruning falls back to plain). The
-// circular routing at t = κ−1 has the hub-and-spoke, diameter-2 shape of
-// the benchmark routings (hubs of in-degree 22 of 24), where the
-// kernel's radius-0 and radius-1 skip balls fire; CCC(3)'s neighborhood
-// set is too small for the default K = 2t+1, so it uses MinimalK.
+// search is pinned against: a cycle edge routing, a hypercube edge
+// routing, paper constructions on CCC(3), and a shortest-path routing
+// on a seeded random graph. The circular routing at t = κ−1 has the
+// hub-and-spoke, diameter-2 shape of the benchmark routings (hubs of
+// in-degree 22 of 24), where the kernel's radius-0 and radius-1 skip
+// balls fire; CCC(3)'s neighborhood set is too small for the default
+// K = 2t+1, so it uses MinimalK.
 func boundedSources(t *testing.T) map[string]*routing.Routing {
 	t.Helper()
 	srcs := make(map[string]*routing.Routing)
@@ -64,85 +64,29 @@ func boundedSources(t *testing.T) map[string]*routing.Routing {
 	return srcs
 }
 
-// prunedRef folds the empty set and then the plan's representatives,
-// each scored by the oracle's materialized surviving graph and counted
-// for its orbit size, exactly as the driver folds a plan: the first set
-// achieving the maximum is the witness, and the first disconnection
-// freezes the result. It is the result a Pruned search must report; a
-// nil plan (no usable symmetry) leaves the oracle's plain result.
-func prunedRef(t *testing.T, s *routing.Routing, plan *prunedReps, plain oracle.MixedResult) MixedResult {
-	t.Helper()
-	if plan == nil {
-		return fromOracleMixed(plain)
-	}
-	n, edges := s.Graph().N(), s.Graph().Edges()
-	ref := MixedResult{WorstNodeFaults: graph.NewBitset(n)}
-	for i, set := range append([][]int{nil}, plan.sets...) {
-		nodes := graph.NewBitset(n)
-		var cuts []routing.EdgeFault
-		for _, it := range set {
-			if it < n {
-				nodes.Add(it)
-			} else {
-				cuts = append(cuts, routing.EdgeFault{U: edges[it-n][0], V: edges[it-n][1]})
-			}
-		}
-		if i == 0 {
-			ref.Evaluated++
-		} else {
-			ref.Evaluated += plan.mults[i-1]
-		}
-		d := s.SurvivingGraphMixed(nodes, cuts)
-		if ref.Disconnected || d.EnabledCount() <= 1 {
-			continue
-		}
-		diam, ok := d.Diameter()
-		if !ok || diam > ref.MaxDiameter {
-			ref.Disconnected = !ok
-			if ok {
-				ref.MaxDiameter = diam
-			}
-			ref.WorstNodeFaults, ref.WorstEdgeFaults = nodes, cuts
-		}
-	}
-	if ref.Evaluated != plain.Evaluated || ref.Disconnected != plain.Disconnected ||
-		(!ref.Disconnected && ref.MaxDiameter != plain.MaxDiameter) {
-		t.Fatalf("plan folds to %v, the oracle's plain search to %v", ref, plain)
-	}
-	return ref
-}
-
 // TestBoundedMatchesOracle pins the branch-and-bound node-fault search
 // to the rebuild-per-set oracle bit for bit — score, taxonomy,
-// Evaluated, and the first-max witness — across fault budgets, worker
-// counts and the Pruned toggle, and in Sampled+Greedy mode. Pruned
-// searches must report the plan's first maximal representative.
+// Evaluated, and the first-max witness — across fault budgets and
+// worker counts, exhaustive and in Sampled+Greedy mode.
 func TestBoundedMatchesOracle(t *testing.T) {
 	for name, s := range boundedSources(t) {
 		for _, f := range []int{1, 2} {
-			plain := oracle.MaxDiameter(s, f, oc(Config{Mode: Exhaustive}))
-			for _, pruned := range []bool{false, true} {
-				cfg := Config{Mode: Exhaustive, Pruned: pruned}
-				want := fromOracle(plain)
-				if pruned {
-					want = prunedRef(t, s, routingReps(s, f, false), oracle.MixedResult{MaxDiameter: plain.MaxDiameter,
-						Disconnected: plain.Disconnected, WorstNodeFaults: plain.WorstFaults, Evaluated: plain.Evaluated})
-				}
-				sameResult(t, fmt.Sprintf("%s f=%d pruned=%v serial", name, f, pruned), MaxDiameter(s, f, cfg), want)
-				for _, workers := range []int{1, 2, 8} {
-					got := MaxDiameterParallel(s, f, cfg, workers)
-					sameResult(t, fmt.Sprintf("%s f=%d pruned=%v w=%d", name, f, pruned, workers), got, want)
-				}
+			ex := Config{Mode: Exhaustive}
+			want := fromOracle(oracle.MaxDiameter(s, f, oc(ex)))
+			sameResult(t, fmt.Sprintf("%s f=%d serial", name, f), MaxDiameter(s, f, ex), want)
+			for _, workers := range []int{1, 2, 8} {
+				got := MaxDiameterParallel(s, f, ex, workers)
+				sameResult(t, fmt.Sprintf("%s f=%d w=%d", name, f, workers), got, want)
 			}
 			cfg := Config{Mode: Sampled, Samples: 15, Seed: int64(f), Greedy: true}
-			want := fromOracle(oracle.MaxDiameter(s, f, oc(cfg)))
+			want = fromOracle(oracle.MaxDiameter(s, f, oc(cfg)))
 			for _, workers := range []int{2, 8} {
 				got := MaxDiameterParallel(s, f, cfg, workers)
 				sameResult(t, fmt.Sprintf("%s f=%d sampled+greedy w=%d", name, f, workers), got, want)
 			}
 			for d := 0; d <= 8; d++ {
-				got := CheckTolerance(s, d, f, Config{Mode: Exhaustive})
-				if wantErr := oracle.CheckTolerance(s, d, f, oc(Config{Mode: Exhaustive})); (got == nil) != (wantErr == nil) {
+				got := CheckTolerance(s, d, f, ex)
+				if wantErr := oracle.CheckTolerance(s, d, f, oc(ex)); (got == nil) != (wantErr == nil) {
 					t.Fatalf("%s (d=%d,f=%d): err=%v, oracle err=%v", name, d, f, got, wantErr)
 				}
 			}
@@ -155,27 +99,22 @@ func TestBoundedMatchesOracle(t *testing.T) {
 func TestBoundedMatchesOracleMixed(t *testing.T) {
 	for name, s := range boundedSources(t) {
 		for _, f := range []int{1, 2} {
-			plain := oracle.MaxDiameterMixed(s, f, oc(Config{Mode: Exhaustive}))
-			for _, pruned := range []bool{false, true} {
-				cfg := Config{Mode: Exhaustive, Pruned: pruned}
-				want := fromOracleMixed(plain)
-				if pruned {
-					want = prunedRef(t, s, routingReps(s, f, true), plain)
-				}
-				sameMixedResult(t, fmt.Sprintf("%s f=%d pruned=%v serial", name, f, pruned), MaxDiameterMixed(s, f, cfg), want)
-				for _, workers := range []int{1, 2, 8} {
-					got := MaxDiameterMixedParallel(s, f, cfg, workers)
-					sameMixedResult(t, fmt.Sprintf("%s f=%d pruned=%v w=%d", name, f, pruned, workers), got, want)
-				}
+			ex := Config{Mode: Exhaustive}
+			plain := oracle.MaxDiameterMixed(s, f, oc(ex))
+			want := fromOracleMixed(plain)
+			sameMixedResult(t, fmt.Sprintf("%s f=%d serial", name, f), MaxDiameterMixed(s, f, ex), want)
+			for _, workers := range []int{1, 2, 8} {
+				got := MaxDiameterMixedParallel(s, f, ex, workers)
+				sameMixedResult(t, fmt.Sprintf("%s f=%d w=%d", name, f, workers), got, want)
 			}
 			cfg := Config{Mode: Sampled, Samples: 15, Seed: int64(f), Greedy: true}
-			want := fromOracleMixed(oracle.MaxDiameterMixed(s, f, oc(cfg)))
+			want = fromOracleMixed(oracle.MaxDiameterMixed(s, f, oc(cfg)))
 			for _, workers := range []int{2, 8} {
 				got := MaxDiameterMixedParallel(s, f, cfg, workers)
 				sameMixedResult(t, fmt.Sprintf("%s f=%d sampled+greedy w=%d", name, f, workers), got, want)
 			}
 			for d := 0; d <= 8; d++ {
-				got := CheckToleranceMixed(s, d, f, Config{Mode: Exhaustive})
+				got := CheckToleranceMixed(s, d, f, ex)
 				if violated := plain.Disconnected || plain.MaxDiameter > d; (got != nil) != violated {
 					t.Fatalf("%s (d=%d,f=%d): err=%v, oracle worst %v", name, d, f, got, plain)
 				}

@@ -12,10 +12,9 @@ import (
 	"ftroute/internal/routing"
 )
 
-// budgetConfigs are the three search modes the budget tests run.
+// budgetConfigs are the two search modes the budget tests run.
 var budgetConfigs = map[string]Config{
 	"exhaustive": {Mode: Exhaustive},
-	"pruned":     {Mode: Exhaustive, Pruned: true},
 	"sampled":    {Mode: Sampled, Samples: 3, Seed: 1, Greedy: true},
 }
 

@@ -325,7 +325,6 @@ func TestEngineConcentratorEquivalence(t *testing.T) {
 func TestOneReportPerObjective(t *testing.T) {
 	cfgs := []Config{
 		{Mode: Exhaustive},
-		{Mode: Exhaustive, Pruned: true},
 		{Mode: Sampled, Samples: 20, Seed: 4, Greedy: true},
 	}
 	for name, s := range testSources(t) {

@@ -33,10 +33,10 @@
 // of the graph's one numbering, graph.Items — node v is item v, link i
 // of g.Edges() is item n+i — so node-only, link-only and mixed searches
 // differ only in their item lists, the numbering's universes. The
-// engines resolve links, the orbit-pruned plans lift automorphisms, and
-// BeyondTolerance splits G−F into components through the same
-// numbering; split, set and move (items.go) convert between its items
-// and the node lists and routing.EdgeFault links of the public API.
+// engines resolve links and BeyondTolerance splits G−F into components
+// through the same numbering; split, set and move (items.go) convert
+// between its items and the node lists and routing.EdgeFault links of
+// the public API.
 //
 // # Reports
 //
@@ -87,18 +87,6 @@ type Config struct {
 	// search that grows a fault set one item at a time, always picking
 	// the item that maximizes the surviving diameter.
 	Greedy bool
-	// Pruned enables, in Exhaustive mode, orbit pruning: when the
-	// routing (or failover tables) is strictly equivariant under a
-	// nontrivial subgroup of the graph's automorphism group, only one
-	// canonical representative per fault-set orbit is evaluated and its
-	// orbit size reconstructs the full Evaluated count. Results equal
-	// the plain enumeration's, witness included: the witness is the
-	// first set in enumeration order to reach the worst score, and the
-	// first member of an orbit in that order is its canonical
-	// representative. When the symmetry check fails (or the group is
-	// trivial or too large) the search silently falls back to the plain
-	// enumeration. See docs/symmetry.md.
-	Pruned bool
 	// Deprecated: Bounded is ignored. Every diameter search scores its
 	// fault sets with the branch-and-bound kernel, threading the
 	// best-so-far diameter through the search (see docs/perf.md).
@@ -170,13 +158,11 @@ func diameterSearch(src RouteSource, f, workers int, links bool) (*search[*Engin
 func maxDiameter(src RouteSource, f int, cfg Config, workers int, links bool) MixedResult {
 	s, f := diameterSearch(src, f, workers, links)
 	var b best[int]
-	switch {
-	case cfg.Mode != Exhaustive:
-		s.diameterSampled(&b, f, cfg)
-	case cfg.Pruned && s.plan(&b, routingReps(src, f, links)):
-	default:
+	if cfg.Mode == Exhaustive {
 		s.hi = f
 		s.exhaustive(&b)
+	} else {
+		s.diameterSampled(&b, f, cfg)
 	}
 	return s.root.result(b)
 }
@@ -202,7 +188,7 @@ func MaxDiameter(s RouteSource, f int, cfg Config) MixedResult {
 // MaxDiameterParallel is MaxDiameter with the search fanned out over
 // worker goroutines (workers <= 0 means GOMAXPROCS) on per-worker
 // Engine clones, with work stealing over enumeration prefixes,
-// orbit-representative chunks, pre-drawn samples and greedy candidates.
+// pre-drawn samples and greedy candidates.
 // Sub-results merge in enumeration order, so the result — witness
 // included — is identical to MaxDiameter's.
 func MaxDiameterParallel(s RouteSource, f int, cfg Config, workers int) MixedResult {
@@ -233,8 +219,8 @@ func MaxDiameterMixedParallel(s RouteSource, f int, cfg Config, workers int) Mix
 //
 // The exhaustive check decides each fault set against d with the
 // branch-and-bound kernel and stops at the first violation, so the
-// reported counterexample is the first in enumeration order; Pruned and
-// Sampled report the worst set found.
+// reported counterexample is the first in enumeration order; Sampled
+// reports the worst set found.
 func CheckTolerance(s RouteSource, d, f int, cfg Config) error {
 	return checkTolerance(s, d, f, cfg, false)
 }
@@ -247,7 +233,7 @@ func CheckToleranceMixed(s RouteSource, d, f int, cfg Config) error {
 
 func checkTolerance(src RouteSource, d, f int, cfg Config, links bool) error {
 	f = max(f, 0)
-	if cfg.Mode != Exhaustive || cfg.Pruned {
+	if cfg.Mode != Exhaustive {
 		r := maxDiameter(src, f, cfg, 1, links)
 		if r.Disconnected || r.MaxDiameter > d {
 			return toleranceError(links, r.WorstNodeFaults, r.WorstEdgeFaults, r.Disconnected, r.MaxDiameter, d, f)
@@ -284,9 +270,9 @@ func toleranceError(links bool, nf *graph.Bitset, ef []routing.EdgeFault, disc b
 // Profile reports, for each fault count 0..f, the worst surviving
 // diameter found (-1 encodes disconnection). A negative f gives an
 // empty profile, and f is clamped to the n nodes, so the profile has at
-// most n+1 rows. It shares cfg semantics with MaxDiameter but evaluates
-// each size separately, which is the shape of the per-fault-count
-// table ftroute tolerate prints. Each size runs on GOMAXPROCS workers,
+// most n+1 rows. It reads cfg as MaxDiameter does but evaluates each
+// size separately, which is the shape of the per-fault-count table
+// ftroute tolerate prints. Each size runs on GOMAXPROCS workers,
 // with the result of the sequential search.
 func Profile(s RouteSource, f int, cfg Config) []int { return profile(s, f, cfg, 0, false) }
 

@@ -155,8 +155,10 @@ func worstWalk(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config
 	s := newSearch(we, we.items.Universe(nodes, true), workers)
 	budget = min(max(budget, 0), len(s.items))
 	var b best[walkScore]
-	switch {
-	case cfg.Mode != Exhaustive:
+	if cfg.Mode == Exhaustive {
+		s.hi = budget
+		s.exhaustive(&b)
+	} else {
 		s.visitSet(&s.main, &b)
 		if budget > 0 {
 			s.sampled(&b, budget, cfg.samples(), cfg.Seed)
@@ -167,10 +169,6 @@ func worstWalk(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config
 		if cfg.Greedy {
 			s.greedy(&b, budget)
 		}
-	case cfg.Pruned && s.plan(&b, tableReps(t, g, budget, nodes)):
-	default:
-		s.hi = budget
-		s.exhaustive(&b)
 	}
 	worstNodes, worstCuts := split(we.items, b.items)
 	return MixedCutResult{WorstNodes: worstNodes, WorstCuts: worstCuts, Stats: b.score.stats, Evaluated: b.evaluated}

@@ -17,14 +17,19 @@ import (
 // routing where circular does not apply) and a relabelling π, and
 // carries the routing through π, and with it the routing's rank-1
 // failover tables and its reinforcement (Reinforce(r, 1), relabelled
-// route for route, compiled to multi-rank tables). The searches, plain
-// and orbit-pruned, must agree on the original and the relabelled
-// instance in everything labels cannot move:
+// route for route, compiled to multi-rank tables). The exhaustive
+// searches must agree on the original and the relabelled instance in
+// everything labels cannot move:
 //
-//   - MaxDiameterMixed: Disconnected and Evaluated, and MaxDiameter when
-//     connected (after a disconnection freezes the search, MaxDiameter
-//     is the incumbent before the first disconnecting set in preorder,
-//     and labels decide that order);
+//   - MaxDiameter and MaxDiameterMixed: Disconnected and Evaluated, and
+//     MaxDiameter when connected (after a disconnection freezes the
+//     search, MaxDiameter is the incumbent before the first
+//     disconnecting set in preorder, and labels decide that order);
+//   - ConcentratorAdversary on a fixed target list T against the same
+//     search on π(T), in the same order: its preorder follows the list,
+//     not the labels, so the two results are equal field for field once
+//     the witness is mapped back, MaxDiameter after a disconnection
+//     included;
 //   - every row of ProfileMixed;
 //   - BeyondTolerance and BeyondToleranceMixed: the counts and the worst
 //     component diameter;
@@ -36,12 +41,12 @@ import (
 // diameter or disconnection, and identical walk outcome counts.
 // Sampled and greedy searches draw by label and are left out.
 func FuzzRelabelInvariance(f *testing.F) {
-	f.Add(uint8(0), uint8(4), int64(1), int64(2), uint8(1), false)
-	f.Add(uint8(1), uint8(1), int64(3), int64(5), uint8(1), true)
-	f.Add(uint8(2), uint8(1), int64(0), int64(7), uint8(0), true)
-	f.Add(uint8(0), uint8(2), int64(4), int64(11), uint8(1), true)
-	f.Add(uint8(1), uint8(2), int64(8), int64(13), uint8(0), false)
-	f.Fuzz(func(t *testing.T, family, size uint8, graphSeed, permSeed int64, budget uint8, pruned bool) {
+	f.Add(uint8(0), uint8(4), int64(1), int64(2), uint8(1))
+	f.Add(uint8(1), uint8(1), int64(3), int64(5), uint8(1))
+	f.Add(uint8(2), uint8(1), int64(0), int64(7), uint8(0))
+	f.Add(uint8(0), uint8(2), int64(4), int64(11), uint8(1))
+	f.Add(uint8(1), uint8(2), int64(8), int64(13), uint8(0))
+	f.Fuzz(func(t *testing.T, family, size uint8, graphSeed, permSeed int64, budget uint8) {
 		var g *graph.Graph
 		var err error
 		switch family % 3 {
@@ -110,9 +115,30 @@ func FuzzRelabelInvariance(f *testing.F) {
 			return nf, ef
 		}
 		fb := 1 + int(budget)%2
-		cfg := Config{Mode: Exhaustive, Pruned: pruned}
+		cfg := Config{Mode: Exhaustive}
 
-		a, b := MaxDiameterMixed(r, fb, cfg), MaxDiameterMixed(rh, fb, cfg)
+		a, b := MaxDiameter(r, fb, cfg), MaxDiameter(rh, fb, cfg)
+		if a.Disconnected != b.Disconnected || a.Evaluated != b.Evaluated || !a.Disconnected && a.MaxDiameter != b.MaxDiameter {
+			t.Fatalf("MaxDiameter: original %v, relabelled %v", a, b)
+		}
+		nf, _ := back(b.WorstNodeFaults.Elements(), nil)
+		if d, ok := r.SurvivingGraph(nf).Diameter(); ok == b.Disconnected || ok && d != b.MaxDiameter {
+			t.Fatalf("witness %v of %v scores (%d, %v) on the original", nf, b, d, ok)
+		}
+
+		targets := []int{0, n / 2, n - 1, 1}
+		mapped := make([]int, len(targets))
+		for i, v := range targets {
+			mapped[i] = pi[v]
+		}
+		a, b = ConcentratorAdversary(r, fb, targets), ConcentratorAdversary(rh, fb, mapped)
+		nf, _ = back(b.WorstNodeFaults.Elements(), nil)
+		if a.Disconnected != b.Disconnected || a.Evaluated != b.Evaluated || a.MaxDiameter != b.MaxDiameter ||
+			!slices.Equal(nf.Elements(), a.WorstNodeFaults.Elements()) || a.WorstEdgeFaults != nil || b.WorstEdgeFaults != nil {
+			t.Fatalf("ConcentratorAdversary on %v: original %v, relabelled %v (witness %v mapped back)", targets, a, b, nf)
+		}
+
+		a, b = MaxDiameterMixed(r, fb, cfg), MaxDiameterMixed(rh, fb, cfg)
 		if a.Disconnected != b.Disconnected || a.Evaluated != b.Evaluated || !a.Disconnected && a.MaxDiameter != b.MaxDiameter {
 			t.Fatalf("MaxDiameterMixed: original %v, relabelled %v", a, b)
 		}

@@ -24,10 +24,9 @@ import (
 // The driver holds one implementation each of: the preorder walk over
 // an item list and a size range (exhaustive ≤ f, Profile's exact k,
 // concentrator subsets, CheckTolerance, BeyondTolerance), sampled draws,
-// greedy rounds, the orbit-representative plan walk (Config.Pruned),
-// incumbent threading for the evaluators' bounded scores, and the
-// work-stealing executor with its ordered merge. See docs/perf.md,
-// "The search driver".
+// greedy rounds, incumbent threading for the evaluators' bounded
+// scores, and the work-stealing executor with its ordered merge. See
+// docs/perf.md, "The search driver".
 
 // evaluator is the contract a search runs on. *Engine implements it
 // with the surviving diameter as the score, *WalkEngine with the walk
@@ -96,8 +95,7 @@ type worker[E interface{ toggle(int, bool) }] struct {
 }
 
 // moveTo morphs the worker's set into the sorted set next with single
-// toggles: consecutive samples and plan representatives share most
-// items, so this stays cheap.
+// toggles, one per item in which the two sets differ.
 func (w *worker[E]) moveTo(next []int) {
 	i, j := 0, 0
 	for i < len(w.cur) || j < len(next) {
@@ -189,10 +187,10 @@ func (s *search[E, S]) against(w *worker[E], in *incumbent[S], bound S) (S, S) {
 	return bound, m.score
 }
 
-// fold counts the worker's current set mult times and scores it against
-// b's incumbent, unless b is frozen.
-func (s *search[E, S]) fold(w *worker[E], b *best[S], mult int) {
-	b.evaluated = satAdd(b.evaluated, mult)
+// fold counts the worker's current set and scores it against b's
+// incumbent, unless b is frozen.
+func (s *search[E, S]) fold(w *worker[E], b *best[S]) {
+	b.evaluated = satAdd(b.evaluated, 1)
 	if s.root.final(b.score) {
 		return
 	}
@@ -204,7 +202,7 @@ func (s *search[E, S]) visitSet(w *worker[E], b *best[S]) bool {
 	if s.visit != nil {
 		return s.visit(w, b)
 	}
-	s.fold(w, b, 1)
+	s.fold(w, b)
 	return true
 }
 
@@ -291,7 +289,7 @@ func (s *search[E, S]) sampled(b *best[S], f, samples int, seed int64) {
 		}
 		s.units(b, len(sets), func(w *worker[E], u int, ub *best[S]) {
 			w.moveTo(sets[u])
-			s.fold(w, ub, 1)
+			s.fold(w, ub)
 		}, func(int) int { return 1 })
 	}
 	s.main.moveTo(nil)
@@ -300,43 +298,6 @@ func (s *search[E, S]) sampled(b *best[S], f, samples int, seed int64) {
 			w.moveTo(nil)
 		}
 	}
-}
-
-// plan folds the empty set and every representative of p, each counted
-// for its orbit size. A nil plan (no usable symmetry) folds nothing and
-// reports false.
-func (s *search[E, S]) plan(b *best[S], p *prunedReps) bool {
-	if p == nil {
-		return false
-	}
-	s.visitSet(&s.main, b)
-	reps := len(p.sets)
-	if reps == 0 {
-		return true
-	}
-	chunk := reps
-	if s.workers > 1 {
-		chunk = max(reps/(s.workers*4), 1)
-	}
-	span := func(c int) (int, int) { return c * chunk, min((c+1)*chunk, reps) }
-	s.units(b, (reps+chunk-1)/chunk, func(w *worker[E], c int, cb *best[S]) {
-		lo, hi := span(c)
-		for i := lo; i < hi; i++ {
-			if !s.root.final(cb.score) {
-				w.moveTo(p.sets[i])
-			}
-			s.fold(w, cb, p.mults[i])
-		}
-		w.moveTo(nil)
-	}, func(c int) int {
-		lo, hi := span(c)
-		total := 0
-		for _, m := range p.mults[lo:hi] {
-			total = satAdd(total, m)
-		}
-		return total
-	})
-	return true
 }
 
 // greedy grows a set one item at a time for f rounds, each round adding

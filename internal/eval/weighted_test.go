@@ -40,8 +40,7 @@ func TestSkippedWeightMatchesLegacy(t *testing.T) {
 }
 
 // TestSkippedWeightZeroIsPlain pins the λ=0 contract: the default
-// weight changes nothing, bit for bit, against the legacy oracle and
-// the pruned path alike.
+// weight changes nothing, bit for bit, against the legacy oracle.
 func TestSkippedWeightZeroIsPlain(t *testing.T) {
 	ft, _ := petersenTables(t)
 	g := gen.Petersen()
@@ -73,23 +72,6 @@ func TestSkippedWeightPrefersSkipped(t *testing.T) {
 	}
 	if got := EvaluateMixedFaults(ft, heavy.WorstNodes, heavy.WorstCuts); got != heavy.Stats {
 		t.Fatalf("witness re-evaluates to %v, result claims %v", got, heavy.Stats)
-	}
-}
-
-// TestSkippedWeightPruned checks λ rides through the orbit-pruned path.
-func TestSkippedWeightPruned(t *testing.T) {
-	g, r := transported(t, "CCC(3)")
-	ft := routing.FailoverFromRouting(r)
-	cfg := Config{Mode: Exhaustive, SkippedWeight: 0.7}
-	plain := WorstMixedFaults(ft, g, 2, cfg)
-	cfg.Pruned = true
-	pruned := WorstMixedFaults(ft, g, 2, cfg)
-	if pruned.Stats != plain.Stats || pruned.Evaluated != plain.Evaluated {
-		t.Fatalf("pruned %v, plain %v", pruned, plain)
-	}
-	par := WorstMixedFaultsParallel(ft, g, 2, cfg, 4)
-	if !reflect.DeepEqual(pruned, par) {
-		t.Fatalf("serial pruned %v, parallel pruned %v", pruned, par)
 	}
 }
 
@@ -153,13 +135,12 @@ func TestCheckToleranceMixedAgrees(t *testing.T) {
 		if base.Disconnected {
 			continue
 		}
-		for _, cfg := range []Config{{Mode: Exhaustive}, {Mode: Exhaustive, Pruned: true}} {
-			if err := CheckToleranceMixed(r, base.MaxDiameter, f, cfg); err != nil {
-				t.Fatalf("f=%d cfg %+v: %v", f, cfg, err)
-			}
-			if err := CheckToleranceMixed(r, base.MaxDiameter-1, f, cfg); err == nil {
-				t.Fatalf("f=%d cfg %+v: claimed tolerance below the true worst case", f, cfg)
-			}
+		cfg := Config{Mode: Exhaustive}
+		if err := CheckToleranceMixed(r, base.MaxDiameter, f, cfg); err != nil {
+			t.Fatalf("f=%d: %v", f, err)
+		}
+		if err := CheckToleranceMixed(r, base.MaxDiameter-1, f, cfg); err == nil {
+			t.Fatalf("f=%d: claimed tolerance below the true worst case", f)
 		}
 		return
 	}

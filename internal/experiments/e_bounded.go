@@ -134,3 +134,8 @@ func agreeCell(plain, bounded, par eval.MixedResult) string {
 	}
 	return diamStr(d) + " ok"
 }
+
+// msCell renders a duration as milliseconds with one decimal.
+func msCell(d time.Duration) string {
+	return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000)
+}

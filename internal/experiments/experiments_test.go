@@ -13,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the tabl
 // timingHeaders name the columns whose cells are wall-clock readings;
 // the golden comparison blanks them.
 var timingHeaders = map[string]bool{
-	"build": true, "plain ms": true, "pruned ms": true, "bounded ms": true, "b+par ms": true, "speedup": true,
+	"build": true, "plain ms": true, "bounded ms": true, "b+par ms": true, "speedup": true,
 }
 
 // blankTimings empties every cell under a timing header, before the

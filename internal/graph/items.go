@@ -3,7 +3,7 @@ package graph
 import "slices"
 
 // Items is the fault-item numbering of a graph that every fault search
-// and orbit-pruning plan works in: node v is item v, and link i of
+// and every orbit count works in: node v is item v, and link i of
 // g.Edges() is item n+i. A universe is the item list a search
 // enumerates — the nodes, the links, or both — and position k of a
 // universe is its k-th item, so a link-only universe puts link i at
@@ -92,9 +92,10 @@ func (it *Items) Universe(nodes, links bool) []int {
 
 // Lift lifts node permutations onto the positions of a universe: the
 // lift of p maps the position of each item to the position of its
-// image under p. It reports false, and lifts nothing, when some p is
-// not an automorphism of g: not a bijection of 0..n-1, or mapping a
-// link onto a non-edge.
+// image under p, so the orbits of the lifted generators of Aut(g) are
+// the link or mixed-item orbits (ftroute orbits, E20). It reports
+// false, and lifts nothing, when some p is not an automorphism of g:
+// not a bijection of 0..n-1, or mapping a link onto a non-edge.
 func (it *Items) Lift(perms [][]int, nodes, links bool) ([][]int, bool) {
 	at := 0 // the position of link 0
 	if nodes {

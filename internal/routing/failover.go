@@ -35,9 +35,8 @@ import (
 //
 // Both compile into one flat Layout: the routed pairs in sorted order,
 // each owning a run of entries sorted by the node that holds them, each
-// entry its ranked next hops. WalkUnderFaults, package eval's
-// WalkEngine and package sym's TablesRespect all read these arrays;
-// none keeps a copy.
+// entry its ranked next hops. WalkUnderFaults and package eval's
+// WalkEngine both read these arrays; neither keeps a copy.
 //
 // Because the tables are static and forwarding is memoryless, a walk
 // under a fixed fault set is deterministic, and exactly three outcomes
@@ -175,8 +174,7 @@ type FailoverTables struct {
 }
 
 // Layout is the flat form of FailoverTables that every reader walks:
-// WalkUnderFaults, package eval's WalkEngine and package sym's
-// TablesRespect. Pair p, an index into Pairs(), owns the entries
+// WalkUnderFaults and package eval's WalkEngine. Pair p, an index into Pairs(), owns the entries
 // EntOff[p]..EntOff[p+1]-1, sorted by the node that holds them, and
 // entry e ranks the next hops Hops[HopOff[e]:HopOff[e+1]], primary
 // first. HopEnt[h] is the pair's entry at hop h's target, so a walk

@@ -1,14 +1,10 @@
-// Package sym computes graph symmetry for fault-set search pruning:
-// automorphism groups via equitable-partition refinement with
-// individualization, the element list of a group, orbits under a
-// group, equivariance checks for routings and failover tables, and an
-// orbit-pruned enumerator that yields one canonical representative per
-// orbit of fault sets together with the orbit size. The package works
-// on node permutations; graph.Items.Lift carries them onto the link
-// and mixed fault universes the orbits and the enumerator then run
-// over. docs/symmetry.md derives the algorithms, states the canonicity
-// rule, and spells out exactly when orbit pruning of an exhaustive
-// fault search is sound.
+// Package sym computes graph symmetry: the automorphism group of a
+// graph by equitable-partition refinement with individualization, the
+// element list of a group, and orbits under a group. The package works
+// on node permutations; graph.Items.Lift carries them onto the link and
+// mixed fault universes, whose orbits Orbits then computes. ftroute
+// orbits and experiment E20 report the group and its orbits;
+// docs/symmetry.md derives the search.
 package sym
 
 import (
@@ -236,48 +232,40 @@ func Identity(n int) []int {
 	return p
 }
 
-// ElementCap is the largest group order the orbit-pruned searches (and
-// the reports that predict them) expand with Elements: beyond it the
-// respect checks and per-set canonicity tests cost more than the
-// enumeration they save, so the searches fall back to plain
-// enumeration.
+// ElementCap is the largest group order Elements is asked to list:
+// ftroute orbits and E20 list the elements only to count the group's
+// order, and ftroute orbits prints a lower bound past the cap. Orbits
+// need only the generators, so no orbit count is capped.
 const ElementCap = 1 << 14
 
 // Elements expands a generating set to the full element list of the
-// generated group (identity included), sorted deterministically. It
-// returns nil when the group has more than max elements — callers
-// treat that as "too symmetric to materialize" and fall back.
+// generated group (identity included), sorted deterministically: it
+// closes the identity and the distinct generators under composition,
+// breadth first. It returns nil when the group has more than max
+// elements.
 func Elements(n int, gens [][]int, max int) [][]int {
-	return closure(append([][]int{Identity(n)}, gens...), nil, max)
-}
-
-// closure closes seed under composition breadth first, from the seed's
-// distinct members, and returns the elements sorted. It returns nil
-// when an element falls outside inGroup (nil admits every permutation)
-// or the closure has more than max elements.
-func closure(seed [][]int, inGroup map[string]bool, max int) [][]int {
 	var elems [][]int
-	seen := make(map[string]bool, len(seed))
+	seen := make(map[string]bool, len(gens)+1)
 	add := func(p []int) bool {
 		k := permKey(p)
 		if seen[k] {
 			return true
 		}
-		if inGroup != nil && !inGroup[k] || len(elems) >= max {
+		if len(elems) >= max {
 			return false
 		}
 		seen[k] = true
 		elems = append(elems, p)
 		return true
 	}
-	for _, p := range seed {
+	for _, p := range append([][]int{Identity(n)}, gens...) {
 		if !add(p) {
 			return nil
 		}
 	}
-	gens := elems[:len(elems):len(elems)]
+	seed := elems[:len(elems):len(elems)]
 	for head := 0; head < len(elems); head++ {
-		for _, q := range gens {
+		for _, q := range seed {
 			c := make([]int, len(q))
 			for i, v := range elems[head] {
 				c[i] = q[v]
@@ -306,18 +294,4 @@ func permLess(a, b []int) bool {
 		}
 	}
 	return false
-}
-
-// Respecting filters group elements down to those keep accepts. When
-// keep tests strict equivariance with some fixed structure, the
-// accepted elements automatically form a subgroup, so the result is
-// closed and still contains the identity.
-func Respecting(elems [][]int, keep func(p []int) bool) [][]int {
-	var out [][]int
-	for _, p := range elems {
-		if keep(p) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
