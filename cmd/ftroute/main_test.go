@@ -59,6 +59,39 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+func TestRunSubcommands(t *testing.T) {
+	// The subcommands print to stdout; these cases assert only that
+	// they succeed on well-formed input (TestCLIGolden,
+	// TestRouteSummaryLines and TestParseGraphSpecs pin what the same
+	// command lines print).
+	cases := [][]string{
+		{"info", "-graph", "cycle:9"},
+		{"plan", "-graph", "cycle:12"},
+		{"route", "-graph", "cycle:9", "-construction", "circular"},
+		{"route", "-graph", "ccc:3", "-construction", "kernel"},
+		{"route", "-graph", "cycle:10", "-construction", "bipolar"},
+		{"route", "-graph", "cycle:10", "-construction", "bipolar-bi"},
+		{"route", "-graph", "cycle:45", "-construction", "tricircular"},
+		{"route", "-graph", "cycle:9", "-construction", "shortest"},
+		{"tolerate", "-graph", "cycle:9", "-construction", "circular", "-exhaustive"},
+		{"tolerate", "-graph", "cycle:12", "-construction", "auto", "-samples", "20"},
+		{"tolerate", "-graph", "cycle:9", "-construction", "circular", "-exhaustive", "-mixed"},
+		{"tolerate", "-graph", "cycle:12", "-construction", "circular", "-mixed", "-faults", "2", "-samples", "20"},
+		{"simulate", "-graph", "cycle:12", "-construction", "kernel", "-samples", "30"},
+		{"failover", "-graph", "cycle:9", "-construction", "circular", "-cuts", "1", "-messages", "60", "-exhaustive"},
+		{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-samples", "20"},
+		{"failover", "-graph", "cycle:9", "-construction", "circular", "-cuts", "1", "-messages", "60", "-exhaustive", "-mixed"},
+		{"failover", "-graph", "petersen", "-construction", "shortest", "-cuts", "2", "-messages", "60", "-samples", "20", "-mixed"},
+	}
+	for _, args := range cases {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			if _, err := runOutput(t, args...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestRouteSummaryLines pins the first line route prints for each
 // construction: its name, the (bound, t) its Info reports and the
 // structure it chose, or the construction's error unchanged.
