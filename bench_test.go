@@ -901,17 +901,3 @@ func BenchmarkEngineDiameterRR5000(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEngineDiameterParallelRR5000 is the intra-diameter parallel
-// path: a worker pool steals sources, sharing pooled BFS scratch and an
-// atomic running maximum.
-func BenchmarkEngineDiameterParallelRR5000(b *testing.B) {
-	eng := rr5000Engine(b)
-	eng.SetFaults(FaultsOf(5000, 3, 40, 4096))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := eng.DiameterParallel(0); !ok {
-			b.Fatal("disconnected")
-		}
-	}
-}

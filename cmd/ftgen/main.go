@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,29 +45,30 @@ func run(args []string, stdout *os.File) error {
 	if err != nil {
 		return err
 	}
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
+	// The output is rendered before -o is opened, so a failing command
+	// leaves an existing file as it was.
+	var data []byte
 	switch *format {
 	case "edgelist":
-		return g.WriteEdgeList(w)
+		var b bytes.Buffer
+		if err := g.WriteEdgeList(&b); err != nil {
+			return err
+		}
+		data = b.Bytes()
 	case "json":
-		data, err := json.Marshal(g)
+		js, err := json.Marshal(g)
 		if err != nil {
 			return err
 		}
-		_, err = fmt.Fprintln(w, string(data))
-		return err
+		data = append(js, '\n')
 	case "dot":
-		_, err := fmt.Fprint(w, g.DOT("G"))
-		return err
+		data = []byte(g.DOT("G"))
 	default:
 		return fmt.Errorf("unknown format %q", *format)
 	}
+	if *out == "" {
+		_, err = stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(*out, data, 0o666)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,6 +62,22 @@ func TestGenerateErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.HasPrefix(err.Error(), "ftgen:") {
 			t.Errorf("ftgen %v: err = %v, want one containing %q and no \"ftgen:\" prefix", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestGenerateErrorKeepsOutput: a command that fails leaves an
+// existing -o file with its bytes.
+func TestGenerateErrorKeepsOutput(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.txt")
+	want := []byte("n 2\n0 1\n")
+	if err := os.WriteFile(path, want, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-graph", "cycle:5", "-o", path, "-format", "bogus"}, os.Stdout); err == nil {
+		t.Fatal("-format bogus succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("out.txt holds %q (err %v), want %q", got, err, want)
 	}
 }
 

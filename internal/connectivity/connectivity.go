@@ -12,6 +12,7 @@ package connectivity
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"ftroute/internal/flow"
 	"ftroute/internal/graph"
@@ -54,17 +55,10 @@ func DisjointPaths(g *graph.Graph, s, t, k int) ([][]int, error) {
 // an empty separator. Graphs with fewer than two nodes return n-1
 // (i.e. 0 for a single node) and ErrComplete.
 //
-// The algorithm fixes a minimum-degree vertex v and takes the minimum of
-// (a) max-flow between v and each non-neighbor, and (b) max-flow between
-// each non-adjacent pair of neighbors of v. A minimum separator S with
-// |S| < deg(v)+1 either misses v — then v is separated from some
-// non-neighbor — or contains v — then, S being minimal, v has neighbors
-// in two different components of G−S, and some non-adjacent pair of
-// neighbors of v is separated by S.
-//
-// All flows run on one Split, and each is capped at the smallest value
-// found so far: a capped flow returns min(κ(s,t), best), which changes
-// neither the minimum nor the first pair that attains it.
+// κ(G) is the minimum max-flow over the pairs of probePairs. All flows
+// run on one Split, and each is capped at the smallest value found so
+// far: a capped flow returns min(κ(s,t), best), which changes neither
+// the minimum nor the first pair that attains it.
 func VertexConnectivity(g *graph.Graph) (int, []int, error) {
 	n := g.N()
 	if n <= 1 {
@@ -73,38 +67,15 @@ func VertexConnectivity(g *graph.Graph) (int, []int, error) {
 	if !g.IsConnected(nil) {
 		return 0, []int{}, nil
 	}
-	// Fix a minimum-degree vertex.
-	v := 0
-	for u := 1; u < n; u++ {
-		if g.Degree(u) < g.Degree(v) {
-			v = u
-		}
-	}
 	// Every non-adjacent pair has at most n-2 disjoint paths, so the first
 	// pair's capped flow is exact.
 	best := n - 1
 	var bestPair [2]int
 	havePair := false
 	sp := newSplit(g, flow.Inf)
-	consider := func(s, t int) {
-		if g.HasEdge(s, t) || s == t {
-			return
-		}
+	for s, t := range probePairs(g) {
 		if k, _ := sp.stFlow(s, t, best, false); k < best || !havePair {
-			best = k
-			bestPair = [2]int{s, t}
-			havePair = true
-		}
-	}
-	for u := 0; u < n; u++ {
-		if u != v {
-			consider(v, u)
-		}
-	}
-	nbrs := g.Neighbors(v)
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			consider(nbrs[i], nbrs[j])
+			best, bestPair, havePair = k, [2]int{s, t}, true
 		}
 	}
 	if !havePair {
@@ -123,44 +94,48 @@ func IsKConnected(g *graph.Graph, k int) (bool, error) {
 	if k <= 0 {
 		return true, nil
 	}
-	n := g.N()
-	if n <= k {
-		return false, nil
-	}
-	if !g.IsConnected(nil) {
-		return false, nil
-	}
-	v := 0
-	for u := 1; u < n; u++ {
-		if g.Degree(u) < g.Degree(v) {
-			v = u
-		}
-	}
-	if g.Degree(v) < k {
+	if g.N() <= k || !g.IsConnected(nil) || g.MinDegree() < k {
 		return false, nil
 	}
 	sp := newSplit(g, flow.Inf)
-	check := func(s, t int) bool {
-		if s == t || g.HasEdge(s, t) {
-			return true
-		}
-		got, _ := sp.stFlow(s, t, k, false)
-		return got >= k
-	}
-	for u := 0; u < n; u++ {
-		if u != v && !check(v, u) {
+	for s, t := range probePairs(g) {
+		if got, _ := sp.stFlow(s, t, k, false); got < k {
 			return false, nil
 		}
 	}
-	nbrs := g.Neighbors(v)
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			if !check(nbrs[i], nbrs[j]) {
-				return false, nil
+	return true, nil
+}
+
+// probePairs yields, in order, the non-adjacent pairs whose flows decide
+// the vertex connectivity of a graph with at least two nodes: the first
+// minimum-degree vertex v with each non-neighbor, then each non-adjacent
+// pair of neighbors of v. A minimum separator S with |S| < deg(v)+1
+// either misses v — then v is separated from some non-neighbor — or
+// contains v — then, S being minimal, v has neighbors in two different
+// components of G−S, and some non-adjacent pair of neighbors of v is
+// separated by S.
+func probePairs(g *graph.Graph) iter.Seq2[int, int] {
+	return func(yield func(s, t int) bool) {
+		v := 0
+		for u := 1; u < g.N(); u++ {
+			if g.Degree(u) < g.Degree(v) {
+				v = u
+			}
+		}
+		for u := 0; u < g.N(); u++ {
+			if u != v && !g.HasEdge(v, u) && !yield(v, u) {
+				return
+			}
+		}
+		nbrs := g.Neighbors(v)
+		for i := range nbrs {
+			for j := i + 1; j < len(nbrs); j++ {
+				if !g.HasEdge(nbrs[i], nbrs[j]) && !yield(nbrs[i], nbrs[j]) {
+					return
+				}
 			}
 		}
 	}
-	return true, nil
 }
 
 // MinimumSeparator returns a minimum separating set of g (size κ(G)).

@@ -37,14 +37,9 @@ func setPathFinder(newFinder func(*graph.Graph) pathFinder) (restore func()) {
 	return func() { newPathFinder = old }
 }
 
-const (
-	// jobsPerWorker is the least number of jobs worth a worker of its
-	// own; shorter job lists run on one worker.
-	jobsPerWorker = 16
-	// resultsPerWorker bounds how far the workers may run ahead of the
-	// in-order install, so buffered paths stay O(workers).
-	resultsPerWorker = 16
-)
+// jobsPerWorker is the least number of jobs worth a worker of its own;
+// shorter job lists run on one worker.
+const jobsPerWorker = 16
 
 // A treeResult is a solved job: its paths and error, or the value the
 // path finder panicked with (never nil after a panic since Go 1.21).
@@ -54,8 +49,8 @@ type treeResult struct {
 	panicVal any
 }
 
-// solveTree runs one job and turns a panic into a result, so that the
-// installer can raise it again on the calling goroutine.
+// solveTree runs one job and turns a panic into a result, so that
+// compileTrees can raise it again on the calling goroutine.
 func solveTree(pf pathFinder, j treeJob, k int) (res treeResult) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -68,66 +63,49 @@ func solveTree(pf pathFinder, j treeJob, k int) (res treeResult) {
 
 // compileTrees finds k paths for every job and passes each job's paths,
 // or its error, to install strictly in job order. It stops at, and
-// returns, the first error install returns. The jobs run on up to
-// GOMAXPROCS workers, each with its own pathFinder; because the install
-// order is the job order, the result and the reported error are those of
-// solving and installing one job at a time. A panic in the path finder
-// is raised again on the calling goroutine at that job's turn.
+// returns, the first error install returns; install must return one for
+// a job whose path finder failed. It solves first and installs after, as
+// routing.Reinforce does: up to GOMAXPROCS workers, each with its own
+// pathFinder, claim jobs from a shared counter and fill a result slice,
+// and once they finish the caller installs in job order. A worker claims
+// no job after some path finder has failed or panicked, so the solved
+// jobs are a prefix that holds the first failing one, and the result and
+// the reported error are those of solving and installing one job at a
+// time. A panic in the path finder is raised again on the calling
+// goroutine at that job's turn.
 func compileTrees(g *graph.Graph, jobs []treeJob, k int, install func(treeJob, [][]int, error) error) error {
+	results := make([]treeResult, len(jobs))
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(jobs)/jobsPerWorker))
-	// A worker takes a token before it claims the next job, and the
-	// installer returns the token once that job is installed. So the
-	// claimed but uninstalled jobs are consecutive and fewer than window,
-	// and job i owns slot i%window until it is installed.
-	window := resultsPerWorker * workers
-	slots := make([]chan treeResult, window)
-	tokens := make(chan struct{}, window)
-	for i := range slots {
-		slots[i] = make(chan treeResult, 1)
-		tokens <- struct{}{}
-	}
-	done := make(chan struct{})
 	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			pf := newPathFinder(g)
-			for {
-				select {
-				case <-done:
-					return
-				case <-tokens:
-				}
+			// After a panic pf may be left half-updated; the flag
+			// stops this worker before it claims another job.
+			for !failed.Load() {
 				i := int(next.Add(1) - 1)
 				if i >= len(jobs) {
 					return
 				}
-				res := solveTree(pf, jobs[i], k)
-				slots[i%window] <- res
-				if res.panicVal != nil {
-					// pf may be left half-updated. Every job before i
-					// was claimed already, so the installer stops at i
-					// or earlier without waiting for this worker.
-					return
+				results[i] = solveTree(pf, jobs[i], k)
+				if results[i].err != nil || results[i].panicVal != nil {
+					failed.Store(true)
 				}
 			}
 		}()
 	}
-	defer func() {
-		close(done)
-		wg.Wait()
-	}()
+	wg.Wait()
 	for i, j := range jobs {
-		res := <-slots[i%window]
-		if res.panicVal != nil {
-			panic(res.panicVal)
+		if results[i].panicVal != nil {
+			panic(results[i].panicVal)
 		}
-		if err := install(j, res.paths, res.err); err != nil {
+		if err := install(j, results[i].paths, results[i].err); err != nil {
 			return err
 		}
-		tokens <- struct{}{}
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ftroute/internal/connectivity"
 	"ftroute/internal/connectivity/oracle"
@@ -140,10 +141,18 @@ func TestConstructionsMatchOracle(t *testing.T) {
 }
 
 // stubFinder answers every job with one edge, except that the job from
-// node fail fails and the job from node panicAt panics.
-type stubFinder struct{ fail, panicAt int }
+// node fail fails and the job from node panicAt panics. With late set,
+// the job from node 0 answers after 20 ms, so on several workers the
+// jobs after it are solved first.
+type stubFinder struct {
+	fail, panicAt int
+	late          bool
+}
 
 func (f stubFinder) DisjointPathsToSet(x int, members []int, k int) ([][]int, error) {
+	if f.late && x == 0 {
+		time.Sleep(20 * time.Millisecond)
+	}
 	switch x {
 	case f.fail:
 		return nil, fmt.Errorf("no paths from %d", x)
@@ -164,6 +173,8 @@ func compileTreesRecover(g *graph.Graph, jobs []treeJob, install func(treeJob, [
 // many workers: install sees the jobs in order, and the compile stops at
 // the first failing job, whether the path finder or the install step
 // fails it. A path finder panic reaches the caller at that job's turn.
+// The late rows hold job 0 back, so the other workers solve the later
+// jobs, failing ones included, before it.
 func TestCompileTreesOrder(t *testing.T) {
 	g, err := gen.Cycle(8)
 	if err != nil {
@@ -174,7 +185,7 @@ func TestCompileTreesOrder(t *testing.T) {
 		jobs[i] = treeJob{x: i, set: []int{i + 1}}
 	}
 	errInstall := errors.New("install failed")
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 2, 4} {
 		for _, tc := range []struct {
 			name             string
 			failFind         int // job whose path finder fails
@@ -192,40 +203,46 @@ func TestCompileTreesOrder(t *testing.T) {
 			{"error before panic", 250, -1, 300, "no paths from 250", "", 251},
 			{"panic before error", 350, -1, 300, "", "finder panicked at 300", 300},
 		} {
-			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				defer setPathFinder(func(*graph.Graph) pathFinder {
-					return stubFinder{fail: tc.failFind, panicAt: tc.panicAt}
-				})()
-				var installed []int
-				panicked, err := compileTreesRecover(g, jobs, func(j treeJob, paths [][]int, err error) error {
-					installed = append(installed, j.x)
-					if err != nil {
-						return err
+			for _, late := range []bool{false, true} {
+				name := fmt.Sprintf("%s/procs=%d", tc.name, procs)
+				if late {
+					name += "/late"
+				}
+				t.Run(name, func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					defer setPathFinder(func(*graph.Graph) pathFinder {
+						return stubFinder{fail: tc.failFind, panicAt: tc.panicAt, late: late}
+					})()
+					var installed []int
+					panicked, err := compileTreesRecover(g, jobs, func(j treeJob, paths [][]int, err error) error {
+						installed = append(installed, j.x)
+						if err != nil {
+							return err
+						}
+						if j.x == tc.failInstall {
+							return errInstall
+						}
+						if want := [][]int{{j.x, j.x + 1}}; !reflect.DeepEqual(paths, want) {
+							t.Errorf("job %d got paths %v", j.x, paths)
+						}
+						return nil
+					})
+					if got := fmt.Sprint(err); (err != nil || tc.wantErr != "") && got != tc.wantErr {
+						t.Fatalf("error %q, want %q", got, tc.wantErr)
 					}
-					if j.x == tc.failInstall {
-						return errInstall
+					if got := fmt.Sprint(panicked); (panicked != nil || tc.wantPanic != "") && got != tc.wantPanic {
+						t.Fatalf("panic %q, want %q", got, tc.wantPanic)
 					}
-					if want := [][]int{{j.x, j.x + 1}}; !reflect.DeepEqual(paths, want) {
-						t.Errorf("job %d got paths %v", j.x, paths)
+					if len(installed) != tc.wantInstalledLen {
+						t.Fatalf("installed %d jobs, want %d", len(installed), tc.wantInstalledLen)
 					}
-					return nil
+					for i, x := range installed {
+						if x != i {
+							t.Fatalf("install %d was job %d", i, x)
+						}
+					}
 				})
-				if got := fmt.Sprint(err); (err != nil || tc.wantErr != "") && got != tc.wantErr {
-					t.Fatalf("error %q, want %q", got, tc.wantErr)
-				}
-				if got := fmt.Sprint(panicked); (panicked != nil || tc.wantPanic != "") && got != tc.wantPanic {
-					t.Fatalf("panic %q, want %q", got, tc.wantPanic)
-				}
-				if len(installed) != tc.wantInstalledLen {
-					t.Fatalf("installed %d jobs, want %d", len(installed), tc.wantInstalledLen)
-				}
-				for i, x := range installed {
-					if x != i {
-						t.Fatalf("install %d was job %d", i, x)
-					}
-				}
-			})
+			}
 		}
 	}
 }

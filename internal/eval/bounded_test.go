@@ -205,21 +205,19 @@ func TestDiameterAboveAgreesWithDiameter(t *testing.T) {
 			}
 			d, conn := s.SurvivingGraph(faults).Diameter()
 			for bound := -1; bound <= d+2; bound++ {
-				for _, workers := range []int{1, 2} {
-					got, above, gConn := eng.diameterAbove(bound, workers)
-					if gConn != conn {
-						t.Fatalf("%s trial %d bound %d w=%d: connected %v != %v", name, trial, bound, workers, gConn, conn)
+				got, above, gConn := eng.diameterAbove(bound)
+				if gConn != conn {
+					t.Fatalf("%s trial %d bound %d: connected %v != %v", name, trial, bound, gConn, conn)
+				}
+				if !conn {
+					break
+				}
+				if bound < d {
+					if !above || got != d {
+						t.Fatalf("%s trial %d bound %d: got (%d,%v), want exact %d", name, trial, bound, got, above, d)
 					}
-					if !conn {
-						break
-					}
-					if bound < d {
-						if !above || got != d {
-							t.Fatalf("%s trial %d bound %d w=%d: got (%d,%v), want exact %d", name, trial, bound, workers, got, above, d)
-						}
-					} else if above {
-						t.Fatalf("%s trial %d bound %d w=%d: spurious above with diameter %d", name, trial, bound, workers, d)
-					}
+				} else if above {
+					t.Fatalf("%s trial %d bound %d: spurious above with diameter %d", name, trial, bound, d)
 				}
 			}
 		}
@@ -354,9 +352,9 @@ func TestSkipSetIsSound(t *testing.T) {
 	}
 }
 
-// TestDiameterParallelMatchesDiameter checks the intra-diameter
-// source-parallel path against the materialized surviving graph on
-// random fault sets.
+// TestDiameterParallelMatchesDiameter checks the deprecated
+// DiameterParallel, the kernel at bound −1, against the materialized
+// surviving graph on random fault sets.
 func TestDiameterParallelMatchesDiameter(t *testing.T) {
 	for name, s := range boundedSources(t) {
 		rng := rand.New(rand.NewSource(17))
@@ -366,12 +364,9 @@ func TestDiameterParallelMatchesDiameter(t *testing.T) {
 			faults := drawFaults(rng, n, rng.Intn(n/2+1))
 			eng.SetFaults(faults)
 			d, conn := s.SurvivingGraph(faults).Diameter()
-			for _, workers := range []int{1, 2, 8} {
-				dp, cp := eng.DiameterParallel(workers)
-				if cp != conn || (conn && dp != d) {
-					t.Fatalf("%s trial %d w=%d: parallel (%d,%v) != serial (%d,%v)",
-						name, trial, workers, dp, cp, d, conn)
-				}
+			if dp, cp := eng.DiameterParallel(2); cp != conn || (conn && dp != d) {
+				t.Fatalf("%s trial %d: DiameterParallel (%d,%v), surviving graph (%d,%v)",
+					name, trial, dp, cp, d, conn)
 			}
 		}
 	}

@@ -3,10 +3,7 @@ package eval
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
@@ -89,16 +86,12 @@ type Engine struct {
 	// BFS scratch, reused across calls.
 	bfs  *bfsScratch
 	mask []uint64
-	skip []uint64      // sources diameterAbove's pivots certify (see skipSet)
-	far  []uint64      // row h: the alive nodes at distance ecc(pivot h) from it (see pivot)
-	pool []*bfsScratch // per-worker scratch for DiameterParallel, lazily grown
+	skip []uint64 // sources diameterAbove's pivots certify (see skipSet)
+	far  []uint64 // row h: the alive nodes at distance ecc(pivot h) from it (see pivot)
 }
 
-// bfsScratch is one worker's reusable frontier state for the
-// word-parallel BFS. Pooling these (instead of cloning whole engines)
-// is what makes the per-source parallel diameter cheap: the compiled
-// arrays and the live bitrows are shared read-only, and each worker
-// carries only 3×⌈n/64⌉ words.
+// bfsScratch is the reusable frontier state of the word-parallel BFS:
+// the visited, current and next levels, ⌈n/64⌉ words each.
 type bfsScratch struct {
 	visited, cur, next []uint64
 }
@@ -237,7 +230,6 @@ func (e *Engine) Clone() *Engine {
 	c.mask = make([]uint64, e.words)
 	c.skip = make([]uint64, e.words)
 	c.far = make([]uint64, len(e.far))
-	c.pool = nil
 	return &c
 }
 
@@ -406,19 +398,18 @@ func (e *Engine) setItems(nodes *graph.Bitset, edges []routing.EdgeFault, hi int
 // bfsFrom is the one word-parallel BFS level loop under every distance
 // query of the Engine. Each level ORs the rows (e.adj for distances
 // from src, e.adjT for distances to it) of the frontier nodes and masks
-// out visited nodes, 64 nodes per machine word, on the caller's
-// scratch s, so source-parallel workers can share the read-only rows.
+// out visited nodes, 64 nodes per machine word, on the scratch e.bfs.
 // The targets are the nodes of mask, or every alive node when mask is
 // nil; nodes outside mask are neither reached nor expanded. The loop
 // stops once every target, src included, is covered, after levels
 // levels, or when a level reaches nothing new. It returns the number of
 // levels and whether every target was covered, (0, false) if not. A
 // non-nil dist receives every node's level, graph.Unreachable for nodes
-// not reached. After a false result s.visited holds the nodes reached;
+// not reached. After a false result e.bfs.visited holds the nodes reached;
 // after a true one it holds the nodes within level − 1 hops, whether
 // the last level ran to its end or stopped early on coverage (see
 // expand), so the targets outside it are those at distance level.
-func (e *Engine) bfsFrom(rows []uint64, src int, mask []uint64, levels int, s *bfsScratch, dist []int) (int, bool) {
+func (e *Engine) bfsFrom(rows []uint64, src int, mask []uint64, levels int, dist []int) (int, bool) {
 	want, target := e.alive, e.aliveCount
 	if mask != nil {
 		want, target = mask, 0
@@ -426,7 +417,7 @@ func (e *Engine) bfsFrom(rows []uint64, src int, mask []uint64, levels int, s *b
 			target += bits.OnesCount64(mw)
 		}
 	}
-	visited, cur, next := s.visited, s.cur, s.next
+	visited, cur, next := e.bfs.visited, e.bfs.cur, e.bfs.next
 	clear(visited)
 	clear(cur)
 	visited[src>>6] = 1 << (uint(src) & 63)
@@ -524,7 +515,7 @@ func covers(want, visited, next []uint64) bool {
 // reach every alive node, or (0, false) if some alive node is
 // unreachable from src.
 func (e *Engine) eccentricity(src int) (int, bool) {
-	return e.bfsFrom(e.adj, src, nil, e.n, e.bfs, nil)
+	return e.bfsFrom(e.adj, src, nil, e.n, nil)
 }
 
 // Diameter returns the directed diameter of the current surviving route
@@ -533,11 +524,20 @@ func (e *Engine) eccentricity(src int) (int, bool) {
 // alive node yields diameter 0, matching Digraph.Diameter. It is the
 // unpruned definition, one BFS per alive source; the searches score
 // with the branch-and-bound diameterAbove instead.
-func (e *Engine) Diameter() (int, bool) {
+func (e *Engine) Diameter() (int, bool) { return e.sweep(nil) }
+
+// sweep is the unpruned diameter loop: one BFS from every node of mask
+// within mask, nil meaning the alive nodes. It returns the largest
+// eccentricity, or (0, false) if some source misses a node of mask.
+func (e *Engine) sweep(mask []uint64) (int, bool) {
+	srcs := mask
+	if srcs == nil {
+		srcs = e.alive
+	}
 	diam := 0
-	for i, aw := range e.alive {
-		for w := aw; w != 0; w &= w - 1 {
-			ecc, ok := e.eccentricity(i<<6 | bits.TrailingZeros64(w))
+	for i, sw := range srcs {
+		for w := sw; w != 0; w &= w - 1 {
+			ecc, ok := e.bfsFrom(e.adj, i<<6|bits.TrailingZeros64(w), mask, e.n, nil)
 			if !ok {
 				return 0, false
 			}
@@ -625,7 +625,7 @@ func (e *Engine) skipSet(p *pivots, limit int) {
 	clear(e.skip)
 	tight := 0 // bit h set when pivot h is tight
 	for h := 0; h < p.k; h++ {
-		if _, all := e.bfsFrom(e.adjT, p.node[h], nil, limit-p.ecc[h], e.bfs, nil); all {
+		if _, all := e.bfsFrom(e.adjT, p.node[h], nil, limit-p.ecc[h], nil); all {
 			copy(e.skip, e.alive)
 			return
 		}
@@ -682,11 +682,12 @@ func (e *Engine) farMeet(s int) bool {
 // (see skipSet): the sources in the reverse balls around them, where
 // ecc(v) ≤ d(v,p) + ecc(p) by the triangle inequality, and the shared
 // in-neighbors of tight pivots whose far sets do not meet. The rest get
-// exact eccentricities, on workers goroutines when workers > 1. A
-// skipped source can never hold a value above the returned maximum,
-// which keeps the exact-when-above contract. Disconnection detection is
-// exact too: a skipped source reaches every node through a pivot, and
-// every other alive source gets its own BFS.
+// exact eccentricities, in node order (see sources). A skipped source
+// can never hold a value above the returned maximum, which keeps the
+// exact-when-above contract. Disconnection detection is exact too: a
+// skipped source reaches every node through a pivot, and every other
+// alive source gets its own BFS. It runs on the caller's goroutine; the
+// searches parallelize across fault sets, each worker on its own clone.
 //
 // High-in-degree pivots are what make this effective on the paper
 // constructions: their route graphs are hub-and-spoke (a hub with
@@ -704,18 +705,14 @@ func (e *Engine) farMeet(s int) bool {
 // complete digraphs minus the arcs the faults killed — the triangle
 // bound cannot prune (every eccentricity ties the tiny diameter), so
 // the kernel dispatches to the complement-scan variant (see dense).
-func (e *Engine) diameterAbove(bound, workers int) (int, bool, bool) {
+func (e *Engine) diameterAbove(bound int) (int, bool, bool) {
 	if e.dense() {
 		return e.diameterAboveDense(bound)
 	}
 	p, worst, ok := e.pivot()
 	if ok {
 		e.skipSet(&p, max(worst, bound))
-		if workers > 1 {
-			worst, ok = e.sourcesParallel(worst, workers)
-		} else {
-			worst, ok = e.sources(&p, worst, bound)
-		}
+		worst, ok = e.sources(&p, worst, bound)
 	}
 	if !ok {
 		return 0, false, false
@@ -757,43 +754,6 @@ func (e *Engine) sources(p *pivots, worst, bound int) (int, bool) {
 		}
 	}
 	return worst, true
-}
-
-// sourcesParallel is sources with the alive words outside e.skip stolen
-// from a shared counter by workers that share the read-only bitrows and
-// skip set, each on pooled BFS scratch, folding into an atomic running
-// maximum. The skip set stays that of the starting limit, so a skipped
-// source is at most that limit, and the result is exact whenever it ends
-// above bound, as the serial loop's is.
-func (e *Engine) sourcesParallel(worst, workers int) (int, bool) {
-	for len(e.pool) < workers {
-		e.pool = append(e.pool, newBFSScratch(e.words))
-	}
-	var maxEcc, nextWord atomic.Int64
-	maxEcc.Store(int64(worst))
-	var disc atomic.Bool
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func(s *bfsScratch) {
-			defer wg.Done()
-			for i := int(nextWord.Add(1)) - 1; i < e.words; i = int(nextWord.Add(1)) - 1 {
-				for w := e.alive[i] &^ e.skip[i]; w != 0; w &= w - 1 {
-					if disc.Load() {
-						return
-					}
-					ecc, ok := e.bfsFrom(e.adj, i<<6|bits.TrailingZeros64(w), nil, e.n, s, nil)
-					if !ok {
-						disc.Store(true)
-						return
-					}
-					casMax(&maxEcc, int64(ecc))
-				}
-			}
-		}(e.pool[k])
-	}
-	wg.Wait()
-	return int(maxEcc.Load()), !disc.Load()
 }
 
 // diameterAboveDense is the complement-scan diameter kernel for dense
@@ -859,19 +819,16 @@ func (e *Engine) diameterAboveDense(bound int) (int, bool, bool) {
 	return 0, false, true
 }
 
-// DiameterParallel is Diameter computed by diameterAbove with its
-// remaining-source loop spread over worker goroutines (see
-// sourcesParallel); the pivot phase and the dense dispatch run first,
-// exactly as in the serial kernel. The result is deterministic and
-// equal to Diameter(). workers <= 0 uses GOMAXPROCS.
+// DiameterParallel returns Diameter(), computed by the branch-and-bound
+// kernel diameterAbove at bound −1 on the caller's goroutine.
+//
+// Deprecated: the kernel has no intra-diameter parallelism, and workers
+// is ignored. Use Diameter; the searches parallelize across fault sets.
 func (e *Engine) DiameterParallel(workers int) (int, bool) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if e.aliveCount <= 1 {
 		return e.Diameter()
 	}
-	d, _, connected := e.diameterAbove(-1, workers)
+	d, _, connected := e.diameterAbove(-1)
 	return d, connected
 }
 
@@ -893,17 +850,7 @@ func (e *Engine) DiameterExcluding(excluded *graph.Bitset) (int, bool) {
 			e.mask[v>>6] &^= 1 << (uint(v) & 63)
 		}
 	}
-	diam := 0
-	for i, mw := range e.mask {
-		for w := mw; w != 0; w &= w - 1 {
-			ecc, ok := e.bfsFrom(e.adj, i<<6|bits.TrailingZeros64(w), e.mask, e.n, e.bfs, nil)
-			if !ok {
-				return 0, false
-			}
-			diam = max(diam, ecc)
-		}
-	}
-	return diam, true
+	return e.sweep(e.mask)
 }
 
 // DistancesFrom writes into dist (length at least N) the hop distance
@@ -918,7 +865,7 @@ func (e *Engine) DistancesFrom(src int, dist []int) {
 		}
 		return
 	}
-	e.bfsFrom(e.adj, src, nil, e.n, e.bfs, dist)
+	e.bfsFrom(e.adj, src, nil, e.n, dist)
 }
 
 // HasArc reports whether the arc u→v currently survives.
@@ -949,7 +896,7 @@ func (e *Engine) score(bound, tie int) int {
 	if e.aliveCount <= 1 {
 		return 0
 	}
-	d, above, connected := e.diameterAbove(max(bound, tie-1), 1)
+	d, above, connected := e.diameterAbove(max(bound, tie-1))
 	switch {
 	case !connected:
 		return disconnected

@@ -132,7 +132,7 @@ func TestEngineMatchesSurvivingGraphOnRandomFaultSets(t *testing.T) {
 						name, faults, gd, gok, wd, wok)
 				}
 				for bound := -1; bound <= wd+1; bound++ {
-					got, above, conn := eng.diameterAbove(bound, 1)
+					got, above, conn := eng.diameterAbove(bound)
 					if conn != wok || (wok && above != (wd > bound)) || (above && got != wd) {
 						t.Fatalf("%s F=%v: diameterAbove(%d) = (%d,%v,%v), legacy diameter (%d,%v)",
 							name, faults, bound, got, above, conn, wd, wok)
@@ -298,7 +298,6 @@ func TestNegativeFaultBudget(t *testing.T) {
 		MaxDiameterParallel(r, -1, Config{Mode: Exhaustive}, 4),
 		fromOracle(oracle.MaxDiameter(r, -1, oc(Config{Mode: Exhaustive}))),
 		fromOracle(oracle.MaxDiameter(r, -1, oc(Config{Mode: Sampled, Samples: 2, Seed: 1}))),
-		fromOracle(oracle.MaxDiameterParallel(r, -1, oc(Config{Mode: Exhaustive}), 4)),
 	} {
 		if res.Disconnected || res.MaxDiameter != 3 {
 			t.Fatalf("f=-1 result = %+v", res)

@@ -55,8 +55,11 @@
 // GreedyEdgeAdversary, WorstLinkCuts, WorstMixedFaults and the Parallel
 // variants) runs on one search driver (search.go) over one of the two
 // engines. Parallel variants return exactly the sequential result,
-// witness included. The rebuild-per-set reference implementations live
-// in internal/eval/oracle, which only tests and benchmarks import.
+// witness included. They parallelize across fault sets only: the
+// driver's work-stealing executor gives each worker its own engine
+// clone, and the diameter kernel scores one set on one goroutine. The
+// rebuild-per-set reference implementations live in
+// internal/eval/oracle, which only tests and benchmarks import.
 package eval
 
 import (

@@ -3,7 +3,6 @@ package oracle
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"ftroute/internal/graph"
 )
@@ -130,65 +129,6 @@ func greedy(s Survivor, f int, res *Result) {
 			res.WorstFaults = faults.Clone()
 		}
 	}
-}
-
-// MaxDiameterParallel partitions the exhaustive enumeration by first
-// element modulo workers; ties may report a different witness than the
-// sequential search. Sampled mode runs sequentially.
-func MaxDiameterParallel(s Survivor, f int, cfg Config, workers int) Result {
-	if f < 0 {
-		f = 0
-	}
-	if cfg.Mode != Exhaustive || workers <= 1 || f == 0 {
-		return MaxDiameter(s, f, cfg)
-	}
-	n := s.Graph().N()
-	results := make([]Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			res := Result{WorstFaults: graph.NewBitset(n)}
-			faults := graph.NewBitset(n)
-			if w == 0 {
-				evalOne(s, faults, &res)
-			}
-			var rec func(start, left int)
-			rec = func(start, left int) {
-				if left <= 0 {
-					return
-				}
-				for v := start; v < n; v++ {
-					faults.Add(v)
-					evalOne(s, faults, &res)
-					rec(v+1, left-1)
-					faults.Remove(v)
-				}
-			}
-			for first := w; first < n; first += workers {
-				faults.Add(first)
-				evalOne(s, faults, &res)
-				rec(first+1, f-1)
-				faults.Remove(first)
-			}
-			results[w] = res
-		}(w)
-	}
-	wg.Wait()
-	merged := Result{WorstFaults: graph.NewBitset(n)}
-	for _, r := range results {
-		merged.Evaluated += r.Evaluated
-		if r.Disconnected && !merged.Disconnected {
-			merged.Disconnected = true
-			merged.WorstFaults = r.WorstFaults
-		}
-		if !merged.Disconnected && !r.Disconnected && r.MaxDiameter > merged.MaxDiameter {
-			merged.MaxDiameter = r.MaxDiameter
-			merged.WorstFaults = r.WorstFaults
-		}
-	}
-	return merged
 }
 
 // CheckTolerance verifies a (d, f)-tolerance claim through MaxDiameter,

@@ -476,16 +476,6 @@ func (s *search[E, S]) each(k int, fn func(w *worker[E], u int)) {
 	wg.Wait()
 }
 
-// casMax raises a to at least v.
-func casMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // casMin lowers a to at most v.
 func casMin(a *atomic.Int64, v int64) {
 	for {
