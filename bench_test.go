@@ -90,6 +90,23 @@ func BenchmarkVertexConnectivityCCC4(b *testing.B) {
 	}
 }
 
+// BenchmarkVertexConnectivityCCC7 times κ(G) alone on the 896-node
+// anchor of tolerate-ccc7: 895 capped probe flows on GOMAXPROCS
+// workers, then the separator's uncapped flow. Run it at -cpu 1,2 to see
+// what the second worker buys; report-only, not gated.
+func BenchmarkVertexConnectivityCCC7(b *testing.B) {
+	g, err := CCC(7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := VertexConnectivity(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkKernelConstructionQ5(b *testing.B) {
 	g, err := Hypercube(5)
 	if err != nil {

@@ -13,6 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"ftroute/internal/flow"
 	"ftroute/internal/graph"
@@ -55,10 +58,11 @@ func DisjointPaths(g *graph.Graph, s, t, k int) ([][]int, error) {
 // an empty separator. Graphs with fewer than two nodes return n-1
 // (i.e. 0 for a single node) and ErrComplete.
 //
-// κ(G) is the minimum max-flow over the pairs of probePairs. All flows
-// run on one Split, and each is capped at the smallest value found so
-// far: a capped flow returns min(κ(s,t), best), which changes neither
-// the minimum nor the first pair that attains it.
+// κ(G) is the minimum max-flow over the pairs of probePairs, and the
+// separator is the one the uncapped flow of the first pair attaining it
+// leaves. The flows run on up to GOMAXPROCS workers, each with its own
+// Split, and each flow is capped by the incumbent (see minPairFlow), so
+// κ and that first pair are those of a serial scan.
 func VertexConnectivity(g *graph.Graph) (int, []int, error) {
 	n := g.N()
 	if n <= 1 {
@@ -67,23 +71,93 @@ func VertexConnectivity(g *graph.Graph) (int, []int, error) {
 	if !g.IsConnected(nil) {
 		return 0, []int{}, nil
 	}
-	// Every non-adjacent pair has at most n-2 disjoint paths, so the first
-	// pair's capped flow is exact.
-	best := n - 1
-	var bestPair [2]int
-	havePair := false
-	sp := newSplit(g, flow.Inf)
+	var pairs [][2]int
 	for s, t := range probePairs(g) {
-		if k, _ := sp.stFlow(s, t, best, false); k < best || !havePair {
-			best, bestPair, havePair = k, [2]int{s, t}, true
-		}
+		pairs = append(pairs, [2]int{s, t})
 	}
-	if !havePair {
+	if len(pairs) == 0 {
 		// No non-adjacent pair anywhere we probed; the graph is complete.
 		return n - 1, nil, ErrComplete
 	}
-	_, sep := sp.stFlow(bestPair[0], bestPair[1], flow.Inf, true)
-	return best, sep, nil
+	k, at, sp := minPairFlow(g, pairs)
+	_, sep := sp.stFlow(pairs[at][0], pairs[at][1], flow.Inf, true)
+	return k, sep, nil
+}
+
+// pairsPerWorker is the least number of probe pairs worth a worker of
+// its own; shorter pair lists run on one worker.
+const pairsPerWorker = 16
+
+// minPairFlow returns the least κ(s, t) over pairs, of non-adjacent
+// nodes of g, the index of the first pair attaining it, and a Split
+// with unbounded edge arcs, restored, for further flows on g. Up to
+// GOMAXPROCS workers, each with its own Split, claim pairs in order from
+// a shared counter, cap each pair's flow by the shared incumbent (see
+// capFor) and lower the incumbent with what they find. On one worker
+// this is the serial scan that caps each flow at the least value found
+// so far.
+func minPairFlow(g *graph.Graph, pairs [][2]int) (k, at int, sp *Split) {
+	var best incumbent
+	best.w.Store(pairWord(g.N()-1, len(pairs)))
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(pairs)/pairsPerWorker))
+	splits := make([]*Split, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range splits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp := newSplit(g, flow.Inf)
+			splits[w] = sp
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(pairs) {
+					return
+				}
+				got, _ := sp.stFlow(pairs[i][0], pairs[i][1], best.capFor(i), false)
+				best.lower(got, i)
+			}
+		}()
+	}
+	wg.Wait()
+	k, at = best.load()
+	return k, at, splits[0]
+}
+
+// incumbent is the least (κ, pair index) the workers of minPairFlow have
+// found, packed into one word so that the least word is the least κ at
+// its first pair. Before the first flow it holds (n−1, len(pairs)).
+type incumbent struct{ w atomic.Uint64 }
+
+func pairWord(k, at int) uint64 { return uint64(k)<<32 | uint64(at) }
+
+func (b *incumbent) load() (k, at int) {
+	w := b.w.Load()
+	return int(w >> 32), int(uint32(w))
+}
+
+// capFor returns the cap of pair i's flow against the incumbent (κ, at):
+// κ+1 for a pair before at, which wins a tie, and κ for a pair after it,
+// which does not. A capped flow returns min(κ(s, t), cap), so it is
+// exact whenever the pair can win and at the cap, which loses,
+// otherwise; the incumbent only falls, so a pair that loses to it loses
+// to every later incumbent too. Every non-adjacent pair has at most n−2
+// disjoint paths, so the first flow, capped at n against
+// (n−1, len(pairs)), is exact.
+func (b *incumbent) capFor(i int) int {
+	k, at := b.load()
+	if i < at {
+		return k + 1
+	}
+	return k
+}
+
+// lower makes (k, i) the incumbent if it is less than the current one.
+func (b *incumbent) lower(k, i int) {
+	mine := pairWord(k, i)
+	for cur := b.w.Load(); mine < cur && !b.w.CompareAndSwap(cur, mine); {
+		cur = b.w.Load()
+	}
 }
 
 // IsKConnected reports whether g is k-node-connected, using flows capped

@@ -2,6 +2,7 @@ package connectivity
 
 import (
 	"fmt"
+	"slices"
 
 	"ftroute/internal/flow"
 	"ftroute/internal/graph"
@@ -23,14 +24,16 @@ func outNode(v int) int { return 2*v + 1 }
 // never crosses an arc of capacity 0, so the sink arcs a query leaves
 // closed change neither the max flow nor the paths it decomposes into.
 // A query opens the few arcs it needs and restores the saved capacities
-// when it is done.
+// when it is done. The sink lists only the open ones for the length of a
+// query, so its backward expansion does not scan n closed arcs.
 //
 // A Split is not safe for concurrent use; give each goroutine its own.
 type Split struct {
 	g      *graph.Graph
 	nw     *flow.Network
 	sink   int
-	member []bool // scratch: the target set of the current query
+	member []bool  // scratch: the target set of the current query
+	open   []int32 // scratch: the sink's arc list during a query
 }
 
 // NewSplit builds the split network of g for path queries: edge arcs
@@ -99,14 +102,22 @@ func (s *Split) DisjointPathsToSet(x int, members []int, k int) ([][]int, error)
 	}
 	// x's internal arc is unbounded so x can anchor k paths. Each member
 	// feeds the sink once, and its internal arc is closed so that a path
-	// ends at the first member it reaches.
+	// ends at the first member it reaches. The sink lists only the
+	// members' arcs, in the node order of its full list, so its backward
+	// labels are those of the full list.
 	nw := s.nw
 	defer nw.Restore()
 	nw.SetCapacity(internalArc(x), flow.Inf)
+	open := s.open[:0]
 	for _, m := range members {
 		nw.SetCapacity(internalArc(m), 0)
 		nw.SetCapacity(sinkArc(m), 1)
+		open = append(open, int32(sinkArc(m)^1))
 	}
+	slices.Sort(open)
+	s.open = open
+	full := nw.SwapArcs(s.sink, open)
+	defer nw.SwapArcs(s.sink, full)
 	got := nw.MaxFlow(outNode(x), s.sink, k)
 	if got < k {
 		return nil, fmt.Errorf("%w: want %d node-disjoint paths from %d to set, have %d", ErrTooFewPaths, k, x, got)

@@ -3,7 +3,10 @@ package connectivity
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ftroute/internal/connectivity/oracle"
@@ -185,4 +188,109 @@ func FuzzSplitEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// kappaGraphs are the graphs of TestVertexConnectivityMatchesOracle:
+// 200 seeded sparse connected G(n, p) with n from 40 to 140, whose κ is
+// mostly attained by the first probe pair and many after it; 40 graphs
+// made of two denser G(n, 0.3) halves joined by one to four random
+// edges, so that κ sits below the minimum degree and the first pair
+// attaining it may come after many that do not; and ccc:4–6,
+// hypercube:6 and torus:6x6.
+func kappaGraphs(t *testing.T) map[string]*graph.Graph {
+	rng := rand.New(rand.NewSource(34))
+	gnp := func(n int, p float64) *graph.Graph {
+		g, _, err := gen.GnpConnected(n, p, rng.Int63(), 100)
+		return mustGen(t)(g, err)
+	}
+	gs := map[string]*graph.Graph{
+		"ccc4":     mustGen(t)(gen.CCC(4)),
+		"ccc5":     mustGen(t)(gen.CCC(5)),
+		"ccc6":     mustGen(t)(gen.CCC(6)),
+		"q6":       mustGen(t)(gen.Hypercube(6)),
+		"torus6x6": mustGen(t)(gen.Torus(6, 6)),
+	}
+	for i := 0; i < 200; i++ {
+		n := 40 + rng.Intn(101)
+		p := 1.2*math.Log(float64(n))/float64(n) + 0.04*rng.Float64()
+		gs[fmt.Sprintf("gnp%d-n%d", i, n)] = gnp(n, p)
+	}
+	for i := 0; i < 40; i++ {
+		a, b := gnp(25+rng.Intn(26), 0.3), gnp(25+rng.Intn(26), 0.3)
+		g := graph.New(a.N() + b.N())
+		for _, e := range a.Edges() {
+			g.MustAddEdge(e[0], e[1])
+		}
+		for _, e := range b.Edges() {
+			g.MustAddEdge(a.N()+e[0], a.N()+e[1])
+		}
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			_, _ = g.AddEdgeIfAbsent(rng.Intn(a.N()), a.N()+rng.Intn(b.N()))
+		}
+		gs[fmt.Sprintf("halves%d-n%d", i, g.N())] = g
+	}
+	return gs
+}
+
+// TestVertexConnectivityMatchesOracle compares κ, the separator and the
+// error with the oracle's uncapped serial scan at 1, 2 and 8 workers.
+// Every graph has at least 32 probe pairs, so two workers or more share
+// the pairs and the incumbent.
+func TestVertexConnectivityMatchesOracle(t *testing.T) {
+	type answer struct {
+		k   int
+		sep []int
+		ok  bool
+	}
+	gs := kappaGraphs(t)
+	want := map[string]answer{}
+	for name, g := range gs {
+		pairs := 0
+		for range probePairs(g) {
+			pairs++
+		}
+		if pairs < 2*pairsPerWorker {
+			t.Fatalf("%s: %d probe pairs, want at least %d", name, pairs, 2*pairsPerWorker)
+		}
+		k, sep, ok := oracle.VertexConnectivity(g)
+		want[name] = answer{k, sep, ok}
+	}
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for name, g := range gs {
+				k, sep, err := VertexConnectivity(g)
+				if w := want[name]; k != w.k || !reflect.DeepEqual(sep, w.sep) || (err == nil) != w.ok {
+					t.Fatalf("%s: κ=%d sep=%v err=%v, oracle κ=%d sep=%v ok=%v", name, k, sep, err, w.k, w.sep, w.ok)
+				}
+			}
+		})
+	}
+}
+
+// TestIncumbentIsPositionAware pins the rule that keeps the parallel κ
+// scan equal to the serial one whatever order the workers finish in: a
+// pair before the incumbent's is capped one above its κ, so that it can
+// take a tie over, and a pair after it at κ; a tie moves the incumbent
+// only to an earlier pair.
+func TestIncumbentIsPositionAware(t *testing.T) {
+	var b incumbent
+	b.w.Store(pairWord(5, 3))
+	for _, c := range []struct{ pair, cap int }{{0, 6}, {2, 6}, {4, 5}, {9, 5}} {
+		if got := b.capFor(c.pair); got != c.cap {
+			t.Errorf("pair %d against (5, 3): cap %d, want %d", c.pair, got, c.cap)
+		}
+	}
+	for _, c := range []struct{ k, pair, wantK, wantAt int }{
+		{5, 7, 5, 3}, // a later tie keeps the incumbent
+		{6, 1, 5, 3}, // an earlier pair above κ does not take it
+		{5, 1, 5, 1}, // an earlier tie takes it over
+		{4, 9, 4, 9}, // a smaller κ moves it anywhere
+		{4, 12, 4, 9},
+	} {
+		b.lower(c.k, c.pair)
+		if k, at := b.load(); k != c.wantK || at != c.wantAt {
+			t.Errorf("after lower(%d, pair %d): (%d, %d), want (%d, %d)", c.k, c.pair, k, at, c.wantK, c.wantAt)
+		}
+	}
 }

@@ -1,8 +1,6 @@
 package eval
 
 import (
-	"slices"
-
 	"ftroute/internal/graph"
 	"ftroute/internal/routing"
 )
@@ -94,11 +92,10 @@ func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 	}
 	we.hopLink = make([]int32, len(we.lay.Hops))
 	for e, at := range we.lay.EntAt {
-		nbrs, links := we.items.Arcs(int(at))
 		for h := we.lay.HopOff[e]; h < we.lay.HopOff[e+1]; h++ {
 			we.hopLink[h] = -1
-			if i, ok := slices.BinarySearch(nbrs, we.lay.Hops[h]); ok {
-				we.hopLink[h] = links[i]
+			if l, ok := we.items.Link(int(at), int(we.lay.Hops[h])); ok {
+				we.hopLink[h] = int32(l)
 			}
 		}
 	}

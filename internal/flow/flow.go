@@ -21,9 +21,12 @@
 //
 // A network can serve many queries: Save records its capacities,
 // SetCapacity adjusts a few arcs for one query, and Restore returns it
-// to the saved state. MaxFlow and DecomposePaths reuse their scratch
-// buffers across calls: labels carry a per-phase base and decomposition
-// records a per-call stamp, so neither is cleared between uses.
+// to the saved state. Restore copies back only the arc pairs changed
+// since the last Save or Restore, which an undo list records, so a
+// query costs the arcs it touches, not the whole network. MaxFlow and
+// DecomposePaths reuse their scratch buffers across calls: labels carry
+// a per-phase base and decomposition records a per-call stamp, so
+// neither is cleared between uses.
 package flow
 
 import (
@@ -57,6 +60,10 @@ type Network struct {
 	arcs  []arc
 	head  [][]int32 // arc indices leaving each node
 	saved []arc     // capacities Restore returns to
+	// The undo list: the arc pairs changed since the last Save or
+	// Restore, each listed once, and per pair whether it is listed.
+	changed []int32
+	listed  []bool
 	// Scratch reused across MaxFlow calls. A phase labels node v with
 	// base + its distance from s (fwd) or to t (bwd); a label below base
 	// is stale.
@@ -65,9 +72,12 @@ type Network struct {
 	fq, bq    []int32 // the forward and backward balls, in BFS order
 	iter      []int32
 	dist, mid int32 // the phase's s–t distance and last complete forward layer
-	// Scratch reused across DecomposePaths calls, indexed by arc pair.
-	pairs []pairFlow
-	stamp uint32
+	// Scratch reused across DecomposePaths calls: the records, indexed
+	// by arc pair, and the returned paths with the buffer they share.
+	pairs    []pairFlow
+	stamp    uint32
+	paths    [][]int
+	pathNode []int
 }
 
 // NewNetwork returns an empty network with n nodes.
@@ -102,6 +112,7 @@ func (nw *Network) AddArc(u, v, capacity int) int {
 	nw.arcs = append(nw.arcs, arc{to: int32(u), cap: 0})
 	nw.head[u] = append(nw.head[u], int32(id))
 	nw.head[v] = append(nw.head[v], int32(id+1))
+	nw.listed = append(nw.listed, false)
 	return id
 }
 
@@ -117,23 +128,56 @@ func (nw *Network) Flow(arcID int) int {
 // restored.
 func (nw *Network) SetCapacity(arcID, capacity int) {
 	checkCapacity(capacity)
+	nw.touch(int32(arcID))
 	nw.arcs[arcID].cap = int32(capacity)
+}
+
+// touch puts the pair of arc id on the undo list, unless it is there.
+func (nw *Network) touch(id int32) {
+	if p := id >> 1; !nw.listed[p] {
+		nw.listed[p] = true
+		nw.changed = append(nw.changed, p)
+	}
 }
 
 // Save records the current capacities of every arc as the state that
 // Restore returns to.
 func (nw *Network) Save() {
 	nw.saved = append(nw.saved[:0], nw.arcs...)
+	for _, p := range nw.changed {
+		nw.listed[p] = false
+	}
+	nw.changed = nw.changed[:0]
 }
 
 // Restore resets every arc to the capacities recorded by the last Save,
 // undoing both the flow of earlier MaxFlow calls and SetCapacity changes.
-// It panics if arcs were added since that Save.
+// It copies back only the arc pairs on the undo list. It panics if arcs
+// were added since that Save.
 func (nw *Network) Restore() {
 	if len(nw.saved) != len(nw.arcs) {
 		panic("flow: Restore without a Save of the current arcs")
 	}
-	copy(nw.arcs, nw.saved)
+	for _, p := range nw.changed {
+		nw.arcs[2*p], nw.arcs[2*p+1] = nw.saved[2*p], nw.saved[2*p+1]
+		nw.listed[p] = false
+	}
+	nw.changed = nw.changed[:0]
+}
+
+// SwapArcs makes ids the list of arcs leaving node u, the arcs that
+// every search of the network scans at u in the given order, and
+// returns the list u had. Each id must be an arc leaving u (one with
+// tail u). Swapping in a subset of u's arcs, in their order, hides the
+// others from MaxFlow, MinCutReachable and DecomposePaths; the answers
+// are unchanged as long as every hidden arc and its reverse have no
+// residual capacity. The network keeps ids, unchanged by the caller,
+// until the returned list is swapped back, which must happen before
+// arcs are added at u.
+func (nw *Network) SwapArcs(u int, ids []int32) []int32 {
+	old := nw.head[u]
+	nw.head[u] = ids
+	return old
 }
 
 // phase labels the shortest residual s–t paths of one Dinic phase from
@@ -228,6 +272,7 @@ func (nw *Network) augment(u, j, limit int32) int32 {
 		}
 		got := nw.augment(a.to, j+1, min(limit, a.cap))
 		if got > 0 {
+			nw.touch(id)
 			a.cap -= got
 			nw.arcs[id^1].cap += got
 			nw.iter[u] = i
@@ -297,6 +342,10 @@ func (nw *Network) MinCutReachable(s int) []bool {
 // library (each interior node carries at most one unit). A forward arc's
 // flow is read from its reverse residual the first time a walk reaches
 // it, so a call costs the arcs its walks scan, not the whole network.
+//
+// The paths share one buffer that the network reuses: they stay valid
+// until the next DecomposePaths call on this network, so copy any path
+// that must outlive it.
 func (nw *Network) DecomposePaths(s, t, max int) [][]int {
 	if len(nw.pairs) != len(nw.arcs)/2 {
 		nw.pairs = make([]pairFlow, len(nw.arcs)/2)
@@ -306,9 +355,10 @@ func (nw *Network) DecomposePaths(s, t, max int) [][]int {
 		clear(nw.pairs)
 		nw.stamp = 1
 	}
-	var paths [][]int
+	paths, buf := nw.paths[:0], nw.pathNode[:0]
 	for max < 0 || len(paths) < max {
-		path := []int{s}
+		start := len(buf)
+		buf = append(buf, s)
 		u := s
 		ok := false
 		for steps := 0; steps <= len(nw.arcs); steps++ {
@@ -333,7 +383,7 @@ func (nw *Network) DecomposePaths(s, t, max int) [][]int {
 				}
 				p.left--
 				u = int(nw.arcs[id].to)
-				path = append(path, u)
+				buf = append(buf, u)
 				advanced = true
 				break
 			}
@@ -344,7 +394,11 @@ func (nw *Network) DecomposePaths(s, t, max int) [][]int {
 		if !ok {
 			break
 		}
-		paths = append(paths, path)
+		paths = append(paths, buf[start:len(buf):len(buf)])
+	}
+	nw.paths, nw.pathNode = paths, buf
+	if len(paths) == 0 {
+		return nil
 	}
 	return paths
 }

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -254,14 +255,24 @@ func fordFulkerson(capm [][]int, s, t int) int {
 
 // TestSaveRestore runs several queries on one network: Restore undoes
 // both the flow and SetCapacity changes, and the reused scratch gives
-// the same paths every time.
+// the same paths every time. Restore copies back only the arc pairs on
+// its undo list, so each case below compares every arc with the state
+// the last Save recorded.
 func TestSaveRestore(t *testing.T) {
 	nw := NewNetwork(4)
 	a := nw.AddArc(0, 1, 1)
-	nw.AddArc(0, 2, 1)
+	b := nw.AddArc(0, 2, 1)
 	nw.AddArc(1, 3, 1)
 	nw.AddArc(2, 3, 1)
 	nw.Save()
+	saved := slices.Clone(nw.arcs)
+	restored := func(what string) {
+		t.Helper()
+		nw.Restore()
+		if !slices.Equal(nw.arcs, saved) {
+			t.Fatalf("%s: arcs %v, saved %v", what, nw.arcs, saved)
+		}
+	}
 	for round := 0; round < 3; round++ {
 		if got := nw.MaxFlow(0, 3, Inf); got != 2 {
 			t.Fatalf("round %d: flow = %d, want 2", round, got)
@@ -269,13 +280,37 @@ func TestSaveRestore(t *testing.T) {
 		if paths := nw.DecomposePaths(0, 3, -1); len(paths) != 2 || paths[0][1] != 1 || paths[1][1] != 2 {
 			t.Fatalf("round %d: paths = %v", round, paths)
 		}
-		nw.Restore()
+		restored("after MaxFlow and DecomposePaths")
 		nw.SetCapacity(a, 0)
 		if got := nw.MaxFlow(0, 3, Inf); got != 1 {
 			t.Fatalf("round %d: flow with 0->1 closed = %d, want 1", round, got)
 		}
-		nw.Restore()
+		restored("after SetCapacity and MaxFlow")
 	}
+
+	nw.SetCapacity(a, 0)
+	nw.SetCapacity(b, Inf)
+	nw.SetCapacity(a, 5) // a pair changed twice is restored once
+	restored("after SetCapacity only")
+	restored("twice in a row")
+
+	// A Save taken while flow is in the network keeps that flow: Restore
+	// returns to the half-used residual, not to the empty network.
+	if got := nw.MaxFlow(0, 3, 1); got != 1 {
+		t.Fatalf("flow capped at 1 = %d", got)
+	}
+	nw.Save()
+	saved = slices.Clone(nw.arcs)
+	if got := nw.MaxFlow(0, 3, Inf); got != 1 {
+		t.Fatalf("flow on top of a saved unit = %d, want 1 more", got)
+	}
+	restored("after a Save with flow in the network")
+	if got := nw.MaxFlow(0, 3, Inf); got != 1 {
+		t.Fatalf("flow after restoring the saved unit = %d, want 1 more", got)
+	}
+	restored("after a second query on the saved flow")
+
+	nw.Save()
 	nw.AddArc(3, 0, 1)
 	defer func() {
 		if recover() == nil {

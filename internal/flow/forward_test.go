@@ -10,16 +10,30 @@ import (
 // forward is the forward-only Dinic that MaxFlow's two-ended phases
 // replaced, kept as their reference: levels by one breadth-first search
 // from s that stops at t's level, an augmenting DFS over every arc into
-// the next level, and a DecomposePaths that reads the flow of every arc
-// up front. It runs on a Network of its own, built arc for arc like the
-// one under test, so Save, Restore and SetCapacity are shared code.
+// the next level, a DecomposePaths that reads the flow of every arc up
+// front, and a restore that copies every saved arc back. It runs on a
+// Network of its own, built arc for arc like the one under test, but
+// reads and writes its arcs only through these methods, so the network
+// under test's undo list is checked against a full copy.
 type forward struct {
 	nw       *Network
+	saved    []arc
 	level    []int32
 	iter     []int32
 	queue    []int32
 	flowLeft []int32
 }
+
+func (r *forward) save() { r.saved = append(r.saved[:0], r.nw.arcs...) }
+
+func (r *forward) restore() {
+	if len(r.saved) != len(r.nw.arcs) {
+		panic("forward: restore without a save of the current arcs")
+	}
+	copy(r.nw.arcs, r.saved)
+}
+
+func (r *forward) setCapacity(id, capacity int) { r.nw.arcs[id].cap = int32(capacity) }
 
 // bfsLevels builds the level graph; returns false if t is unreachable.
 // It stops expanding at t's level: a node at that level other than t
@@ -218,13 +232,15 @@ func twinNetworks(src *byteSource) (*Network, *forward, []int) {
 // capacity, in the decomposed paths (all of them and a prefix) or in
 // the residual reachable set. The operations are MaxFlow calls with a
 // limit, repeated on one residual; Save; Restore; and a Restore that
-// closes or opens arcs with SetCapacity before the next query.
+// closes or opens arcs with SetCapacity before the next query. Arcs are
+// compared after every operation, so the undo list must restore exactly
+// what the twin's full copy does.
 func checkMatchesForward(t *testing.T, data []byte) {
 	src := byteSource(data)
 	nw, ref, ids := twinNetworks(&src)
 	n := nw.N()
 	nw.Save()
-	ref.nw.Save()
+	ref.save()
 	for op := 0; op < 24 && len(src) > 0; op++ {
 		switch src.next() % 6 {
 		case 0, 1, 2:
@@ -248,21 +264,24 @@ func checkMatchesForward(t *testing.T, data []byte) {
 			}
 		case 3:
 			nw.Save()
-			ref.nw.Save()
+			ref.save()
 		case 4:
 			nw.Restore()
-			ref.nw.Restore()
+			ref.restore()
 		case 5:
 			nw.Restore()
-			ref.nw.Restore()
+			ref.restore()
 			if len(ids) == 0 {
 				continue
 			}
 			for k := 1 + src.next()%3; k > 0; k-- {
 				id, c := ids[src.next()%len(ids)], []int{0, 0, 1, Inf}[src.next()%4]
 				nw.SetCapacity(id, c)
-				ref.nw.SetCapacity(id, c)
+				ref.setCapacity(id, c)
 			}
+		}
+		if !reflect.DeepEqual(nw.arcs, ref.nw.arcs) {
+			t.Fatalf("op %d: arcs\n%v\nforward\n%v", op, nw.arcs, ref.nw.arcs)
 		}
 	}
 }
@@ -292,7 +311,7 @@ func TestMaxFlowMatchesForwardAcrossWrap(t *testing.T) {
 		src := byteSource(data)
 		nw, ref, _ := twinNetworks(&src)
 		nw.Save()
-		ref.nw.Save()
+		ref.save()
 		for pass := 0; pass < 2; pass++ {
 			if pass == 1 {
 				n := uint32(nw.N())
@@ -302,7 +321,7 @@ func TestMaxFlowMatchesForwardAcrossWrap(t *testing.T) {
 			for s := 0; s < nw.N(); s++ {
 				for dst := 0; dst < nw.N(); dst++ {
 					nw.Restore()
-					ref.nw.Restore()
+					ref.restore()
 					before := nw.base
 					got, want := nw.MaxFlow(s, dst, Inf), ref.maxFlow(s, dst, Inf)
 					if nw.base < before {

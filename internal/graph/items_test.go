@@ -9,9 +9,14 @@ import (
 // TestItemsLinkRoundTrip: link i of Edges() is item n+i in both
 // endpoint orders, Ends inverts Link, and everything that is not an
 // edge — node items, ids past the links, non-edges, self-loops and
-// endpoints outside 0..n-1 — is refused.
+// endpoints outside 0..n-1 — is refused. Link scans up to linkScan
+// neighbors in order and searches longer lists by halves, so besides
+// random graphs of degree below linkScan the graphs include a wheel's
+// 39-neighbor hub, and complete graphs and stars on both sides of the
+// boundary.
 func TestItemsLinkRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var graphs []*Graph
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(12)
 		g := New(n)
@@ -22,6 +27,28 @@ func TestItemsLinkRoundTrip(t *testing.T) {
 				}
 			}
 		}
+		graphs = append(graphs, g)
+	}
+	wheel := New(40)
+	for v := 1; v < 40; v++ {
+		wheel.MustAddEdge(0, v)
+		wheel.MustAddEdge(v, 1+v%39)
+	}
+	graphs = append(graphs, wheel)
+	for _, n := range []int{linkScan + 1, linkScan + 2, 30} {
+		complete, star := New(n), New(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				complete.MustAddEdge(u, v)
+			}
+			if u > 0 {
+				star.MustAddEdge(0, u)
+			}
+		}
+		graphs = append(graphs, complete, star)
+	}
+	for trial, g := range graphs {
+		n := g.N()
 		ix := NewItems(g)
 		if ix.N() != n || ix.M() != g.M() {
 			t.Fatalf("trial %d: N, M = %d, %d; want %d, %d", trial, ix.N(), ix.M(), n, g.M())
