@@ -91,8 +91,8 @@ func BenchmarkVertexConnectivityCCC4(b *testing.B) {
 }
 
 // BenchmarkVertexConnectivityCCC7 times κ(G) alone on the 896-node
-// anchor of tolerate-ccc7: 895 capped probe flows on GOMAXPROCS
-// workers, then the separator's uncapped flow. Run it at -cpu 1,2 to see
+// anchor of tolerate-ccc7: 895 capped probe flows in one block per
+// worker, then the separator's uncapped flow. Run it at -cpu 1,2 to see
 // what the second worker buys; report-only, not gated.
 func BenchmarkVertexConnectivityCCC7(b *testing.B) {
 	g, err := CCC(7)

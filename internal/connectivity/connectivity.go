@@ -15,7 +15,6 @@ import (
 	"iter"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ftroute/internal/flow"
 	"ftroute/internal/graph"
@@ -58,11 +57,14 @@ func DisjointPaths(g *graph.Graph, s, t, k int) ([][]int, error) {
 // an empty separator. Graphs with fewer than two nodes return n-1
 // (i.e. 0 for a single node) and ErrComplete.
 //
-// κ(G) is the minimum max-flow over the pairs of probePairs, and the
-// separator is the one the uncapped flow of the first pair attaining it
-// leaves. The flows run on up to GOMAXPROCS workers, each with its own
-// Split, and each flow is capped by the incumbent (see minPairFlow), so
-// κ and that first pair are those of a serial scan.
+// κ(G) is the minimum max-flow over the pairs of probePairs. The pairs
+// are cut into one block of consecutive pairs per worker (see Workers),
+// and each worker scans its block on its own Split, capping each flow at
+// the smallest value its block has found so far: a capped flow returns
+// min(κ(s,t), best), which changes neither the block's minimum nor the
+// first pair in it that attains it. So the first block with the least
+// minimum holds the first pair attaining κ, and its uncapped flow yields
+// the same separator at any worker count.
 func VertexConnectivity(g *graph.Graph) (int, []int, error) {
 	n := g.N()
 	if n <= 1 {
@@ -79,85 +81,48 @@ func VertexConnectivity(g *graph.Graph) (int, []int, error) {
 		// No non-adjacent pair anywhere we probed; the graph is complete.
 		return n - 1, nil, ErrComplete
 	}
-	k, at, sp := minPairFlow(g, pairs)
-	_, sep := sp.stFlow(pairs[at][0], pairs[at][1], flow.Inf, true)
-	return k, sep, nil
-}
-
-// pairsPerWorker is the least number of probe pairs worth a worker of
-// its own; shorter pair lists run on one worker.
-const pairsPerWorker = 16
-
-// minPairFlow returns the least κ(s, t) over pairs, of non-adjacent
-// nodes of g, the index of the first pair attaining it, and a Split
-// with unbounded edge arcs, restored, for further flows on g. Up to
-// GOMAXPROCS workers, each with its own Split, claim pairs in order from
-// a shared counter, cap each pair's flow by the shared incumbent (see
-// capFor) and lower the incumbent with what they find. On one worker
-// this is the serial scan that caps each flow at the least value found
-// so far.
-func minPairFlow(g *graph.Graph, pairs [][2]int) (k, at int, sp *Split) {
-	var best incumbent
-	best.w.Store(pairWord(g.N()-1, len(pairs)))
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(pairs)/pairsPerWorker))
-	splits := make([]*Split, workers)
-	var next atomic.Int64
+	type blockMin struct {
+		k, at int
+		sp    *Split
+	}
+	mins := make([]blockMin, Workers(len(pairs)))
 	var wg sync.WaitGroup
-	for w := range splits {
+	for w := range mins {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp := newSplit(g, flow.Inf)
-			splits[w] = sp
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(pairs) {
-					return
+			// Every non-adjacent pair has at most n-2 disjoint paths, so
+			// the block's first capped flow is exact.
+			m := blockMin{k: n - 1, sp: newSplit(g, flow.Inf)}
+			for i := w * len(pairs) / len(mins); i < (w+1)*len(pairs)/len(mins); i++ {
+				if k, _ := m.sp.stFlow(pairs[i][0], pairs[i][1], m.k, false); k < m.k {
+					m.k, m.at = k, i
 				}
-				got, _ := sp.stFlow(pairs[i][0], pairs[i][1], best.capFor(i), false)
-				best.lower(got, i)
 			}
+			mins[w] = m
 		}()
 	}
 	wg.Wait()
-	k, at = best.load()
-	return k, at, splits[0]
-}
-
-// incumbent is the least (κ, pair index) the workers of minPairFlow have
-// found, packed into one word so that the least word is the least κ at
-// its first pair. Before the first flow it holds (n−1, len(pairs)).
-type incumbent struct{ w atomic.Uint64 }
-
-func pairWord(k, at int) uint64 { return uint64(k)<<32 | uint64(at) }
-
-func (b *incumbent) load() (k, at int) {
-	w := b.w.Load()
-	return int(w >> 32), int(uint32(w))
-}
-
-// capFor returns the cap of pair i's flow against the incumbent (κ, at):
-// κ+1 for a pair before at, which wins a tie, and κ for a pair after it,
-// which does not. A capped flow returns min(κ(s, t), cap), so it is
-// exact whenever the pair can win and at the cap, which loses,
-// otherwise; the incumbent only falls, so a pair that loses to it loses
-// to every later incumbent too. Every non-adjacent pair has at most n−2
-// disjoint paths, so the first flow, capped at n against
-// (n−1, len(pairs)), is exact.
-func (b *incumbent) capFor(i int) int {
-	k, at := b.load()
-	if i < at {
-		return k + 1
+	best := mins[0]
+	for _, m := range mins[1:] {
+		if m.k < best.k {
+			best = m
+		}
 	}
-	return k
+	_, sep := best.sp.stFlow(pairs[best.at][0], pairs[best.at][1], flow.Inf, true)
+	return best.k, sep, nil
 }
 
-// lower makes (k, i) the incumbent if it is less than the current one.
-func (b *incumbent) lower(k, i int) {
-	mine := pairWord(k, i)
-	for cur := b.w.Load(); mine < cur && !b.w.CompareAndSwap(cur, mine); {
-		cur = b.w.Load()
-	}
+// jobsPerWorker is the least number of independent flow jobs worth a
+// worker of its own; shorter job lists run on one worker.
+const jobsPerWorker = 16
+
+// Workers returns the number of workers that n independent flow jobs
+// are spread over: one per jobsPerWorker jobs, at least one and at most
+// GOMAXPROCS. VertexConnectivity's probe flows and the constructions'
+// tree routings use it.
+func Workers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/jobsPerWorker))
 }
 
 // IsKConnected reports whether g is k-node-connected, using flows capped

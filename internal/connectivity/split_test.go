@@ -234,8 +234,8 @@ func kappaGraphs(t *testing.T) map[string]*graph.Graph {
 
 // TestVertexConnectivityMatchesOracle compares κ, the separator and the
 // error with the oracle's uncapped serial scan at 1, 2 and 8 workers.
-// Every graph has at least 32 probe pairs, so two workers or more share
-// the pairs and the incumbent.
+// Every graph has at least 2*jobsPerWorker probe pairs, so with two
+// workers or more each block of pairs is scanned on a Split of its own.
 func TestVertexConnectivityMatchesOracle(t *testing.T) {
 	type answer struct {
 		k   int
@@ -249,8 +249,8 @@ func TestVertexConnectivityMatchesOracle(t *testing.T) {
 		for range probePairs(g) {
 			pairs++
 		}
-		if pairs < 2*pairsPerWorker {
-			t.Fatalf("%s: %d probe pairs, want at least %d", name, pairs, 2*pairsPerWorker)
+		if pairs < 2*jobsPerWorker {
+			t.Fatalf("%s: %d probe pairs, want at least %d", name, pairs, 2*jobsPerWorker)
 		}
 		k, sep, ok := oracle.VertexConnectivity(g)
 		want[name] = answer{k, sep, ok}
@@ -265,32 +265,5 @@ func TestVertexConnectivityMatchesOracle(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestIncumbentIsPositionAware pins the rule that keeps the parallel κ
-// scan equal to the serial one whatever order the workers finish in: a
-// pair before the incumbent's is capped one above its κ, so that it can
-// take a tie over, and a pair after it at κ; a tie moves the incumbent
-// only to an earlier pair.
-func TestIncumbentIsPositionAware(t *testing.T) {
-	var b incumbent
-	b.w.Store(pairWord(5, 3))
-	for _, c := range []struct{ pair, cap int }{{0, 6}, {2, 6}, {4, 5}, {9, 5}} {
-		if got := b.capFor(c.pair); got != c.cap {
-			t.Errorf("pair %d against (5, 3): cap %d, want %d", c.pair, got, c.cap)
-		}
-	}
-	for _, c := range []struct{ k, pair, wantK, wantAt int }{
-		{5, 7, 5, 3}, // a later tie keeps the incumbent
-		{6, 1, 5, 3}, // an earlier pair above κ does not take it
-		{5, 1, 5, 1}, // an earlier tie takes it over
-		{4, 9, 4, 9}, // a smaller κ moves it anywhere
-		{4, 12, 4, 9},
-	} {
-		b.lower(c.k, c.pair)
-		if k, at := b.load(); k != c.wantK || at != c.wantAt {
-			t.Errorf("after lower(%d, pair %d): (%d, %d), want (%d, %d)", c.k, c.pair, k, at, c.wantK, c.wantAt)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -37,10 +36,6 @@ func setPathFinder(newFinder func(*graph.Graph) pathFinder) (restore func()) {
 	return func() { newPathFinder = old }
 }
 
-// jobsPerWorker is the least number of jobs worth a worker of its own;
-// shorter job lists run on one worker.
-const jobsPerWorker = 16
-
 // A treeResult is a solved job: its paths and error, or the value the
 // path finder panicked with (never nil after a panic since Go 1.21).
 type treeResult struct {
@@ -64,18 +59,18 @@ func solveTree(pf pathFinder, j treeJob, k int) (res treeResult) {
 // compileTrees finds k paths for every job and passes each job's paths,
 // or its error, to install strictly in job order. It stops at, and
 // returns, the first error install returns; install must return one for
-// a job whose path finder failed. It solves first and installs after, as
-// routing.Reinforce does: up to GOMAXPROCS workers, each with its own
-// pathFinder, claim jobs from a shared counter and fill a result slice,
-// and once they finish the caller installs in job order. A worker claims
-// no job after some path finder has failed or panicked, so the solved
-// jobs are a prefix that holds the first failing one, and the result and
-// the reported error are those of solving and installing one job at a
-// time. A panic in the path finder is raised again on the calling
-// goroutine at that job's turn.
+// a job whose path finder failed. It solves first and installs after,
+// as routing.Reinforce does: connectivity.Workers(len(jobs)) workers,
+// each with its own pathFinder, claim jobs from a shared counter and
+// fill a result slice, and once they finish the caller installs in job
+// order. A worker claims no job after some path finder has failed or
+// panicked, so the solved jobs are a prefix that holds the first
+// failing one, and the result and the reported error are those of
+// solving and installing one job at a time. A panic in the path finder
+// is raised again on the calling goroutine at that job's turn.
 func compileTrees(g *graph.Graph, jobs []treeJob, k int, install func(treeJob, [][]int, error) error) error {
 	results := make([]treeResult, len(jobs))
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(jobs)/jobsPerWorker))
+	workers := connectivity.Workers(len(jobs))
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup

@@ -10,7 +10,7 @@ import "slices"
 // position i. Items reads g's adjacency and assumes g is no longer
 // mutated.
 type Items struct {
-	adj   [][]int32 // g's adjacency
+	g     *Graph
 	n     int
 	first []int32 // node u -> its arcs' range in arc, len n+1
 	arc   []int32 // u's arcs in g's neighbor order -> item of the link
@@ -20,7 +20,7 @@ type Items struct {
 // NewItems numbers the items of g.
 func NewItems(g *Graph) *Items {
 	n := g.N()
-	it := &Items{adj: g.adj, n: n, first: make([]int32, n+1), arc: make([]int32, 0, 2*g.m), u: make([]int32, 0, g.m), v: make([]int32, 0, g.m)}
+	it := &Items{g: g, n: n, first: make([]int32, n+1), arc: make([]int32, 0, 2*g.m), u: make([]int32, 0, g.m), v: make([]int32, 0, g.m)}
 	for a, lst := range g.adj {
 		it.first[a] = int32(len(it.arc))
 		for _, b := range lst {
@@ -44,37 +44,28 @@ func (it *Items) N() int { return it.n }
 // M returns the number of links.
 func (it *Items) M() int { return len(it.u) }
 
-// linkScan is the largest degree at which Link scans a node's neighbors
-// in order instead of searching them by halves.
-const linkScan = 16
-
 // Link returns the item of the link {u, v}, in either endpoint order.
 // It reports false for endpoints outside 0..n-1, self-loops and
-// non-edges. It looks v up among u's neighbors.
+// non-edges.
 func (it *Items) Link(u, v int) (int, bool) {
-	if uint(u) >= uint(it.n) || uint(v) >= uint(it.n) {
+	if u > v {
+		u, v = v, u
+	}
+	if u < 0 || v >= it.n {
 		return 0, false
 	}
-	nbrs, w := it.adj[u], int32(v)
-	if len(nbrs) > linkScan {
-		if i, ok := slices.BinarySearch(nbrs, w); ok {
-			return int(it.arc[int(it.first[u])+i]), true
-		}
+	i, ok := slices.BinarySearch(it.g.adj[u], int32(v))
+	if !ok {
 		return 0, false
 	}
-	for i, x := range nbrs {
-		if x == w {
-			return int(it.arc[int(it.first[u])+i]), true
-		}
-	}
-	return 0, false
+	return int(it.arc[int(it.first[u])+i]), true
 }
 
 // Arcs returns u's neighbors in increasing order, g's own adjacency,
 // and at the same index the item of the link to each. Both slices are
 // shared; callers must not mutate them.
 func (it *Items) Arcs(u int) (nbrs, links []int32) {
-	return it.adj[u], it.arc[it.first[u]:it.first[u+1]]
+	return it.g.adj[u], it.arc[it.first[u]:it.first[u+1]]
 }
 
 // Ends returns the endpoints (u < v) of a link item, reporting false
